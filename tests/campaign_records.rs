@@ -1,0 +1,143 @@
+//! Pinned record streams: every campaign flavour, run at a fixed seed
+//! on Input2 at `Scale::Quick`, must keep producing exactly these
+//! records. Each test folds every record's index, fault spec (class,
+//! tap, bit), fired fault and outcome into one digest and compares it
+//! with a constant, so a refactor of the campaign engine that changes
+//! any draw, landing site or classification fails here.
+//!
+//! The digest reads the fields directly rather than formatting the
+//! records: `Debug` and `Display` text is free to change while the
+//! records it describes stay the same.
+
+use video_summarization::prelude::*;
+use vs_core::workloads::VsWorkload;
+use vs_fault::adaptive::{self, AdaptiveConfig};
+use vs_fault::campaign::{CheckpointPolicy, Injection};
+use vs_fault::compose::{self, CampaignCache, ComposeConfig};
+use vs_fault::mix64;
+use vs_fault::pruning::{self, PrunedConfig};
+
+const SEED: u64 = 0x9E_C0DE;
+
+fn workload() -> VsWorkload {
+    experiments::vs_workload(InputId::Input2, Scale::Quick, Approximation::Baseline)
+}
+
+/// Order-sensitive digest of a record stream.
+fn digest<O>(records: &[Injection<O>]) -> u64 {
+    let mut h = mix64(records.len() as u64);
+    let mut fold = |v: u64| h = mix64(h ^ v);
+    for r in records {
+        fold(r.index as u64);
+        fold(match r.spec.class {
+            RegClass::Gpr => 1,
+            RegClass::Fpr => 2,
+        });
+        fold(r.spec.tap_index);
+        fold(u64::from(r.spec.bit));
+        match r.fired {
+            None => fold(u64::MAX),
+            Some(f) => {
+                fold(f.func.index() as u64);
+                fold(f.op.index() as u64);
+                fold(u64::from(f.reg));
+                fold(u64::from(f.bit));
+                fold(f.before);
+                fold(f.after);
+            }
+        }
+        for b in r.outcome.name().bytes() {
+            fold(u64::from(b));
+        }
+    }
+    h
+}
+
+fn assert_digest<O>(flavour: &str, records: &[Injection<O>], expected: u64) {
+    let got = digest(records);
+    assert_eq!(
+        got,
+        expected,
+        "{flavour}: record stream changed ({} records, digest {got:#018x})",
+        records.len()
+    );
+}
+
+#[test]
+fn from_scratch_campaigns_are_pinned() {
+    let w = workload();
+    let golden = campaign::profile_golden(&w).unwrap();
+    for (class, expected) in [
+        (RegClass::Gpr, 0x3895_f1c6_0c70_79b7),
+        (RegClass::Fpr, 0xd69c_0c68_55ca_c559),
+    ] {
+        let cfg = CampaignConfig::new(class, 24).seed(SEED).threads(2);
+        let records = campaign::run_campaign(&w, &golden, &cfg);
+        assert_digest(class.name(), &records, expected);
+    }
+}
+
+#[test]
+fn checkpointed_campaign_is_pinned() {
+    let w = workload();
+    let policy = CheckpointPolicy::EveryKFrames(2);
+    let ck = campaign::profile_golden_checkpointed(&w, policy).unwrap();
+    let cfg = CampaignConfig::new(RegClass::Gpr, 24)
+        .seed(SEED)
+        .threads(2)
+        .checkpoint_policy(policy);
+    let records = campaign::run_campaign_checkpointed(&w, &ck, &cfg);
+    assert_digest("checkpointed", &records, 0x3895_f1c6_0c70_79b7);
+}
+
+#[test]
+fn adaptive_campaign_is_pinned() {
+    let w = workload();
+    let policy = CheckpointPolicy::EveryKFrames(2);
+    let ck = campaign::profile_golden_checkpointed(&w, policy).unwrap();
+    // A seed of its own, so this stream is not the fixed campaign's.
+    let cfg = CampaignConfig::new(RegClass::Gpr, 48)
+        .seed(SEED + 1)
+        .threads(2)
+        .checkpoint_policy(policy);
+    let acfg = AdaptiveConfig {
+        epsilon_pp: 25.0,
+        batch: 8,
+        min_injections: 16,
+        knee_tol_pp: 10.0,
+    };
+    let out = adaptive::run_adaptive_checkpointed(&w, &ck, &cfg, &acfg);
+    assert_digest("adaptive", &out.records, 0x4df3_70c7_e58a_9e2e);
+}
+
+#[test]
+fn pruned_campaign_is_pinned() {
+    let w = workload();
+    let golden = campaign::profile_golden(&w).unwrap();
+    let cfg = PrunedConfig {
+        total_pilots: 24,
+        min_pilots_per_group: 1,
+        seed: SEED,
+        hang_factor: 16,
+    };
+    let res = pruning::run_pruned_campaign(&w, &golden, &cfg);
+    assert_digest("pruned", &res.records, 0xbf2e_18f4_c32f_6010);
+}
+
+#[test]
+fn composed_cold_campaign_is_pinned() {
+    let w = workload();
+    let golden = campaign::profile_golden_forensic(&w).unwrap();
+    let cfg = ComposeConfig {
+        seed: SEED,
+        epsilon_pp: 100.0,
+        batch: 2,
+        min_pilots: 2,
+        max_pilots: 2,
+        hang_factor: 4,
+        threads: 2,
+    };
+    let res = compose::run_composed_campaign(&w, &golden, &cfg, &mut CampaignCache::new());
+    assert_eq!(res.reused_groups, 0, "a cold pass injects every group");
+    assert_digest("composed cold", &res.records, 0xfcac_6e4b_1ec1_24e9);
+}
