@@ -7,7 +7,7 @@ use std::hint::black_box;
 use vs_bench::timing::bench;
 use vs_core::experiments::{vs_workload, InputId, Scale};
 use vs_core::Approximation;
-use vs_fault::campaign::{self, CampaignConfig, Workload};
+use vs_fault::campaign::{self, CampaignConfig};
 use vs_fault::spec::RegClass;
 use vs_fault::{session, tap};
 
@@ -43,7 +43,7 @@ fn bench_tap_overhead() {
 
 fn bench_injected_runs() {
     let w = vs_workload(InputId::Input2, Scale::Quick, Approximation::Baseline);
-    bench("vs_golden_run_uninstrumented", || w.run().unwrap());
+    bench("vs_golden_run_uninstrumented", || w.summarize().unwrap());
     let golden = campaign::profile_golden(&w).unwrap();
     bench("vs_campaign_8_injections", || {
         let cfg = CampaignConfig::new(RegClass::Gpr, 8)

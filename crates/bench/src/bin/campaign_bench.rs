@@ -31,9 +31,9 @@
 //! The benchmark profiles one golden run (plain and checkpoint-capturing),
 //! then runs the same GPR campaign twice — every injection re-executed
 //! from scratch, and every injection fast-forwarded from the latest
-//! usable checkpoint into a reused workspace — and cross-checks that both
-//! campaigns classify every injection identically before reporting
-//! runs/sec. A counting global allocator (this binary only) measures the
+//! usable checkpoint, both into reused per-worker workspaces — and
+//! cross-checks that both campaigns classify every injection identically
+//! before reporting runs/sec. A counting global allocator (this binary only) measures the
 //! workspace path: the first run on a cold workspace allocates
 //! (`allocs_per_run_scratch`), warmed-up runs must not allocate at all
 //! (`allocs_per_run_steady`, gated to 0). `--smoke` shrinks everything so
@@ -51,9 +51,9 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use vs_core::workloads::VsWorkload;
-use vs_core::PipelineConfig;
+use vs_core::{PipelineConfig, RunScratch};
 use vs_fault::adaptive::{self, AdaptiveConfig};
-use vs_fault::campaign::{self, CampaignConfig, CheckpointPolicy, ScratchWorkload};
+use vs_fault::campaign::{self, CampaignConfig, CheckpointPolicy, Workload};
 use vs_fault::compose::{self, CampaignCache, ComposeConfig};
 use vs_fault::spec::RegClass;
 use vs_fault::stats::{outcome_rates, OutcomeClass, OutcomeRates};
@@ -115,19 +115,19 @@ fn measure_allocs(w: &VsWorkload) -> AllocStats {
     std::thread::scope(|scope| {
         scope
             .spawn(|| {
-                let mut scratch = w.make_scratch();
+                let mut scratch = RunScratch::default();
                 let a0 = alloc_calls();
-                w.run_scratch(&mut scratch).expect("golden run failed");
+                w.run(&mut scratch, None).expect("golden run failed");
                 let per_run_scratch = alloc_calls() - a0;
                 // Swap-paired buffers (current/previous features, RANSAC
                 // inlier lists) reach their high-water marks only once
                 // each buffer has served every role: warm up past that.
                 for _ in 0..WARMUP_RUNS {
-                    w.run_scratch(&mut scratch).expect("golden run failed");
+                    w.run(&mut scratch, None).expect("golden run failed");
                 }
                 let a1 = alloc_calls();
                 for _ in 0..STEADY_RUNS {
-                    w.run_scratch(&mut scratch).expect("golden run failed");
+                    w.run(&mut scratch, None).expect("golden run failed");
                 }
                 AllocStats {
                     per_run_scratch,
@@ -714,9 +714,9 @@ fn main() -> ExitCode {
     // the sink lives) so the trace ends with `scratch_reuse` counters at
     // grown=0 — what `trace_check --scratch-steady` validates.
     {
-        let mut demo = w.make_scratch();
+        let mut demo = RunScratch::default();
         for _ in 0..4 {
-            w.run_scratch(&mut demo).expect("golden run failed");
+            w.run(&mut demo, None).expect("golden run failed");
         }
     }
 

@@ -13,19 +13,12 @@
 //! the cause. This binary reruns that sweep with the `vs-telemetry`
 //! metrics layer armed, so every worker's wall time decomposes into the
 //! named campaign phases (`draw`, `setup`, `exec`, `teardown`,
-//! `classify`, `record`, `lock_wait`), and reports:
+//! `classify`, `record`), and reports:
 //!
 //! - **Attribution coverage** — the share of per-worker wall time the
 //!   phase histograms account for, gated at `--min-coverage` (default
 //!   0.95) for every sweep cell. An unattributed gap means a phase is
 //!   missing from the vocabulary.
-//! - **Before/after collector comparison** — every cell runs twice:
-//!   with the legacy shared-`Mutex` results vector
-//!   ([`Collection::SharedMutex`], the suspected serializer) and with
-//!   the per-worker disjoint result slots that replaced it
-//!   ([`Collection::WorkerSlots`]). The measured `lock_wait` histogram
-//!   settles whether the mutex was ever hot: workers take it once per
-//!   stripe, so its share is expected (and confirmed) to be tiny.
 //! - **Overhead A/B** — interleaved metrics-off/metrics-on repeats of
 //!   the same campaign, gated with `--overhead-gate` (percent) so the
 //!   observability layer itself provably does not perturb throughput.
@@ -40,8 +33,8 @@
 //!   (with a note) rather than fabricating a speedup.
 //!
 //! Outcome identity is enforced throughout: every campaign in the sweep
-//! (both collectors, all thread counts, metrics on or off) must classify
-//! every injection exactly like the metrics-off reference run.
+//! (all thread counts, metrics on or off) must classify every injection
+//! exactly like the metrics-off reference run.
 //!
 //! Artifacts: `scaling_report.md` + `scaling_report.json` under
 //! `--out-dir` (default `out/scaling/`), and the `BENCH_5.json` summary
@@ -54,7 +47,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use vs_core::workloads::VsWorkload;
 use vs_core::PipelineConfig;
-use vs_fault::campaign::{self, phase, CampaignConfig, CheckpointPolicy, Collection, Injection};
+use vs_fault::campaign::{self, phase, CampaignConfig, CheckpointPolicy, Injection};
 use vs_fault::spec::RegClass;
 use vs_telemetry::metrics::{self, MetricsRegistry, WorkerMetrics};
 use vs_telemetry::Value;
@@ -204,12 +197,11 @@ fn same_records<O>(a: &[Injection<O>], b: &[Injection<O>]) -> bool {
         })
 }
 
-/// One sweep cell: a (thread count, collector) pair measured over
-/// `repeats` campaigns, with the *last* repeat's merged phase metrics
-/// (the registry is reset between repeats so counts stay per-campaign).
+/// One sweep cell: a thread count measured over `repeats` campaigns,
+/// with the *last* repeat's merged phase metrics (the registry is reset
+/// between repeats so counts stay per-campaign).
 struct Cell {
     threads: usize,
-    collector: Collection,
     wall: Spread,
     identical: bool,
     merged: WorkerMetrics,
@@ -376,22 +368,17 @@ fn main() -> ExitCode {
         ],
     );
 
-    let cfg_for = |n: usize, coll: Collection| {
+    let cfg_for = |n: usize| {
         CampaignConfig::new(RegClass::Gpr, o.injections)
             .seed(o.seed)
             .threads(n)
             .checkpoint_policy(CheckpointPolicy::EveryKFrames(o.every_k))
-            .collection(coll)
     };
 
     // Metrics-off reference: every other campaign in this report must
     // reproduce these records exactly.
     let base_threads = o.threads[0];
-    let reference = campaign::run_campaign_checkpointed(
-        &w,
-        &ck,
-        &cfg_for(base_threads, Collection::WorkerSlots),
-    );
+    let reference = campaign::run_campaign_checkpointed(&w, &ck, &cfg_for(base_threads));
 
     // Overhead A/B: interleaved off/on repeats at the baseline thread
     // count, so machine-wide drift lands on both sides equally.
@@ -402,21 +389,13 @@ fn main() -> ExitCode {
     let mut identical = true;
     for _ in 0..overhead_reps {
         let t = Instant::now();
-        let recs = campaign::run_campaign_checkpointed(
-            &w,
-            &ck,
-            &cfg_for(base_threads, Collection::WorkerSlots),
-        );
+        let recs = campaign::run_campaign_checkpointed(&w, &ck, &cfg_for(base_threads));
         off_times.push(t.elapsed().as_secs_f64());
         identical &= same_records(&recs, &reference);
 
         let guard = metrics::install(overhead_reg.clone());
         let t = Instant::now();
-        let recs = campaign::run_campaign_checkpointed(
-            &w,
-            &ck,
-            &cfg_for(base_threads, Collection::WorkerSlots),
-        );
+        let recs = campaign::run_campaign_checkpointed(&w, &ck, &cfg_for(base_threads));
         on_times.push(t.elapsed().as_secs_f64());
         drop(guard);
         identical &= same_records(&recs, &reference);
@@ -440,120 +419,102 @@ fn main() -> ExitCode {
         ],
     );
 
-    // The sweep proper: thread counts x collectors, metrics armed. The
+    // The sweep proper: one cell per thread count, metrics armed. The
     // registry is reset before each repeat so the retained (last)
     // repeat's counts are per-campaign, not per-cell-accumulated.
     let mut cells: Vec<Cell> = Vec::new();
     for &n in &o.threads {
-        for coll in [Collection::SharedMutex, Collection::WorkerSlots] {
-            let reg = Arc::new(MetricsRegistry::new());
-            let mut times = Vec::with_capacity(o.repeats);
-            let mut cell_identical = true;
-            for _ in 0..o.repeats {
-                reg.reset();
-                let guard = metrics::install(reg.clone());
-                let t = Instant::now();
-                let recs = campaign::run_campaign_checkpointed(&w, &ck, &cfg_for(n, coll));
-                times.push(t.elapsed().as_secs_f64());
-                drop(guard);
-                cell_identical &= same_records(&recs, &reference);
-            }
-            identical &= cell_identical;
-            let merged = reg.merged();
-            metrics::emit_snapshot(
-                &merged,
-                n,
-                &[
-                    ("threads", Value::U64(n as u64)),
-                    ("collector", Value::Str(coll.name())),
-                ],
-            );
-            let cell = Cell {
-                threads: n,
-                collector: coll,
-                wall: spread(&times),
-                identical: cell_identical,
-                merged,
-                per_worker: reg.per_worker(),
-            };
-            vs_telemetry::emit(
-                "metrics_coverage",
-                &[
-                    ("threads", Value::U64(n as u64)),
-                    ("collector", Value::Str(coll.name())),
-                    (
-                        "attributed_ns",
-                        Value::U64(Cell::attributed_ns(&cell.merged)),
-                    ),
-                    ("wall_ns", Value::U64(Cell::wall_ns(&cell.merged))),
-                    ("coverage", Value::F64(cell.coverage())),
-                    (
-                        "min_worker_coverage",
-                        Value::F64(cell.min_worker_coverage()),
-                    ),
-                ],
-            );
-            vs_telemetry::emit(
-                "scaling_run",
-                &[
-                    ("threads", Value::U64(n as u64)),
-                    ("collector", Value::Str(coll.name())),
-                    ("median_secs", Value::F64(cell.wall.median)),
-                    ("min_secs", Value::F64(cell.wall.min)),
-                    ("mean_secs", Value::F64(cell.wall.mean)),
-                    (
-                        "runs_per_sec",
-                        Value::F64(o.injections as f64 / cell.wall.median),
-                    ),
-                    ("identical", Value::Bool(cell_identical)),
-                    ("oversubscribed", Value::Bool(n > host_cores)),
-                ],
-            );
-            cells.push(cell);
+        let reg = Arc::new(MetricsRegistry::new());
+        let mut times = Vec::with_capacity(o.repeats);
+        let mut cell_identical = true;
+        for _ in 0..o.repeats {
+            reg.reset();
+            let guard = metrics::install(reg.clone());
+            let t = Instant::now();
+            let recs = campaign::run_campaign_checkpointed(&w, &ck, &cfg_for(n));
+            times.push(t.elapsed().as_secs_f64());
+            drop(guard);
+            cell_identical &= same_records(&recs, &reference);
         }
+        identical &= cell_identical;
+        let merged = reg.merged();
+        metrics::emit_snapshot(&merged, n, &[("threads", Value::U64(n as u64))]);
+        let cell = Cell {
+            threads: n,
+            wall: spread(&times),
+            identical: cell_identical,
+            merged,
+            per_worker: reg.per_worker(),
+        };
+        vs_telemetry::emit(
+            "metrics_coverage",
+            &[
+                ("threads", Value::U64(n as u64)),
+                (
+                    "attributed_ns",
+                    Value::U64(Cell::attributed_ns(&cell.merged)),
+                ),
+                ("wall_ns", Value::U64(Cell::wall_ns(&cell.merged))),
+                ("coverage", Value::F64(cell.coverage())),
+                (
+                    "min_worker_coverage",
+                    Value::F64(cell.min_worker_coverage()),
+                ),
+            ],
+        );
+        vs_telemetry::emit(
+            "scaling_run",
+            &[
+                ("threads", Value::U64(n as u64)),
+                ("median_secs", Value::F64(cell.wall.median)),
+                ("min_secs", Value::F64(cell.wall.min)),
+                ("mean_secs", Value::F64(cell.wall.mean)),
+                (
+                    "runs_per_sec",
+                    Value::F64(o.injections as f64 / cell.wall.median),
+                ),
+                ("identical", Value::Bool(cell_identical)),
+                ("oversubscribed", Value::Bool(n > host_cores)),
+            ],
+        );
+        cells.push(cell);
     }
 
-    let cell_at = |n: usize, coll: Collection| {
+    let cell_at = |n: usize| {
         cells
             .iter()
-            .find(|c| c.threads == n && c.collector == coll)
+            .find(|c| c.threads == n)
             .expect("sweep cell missing")
     };
     let max_n = *o.threads.iter().max().expect("threads non-empty");
-    let base_slots = cell_at(base_threads, Collection::WorkerSlots);
-    let base_mutex = cell_at(base_threads, Collection::SharedMutex);
-    let max_slots = cell_at(max_n, Collection::WorkerSlots);
-    let max_mutex = cell_at(max_n, Collection::SharedMutex);
+    let base_cell = cell_at(base_threads);
+    let max_cell = cell_at(max_n);
 
-    // Speedups at the widest point, per collector ("before" = shared
-    // mutex, "after" = per-worker slots).
-    let speedup_before = base_mutex.wall.median / max_mutex.wall.median;
-    let speedup_after = base_slots.wall.median / max_slots.wall.median;
-    let lock_share = max_mutex.phase_share(phase::LOCK_WAIT);
-    let dominant = max_slots.dominant_phase();
+    // Speedup at the widest point.
+    let speedup = base_cell.wall.median / max_cell.wall.median;
+    let dominant = max_cell.dominant_phase();
     let min_coverage_seen = cells
         .iter()
         .map(Cell::coverage)
         .fold(f64::INFINITY, f64::min);
 
-    // USL fit over the after-fix (worker-slots) speedup curve, in
-    // thread units relative to the baseline count.
+    // USL fit over the speedup curve, in thread units relative to the
+    // baseline count.
     let usl_points: Vec<(f64, f64)> = o
         .threads
         .iter()
         .map(|&n| {
-            let c = cell_at(n, Collection::WorkerSlots);
             (
                 n as f64 / base_threads as f64,
-                base_slots.wall.median / c.wall.median,
+                base_cell.wall.median / cell_at(n).wall.median,
             )
         })
         .collect();
     let usl = fit_usl(&usl_points);
     // Direct Amdahl inversion at the widest point: s = 1/(f + (1-f)/n).
-    let amdahl_serial = if max_n > base_threads && speedup_after > 0.0 {
+    let amdahl_serial = if max_n > base_threads && speedup > 0.0 {
         let x = max_n as f64 / base_threads as f64;
-        (((x / speedup_after) - 1.0) / (x - 1.0)).clamp(0.0, 1.0)
+        (((x / speedup) - 1.0) / (x - 1.0)).clamp(0.0, 1.0)
     } else {
         0.0
     };
@@ -564,8 +525,7 @@ fn main() -> ExitCode {
             ("kappa", Value::F64(usl.kappa)),
             ("rms_error", Value::F64(usl.rms_error)),
             ("amdahl_serial_fraction", Value::F64(amdahl_serial)),
-            ("speedup_before", Value::F64(speedup_before)),
-            ("speedup_after", Value::F64(speedup_after)),
+            ("speedup", Value::F64(speedup)),
         ],
     );
 
@@ -573,8 +533,6 @@ fn main() -> ExitCode {
     let oversubscribed = host_cores < max_n;
     let serializing = if oversubscribed {
         format!("cpu_oversubscription(host_cores={host_cores})")
-    } else if lock_share > 0.05 {
-        format!("results_mutex(lock_wait={:.1}%)", lock_share * 100.0)
     } else {
         format!("phase:{dominant}")
     };
@@ -582,21 +540,16 @@ fn main() -> ExitCode {
         format!(
             "The sweep is flat because the host exposes {host_cores} core(s) for up to {max_n} \
              worker threads: extra threads time-slice the same core, so wall time cannot drop. \
-             The phase profile confirms no software serializer: lock_wait is {:.2}% of worker \
-             wall time under the legacy shared-mutex collector (workers take the lock once per \
-             stripe, not per run), and {:.1}% of worker time is `{dominant}` — compute. On a \
-             multi-core host the per-worker-slot collector is expected to scale until `{dominant}` \
-             saturates physical cores.",
-            lock_share * 100.0,
-            max_slots.phase_share(dominant) * 100.0,
+             The phase profile shows no software serializer: workers share no lock, and {:.1}% \
+             of worker time is `{dominant}` — compute. On a multi-core host the sweep is \
+             expected to scale until `{dominant}` saturates physical cores.",
+            max_cell.phase_share(dominant) * 100.0,
         )
     } else {
         format!(
             "At {max_n} threads on {host_cores} cores the dominant worker phase is `{dominant}` \
-             ({:.1}% of wall time); lock_wait under the legacy shared-mutex collector is {:.2}%. \
-             Fitted USL serial fraction sigma = {:.3}.",
-            max_slots.phase_share(dominant) * 100.0,
-            lock_share * 100.0,
+             ({:.1}% of wall time). Fitted USL serial fraction sigma = {:.3}.",
+            max_cell.phase_share(dominant) * 100.0,
             usl.sigma,
         )
     };
@@ -640,19 +593,17 @@ fn main() -> ExitCode {
 
     let sweep_table_md = {
         let mut rows = String::from(
-            "| threads | collector | median | min | mean | runs/s | speedup | identical | oversubscribed |\n|---:|---|---:|---:|---:|---:|---:|---|---|\n",
+            "| threads | median | min | mean | runs/s | speedup | identical | oversubscribed |\n|---:|---:|---:|---:|---:|---:|---|---|\n",
         );
         for c in &cells {
-            let base = cell_at(base_threads, c.collector);
             rows.push_str(&format!(
-                "| {} | {} | {:.3}s | {:.3}s | {:.3}s | {:.1} | {:.2}x | {} | {} |\n",
+                "| {} | {:.3}s | {:.3}s | {:.3}s | {:.1} | {:.2}x | {} | {} |\n",
                 c.threads,
-                c.collector.name(),
                 c.wall.median,
                 c.wall.min,
                 c.wall.mean,
                 o.injections as f64 / c.wall.median,
-                base.wall.median / c.wall.median,
+                base_cell.wall.median / c.wall.median,
                 c.identical,
                 c.threads > host_cores,
             ));
@@ -678,17 +629,13 @@ fn main() -> ExitCode {
          | metrics off | {:.3}s | {:.3}s | {:.3}s |\n\
          | metrics on | {:.3}s | {:.3}s | {:.3}s |\n\n\
          Overhead: {overhead_pct:+.2}% on the median.\n\n\
-         ## Thread sweep (speedup vs {base_threads}-thread cell of the same collector)\n\n\
+         ## Thread sweep (speedup vs the {base_threads}-thread cell)\n\n\
          {sweep_table_md}{scaling_note}\n\
-         ## Phase attribution — worker_slots @ {max_n} threads\n\n\
+         ## Phase attribution @ {max_n} threads\n\n\
          {}\n\
          Attribution coverage: {:.1}% of summed worker wall time (worst worker {:.1}%; \
          worst sweep cell {:.1}%). Runs resumed from a checkpoint: {}, from scratch: {}.\n\n\
-         ## Phase attribution — shared_mutex @ {max_n} threads (before the fix)\n\n\
-         {}\n\
-         `lock_wait` is {:.2}% of worker wall time: each worker takes the results mutex once \
-         per stripe, so the legacy collector was never a hot-path serializer.\n\n\
-         ## USL fit (worker_slots speedups)\n\n\
+         ## USL fit\n\n\
          sigma (contention) = {:.3}, kappa (coherency) = {:.4}, rms error = {:.4}. \
          Amdahl inversion at {max_n} threads: serial fraction = {:.3}.\n\n\
          ## Diagnosis\n\n\
@@ -707,14 +654,12 @@ fn main() -> ExitCode {
         on.median,
         on.min,
         on.mean,
-        phase_table_md(max_slots),
-        max_slots.coverage() * 100.0,
-        max_slots.min_worker_coverage() * 100.0,
+        phase_table_md(max_cell),
+        max_cell.coverage() * 100.0,
+        max_cell.min_worker_coverage() * 100.0,
         min_coverage_seen * 100.0,
-        max_slots.merged.counter(phase::RUNS_RESUMED),
-        max_slots.merged.counter(phase::RUNS_FROM_SCRATCH),
-        phase_table_md(max_mutex),
-        lock_share * 100.0,
+        max_cell.merged.counter(phase::RUNS_RESUMED),
+        max_cell.merged.counter(phase::RUNS_FROM_SCRATCH),
         usl.sigma,
         usl.kappa,
         usl.rms_error,
@@ -748,16 +693,14 @@ fn main() -> ExitCode {
     let sweep_rows_json = cells
         .iter()
         .map(|c| {
-            let base = cell_at(base_threads, c.collector);
             format!(
-                "    {{\"threads\": {}, \"collector\": \"{}\", \"median_secs\": {}, \"min_secs\": {}, \"mean_secs\": {}, \"runs_per_sec\": {}, \"speedup_vs_base\": {}, \"coverage\": {}, \"identical\": {}, \"oversubscribed\": {}}}",
+                "    {{\"threads\": {}, \"median_secs\": {}, \"min_secs\": {}, \"mean_secs\": {}, \"runs_per_sec\": {}, \"speedup_vs_base\": {}, \"coverage\": {}, \"identical\": {}, \"oversubscribed\": {}}}",
                 c.threads,
-                c.collector.name(),
                 json_f(c.wall.median),
                 json_f(c.wall.min),
                 json_f(c.wall.mean),
                 json_f(o.injections as f64 / c.wall.median),
-                json_f(base.wall.median / c.wall.median),
+                json_f(base_cell.wall.median / c.wall.median),
                 json_f(c.coverage()),
                 c.identical,
                 c.threads > host_cores,
@@ -766,7 +709,7 @@ fn main() -> ExitCode {
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(
-        "{{\n  \"bench\": \"scaling_report\",\n  \"frames\": {},\n  \"frame_size\": [{}, {}],\n  \"injections\": {},\n  \"checkpoint_every_k\": {},\n  \"seed\": {},\n  \"threads\": {:?},\n  \"repeats\": {},\n  \"host_cores\": {host_cores},\n  \"overhead\": {{\"off_secs\": {}, \"on_secs\": {}, \"off_min_secs\": {}, \"on_min_secs\": {}, \"overhead_pct\": {}, \"repeats\": {overhead_reps}, \"within_gate\": {}}},\n  \"sweep\": [\n{sweep_rows_json}\n  ],\n  \"phases_worker_slots_max_threads\": [\n{}\n  ],\n  \"phases_shared_mutex_max_threads\": [\n{}\n  ],\n  \"counters\": {{\"runs_resumed\": {}, \"runs_from_scratch\": {}}},\n  \"lock_wait_share_of_wall\": {},\n  \"attribution_coverage\": {},\n  \"attribution_coverage_min_worker\": {},\n  \"attribution_coverage_min_cell\": {},\n  \"usl\": {{\"sigma\": {}, \"kappa\": {}, \"rms_error\": {}, \"amdahl_serial_fraction\": {}}},\n  \"speedup_at_max_threads_before\": {},\n  \"speedup_at_max_threads_after\": {},\n  \"serializing_component\": \"{serializing}\",\n  \"dominant_phase\": \"{dominant}\",\n  \"outcomes_identical\": {identical}\n}}\n",
+        "{{\n  \"bench\": \"scaling_report\",\n  \"frames\": {},\n  \"frame_size\": [{}, {}],\n  \"injections\": {},\n  \"checkpoint_every_k\": {},\n  \"seed\": {},\n  \"threads\": {:?},\n  \"repeats\": {},\n  \"host_cores\": {host_cores},\n  \"overhead\": {{\"off_secs\": {}, \"on_secs\": {}, \"off_min_secs\": {}, \"on_min_secs\": {}, \"overhead_pct\": {}, \"repeats\": {overhead_reps}, \"within_gate\": {}}},\n  \"sweep\": [\n{sweep_rows_json}\n  ],\n  \"phases_max_threads\": [\n{}\n  ],\n  \"counters\": {{\"runs_resumed\": {}, \"runs_from_scratch\": {}}},\n  \"attribution_coverage\": {},\n  \"attribution_coverage_min_worker\": {},\n  \"attribution_coverage_min_cell\": {},\n  \"usl\": {{\"sigma\": {}, \"kappa\": {}, \"rms_error\": {}, \"amdahl_serial_fraction\": {}}},\n  \"speedup_at_max_threads\": {},\n  \"serializing_component\": \"{serializing}\",\n  \"dominant_phase\": \"{dominant}\",\n  \"outcomes_identical\": {identical}\n}}\n",
         o.frames,
         o.width,
         o.height,
@@ -781,20 +724,17 @@ fn main() -> ExitCode {
         json_f(on.min),
         json_f(overhead_pct),
         overhead_ok,
-        phase_rows_json(max_slots),
-        phase_rows_json(max_mutex),
-        max_slots.merged.counter(phase::RUNS_RESUMED),
-        max_slots.merged.counter(phase::RUNS_FROM_SCRATCH),
-        json_f(lock_share),
-        json_f(max_slots.coverage()),
-        json_f(max_slots.min_worker_coverage()),
+        phase_rows_json(max_cell),
+        max_cell.merged.counter(phase::RUNS_RESUMED),
+        max_cell.merged.counter(phase::RUNS_FROM_SCRATCH),
+        json_f(max_cell.coverage()),
+        json_f(max_cell.min_worker_coverage()),
         json_f(min_coverage_seen),
         json_f(usl.sigma),
         json_f(usl.kappa),
         json_f(usl.rms_error),
         json_f(amdahl_serial),
-        json_f(speedup_before),
-        json_f(speedup_after),
+        json_f(speedup),
     );
 
     let md_path = o.out_dir.join("scaling_report.md");
@@ -826,14 +766,14 @@ fn main() -> ExitCode {
         .u64("seed", o.seed)
         .f64(
             "runs_per_sec_on",
-            o.injections as f64 / max_slots.wall.median,
+            o.injections as f64 / max_cell.wall.median,
         )
         .f64("overhead_pct", overhead_pct)
-        .f64("speedup_after", speedup_after)
+        .f64("speedup", speedup)
         .bool("identical", identical)
         .rates(&vs_fault::stats::outcome_rates(&reference));
     for name in phase::TOP {
-        if let Some(h) = max_slots.merged.histogram(name) {
+        if let Some(h) = max_cell.merged.histogram(name) {
             manifest = manifest.phase(name, h);
         }
     }
@@ -866,9 +806,9 @@ fn main() -> ExitCode {
                  the requested speedup is physically unavailable on this host",
                 o.expect_scaling
             );
-        } else if speedup_after < o.expect_scaling {
+        } else if speedup < o.expect_scaling {
             eprintln!(
-                "error: speedup {speedup_after:.2}x at {max_n} threads below required {:.2}x",
+                "error: speedup {speedup:.2}x at {max_n} threads below required {:.2}x",
                 o.expect_scaling
             );
             return ExitCode::FAILURE;

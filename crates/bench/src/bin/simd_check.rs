@@ -22,7 +22,7 @@ use std::hash::{DefaultHasher, Hash, Hasher};
 use std::process::ExitCode;
 use vs_core::workloads::VsWorkload;
 use vs_core::PipelineConfig;
-use vs_fault::campaign::{self, CampaignConfig, Workload};
+use vs_fault::campaign::{self, CampaignConfig};
 use vs_fault::spec::RegClass;
 use vs_video::{render_input, InputSpec};
 
@@ -72,8 +72,8 @@ fn main() -> ExitCode {
     let w = VsWorkload::new(frames, PipelineConfig::default());
 
     // Plain run: the panorama pixels themselves.
-    let panoramas = match w.run() {
-        Ok(p) => p,
+    let panoramas = match w.summarize() {
+        Ok(s) => s.panoramas,
         Err(e) => {
             eprintln!("error: plain run failed: {e:?}");
             return ExitCode::FAILURE;

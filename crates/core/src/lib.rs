@@ -50,4 +50,4 @@ pub use config::{Approximation, PipelineConfig};
 pub use integrated::{summarize_with_events, EventConfig, IntegratedSummary};
 pub use pipeline::{FrameAlignment, RunScratch, Summary, SummaryStats, VideoSummarizer};
 pub use quality::{ed_cdf, primary_panorama, sdc_quality, SdcQuality};
-pub use workloads::{IntegratedWorkload, VsScratch, VsWorkload, WpWorkload};
+pub use workloads::{IntegratedWorkload, VsWorkload, WpWorkload};

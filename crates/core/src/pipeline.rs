@@ -10,6 +10,7 @@
 
 use crate::approx::drop_frame;
 use crate::config::{Approximation, PipelineConfig};
+use vs_fault::campaign::Checkpoint;
 use vs_fault::forensics::{self, DigestTrace, Stage};
 use vs_fault::session::{self, TapSnapshot};
 use vs_fault::{tap, FuncId, OpClass, SimError};
@@ -87,11 +88,10 @@ struct PrevFrame {
 /// recycling pool), the stitching canvas with its warp patch, and the
 /// [`Summary`] the run writes into.
 ///
-/// Feed the same workspace to [`VideoSummarizer::run_with`] /
-/// [`VideoSummarizer::resume_with`] across runs and, once the buffers
-/// have grown to the workload's high-water mark, steady-state execution
-/// performs no heap allocation at all. Results are bit-identical to the
-/// allocating entry points.
+/// Feed the same workspace to [`VideoSummarizer::run_with`] across runs
+/// and, once the buffers have grown to the workload's high-water mark,
+/// steady-state execution performs no heap allocation at all. Results
+/// are bit-identical to the allocating entry points.
 #[derive(Default)]
 pub struct RunScratch {
     summary: Summary,
@@ -119,7 +119,7 @@ pub struct RunScratch {
 const SCRATCH_GROUPS: usize = 8;
 
 impl RunScratch {
-    /// The output of the last successful `run_with`/`resume_with` call.
+    /// The output of the last successful `run_with` call.
     /// Contents are unspecified after a run that returned an error.
     pub fn summary(&self) -> &Summary {
         &self.summary
@@ -184,8 +184,8 @@ struct RenderCheckpoint {
 /// profiling, plus the tap counters there ([`TapSnapshot`]) — everything
 /// needed to replay the run's suffix exactly. Captured by
 /// [`VideoSummarizer::run_capturing`], consumed by
-/// [`VideoSummarizer::resume`]; the golden-prefix fast-forward for fault
-/// campaigns (see [`vs_fault::campaign::Checkpointed`]).
+/// [`VideoSummarizer::run_with`]; the golden-prefix fast-forward for fault
+/// campaigns (see [`vs_fault::campaign::Workload`]).
 ///
 /// Opaque on purpose: its fields mirror the loop's private state.
 #[derive(Clone)]
@@ -206,12 +206,20 @@ pub struct PipelineCheckpoint {
     digests: DigestTrace,
 }
 
-impl PipelineCheckpoint {
-    /// The tap counters captured at the boundary.
-    pub fn tap_snapshot(&self) -> &TapSnapshot {
+impl Checkpoint for PipelineCheckpoint {
+    fn tap_snapshot(&self) -> &TapSnapshot {
         &self.taps
     }
 
+    /// Seeding a resumed run's recorder with this trace makes the
+    /// replayed suffix fold to exactly the digests a from-scratch run
+    /// produces (all-zero when forensics was off during capture).
+    fn digest_trace(&self) -> DigestTrace {
+        self.digests
+    }
+}
+
+impl PipelineCheckpoint {
     /// The frame index the resumed loop starts at.
     pub fn next_frame(&self) -> usize {
         self.next_frame
@@ -221,13 +229,6 @@ impl PipelineCheckpoint {
     /// (after the frame loop completed).
     pub fn is_render(&self) -> bool {
         self.render.is_some()
-    }
-
-    /// The stage digest trace at the capture point. Seeding a resumed
-    /// run's recorder with this trace makes the replayed suffix fold to
-    /// exactly the digests a from-scratch run produces.
-    pub fn digest_trace(&self) -> DigestTrace {
-        self.digests
     }
 }
 
@@ -270,12 +271,23 @@ impl VideoSummarizer {
     /// [`VideoSummarizer::run`]; allocation-free once `scratch` has
     /// warmed up.
     ///
+    /// With `from` set, only the suffix of the run after that checkpoint
+    /// is replayed — exact for any injected fault whose tap index lies at
+    /// or beyond the checkpoint's eligible-tap count (the session must
+    /// have been started with [`vs_fault::session::begin_injection_at`]
+    /// or [`vs_fault::session::begin_profile_at`] on the same snapshot).
+    ///
     /// # Errors
     ///
     /// As for [`VideoSummarizer::run`]. On error the workspace stays
     /// reusable but its summary contents are unspecified.
-    pub fn run_with(&self, frames: &[RgbImage], scratch: &mut RunScratch) -> Result<(), SimError> {
-        self.run_inner(frames, None, None, scratch)
+    pub fn run_with(
+        &self,
+        frames: &[RgbImage],
+        from: Option<&PipelineCheckpoint>,
+        scratch: &mut RunScratch,
+    ) -> Result<(), SimError> {
+        self.run_inner(frames, from, None, scratch)
     }
 
     /// Run as [`VideoSummarizer::run`] does — tap-for-tap identical —
@@ -301,40 +313,6 @@ impl VideoSummarizer {
             &mut scratch,
         )?;
         Ok((std::mem::take(&mut scratch.summary), checkpoints))
-    }
-
-    /// Replay only the suffix of a run after `ckpt` — exact for any
-    /// injected fault whose tap index lies at or beyond the checkpoint's
-    /// eligible-tap count (the session must have been started with
-    /// [`vs_fault::session::begin_injection_at`] or
-    /// [`vs_fault::session::begin_profile_at`] on the same snapshot).
-    ///
-    /// # Errors
-    ///
-    /// As for [`VideoSummarizer::run`].
-    pub fn resume(
-        &self,
-        frames: &[RgbImage],
-        ckpt: &PipelineCheckpoint,
-    ) -> Result<Summary, SimError> {
-        let mut scratch = RunScratch::default();
-        self.run_inner(frames, Some(ckpt), None, &mut scratch)?;
-        Ok(std::mem::take(&mut scratch.summary))
-    }
-
-    /// As [`VideoSummarizer::resume`], but into a caller-owned
-    /// workspace (see [`VideoSummarizer::run_with`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`VideoSummarizer::run`].
-    pub fn resume_with(
-        &self,
-        frames: &[RgbImage],
-        ckpt: &PipelineCheckpoint,
-        scratch: &mut RunScratch,
-    ) -> Result<(), SimError> {
-        self.run_inner(frames, Some(ckpt), None, scratch)
     }
 
     fn run_inner(
@@ -1126,13 +1104,13 @@ mod tests {
         // lists) reach their high-water marks only once each buffer has
         // served every role, so warm up for a few runs first.
         for _ in 0..3 {
-            vs.run_with(&frames, &mut scratch).unwrap();
+            vs.run_with(&frames, None, &mut scratch).unwrap();
             assert_eq!(*scratch.summary(), fresh);
         }
         let warmed = scratch.footprint();
         assert!(warmed > 0);
         for _ in 0..3 {
-            vs.run_with(&frames, &mut scratch).unwrap();
+            vs.run_with(&frames, None, &mut scratch).unwrap();
             assert_eq!(*scratch.summary(), fresh);
             assert_eq!(
                 scratch.footprint(),
@@ -1142,31 +1120,9 @@ mod tests {
         }
         // A dirtied workspace (different input) must not leak state into
         // the next run.
-        vs.run_with(&quick_input1(5), &mut scratch).unwrap();
-        vs.run_with(&frames, &mut scratch).unwrap();
+        vs.run_with(&quick_input1(5), None, &mut scratch).unwrap();
+        vs.run_with(&frames, None, &mut scratch).unwrap();
         assert_eq!(*scratch.summary(), fresh);
-    }
-
-    #[test]
-    fn workspace_resume_matches_allocating_resume() {
-        let frames = quick_input2(8);
-        let vs = VideoSummarizer::new(PipelineConfig::default());
-        let ckpts = {
-            let _g = session::begin_profile();
-            vs.run_capturing(&frames, 3).unwrap().1
-        };
-        let mut scratch = RunScratch::default();
-        // Dirty the workspace with a full run first, then resume into it.
-        vs.run_with(&frames, &mut scratch).unwrap();
-        for ck in &ckpts {
-            let fresh = {
-                let _g = session::begin_profile_at(ck.tap_snapshot());
-                vs.resume(&frames, ck).unwrap()
-            };
-            let _g = session::begin_profile_at(ck.tap_snapshot());
-            vs.resume_with(&frames, ck, &mut scratch).unwrap();
-            assert_eq!(*scratch.summary(), fresh);
-        }
     }
 
     #[test]
@@ -1184,11 +1140,12 @@ mod tests {
         );
         // Capturing must not perturb the run itself.
         assert_eq!(golden, vs.run(&frames).unwrap());
+        let mut scratch = RunScratch::default();
         for ck in &ckpts {
             let _g = session::begin_profile_at(ck.tap_snapshot());
-            let resumed = vs.resume(&frames, ck).unwrap();
+            vs.run_with(&frames, Some(ck), &mut scratch).unwrap();
             assert_eq!(
-                resumed,
+                *scratch.summary(),
                 golden,
                 "resume from frame {} diverged from golden",
                 ck.next_frame()

@@ -3,8 +3,7 @@
 
 use crate::config::PipelineConfig;
 use crate::pipeline::{PipelineCheckpoint, RunScratch, VideoSummarizer};
-use vs_fault::campaign::{Checkpointed, ScratchCheckpointed, ScratchWorkload, Workload};
-use vs_fault::session::TapSnapshot;
+use vs_fault::campaign::{NoCheckpoint, Workload};
 use vs_fault::SimError;
 use vs_image::RgbImage;
 use vs_linalg::Mat3;
@@ -18,13 +17,16 @@ use vs_warp::warp_perspective;
 #[derive(Debug, Clone)]
 pub struct VsWorkload {
     frames: Vec<RgbImage>,
-    config: PipelineConfig,
+    summarizer: VideoSummarizer,
 }
 
 impl VsWorkload {
     /// Wrap a frame sequence and pipeline configuration.
     pub fn new(frames: Vec<RgbImage>, config: PipelineConfig) -> Self {
-        VsWorkload { frames, config }
+        VsWorkload {
+            frames,
+            summarizer: VideoSummarizer::new(config),
+        }
     }
 
     /// The input frames.
@@ -34,7 +36,7 @@ impl VsWorkload {
 
     /// The pipeline configuration.
     pub fn config(&self) -> &PipelineConfig {
-        &self.config
+        self.summarizer.config()
     }
 
     /// Run the pipeline and return the full summary (panoramas + stats),
@@ -44,84 +46,33 @@ impl VsWorkload {
     ///
     /// Propagates simulated faults; error-free runs succeed.
     pub fn summarize(&self) -> Result<crate::Summary, SimError> {
-        VideoSummarizer::new(self.config.clone()).run(&self.frames)
+        self.summarizer.run(&self.frames)
     }
 }
 
+/// Campaign runs execute into the pipeline's [`RunScratch`], which
+/// recycles every transient buffer across runs.
 impl Workload for VsWorkload {
     type Output = Vec<RgbImage>;
-
-    fn run(&self) -> Result<Self::Output, SimError> {
-        VideoSummarizer::new(self.config.clone())
-            .run(&self.frames)
-            .map(|s| s.panoramas)
-    }
-}
-
-impl Checkpointed for VsWorkload {
+    type Workspace = RunScratch;
     type Checkpoint = PipelineCheckpoint;
+
+    fn run<'w>(
+        &self,
+        scratch: &'w mut RunScratch,
+        from: Option<&PipelineCheckpoint>,
+    ) -> Result<&'w Vec<RgbImage>, SimError> {
+        self.summarizer.run_with(&self.frames, from, scratch)?;
+        Ok(&scratch.summary().panoramas)
+    }
 
     fn run_capturing(
         &self,
         every_k: usize,
     ) -> Result<(Self::Output, Vec<PipelineCheckpoint>), SimError> {
-        VideoSummarizer::new(self.config.clone())
+        self.summarizer
             .run_capturing(&self.frames, every_k)
             .map(|(s, cks)| (s.panoramas, cks))
-    }
-
-    fn resume(&self, ckpt: &PipelineCheckpoint) -> Result<Self::Output, SimError> {
-        VideoSummarizer::new(self.config.clone())
-            .resume(&self.frames, ckpt)
-            .map(|s| s.panoramas)
-    }
-
-    fn tap_snapshot(ckpt: &PipelineCheckpoint) -> &TapSnapshot {
-        ckpt.tap_snapshot()
-    }
-
-    fn digest_snapshot(ckpt: &PipelineCheckpoint) -> vs_fault::forensics::DigestTrace {
-        ckpt.digest_trace()
-    }
-}
-
-/// Per-worker workspace for [`VsWorkload`] campaigns: the summarizer is
-/// built once (its config never changes between runs) and the pipeline's
-/// [`RunScratch`] recycles every transient buffer across runs.
-pub struct VsScratch {
-    summarizer: VideoSummarizer,
-    scratch: RunScratch,
-}
-
-impl VsScratch {
-    /// The pipeline workspace (for footprint inspection in benchmarks).
-    pub fn pipeline_scratch(&self) -> &RunScratch {
-        &self.scratch
-    }
-}
-
-impl ScratchWorkload for VsWorkload {
-    type Scratch = VsScratch;
-
-    fn make_scratch(&self) -> VsScratch {
-        VsScratch {
-            summarizer: VideoSummarizer::new(self.config.clone()),
-            scratch: RunScratch::default(),
-        }
-    }
-
-    fn run_scratch(&self, s: &mut VsScratch) -> Result<(), SimError> {
-        s.summarizer.run_with(&self.frames, &mut s.scratch)
-    }
-
-    fn scratch_output<'s>(&self, s: &'s VsScratch) -> &'s Vec<RgbImage> {
-        &s.scratch.summary().panoramas
-    }
-}
-
-impl ScratchCheckpointed for VsWorkload {
-    fn resume_scratch(&self, ckpt: &PipelineCheckpoint, s: &mut VsScratch) -> Result<(), SimError> {
-        s.summarizer.resume_with(&self.frames, ckpt, &mut s.scratch)
     }
 }
 
@@ -158,10 +109,18 @@ impl IntegratedWorkload {
 
 impl Workload for IntegratedWorkload {
     type Output = Vec<RgbImage>;
+    type Workspace = Vec<RgbImage>;
+    type Checkpoint = NoCheckpoint;
 
-    fn run(&self) -> Result<Self::Output, SimError> {
-        crate::integrated::summarize_with_events(&self.frames, &self.config, &self.events)
-            .map(|s| s.coverage.panoramas)
+    fn run<'w>(
+        &self,
+        out: &'w mut Vec<RgbImage>,
+        _from: Option<&NoCheckpoint>,
+    ) -> Result<&'w Vec<RgbImage>, SimError> {
+        *out = crate::integrated::summarize_with_events(&self.frames, &self.config, &self.events)?
+            .coverage
+            .panoramas;
+        Ok(out)
     }
 }
 
@@ -209,15 +168,21 @@ impl WpWorkload {
 
 impl Workload for WpWorkload {
     type Output = RgbImage;
+    type Workspace = RgbImage;
+    type Checkpoint = NoCheckpoint;
 
-    fn run(&self) -> Result<Self::Output, SimError> {
-        warp_perspective(
+    fn run<'w>(
+        &self,
+        out: &'w mut RgbImage,
+        _from: Option<&NoCheckpoint>,
+    ) -> Result<&'w RgbImage, SimError> {
+        (*out, _) = warp_perspective(
             &self.image,
             &self.transform,
             self.image.width(),
             self.image.height(),
-        )
-        .map(|(img, _mask)| img)
+        )?;
+        Ok(out)
     }
 }
 
@@ -294,7 +259,8 @@ mod tests {
     fn wp_workload_matches_direct_warp() {
         let frames = tiny_frames();
         let wp = WpWorkload::representative(&frames);
-        let out = Workload::run(&wp).unwrap();
+        let mut ws = RgbImage::default();
+        let out = wp.run(&mut ws, None).unwrap();
         assert_eq!(out.width(), frames[0].width());
         let direct = warp_perspective(
             &frames[0],
@@ -304,7 +270,7 @@ mod tests {
         )
         .unwrap()
         .0;
-        assert_eq!(out, direct);
+        assert_eq!(*out, direct);
     }
 
     #[test]

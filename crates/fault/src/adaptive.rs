@@ -3,7 +3,7 @@
 //! The paper sizes its campaigns by eyeballing rate convergence
 //! (Fig 9a, ~1000 injections); this module replaces the eyeball with a
 //! sequential stopping rule. Injections execute in batches through the
-//! same checkpointed driver as [`crate::campaign::run_campaign_checkpointed`],
+//! same driver as [`crate::campaign::run_campaign_checkpointed`],
 //! and after every batch the running per-class 95% Wilson intervals
 //! ([`crate::stats::OutcomeRates::wilson_interval`]) are recomputed. The
 //! campaign stops as soon as
@@ -22,7 +22,7 @@
 //! runs and nothing else. The workspace `adaptive_equivalence` tests
 //! pin this prefix property record for record.
 
-use crate::campaign::{self, CampaignConfig, CheckpointedGolden, Injection, ScratchCheckpointed};
+use crate::campaign::{self, CampaignConfig, CheckpointedGolden, Injection, Workload};
 use crate::convergence::{knee, ConvergencePoint};
 use crate::stats::{outcome_rates, OutcomeClass, OutcomeRates};
 
@@ -104,94 +104,41 @@ pub fn should_stop(curve: &[ConvergencePoint], cfg: &AdaptiveConfig) -> bool {
     knee(curve, cfg.knee_tol_pp).is_some_and(|k| k < last.n)
 }
 
-/// Run a Wilson-gated adaptive campaign through the checkpointed,
-/// workspace-reusing driver. `cfg.injections` is the fall-back fixed
-/// budget; the stopping rule in `acfg` usually terminates well before
-/// it. Records, outcomes and fired faults for the executed prefix are
-/// bit-identical to [`campaign::run_campaign_checkpointed`] on the same
-/// config.
+/// Run a Wilson-gated adaptive campaign through the campaign driver,
+/// resuming runs from `golden`'s checkpoints. `cfg.injections` is the
+/// fall-back fixed budget; the stopping rule in `acfg` usually
+/// terminates well before it. Records, outcomes and fired faults for
+/// the executed prefix are bit-identical to
+/// [`campaign::run_campaign_checkpointed`] on the same config.
 ///
 /// # Panics
 ///
 /// Panics if the golden profile recorded zero eligible taps for the
 /// campaign's register class.
-pub fn run_adaptive_checkpointed<W: ScratchCheckpointed>(
+pub fn run_adaptive_checkpointed<W: Workload>(
     workload: &W,
     golden: &CheckpointedGolden<W>,
     cfg: &CampaignConfig,
     acfg: &AdaptiveConfig,
-) -> AdaptiveOutcome<W::Output>
-where
-    W::Output: Clone,
-{
-    let g = &golden.golden;
-    let sites = g.profile.sites(cfg.class);
-    assert!(
-        sites > 0,
-        "no eligible {} taps recorded in the golden profile",
-        cfg.class
-    );
-    campaign::install_quiet_hook();
-    let budget = g
-        .profile
-        .instr
-        .total
-        .saturating_mul(cfg.hang_factor)
-        .saturating_add(1_000_000);
-
-    let max = cfg.injections;
-    let monitor = crate::telemetry::CampaignMonitor::new(
-        cfg,
-        sites,
-        golden.checkpoints.len(),
-        g.digests.is_some(),
-    );
-    let mut records: Vec<Injection<W::Output>> = Vec::new();
+) -> AdaptiveOutcome<W::Output> {
     let mut curve = Vec::new();
     let mut converged = false;
-    while records.len() < max {
-        let start = records.len();
-        let n_batch = acfg.batch.max(1).min(max - start);
-        let threads = cfg.threads.min(n_batch.max(1));
-        let batch = campaign::drive_with(
-            n_batch,
-            threads,
-            cfg.collection,
-            || workload.make_scratch(),
-            |j, scratch| {
-                let i = start + j;
-                let t_draw = vs_telemetry::metrics::start();
-                let spec = campaign::draw_spec(cfg, sites, i);
-                let usable = golden
-                    .checkpoints
-                    .partition_point(|c| W::tap_snapshot(c).eligible(cfg.class) <= spec.tap_index);
-                let ckpt = usable.checked_sub(1).map(|k| &golden.checkpoints[k]);
-                vs_telemetry::metrics::stop(campaign::phase::DRAW, t_draw);
-                let rec = campaign::run_one_from_scratch(
-                    workload,
-                    g,
-                    ckpt,
-                    spec,
-                    budget,
-                    cfg.keep_sdc_outputs,
-                    i,
-                    scratch,
-                );
-                monitor.record(&rec);
-                rec
-            },
-        );
-        records.extend(batch);
-        curve.push(ConvergencePoint {
-            n: records.len(),
-            rates: outcome_rates(&records),
-        });
-        if should_stop(&curve, acfg) {
-            converged = true;
-            break;
-        }
-    }
-    monitor.finish();
+    let records = campaign::run_batches(
+        workload,
+        &golden.golden,
+        &golden.checkpoints,
+        cfg,
+        acfg.batch,
+        |records| {
+            curve.push(ConvergencePoint {
+                n: records.len(),
+                rates: outcome_rates(records),
+            });
+            converged = should_stop(&curve, acfg);
+            converged
+        },
+    );
+    let max = cfg.injections;
     let rates = curve
         .last()
         .map_or_else(|| outcome_rates(&records), |p| p.rates);

@@ -13,18 +13,22 @@
 //!
 //! Runs are independent and execute in parallel across threads; all
 //! randomness derives from the campaign seed, so results are reproducible
-//! bit for bit regardless of thread count.
+//! bit for bit regardless of thread count. Every campaign flavour —
+//! plain, checkpointed, adaptive, pruned and compositional — drives its
+//! runs through one driver and one executor, so they all share the same
+//! workspace reuse, panic handling, classification and metrics.
 
 use crate::error::SimError;
 use crate::forensics::{self, Attribution, DigestTrace, ForensicsRecord, Stage};
 use crate::func::FuncMask;
-use crate::session::{self, InstrCounts, TapSnapshot};
+use crate::session::{self, TapSnapshot};
 use crate::spec::{FaultSpec, FiredFault, RegClass, REG_BITS};
+use crate::telemetry::CampaignMonitor;
 use crate::{mix64, state};
-use std::any::Any;
 use std::fmt;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use vs_telemetry::metrics;
 
 /// Phase vocabulary of the campaign metrics instrumentation: every
@@ -50,12 +54,9 @@ pub mod phase {
     pub const CLASSIFY: &str = "classify";
     /// Campaign-monitor record (telemetry fan-out), per run.
     pub const RECORD: &str = "record";
-    /// Wait on the shared results mutex, one sample per worker
-    /// ([`super::Collection::SharedMutex`] only).
-    pub const LOCK_WAIT: &str = "lock_wait";
     /// Driver-side scatter of worker stripes into index order, one
-    /// sample per campaign ([`super::Collection::WorkerSlots`] only;
-    /// runs on the calling thread, so it is *not* worker time).
+    /// sample per driven batch (runs on the calling thread, so it is
+    /// *not* worker time).
     pub const COLLECT: &str = "collect";
     /// Whole stripe wall time, one sample per worker — the attribution
     /// denominator.
@@ -68,130 +69,99 @@ pub mod phase {
     /// compares against [`WORKER_WALL`] for attribution coverage.
     /// [`RESTORE`] nests inside [`EXEC`] and [`COLLECT`] happens on the
     /// driver thread, so neither belongs here.
-    pub const TOP: &[&str] = &[DRAW, SETUP, EXEC, TEARDOWN, CLASSIFY, RECORD, LOCK_WAIT];
+    pub const TOP: &[&str] = &[DRAW, SETUP, EXEC, TEARDOWN, CLASSIFY, RECORD];
 }
 
 /// A fault-injectable program under study.
 ///
-/// `run` must be deterministic in the absence of faults (seed all internal
-/// randomness) — Mask/SDC classification compares outputs for equality.
-/// It is invoked concurrently from several threads, one run per armed
-/// fault, and must route its architecturally meaningful values through the
-/// [`crate::tap`] functions to be injectable.
+/// `run` must be deterministic in the absence of faults (seed all
+/// internal randomness) — Mask/SDC classification compares outputs for
+/// equality. It is invoked concurrently from several threads, one run
+/// per armed fault, and must route its architecturally meaningful values
+/// through the [`crate::tap`] functions to be injectable.
+///
+/// Every run executes into a [`Workload::Workspace`]. Campaign drivers
+/// keep one per worker thread, so a warmed-up run need not allocate.
+/// Reuse must be unobservable: a used workspace gives the same tap
+/// stream, error and output as a fresh one, even after a faulted,
+/// panicked or aborted run — so every buffer is reset before its first
+/// read.
+///
+/// A run may also resume after a checkpoint captured during the golden
+/// run ([`Workload::run_capturing`]) — the *golden-prefix
+/// fast-forward*. An injected run matches the golden run until its
+/// fault fires, so for a fault at or beyond a checkpoint's tap count,
+/// resuming reproduces the from-scratch run: same output, fired fault
+/// and outcome. The resumed run must replay *exactly* the computation
+/// after the capture point, re-executing no tap of the prefix (the
+/// checkpoint's [`TapSnapshot`] stands in for those). Workloads that
+/// capture nothing use [`NoCheckpoint`].
 pub trait Workload: Sync {
-    /// The program's observable output (e.g. the panorama image). The
+    /// The program's observable output (e.g. the panorama images). The
     /// golden output is shared by reference across campaign worker
-    /// threads, hence `Sync`.
-    type Output: PartialEq + Send + Sync + 'static;
+    /// threads, hence `Sync`; profiling clones it out of the workspace.
+    type Output: PartialEq + Clone + Send + Sync + 'static;
 
-    /// Execute the program once.
+    /// Reusable per-worker run state, output included.
+    type Workspace: Default;
+
+    /// Workload state at a capture boundary of the golden run.
+    type Checkpoint: Checkpoint;
+
+    /// Execute the program once into `ws` — from the start, or only the
+    /// suffix after `from` — and return its output, which lives in the
+    /// workspace.
     ///
     /// # Errors
     ///
     /// Returns a [`SimError`] when (possibly corrupted) state violates a
     /// machine- or library-level invariant: these become Crash and Hang
     /// outcomes.
-    fn run(&self) -> Result<Self::Output, SimError>;
-}
+    fn run<'w>(
+        &self,
+        ws: &'w mut Self::Workspace,
+        from: Option<&Self::Checkpoint>,
+    ) -> Result<&'w Self::Output, SimError>;
 
-/// A [`Workload`] that can snapshot its state at internal boundaries and
-/// later re-run only the suffix after one — the *golden-prefix
-/// fast-forward* optimization.
-///
-/// The contract making this exact: an injected run executes bit-identically
-/// to the golden run until its armed fault fires, so for a fault whose tap
-/// index lies at or beyond a checkpoint's eligible-tap count, resuming from
-/// that checkpoint reproduces the from-scratch run — same output, same
-/// fired fault, same outcome. `resume` must therefore replay *exactly* the
-/// computation that follows the capture point, without re-executing any tap
-/// in the prefix (the captured [`TapSnapshot`] stands in for those).
-pub trait Checkpointed: Workload {
-    /// Workload state at a capture boundary (plus the tap counters there).
-    type Checkpoint: Send + Sync;
-
-    /// Run as [`Workload::run`] does, additionally capturing a checkpoint
-    /// every `every_k` workload-defined units (frames, for the pipeline).
-    /// Checkpoints must be returned in execution order.
+    /// Run from the start, tap for tap as [`Workload::run`] does, while
+    /// capturing a checkpoint every `every_k` workload-defined units
+    /// (frames, for the pipeline), in execution order. The default
+    /// captures none.
     ///
     /// # Errors
     ///
     /// As for [`Workload::run`].
     fn run_capturing(
         &self,
-        every_k: usize,
-    ) -> Result<(Self::Output, Vec<Self::Checkpoint>), SimError>;
+        _every_k: usize,
+    ) -> Result<(Self::Output, Vec<Self::Checkpoint>), SimError> {
+        Ok((self.run(&mut Default::default(), None)?.clone(), Vec::new()))
+    }
+}
 
-    /// Execute only the suffix after `ckpt`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Workload::run`].
-    fn resume(&self, ckpt: &Self::Checkpoint) -> Result<Self::Output, SimError>;
-
-    /// The tap counters captured at the boundary.
-    fn tap_snapshot(ckpt: &Self::Checkpoint) -> &TapSnapshot;
+/// A resumable state captured during the golden run by
+/// [`Workload::run_capturing`].
+pub trait Checkpoint: Send + Sync {
+    /// The tap counters at the capture boundary.
+    fn tap_snapshot(&self) -> &TapSnapshot;
 
     /// The forensic digest trace accumulated over the golden prefix up
-    /// to the boundary, so a fast-forwarded run's recorder can be
-    /// seeded to land on the same per-stage digests a from-scratch run
-    /// folds. The default (an empty trace) is correct for workloads
-    /// without forensic instrumentation.
-    fn digest_snapshot(_ckpt: &Self::Checkpoint) -> DigestTrace {
+    /// to the boundary, so a resumed run's recorder lands on the same
+    /// per-stage digests a from-scratch run folds. The default (an empty
+    /// trace) is correct for workloads without forensic instrumentation.
+    fn digest_trace(&self) -> DigestTrace {
         DigestTrace::default()
     }
 }
 
-/// A [`Workload`] that can execute into a reusable per-worker workspace
-/// instead of allocating its transient state afresh every run.
-///
-/// Campaign drivers create one workspace per worker thread
-/// ([`ScratchWorkload::make_scratch`]) and feed it to every run that
-/// worker executes; once the workspace has grown to the workload's
-/// high-water mark, steady-state injection runs perform no heap
-/// allocation. The contract mirrors [`Workload::run`] exactly: for any
-/// armed fault, `run_scratch` must produce the same tap stream, the same
-/// error, and (via [`ScratchWorkload::scratch_output`]) the same output
-/// as `run` — workspace reuse is an optimization, never an observable.
-///
-/// A faulted, panicked or aborted run may leave the workspace in an
-/// arbitrary state; implementations must reset every buffer before its
-/// first read on the next run.
-pub trait ScratchWorkload: Workload {
-    /// The reusable workspace (one per worker thread).
-    type Scratch;
+/// The checkpoint type of workloads that never capture one.
+#[derive(Debug, Clone, Copy)]
+pub enum NoCheckpoint {}
 
-    /// Create a cold workspace. Called once per worker, outside any
-    /// injection session.
-    fn make_scratch(&self) -> Self::Scratch;
-
-    /// Execute the program once into `scratch`, leaving the output
-    /// readable via [`ScratchWorkload::scratch_output`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Workload::run`].
-    fn run_scratch(&self, scratch: &mut Self::Scratch) -> Result<(), SimError>;
-
-    /// The output of the last successful [`ScratchWorkload::run_scratch`]
-    /// (or [`ScratchCheckpointed::resume_scratch`]) on this workspace.
-    fn scratch_output<'s>(&self, scratch: &'s Self::Scratch) -> &'s Self::Output;
-}
-
-/// A [`ScratchWorkload`] whose checkpoint-resume path can also execute
-/// into the reusable workspace. Same exactness contract as
-/// [`Checkpointed::resume`], same reuse contract as
-/// [`ScratchWorkload::run_scratch`].
-pub trait ScratchCheckpointed: ScratchWorkload + Checkpointed {
-    /// Execute only the suffix after `ckpt`, into `scratch`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Workload::run`].
-    fn resume_scratch(
-        &self,
-        ckpt: &Self::Checkpoint,
-        scratch: &mut Self::Scratch,
-    ) -> Result<(), SimError>;
+impl Checkpoint for NoCheckpoint {
+    fn tap_snapshot(&self) -> &TapSnapshot {
+        match *self {}
+    }
 }
 
 /// When the golden profiler captures resumable checkpoints.
@@ -214,41 +184,14 @@ impl CheckpointPolicy {
     }
 }
 
-/// Dynamic-tap population and instruction counts of a golden run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TapProfile {
-    /// Total integer taps.
-    pub gpr_taps: u64,
-    /// Total float taps.
-    pub fpr_taps: u64,
-    /// Integer taps within the eligible-function mask.
-    pub eligible_gpr: u64,
-    /// Float taps within the eligible-function mask.
-    pub eligible_fpr: u64,
-    /// Eligible GPR taps per `(function, op-class)` site group (see
-    /// [`crate::session::group_index`]).
-    pub gpr_groups: [u64; crate::NUM_FUNCS * crate::NUM_CLASSES],
-    /// Instruction accounting of the golden run.
-    pub instr: InstrCounts,
-}
-
-impl TapProfile {
-    /// Candidate error sites for a register class (eligible taps).
-    pub fn sites(&self, class: RegClass) -> u64 {
-        match class {
-            RegClass::Gpr => self.eligible_gpr,
-            RegClass::Fpr => self.eligible_fpr,
-        }
-    }
-}
-
 /// Golden (error-free) run artifacts: reference output plus tap profile.
 #[derive(Debug, Clone)]
 pub struct GoldenRun<O> {
     /// The error-free output every injected run is compared against.
     pub output: O,
-    /// Tap population and instruction counts.
-    pub profile: TapProfile,
+    /// Tap population and instruction counts: the session counters at
+    /// the end of the golden run.
+    pub profile: TapSnapshot,
     /// Function mask the profile was taken under (campaigns reuse it).
     pub mask: FuncMask,
     /// Per-stage digest trace of the golden run, recorded only by the
@@ -256,6 +199,16 @@ pub struct GoldenRun<O> {
     /// forensic recorder installed and attribute every completed
     /// injection against this trace.
     pub digests: Option<DigestTrace>,
+}
+
+/// Golden-run artifacts of a checkpoint-capturing profile: the usual
+/// [`GoldenRun`] plus the chain of resumable checkpoints (in execution
+/// order, so their eligible-tap counts are non-decreasing).
+pub struct CheckpointedGolden<W: Workload> {
+    /// The plain golden artifacts (usable with [`run_campaign`] too).
+    pub golden: GoldenRun<W::Output>,
+    /// Resumable mid-run checkpoints captured during profiling.
+    pub checkpoints: Vec<W::Checkpoint>,
 }
 
 /// Profile the golden run with all functions eligible.
@@ -278,60 +231,7 @@ pub fn profile_golden_masked<W: Workload>(
     workload: &W,
     mask: FuncMask,
 ) -> Result<GoldenRun<W::Output>, SimError> {
-    // Telemetry-only span bracketing the golden run in driver traces.
-    let _stage = vs_telemetry::span("profile_golden");
-    let guard = session::begin_profile();
-    state::with(|s| s.mask_bits.set(mask.bits()));
-    let output = workload.run()?;
-    let report = session::report();
-    drop(guard);
-    Ok(golden_from_report(output, &report, mask))
-}
-
-fn golden_from_report<O>(
-    output: O,
-    report: &session::SessionReport,
-    mask: FuncMask,
-) -> GoldenRun<O> {
-    vs_telemetry::emit(
-        "golden_profile",
-        &[
-            ("gpr_taps", vs_telemetry::Value::U64(report.gpr_taps)),
-            ("fpr_taps", vs_telemetry::Value::U64(report.fpr_taps)),
-            (
-                "eligible_gpr",
-                vs_telemetry::Value::U64(report.eligible_gpr),
-            ),
-            (
-                "eligible_fpr",
-                vs_telemetry::Value::U64(report.eligible_fpr),
-            ),
-            ("instr_total", vs_telemetry::Value::U64(report.instr.total)),
-        ],
-    );
-    GoldenRun {
-        output,
-        profile: TapProfile {
-            gpr_taps: report.gpr_taps,
-            fpr_taps: report.fpr_taps,
-            eligible_gpr: report.eligible_gpr,
-            eligible_fpr: report.eligible_fpr,
-            gpr_groups: report.gpr_groups,
-            instr: report.instr,
-        },
-        mask,
-        digests: None,
-    }
-}
-
-/// Announce a forensic golden trace on the telemetry stream (one field
-/// per stage digest) — `trace_check --forensics` requires this event.
-fn emit_forensics_golden(trace: &DigestTrace) {
-    let fields: Vec<(&str, vs_telemetry::Value)> = Stage::ALL
-        .iter()
-        .map(|&s| (s.name(), vs_telemetry::Value::U64(trace.digest(s))))
-        .collect();
-    vs_telemetry::emit("forensics_golden", &fields);
+    profile(workload, mask, None, false).map(|ck| ck.golden)
 }
 
 /// [`profile_golden`] with forensic digest recording: the returned
@@ -344,13 +244,20 @@ fn emit_forensics_golden(trace: &DigestTrace) {
 pub fn profile_golden_forensic<W: Workload>(
     workload: &W,
 ) -> Result<GoldenRun<W::Output>, SimError> {
-    let recorder = forensics::begin_recording();
-    let mut golden = profile_golden(workload)?;
-    let trace = forensics::current_trace();
-    drop(recorder);
-    golden.digests = Some(trace);
-    emit_forensics_golden(&trace);
-    Ok(golden)
+    profile(workload, FuncMask::all(), None, true).map(|ck| ck.golden)
+}
+
+/// Profile the golden run while capturing resumable checkpoints per
+/// `policy`, with all functions eligible.
+///
+/// # Errors
+///
+/// Propagates a [`SimError`] if the workload fails without a fault.
+pub fn profile_golden_checkpointed<W: Workload>(
+    workload: &W,
+    policy: CheckpointPolicy,
+) -> Result<CheckpointedGolden<W>, SimError> {
+    profile(workload, FuncMask::all(), policy.interval(), false)
 }
 
 /// [`profile_golden_checkpointed`] with forensic digest recording; the
@@ -361,52 +268,74 @@ pub fn profile_golden_forensic<W: Workload>(
 /// # Errors
 ///
 /// Propagates a [`SimError`] if the workload fails without a fault.
-pub fn profile_golden_checkpointed_forensic<W: Checkpointed>(
+pub fn profile_golden_checkpointed_forensic<W: Workload>(
     workload: &W,
     policy: CheckpointPolicy,
 ) -> Result<CheckpointedGolden<W>, SimError> {
-    let recorder = forensics::begin_recording();
-    let mut ck = profile_golden_checkpointed(workload, policy)?;
-    let trace = forensics::current_trace();
-    drop(recorder);
-    ck.golden.digests = Some(trace);
-    emit_forensics_golden(&trace);
-    Ok(ck)
+    profile(workload, FuncMask::all(), policy.interval(), true)
 }
 
-/// Golden-run artifacts of a checkpoint-capturing profile: the usual
-/// [`GoldenRun`] plus the chain of resumable checkpoints (in execution
-/// order, so their eligible-tap counts are non-decreasing).
-pub struct CheckpointedGolden<W: Checkpointed> {
-    /// The plain golden artifacts (usable with [`run_campaign`] too).
-    pub golden: GoldenRun<W::Output>,
-    /// Resumable mid-run checkpoints captured during profiling.
-    pub checkpoints: Vec<W::Checkpoint>,
-}
-
-/// Profile the golden run while capturing resumable checkpoints per
-/// `policy`, with all functions eligible.
-///
-/// # Errors
-///
-/// Propagates a [`SimError`] if the workload fails without a fault.
-pub fn profile_golden_checkpointed<W: Checkpointed>(
+/// The one golden profiler behind the public variants: a counting
+/// session under `mask`, capturing checkpoints every `every_k` units if
+/// set, recording (and announcing) the per-stage digest trace if
+/// `forensic`.
+fn profile<W: Workload>(
     workload: &W,
-    policy: CheckpointPolicy,
+    mask: FuncMask,
+    every_k: Option<usize>,
+    forensic: bool,
 ) -> Result<CheckpointedGolden<W>, SimError> {
-    // Telemetry-only span bracketing the golden run in driver traces.
-    let _stage = vs_telemetry::span("profile_golden");
-    let mask = FuncMask::all();
-    let guard = session::begin_profile();
-    state::with(|s| s.mask_bits.set(mask.bits()));
-    let (output, checkpoints) = match policy.interval() {
-        Some(k) => workload.run_capturing(k)?,
-        None => (workload.run()?, Vec::new()),
+    let recorder = forensic.then(forensics::begin_recording);
+    let (output, checkpoints, profile) = {
+        // Telemetry-only span bracketing the golden run in driver traces.
+        let _stage = vs_telemetry::span("profile_golden");
+        let _guard = session::begin_profile();
+        state::with(|s| s.mask_bits.set(mask.bits()));
+        let (output, checkpoints) = match every_k {
+            Some(k) => workload.run_capturing(k)?,
+            None => (
+                workload.run(&mut Default::default(), None)?.clone(),
+                Vec::new(),
+            ),
+        };
+        let profile = session::snapshot();
+        vs_telemetry::emit(
+            "golden_profile",
+            &[
+                ("gpr_taps", vs_telemetry::Value::U64(profile.gpr_taps)),
+                ("fpr_taps", vs_telemetry::Value::U64(profile.fpr_taps)),
+                (
+                    "eligible_gpr",
+                    vs_telemetry::Value::U64(profile.eligible_gpr),
+                ),
+                (
+                    "eligible_fpr",
+                    vs_telemetry::Value::U64(profile.eligible_fpr),
+                ),
+                ("instr_total", vs_telemetry::Value::U64(profile.instr.total)),
+            ],
+        );
+        (output, checkpoints, profile)
     };
-    let report = session::report();
-    drop(guard);
+    let digests = recorder.map(|r| {
+        let trace = forensics::current_trace();
+        drop(r);
+        // One field per stage digest — `trace_check --forensics`
+        // requires this event.
+        let fields: Vec<(&str, vs_telemetry::Value)> = Stage::ALL
+            .iter()
+            .map(|&s| (s.name(), vs_telemetry::Value::U64(trace.digest(s))))
+            .collect();
+        vs_telemetry::emit("forensics_golden", &fields);
+        trace
+    });
     Ok(CheckpointedGolden {
-        golden: golden_from_report(output, &report, mask),
+        golden: GoldenRun {
+            output,
+            profile,
+            mask,
+            digests,
+        },
         checkpoints,
     })
 }
@@ -484,37 +413,6 @@ pub struct Injection<O> {
     pub forensics: Option<ForensicsRecord>,
 }
 
-/// How the parallel driver collects per-run records from its workers.
-///
-/// Both strategies produce bit-identical record lists (pinned by the
-/// `collection_strategies_are_outcome_identical` test); they differ
-/// only in what the workers synchronize on, which is exactly what the
-/// `scaling_report` tool measures when diagnosing the thread sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Collection {
-    /// Each worker returns its stripe through its join handle; the
-    /// driver scatters records into index order after the join. No
-    /// shared state anywhere on the worker path.
-    #[default]
-    WorkerSlots,
-    /// The legacy collector: one shared `Mutex<Vec<Option<T>>>` every
-    /// worker locks once at the end of its stripe. Retained (behind
-    /// this knob) so the before/after of the slots fix stays measurable
-    /// in one binary; the lock wait is attributed to
-    /// [`phase::LOCK_WAIT`].
-    SharedMutex,
-}
-
-impl Collection {
-    /// Short lowercase name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Collection::WorkerSlots => "worker_slots",
-            Collection::SharedMutex => "shared_mutex",
-        }
-    }
-}
-
 /// Campaign parameters. Construct with [`CampaignConfig::new`] and chain
 /// the builder methods.
 #[derive(Debug, Clone)]
@@ -526,7 +424,6 @@ pub struct CampaignConfig {
     pub(crate) hang_factor: u64,
     pub(crate) keep_sdc_outputs: bool,
     pub(crate) checkpoint_policy: CheckpointPolicy,
-    pub(crate) collection: Collection,
 }
 
 impl CampaignConfig {
@@ -540,7 +437,6 @@ impl CampaignConfig {
             hang_factor: 16,
             keep_sdc_outputs: true,
             checkpoint_policy: CheckpointPolicy::Off,
-            collection: Collection::default(),
         }
     }
 
@@ -583,15 +479,6 @@ impl CampaignConfig {
         self
     }
 
-    /// Result-collection strategy of the parallel driver (default
-    /// [`Collection::WorkerSlots`]). The legacy [`Collection::SharedMutex`]
-    /// exists for before/after contention measurement; outcomes are
-    /// identical either way.
-    pub fn collection(mut self, collection: Collection) -> Self {
-        self.collection = collection;
-        self
-    }
-
     /// Register class under test.
     pub fn class(&self) -> RegClass {
         self.class
@@ -611,7 +498,7 @@ impl CampaignConfig {
 /// Install (once) a panic hook that silences panics raised inside
 /// injection runs — a corrupted index panicking in a slice access is an
 /// *expected* crash outcome, not test noise.
-pub(crate) fn install_quiet_hook() {
+fn install_quiet_hook() {
     static HOOK: OnceLock<()> = OnceLock::new();
     HOOK.get_or_init(|| {
         let previous = panic::take_hook();
@@ -636,290 +523,252 @@ pub(crate) fn draw_spec(cfg: &CampaignConfig, sites: u64, index: usize) -> Fault
     FaultSpec::new(cfg.class, tap_index, bit)
 }
 
-/// Classify the raw result of an injected run against the golden output.
-fn classify<O: PartialEq>(
-    result: Result<Result<O, SimError>, Box<dyn Any + Send>>,
-    golden_output: &O,
-    keep_sdc: bool,
-) -> (Outcome, Option<O>) {
-    match result {
-        Err(_) => (Outcome::CrashSegfault, None),
-        Ok(Err(SimError::Segfault)) => (Outcome::CrashSegfault, None),
-        Ok(Err(SimError::Abort)) => (Outcome::CrashAbort, None),
-        Ok(Err(SimError::Hang)) => (Outcome::Hang, None),
-        Ok(Ok(out)) => {
-            if out == *golden_output {
-                (Outcome::Masked, None)
-            } else {
-                (Outcome::Sdc, keep_sdc.then_some(out))
-            }
-        }
-    }
+/// What every injected run of one campaign, batch or pilot loop shares.
+pub(crate) struct Plan<'a, W: Workload> {
+    pub workload: &'a W,
+    pub golden: &'a GoldenRun<W::Output>,
+    /// Resumable golden-prefix checkpoints, in execution order (empty:
+    /// every run starts from scratch).
+    pub checkpoints: &'a [W::Checkpoint],
+    /// Hang budget as a multiple of the golden instruction count.
+    pub hang_factor: u64,
+    /// Worker threads (capped at the number of runs driven).
+    pub threads: usize,
+    /// Whether SDC runs keep a clone of their corrupted output.
+    pub keep_sdc: bool,
+    /// Golden digest trace to attribute every completed run against;
+    /// `Some` arms the forensic recorder, which slows each run.
+    pub digests: Option<DigestTrace>,
 }
 
-/// Forensic payload for one classified run: only completed runs carry a
-/// meaningful end-of-run trace, so crash/hang outcomes get `None`.
-fn forensic_record(
-    golden: Option<DigestTrace>,
-    trace: Option<DigestTrace>,
-    outcome: Outcome,
-) -> Option<ForensicsRecord> {
-    match (golden, trace) {
-        (Some(g), Some(t)) if matches!(outcome, Outcome::Masked | Outcome::Sdc) => {
-            Some(ForensicsRecord {
-                trace: t,
-                attribution: Attribution::between(&g, &t),
-            })
-        }
-        _ => None,
-    }
-}
-
-/// Execute one injected run and classify its outcome.
-fn run_one<W: Workload>(
-    workload: &W,
-    golden: &GoldenRun<W::Output>,
-    spec: FaultSpec,
-    budget: u64,
-    keep_sdc: bool,
-    index: usize,
-) -> Injection<W::Output> {
-    let t_setup = metrics::start();
-    let recorder = golden.digests.is_some().then(forensics::begin_recording);
-    let guard = session::begin_injection(spec, golden.mask, budget);
-    metrics::stop(phase::SETUP, t_setup);
-    let t_exec = metrics::start();
-    state::with(|s| s.in_injection.set(true));
-    let result = panic::catch_unwind(AssertUnwindSafe(|| workload.run()));
-    state::with(|s| s.in_injection.set(false));
-    metrics::stop(phase::EXEC, t_exec);
-    let t_teardown = metrics::start();
-    let fired = session::report().fired;
-    drop(guard);
-    let trace = recorder.map(|r| {
-        let t = forensics::current_trace();
-        drop(r);
-        t
-    });
-    metrics::stop(phase::TEARDOWN, t_teardown);
-    let t_classify = metrics::start();
-    let (outcome, sdc_output) = classify(result, &golden.output, keep_sdc);
-    let forensics = forensic_record(golden.digests, trace, outcome);
-    metrics::stop(phase::CLASSIFY, t_classify);
-    Injection {
-        index,
-        spec,
-        fired,
-        outcome,
-        sdc_output,
-        forensics,
-    }
-}
-
-/// Execute one injected run fast-forwarded from `ckpt` (or from scratch
-/// when `None`) into a reusable per-worker workspace, and classify its
-/// outcome. Exactness rests on the [`Checkpointed`] and
-/// [`ScratchWorkload`] contracts: the skipped prefix is bit-identical to
-/// the golden run because the armed fault lies beyond the checkpoint,
-/// and workspace reuse never changes the tap stream or output.
-///
-/// Classification compares the output *borrowed* from the workspace;
-/// only SDC outcomes (when retained) pay for a clone.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_one_from_scratch<W: ScratchCheckpointed>(
-    workload: &W,
-    golden: &GoldenRun<W::Output>,
-    ckpt: Option<&W::Checkpoint>,
-    spec: FaultSpec,
-    budget: u64,
-    keep_sdc: bool,
-    index: usize,
-    scratch: &mut W::Scratch,
-) -> Injection<W::Output>
-where
-    W::Output: Clone,
-{
-    metrics::add(
-        if ckpt.is_some() {
-            phase::RUNS_RESUMED
-        } else {
-            phase::RUNS_FROM_SCRATCH
-        },
-        1,
-    );
-    let t_setup = metrics::start();
-    let recorder = golden.digests.is_some().then(|| match ckpt {
-        Some(c) => forensics::begin_recording_at(W::digest_snapshot(c)),
-        None => forensics::begin_recording(),
-    });
-    let guard = match ckpt {
-        Some(c) => session::begin_injection_at(spec, golden.mask, budget, W::tap_snapshot(c)),
-        None => session::begin_injection(spec, golden.mask, budget),
-    };
-    metrics::stop(phase::SETUP, t_setup);
-    let t_exec = metrics::start();
-    state::with(|s| s.in_injection.set(true));
-    let result = panic::catch_unwind(AssertUnwindSafe(|| match ckpt {
-        Some(c) => workload.resume_scratch(c, &mut *scratch),
-        None => workload.run_scratch(&mut *scratch),
-    }));
-    state::with(|s| s.in_injection.set(false));
-    metrics::stop(phase::EXEC, t_exec);
-    let t_teardown = metrics::start();
-    let fired = session::report().fired;
-    drop(guard);
-    let trace = recorder.map(|r| {
-        let t = forensics::current_trace();
-        drop(r);
-        t
-    });
-    metrics::stop(phase::TEARDOWN, t_teardown);
-    let t_classify = metrics::start();
-    let (outcome, sdc_output) = match result {
-        Err(_) => (Outcome::CrashSegfault, None),
-        Ok(Err(SimError::Segfault)) => (Outcome::CrashSegfault, None),
-        Ok(Err(SimError::Abort)) => (Outcome::CrashAbort, None),
-        Ok(Err(SimError::Hang)) => (Outcome::Hang, None),
-        Ok(Ok(())) => {
-            let out = workload.scratch_output(scratch);
-            if *out == golden.output {
-                (Outcome::Masked, None)
-            } else {
-                (Outcome::Sdc, keep_sdc.then(|| out.clone()))
-            }
-        }
-    };
-    let forensics = forensic_record(golden.digests, trace, outcome);
-    metrics::stop(phase::CLASSIFY, t_classify);
-    Injection {
-        index,
-        spec,
-        fired,
-        outcome,
-        sdc_output,
-        forensics,
-    }
-}
-
-/// Thread-striped parallel driver shared by the campaign variants: run
-/// `run(i, state)` for every `i < n` across `threads` workers, with
-/// worker `t` taking indices `t, t + threads, ...` — results land by
-/// index, so the output order is deterministic regardless of thread
-/// count or [`Collection`] strategy. Each worker owns one
-/// `init()`-created state for its whole stripe (the per-worker
-/// workspace of [`ScratchWorkload`] drivers).
-///
-/// When a [`metrics::MetricsRegistry`] is installed on the calling
-/// thread, every worker is armed for lock-free metrics collection
-/// ([`metrics::arm`]) and deposits its stripe's phase histograms into
-/// the registry under its worker id once, at stripe end; the driver
-/// itself deposits the scatter time under id `threads`. With no
-/// registry installed the arming (and every timer inside the run
-/// closures) is skipped entirely.
-pub(crate) fn drive_with<T: Send, S>(
-    n: usize,
-    threads: usize,
-    collection: Collection,
-    init: impl Fn() -> S + Sync,
-    run: impl Fn(usize, &mut S) -> T + Sync,
-) -> Vec<T> {
-    let registry = metrics::registry();
-    let registry = registry.as_deref();
-    match collection {
-        Collection::WorkerSlots => {
-            let stripes: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let run = &run;
-                        let init = &init;
-                        scope.spawn(move || {
-                            let armed = registry.map(|_| metrics::arm());
-                            let wall = metrics::start();
-                            let mut state = init();
-                            let mut local = Vec::with_capacity(n.div_ceil(threads.max(1)));
-                            let mut i = t;
-                            while i < n {
-                                local.push((i, run(i, &mut state)));
-                                i += threads;
-                            }
-                            metrics::stop(phase::WORKER_WALL, wall);
-                            if let (Some(reg), Some(g)) = (registry, armed) {
-                                reg.absorb(t, g.finish());
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("campaign worker panicked"))
-                    .collect()
-            });
-            let scatter_start = registry.map(|_| std::time::Instant::now());
-            let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-            for stripe in stripes {
-                for (idx, rec) in stripe {
-                    slots[idx] = Some(rec);
-                }
-            }
-            if let (Some(reg), Some(t0)) = (registry, scatter_start) {
-                let mut driver = metrics::WorkerMetrics::default();
-                driver.record_ns(phase::COLLECT, t0.elapsed().as_nanos() as u64);
-                reg.absorb(threads, driver);
-            }
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every injection slot must be filled"))
-                .collect()
-        }
-        Collection::SharedMutex => {
-            let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-            std::thread::scope(|scope| {
-                for t in 0..threads {
-                    let results = &results;
-                    let run = &run;
-                    let init = &init;
+impl<W: Workload> Plan<'_, W> {
+    /// The campaign driver: execute runs `runs` across thread-striped
+    /// workers, `draw(i)` giving run `i`'s fault, and return their
+    /// records in index order. Worker `t` takes the `t`-th, `t +
+    /// threads`-th, ... run and owns one workspace for its whole stripe,
+    /// so the records do not depend on the thread count. `monitor`, if
+    /// any, records every classified run.
+    ///
+    /// When a [`metrics::MetricsRegistry`] is installed on the calling
+    /// thread, every worker is armed for lock-free metrics collection
+    /// ([`metrics::arm`]) and deposits its stripe's phase histograms
+    /// into the registry under its worker id once, at stripe end; the
+    /// driver itself deposits the scatter time under id `threads`. With
+    /// no registry installed the arming (and every timer inside the
+    /// runs) is skipped entirely.
+    pub(crate) fn drive(
+        &self,
+        runs: Range<usize>,
+        draw: impl Fn(usize) -> FaultSpec + Sync,
+        monitor: Option<&CampaignMonitor>,
+    ) -> Vec<Injection<W::Output>> {
+        install_quiet_hook();
+        let budget = self
+            .golden
+            .profile
+            .instr
+            .total
+            .saturating_mul(self.hang_factor.max(2))
+            .saturating_add(1_000_000);
+        let threads = self.threads.clamp(1, runs.len().max(1));
+        let registry = metrics::registry();
+        let registry = registry.as_deref();
+        let draw = &draw;
+        let stripes: Vec<Vec<Injection<W::Output>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let stripe = (runs.start + t..runs.end).step_by(threads);
                     scope.spawn(move || {
                         let armed = registry.map(|_| metrics::arm());
                         let wall = metrics::start();
-                        let mut state = init();
-                        let mut local = Vec::with_capacity(n.div_ceil(threads.max(1)));
-                        let mut i = t;
-                        while i < n {
-                            local.push((i, run(i, &mut state)));
-                            i += threads;
-                        }
-                        let t_lock = metrics::start();
-                        let mut slots = results.lock().expect("campaign result mutex poisoned");
-                        metrics::stop(phase::LOCK_WAIT, t_lock);
-                        for (idx, rec) in local {
-                            slots[idx] = Some(rec);
-                        }
-                        drop(slots);
+                        let mut ws = W::Workspace::default();
+                        let records = stripe
+                            .map(|i| {
+                                let t_draw = metrics::start();
+                                let spec = draw(i);
+                                let from = self.resume_point(&spec);
+                                metrics::stop(phase::DRAW, t_draw);
+                                let rec = self.execute(from, spec, budget, i, &mut ws);
+                                if let Some(m) = monitor {
+                                    m.record(&rec);
+                                }
+                                rec
+                            })
+                            .collect();
                         metrics::stop(phase::WORKER_WALL, wall);
                         if let (Some(reg), Some(g)) = (registry, armed) {
                             reg.absorb(t, g.finish());
                         }
-                    });
-                }
-            });
-            results
-                .into_inner()
-                .expect("campaign result mutex poisoned")
+                        records
+                    })
+                })
+                .collect();
+            handles
                 .into_iter()
-                .map(|slot| slot.expect("every injection slot must be filled"))
+                .map(|h| h.join().expect("campaign worker panicked"))
                 .collect()
+        });
+        // Interleave the stripes back into index order: run `j` is the
+        // next record of stripe `j % threads`.
+        let scatter_start = registry.map(|_| std::time::Instant::now());
+        let mut stripes: Vec<_> = stripes.into_iter().map(Vec::into_iter).collect();
+        let records = (0..runs.len())
+            .map(|j| stripes[j % threads].next().expect("stripe holds its runs"))
+            .collect();
+        if let (Some(reg), Some(t0)) = (registry, scatter_start) {
+            let mut driver = metrics::WorkerMetrics::default();
+            driver.record_ns(phase::COLLECT, t0.elapsed().as_nanos() as u64);
+            reg.absorb(threads, driver);
+        }
+        records
+    }
+
+    /// The latest checkpoint whose prefix ends at or before `spec`'s
+    /// tap, or `None` when the run must start from scratch.
+    fn resume_point(&self, spec: &FaultSpec) -> Option<&W::Checkpoint> {
+        let usable = self
+            .checkpoints
+            .partition_point(|c| c.tap_snapshot().eligible(spec.class) <= spec.tap_index);
+        usable.checked_sub(1).map(|j| &self.checkpoints[j])
+    }
+
+    /// The injection executor, the only place a run is armed, caught and
+    /// classified: run the workload with `spec` armed into `ws`,
+    /// resuming after `from` if set, and classify the outcome against
+    /// the golden output. Exactness rests on the [`Workload`] contract:
+    /// a resumed run skips a prefix identical to the golden run's, and
+    /// workspace reuse never changes the tap stream or the output.
+    ///
+    /// Classification compares the output *borrowed* from the
+    /// workspace; only retained SDC outputs pay for a clone.
+    fn execute(
+        &self,
+        from: Option<&W::Checkpoint>,
+        spec: FaultSpec,
+        budget: u64,
+        index: usize,
+        ws: &mut W::Workspace,
+    ) -> Injection<W::Output> {
+        metrics::add(
+            if from.is_some() {
+                phase::RUNS_RESUMED
+            } else {
+                phase::RUNS_FROM_SCRATCH
+            },
+            1,
+        );
+        let t_setup = metrics::start();
+        let recorder = self.digests.map(|_| match from {
+            Some(c) => forensics::begin_recording_at(c.digest_trace()),
+            None => forensics::begin_recording(),
+        });
+        let mask = self.golden.mask;
+        let guard = match from {
+            Some(c) => session::begin_injection_at(spec, mask, budget, c.tap_snapshot()),
+            None => session::begin_injection(spec, mask, budget),
+        };
+        metrics::stop(phase::SETUP, t_setup);
+        let t_exec = metrics::start();
+        state::with(|s| s.in_injection.set(true));
+        let result = panic::catch_unwind(AssertUnwindSafe(move || {
+            // Moving the workspace borrow out of the closure lets the
+            // output reference outlive the call.
+            let ws = ws;
+            self.workload.run(ws, from)
+        }));
+        state::with(|s| s.in_injection.set(false));
+        metrics::stop(phase::EXEC, t_exec);
+        let t_teardown = metrics::start();
+        let fired = session::report().fired;
+        drop(guard);
+        let trace = recorder.map(|r| {
+            let t = forensics::current_trace();
+            drop(r);
+            t
+        });
+        metrics::stop(phase::TEARDOWN, t_teardown);
+        let t_classify = metrics::start();
+        let (outcome, sdc_output) = match result {
+            Err(_) | Ok(Err(SimError::Segfault)) => (Outcome::CrashSegfault, None),
+            Ok(Err(SimError::Abort)) => (Outcome::CrashAbort, None),
+            Ok(Err(SimError::Hang)) => (Outcome::Hang, None),
+            Ok(Ok(out)) if *out == self.golden.output => (Outcome::Masked, None),
+            Ok(Ok(out)) => (Outcome::Sdc, self.keep_sdc.then(|| out.clone())),
+        };
+        // Only completed runs carry a meaningful end-of-run trace.
+        let forensics = match (self.digests, trace) {
+            (Some(g), Some(t)) if matches!(outcome, Outcome::Masked | Outcome::Sdc) => {
+                Some(ForensicsRecord {
+                    trace: t,
+                    attribution: Attribution::between(&g, &t),
+                })
+            }
+            _ => None,
+        };
+        metrics::stop(phase::CLASSIFY, t_classify);
+        Injection {
+            index,
+            spec,
+            fired,
+            outcome,
+            sdc_output,
+            forensics,
         }
     }
 }
 
-/// [`drive_with`] without per-worker state, under the default
-/// collection strategy.
-pub(crate) fn drive<T: Send>(n: usize, threads: usize, run: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    drive_with(n, threads, Collection::default(), || (), |i, ()| run(i))
+/// The uniform-sampling campaign body behind [`run_campaign`],
+/// [`run_campaign_checkpointed`] and
+/// [`crate::adaptive::run_adaptive_checkpointed`]: draw run `i`'s fault
+/// with [`draw_spec`], drive the runs in batches of `batch`, and stop
+/// once `stop` holds over the records so far or `cfg.injections` runs
+/// are done.
+///
+/// # Panics
+///
+/// Panics if the golden profile recorded zero eligible taps for the
+/// campaign's register class — there would be nowhere to inject.
+pub(crate) fn run_batches<W: Workload>(
+    workload: &W,
+    golden: &GoldenRun<W::Output>,
+    checkpoints: &[W::Checkpoint],
+    cfg: &CampaignConfig,
+    batch: usize,
+    mut stop: impl FnMut(&[Injection<W::Output>]) -> bool,
+) -> Vec<Injection<W::Output>> {
+    let sites = golden.profile.eligible(cfg.class);
+    assert!(
+        sites > 0,
+        "no eligible {} taps recorded in the golden profile",
+        cfg.class
+    );
+    // Telemetry-only span on the driver thread; workers run sink-free.
+    let _stage = vs_telemetry::span("campaign");
+    let monitor = CampaignMonitor::new(cfg, sites, checkpoints.len(), golden.digests.is_some());
+    let plan = Plan {
+        workload,
+        golden,
+        checkpoints,
+        hang_factor: cfg.hang_factor,
+        threads: cfg.threads,
+        keep_sdc: cfg.keep_sdc_outputs,
+        digests: golden.digests,
+    };
+    let mut records = Vec::new();
+    while records.len() < cfg.injections {
+        let start = records.len();
+        let end = cfg.injections.min(start + batch.max(1));
+        records.extend(plan.drive(start..end, |i| draw_spec(cfg, sites, i), Some(&monitor)));
+        if stop(&records) {
+            break;
+        }
+    }
+    monitor.finish();
+    records
 }
 
-/// Run a fault-injection campaign against `workload`.
+/// Run a fault-injection campaign against `workload`, every run from
+/// scratch.
 ///
 /// Returns one [`Injection`] record per run, ordered by run index
 /// (deterministic for a given seed, independent of thread count).
@@ -933,121 +782,35 @@ pub fn run_campaign<W: Workload>(
     golden: &GoldenRun<W::Output>,
     cfg: &CampaignConfig,
 ) -> Vec<Injection<W::Output>> {
-    let sites = golden.profile.sites(cfg.class);
-    assert!(
-        sites > 0,
-        "no eligible {} taps recorded in the golden profile",
-        cfg.class
-    );
-    // Telemetry-only span on the driver thread; workers run sink-free.
-    let _stage = vs_telemetry::span("campaign");
-    install_quiet_hook();
-    let budget = golden
-        .profile
-        .instr
-        .total
-        .saturating_mul(cfg.hang_factor)
-        .saturating_add(1_000_000);
-
-    let n = cfg.injections;
-    let threads = cfg.threads.min(n.max(1));
-    let monitor = crate::telemetry::CampaignMonitor::new(cfg, sites, 0, golden.digests.is_some());
-    let records = drive_with(
-        n,
-        threads,
-        cfg.collection,
-        || (),
-        |i, ()| {
-            let t_draw = metrics::start();
-            let spec = draw_spec(cfg, sites, i);
-            metrics::stop(phase::DRAW, t_draw);
-            let rec = run_one(workload, golden, spec, budget, cfg.keep_sdc_outputs, i);
-            monitor.record(&rec);
-            rec
-        },
-    );
-    monitor.finish();
-    records
+    run_batches(workload, golden, &[], cfg, cfg.injections, |_| false)
 }
 
-/// Run a fault-injection campaign with golden-prefix fast-forward and
-/// per-worker workspace reuse: each injected run starts from the latest
-/// checkpoint whose eligible-tap count does not exceed the drawn fault's
-/// tap index (or from scratch if none qualifies), and executes into its
-/// worker's [`ScratchWorkload`] workspace — so after a worker's first
-/// few runs, steady-state execution allocates nothing.
+/// Run a fault-injection campaign with golden-prefix fast-forward: each
+/// injected run starts from the latest checkpoint whose eligible-tap
+/// count does not exceed the drawn fault's tap index (or from scratch if
+/// none qualifies).
 ///
 /// Classification is bit-for-bit identical to [`run_campaign`] on the
 /// same seed — same specs, same outcomes, same fired faults — because
-/// the skipped prefix of every run is identical to the golden run and
-/// workspace reuse is contract-bound to be unobservable.
+/// the skipped prefix of every run is identical to the golden run.
 ///
 /// # Panics
 ///
 /// Panics if the golden profile recorded zero eligible taps for the
 /// campaign's register class.
-pub fn run_campaign_checkpointed<W: ScratchCheckpointed>(
+pub fn run_campaign_checkpointed<W: Workload>(
     workload: &W,
     golden: &CheckpointedGolden<W>,
     cfg: &CampaignConfig,
-) -> Vec<Injection<W::Output>>
-where
-    W::Output: Clone,
-{
-    let g = &golden.golden;
-    let sites = g.profile.sites(cfg.class);
-    assert!(
-        sites > 0,
-        "no eligible {} taps recorded in the golden profile",
-        cfg.class
-    );
-    // Telemetry-only span on the driver thread; workers run sink-free.
-    let _stage = vs_telemetry::span("campaign");
-    install_quiet_hook();
-    let budget = g
-        .profile
-        .instr
-        .total
-        .saturating_mul(cfg.hang_factor)
-        .saturating_add(1_000_000);
-
-    let n = cfg.injections;
-    let threads = cfg.threads.min(n.max(1));
-    let monitor = crate::telemetry::CampaignMonitor::new(
+) -> Vec<Injection<W::Output>> {
+    run_batches(
+        workload,
+        &golden.golden,
+        &golden.checkpoints,
         cfg,
-        sites,
-        golden.checkpoints.len(),
-        g.digests.is_some(),
-    );
-    let records = drive_with(
-        n,
-        threads,
-        cfg.collection,
-        || workload.make_scratch(),
-        |i, scratch| {
-            let t_draw = metrics::start();
-            let spec = draw_spec(cfg, sites, i);
-            let usable = golden
-                .checkpoints
-                .partition_point(|c| W::tap_snapshot(c).eligible(cfg.class) <= spec.tap_index);
-            let ckpt = usable.checked_sub(1).map(|j| &golden.checkpoints[j]);
-            metrics::stop(phase::DRAW, t_draw);
-            let rec = run_one_from_scratch(
-                workload,
-                g,
-                ckpt,
-                spec,
-                budget,
-                cfg.keep_sdc_outputs,
-                i,
-                scratch,
-            );
-            monitor.record(&rec);
-            rec
-        },
-    );
-    monitor.finish();
-    records
+        cfg.injections,
+        |_| false,
+    )
 }
 
 #[cfg(test)]
@@ -1060,16 +823,52 @@ mod tests {
     /// enough to produce every outcome class.
     struct Toy;
 
-    impl Workload for Toy {
-        type Output = (u64, u64);
+    /// Checkpoint for [`Toy`]: integer-loop state at a capture boundary.
+    struct ToyCheckpoint {
+        i: usize,
+        bound: usize,
+        acc: u64,
+        taps: TapSnapshot,
+        trace: DigestTrace,
+    }
 
-        fn run(&self) -> Result<(u64, u64), SimError> {
+    impl Checkpoint for ToyCheckpoint {
+        fn tap_snapshot(&self) -> &TapSnapshot {
+            &self.taps
+        }
+
+        fn digest_trace(&self) -> DigestTrace {
+            self.trace
+        }
+    }
+
+    impl Toy {
+        /// The program: from the start or resuming after `from`,
+        /// capturing a checkpoint every `k` loop iterations into
+        /// `capture` if given.
+        fn exec(
+            &self,
+            from: Option<&ToyCheckpoint>,
+            mut capture: Option<(usize, &mut Vec<ToyCheckpoint>)>,
+        ) -> Result<(u64, u64), SimError> {
             let _f = tap::scope(FuncId::Other);
             let data: Vec<u64> = (0..64).collect();
-            let mut acc = 0u64;
-            let bound = tap::ctl(data.len());
-            let mut i = 0usize;
+            let (mut i, bound, mut acc) = match from {
+                Some(c) => (c.i, c.bound, c.acc),
+                None => (0, tap::ctl(data.len()), 0),
+            };
             while i < bound {
+                if let Some((k, checkpoints)) = capture.as_mut() {
+                    if i > 0 && i.is_multiple_of(*k) {
+                        checkpoints.push(ToyCheckpoint {
+                            i,
+                            bound,
+                            acc,
+                            taps: session::snapshot(),
+                            trace: forensics::current_trace(),
+                        });
+                    }
+                }
                 tap::work(OpClass::Control, 1)?;
                 let idx = tap::addr(i);
                 let v = *data.get(idx).ok_or(SimError::Segfault)?;
@@ -1094,13 +893,36 @@ mod tests {
         }
     }
 
+    impl Workload for Toy {
+        type Output = (u64, u64);
+        type Workspace = Option<(u64, u64)>;
+        type Checkpoint = ToyCheckpoint;
+
+        fn run<'w>(
+            &self,
+            ws: &'w mut Self::Workspace,
+            from: Option<&ToyCheckpoint>,
+        ) -> Result<&'w (u64, u64), SimError> {
+            Ok(ws.insert(self.exec(from, None)?))
+        }
+
+        fn run_capturing(
+            &self,
+            every_k: usize,
+        ) -> Result<((u64, u64), Vec<ToyCheckpoint>), SimError> {
+            let mut checkpoints = Vec::new();
+            let out = self.exec(None, Some((every_k, &mut checkpoints)))?;
+            Ok((out, checkpoints))
+        }
+    }
+
     #[test]
     fn golden_profile_counts_sites() {
         let g = profile_golden(&Toy).unwrap();
         assert_eq!(g.profile.gpr_taps, 1 + 64 * 3);
         assert_eq!(g.profile.fpr_taps, 32);
-        assert_eq!(g.profile.sites(RegClass::Gpr), g.profile.eligible_gpr);
-        assert_eq!(g.output, Toy.run().map_err(|_| ()).unwrap());
+        assert_eq!(g.profile.eligible(RegClass::Gpr), g.profile.eligible_gpr);
+        assert_eq!(g.output, Toy.exec(None, None).unwrap());
     }
 
     #[test]
@@ -1167,118 +989,6 @@ mod tests {
         assert!(recs.iter().all(|r| r.sdc_output.is_none()));
     }
 
-    /// Checkpoint for [`Toy`]: integer-loop state at a capture boundary.
-    struct ToyCheckpoint {
-        i: usize,
-        bound: usize,
-        acc: u64,
-        taps: crate::session::TapSnapshot,
-        trace: DigestTrace,
-    }
-
-    impl Checkpointed for Toy {
-        type Checkpoint = ToyCheckpoint;
-
-        fn run_capturing(
-            &self,
-            every_k: usize,
-        ) -> Result<((u64, u64), Vec<ToyCheckpoint>), SimError> {
-            let _f = tap::scope(FuncId::Other);
-            let mut checkpoints = Vec::new();
-            let data: Vec<u64> = (0..64).collect();
-            let mut acc = 0u64;
-            let bound = tap::ctl(data.len());
-            let mut i = 0usize;
-            while i < bound {
-                if i > 0 && i.is_multiple_of(every_k) {
-                    checkpoints.push(ToyCheckpoint {
-                        i,
-                        bound,
-                        acc,
-                        taps: crate::session::snapshot(),
-                        trace: forensics::current_trace(),
-                    });
-                }
-                tap::work(OpClass::Control, 1)?;
-                let idx = tap::addr(i);
-                let v = *data.get(idx).ok_or(SimError::Segfault)?;
-                acc = acc.wrapping_add(tap::gpr(v));
-                let _scratch = tap::gpr(v.wrapping_mul(3));
-                forensics::record(Stage::Match, acc);
-                i += 1;
-            }
-            let mut facc = 0.0f64;
-            for k in 0..32 {
-                tap::work(OpClass::Float, 1)?;
-                let x = tap::fpr(k as f64 * 0.5);
-                facc += x.clamp(0.0, 255.0).floor();
-            }
-            forensics::record(Stage::Summary, facc.to_bits());
-            Ok(((acc, facc as u64), checkpoints))
-        }
-
-        fn resume(&self, ckpt: &ToyCheckpoint) -> Result<(u64, u64), SimError> {
-            let _f = tap::scope(FuncId::Other);
-            let data: Vec<u64> = (0..64).collect();
-            let mut acc = ckpt.acc;
-            let bound = ckpt.bound;
-            let mut i = ckpt.i;
-            while i < bound {
-                tap::work(OpClass::Control, 1)?;
-                let idx = tap::addr(i);
-                let v = *data.get(idx).ok_or(SimError::Segfault)?;
-                acc = acc.wrapping_add(tap::gpr(v));
-                let _scratch = tap::gpr(v.wrapping_mul(3));
-                forensics::record(Stage::Match, acc);
-                i += 1;
-            }
-            let mut facc = 0.0f64;
-            for k in 0..32 {
-                tap::work(OpClass::Float, 1)?;
-                let x = tap::fpr(k as f64 * 0.5);
-                facc += x.clamp(0.0, 255.0).floor();
-            }
-            forensics::record(Stage::Summary, facc.to_bits());
-            Ok((acc, facc as u64))
-        }
-
-        fn tap_snapshot(ckpt: &ToyCheckpoint) -> &crate::session::TapSnapshot {
-            &ckpt.taps
-        }
-
-        fn digest_snapshot(ckpt: &ToyCheckpoint) -> DigestTrace {
-            ckpt.trace
-        }
-    }
-
-    impl ScratchWorkload for Toy {
-        type Scratch = Option<(u64, u64)>;
-
-        fn make_scratch(&self) -> Self::Scratch {
-            None
-        }
-
-        fn run_scratch(&self, scratch: &mut Self::Scratch) -> Result<(), SimError> {
-            *scratch = Some(self.run()?);
-            Ok(())
-        }
-
-        fn scratch_output<'s>(&self, scratch: &'s Self::Scratch) -> &'s (u64, u64) {
-            scratch.as_ref().expect("read only after a successful run")
-        }
-    }
-
-    impl ScratchCheckpointed for Toy {
-        fn resume_scratch(
-            &self,
-            ckpt: &ToyCheckpoint,
-            scratch: &mut Self::Scratch,
-        ) -> Result<(), SimError> {
-            *scratch = Some(self.resume(ckpt)?);
-            Ok(())
-        }
-    }
-
     #[test]
     fn checkpointed_profile_matches_plain_profile() {
         let plain = profile_golden(&Toy).unwrap();
@@ -1328,25 +1038,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn checkpointed_campaign_without_checkpoints_matches_scratch() {
-        let ck = profile_golden_checkpointed(&Toy, CheckpointPolicy::Off).unwrap();
-        let cfg = CampaignConfig::new(RegClass::Gpr, 60).seed(4).threads(2);
-        let scratch = run_campaign(&Toy, &ck.golden, &cfg);
-        let fast = run_campaign_checkpointed(&Toy, &ck, &cfg);
-        let a: Vec<_> = scratch.iter().map(|r| (r.spec, r.outcome)).collect();
-        let b: Vec<_> = fast.iter().map(|r| (r.spec, r.outcome)).collect();
-        assert_eq!(a, b);
-    }
-
     /// A workload whose only taps are loop bounds: corrupting them upward
     /// must trip the hang monitor.
     struct Spinner;
 
     impl Workload for Spinner {
         type Output = u64;
+        type Workspace = Option<u64>;
+        type Checkpoint = NoCheckpoint;
 
-        fn run(&self) -> Result<u64, SimError> {
+        fn run<'w>(
+            &self,
+            ws: &'w mut Option<u64>,
+            _from: Option<&NoCheckpoint>,
+        ) -> Result<&'w u64, SimError> {
             let _f = tap::scope(FuncId::Other);
             let bound = tap::ctl(16);
             let mut acc = 0u64;
@@ -1356,7 +1061,7 @@ mod tests {
                 acc = acc.wrapping_add(1);
                 i += 1;
             }
-            Ok(acc)
+            Ok(ws.insert(acc))
         }
     }
 
@@ -1589,51 +1294,6 @@ mod tests {
         }
     }
 
-    /// Both result-collection strategies must produce bit-identical
-    /// record lists at every thread count — the per-worker-slots fix is
-    /// an optimization of *how* records travel, never of what they say.
-    #[test]
-    fn collection_strategies_are_outcome_identical() {
-        let g = profile_golden(&Toy).unwrap();
-        let ck = profile_golden_checkpointed(&Toy, CheckpointPolicy::EveryKFrames(7)).unwrap();
-        for threads in [1, 4] {
-            let base = CampaignConfig::new(RegClass::Gpr, 120)
-                .seed(33)
-                .threads(threads);
-            let slots = run_campaign(&Toy, &g, &base.clone().collection(Collection::WorkerSlots));
-            let mutexed = run_campaign(&Toy, &g, &base.clone().collection(Collection::SharedMutex));
-            let a: Vec<_> = slots
-                .iter()
-                .map(|r| (r.index, r.spec, r.outcome, r.fired))
-                .collect();
-            let b: Vec<_> = mutexed
-                .iter()
-                .map(|r| (r.index, r.spec, r.outcome, r.fired))
-                .collect();
-            assert_eq!(a, b, "plain campaign, {threads} threads");
-            let ck_base = base.checkpoint_policy(CheckpointPolicy::EveryKFrames(7));
-            let slots = run_campaign_checkpointed(
-                &Toy,
-                &ck,
-                &ck_base.clone().collection(Collection::WorkerSlots),
-            );
-            let mutexed = run_campaign_checkpointed(
-                &Toy,
-                &ck,
-                &ck_base.clone().collection(Collection::SharedMutex),
-            );
-            let a: Vec<_> = slots
-                .iter()
-                .map(|r| (r.index, r.spec, r.outcome, r.fired))
-                .collect();
-            let b: Vec<_> = mutexed
-                .iter()
-                .map(|r| (r.index, r.spec, r.outcome, r.fired))
-                .collect();
-            assert_eq!(a, b, "checkpointed campaign, {threads} threads");
-        }
-    }
-
     /// Zero-perturbation for the metrics layer, mirroring the telemetry
     /// and forensics invariants: an installed registry must leave
     /// golden profiles, draws, fired faults and outcomes bit-identical.
@@ -1660,79 +1320,73 @@ mod tests {
 
     /// The phase histograms fully attribute the campaign: one `exec`
     /// sample per run, one `worker_wall` sample per worker, resume
-    /// counters summing to the run count, and the top-level phase sums
-    /// bounded by (and dominating) the worker wall time.
+    /// counters summing to the run count, the top-level phase sums
+    /// bounded by (and dominating) the worker wall time, and the
+    /// driver's scatter deposited under id `threads`.
     #[test]
     fn metrics_registry_attributes_worker_time() {
         let ck = profile_golden_checkpointed(&Toy, CheckpointPolicy::EveryKFrames(7)).unwrap();
         let n = 60usize;
         let threads = 2usize;
-        for collection in [Collection::WorkerSlots, Collection::SharedMutex] {
-            let cfg = CampaignConfig::new(RegClass::Gpr, n)
-                .seed(21)
-                .threads(threads)
-                .checkpoint_policy(CheckpointPolicy::EveryKFrames(7))
-                .collection(collection);
-            let reg = std::sync::Arc::new(metrics::MetricsRegistry::new());
-            {
-                let _g = metrics::install(reg.clone());
-                run_campaign_checkpointed(&Toy, &ck, &cfg);
-            }
-            let merged = reg.merged();
-            for name in [
-                phase::DRAW,
-                phase::SETUP,
-                phase::EXEC,
-                phase::TEARDOWN,
-                phase::CLASSIFY,
-            ] {
-                let h = merged
-                    .histogram(name)
-                    .unwrap_or_else(|| panic!("{name} histogram missing ({collection:?})"));
-                assert_eq!(h.count(), n as u64, "{name} samples ({collection:?})");
-            }
-            let wall = merged.histogram(phase::WORKER_WALL).expect("worker_wall");
-            assert_eq!(wall.count(), threads as u64);
-            assert_eq!(
-                merged.counter(phase::RUNS_RESUMED) + merged.counter(phase::RUNS_FROM_SCRATCH),
-                n as u64
-            );
-            // Attribution: named phases nest inside the stripe wall.
-            let attributed: u64 = phase::TOP
-                .iter()
-                .filter_map(|p| merged.histogram(p))
-                .map(|h| h.sum())
-                .sum();
-            assert!(attributed > 0);
-            assert!(
-                attributed <= wall.sum(),
-                "phases cannot exceed the wall they nest in ({collection:?})"
-            );
-            match collection {
-                Collection::SharedMutex => {
-                    let lw = merged.histogram(phase::LOCK_WAIT).expect("lock_wait");
-                    assert_eq!(lw.count(), threads as u64);
-                    assert!(merged.histogram(phase::COLLECT).is_none());
-                }
-                Collection::WorkerSlots => {
-                    assert!(merged.histogram(phase::LOCK_WAIT).is_none());
-                    // The driver deposits scatter time under id `threads`.
-                    let per = reg.per_worker();
-                    assert_eq!(per.len(), threads + 1);
-                    assert_eq!(per[threads].0, threads);
-                    assert!(per[threads].1.histogram(phase::COLLECT).is_some());
-                }
-            }
+        let cfg = CampaignConfig::new(RegClass::Gpr, n)
+            .seed(21)
+            .threads(threads)
+            .checkpoint_policy(CheckpointPolicy::EveryKFrames(7));
+        let reg = std::sync::Arc::new(metrics::MetricsRegistry::new());
+        {
+            let _g = metrics::install(reg.clone());
+            run_campaign_checkpointed(&Toy, &ck, &cfg);
         }
+        let merged = reg.merged();
+        for name in [
+            phase::DRAW,
+            phase::SETUP,
+            phase::EXEC,
+            phase::TEARDOWN,
+            phase::CLASSIFY,
+        ] {
+            let h = merged
+                .histogram(name)
+                .unwrap_or_else(|| panic!("{name} histogram missing"));
+            assert_eq!(h.count(), n as u64, "{name} samples");
+        }
+        let wall = merged.histogram(phase::WORKER_WALL).expect("worker_wall");
+        assert_eq!(wall.count(), threads as u64);
+        assert_eq!(
+            merged.counter(phase::RUNS_RESUMED) + merged.counter(phase::RUNS_FROM_SCRATCH),
+            n as u64
+        );
+        // Attribution: named phases nest inside the stripe wall.
+        let attributed: u64 = phase::TOP
+            .iter()
+            .filter_map(|p| merged.histogram(p))
+            .map(|h| h.sum())
+            .sum();
+        assert!(attributed > 0);
+        assert!(
+            attributed <= wall.sum(),
+            "phases cannot exceed the wall they nest in"
+        );
+        let per = reg.per_worker();
+        assert_eq!(per.len(), threads + 1);
+        assert_eq!(per[threads].0, threads);
+        assert!(per[threads].1.histogram(phase::COLLECT).is_some());
     }
 
     #[test]
     fn corrupted_loop_bounds_hang() {
         let g = profile_golden(&Spinner).unwrap();
+        let plan = Plan {
+            workload: &Spinner,
+            golden: &g,
+            checkpoints: &[],
+            hang_factor: 16,
+            threads: 1,
+            keep_sdc: true,
+            digests: None,
+        };
         // Flip a high bit of the single control tap: guaranteed huge bound.
-        let spec = FaultSpec::new(RegClass::Gpr, 0, 40);
-        let budget = g.profile.instr.total * 16 + 1000;
-        let rec = run_one(&Spinner, &g, spec, budget, true, 0);
-        assert_eq!(rec.outcome, Outcome::Hang);
+        let recs = plan.drive(0..1, |_| FaultSpec::new(RegClass::Gpr, 0, 40), None);
+        assert_eq!(recs[0].outcome, Outcome::Hang);
     }
 }

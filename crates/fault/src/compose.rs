@@ -31,11 +31,11 @@
 //! `campaign_bench` checks this empirically against a full fixed-budget
 //! campaign.
 
-use crate::campaign::{self, GoldenRun, Injection, Workload};
+use crate::campaign::{GoldenRun, Injection, Plan, Workload};
 use crate::forensics::{DigestTrace, Stage};
 use crate::func::{FuncId, OpClass};
 use crate::pruning::{self, SiteGroup};
-use crate::spec::{FaultSpec, RegClass, REG_BITS};
+use crate::spec::FaultSpec;
 use crate::stats::{outcome_rates, OutcomeCounts, OutcomeRates};
 use crate::{adaptive, mix64};
 use std::collections::BTreeMap;
@@ -203,60 +203,72 @@ impl CampaignCache {
         out
     }
 
-    /// Parse a cache back from its JSONL serialization.
+    /// Parse a cache back from its JSONL serialization: exactly one
+    /// `cache_header` line, first, whose `entries` count matches the
+    /// `cache_entry` lines that follow it.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed line, unknown
-    /// function/op name, or version mismatch.
+    /// Returns a description of the first malformed line, missing or
+    /// misplaced header, version or entry-count mismatch, or unknown
+    /// function/op name.
     pub fn from_jsonl(text: &str) -> Result<Self, String> {
         let events = vs_telemetry::jsonl::parse_trace(text)
             .map_err(|(line, e)| format!("cache line {line}: {e}"))?;
+        let Some((header, entries)) = events
+            .split_first()
+            .filter(|(h, _)| h.name == "cache_header")
+        else {
+            return Err("cache does not start with a cache_header line".into());
+        };
+        let version = header.u64("version").unwrap_or(0);
+        if version != CACHE_VERSION {
+            return Err(format!(
+                "cache version {version} (expected {CACHE_VERSION})"
+            ));
+        }
+        let declared = header.u64("entries").unwrap_or(0);
+        if declared != entries.len() as u64 {
+            return Err(format!(
+                "cache header declares {declared} entries, file holds {}",
+                entries.len()
+            ));
+        }
         let mut cache = CampaignCache::new();
-        for ev in &events {
-            match ev.name.as_str() {
-                "cache_header" => {
-                    let version = ev.u64("version").unwrap_or(0);
-                    if version != CACHE_VERSION {
-                        return Err(format!(
-                            "cache version {version} (expected {CACHE_VERSION})"
-                        ));
-                    }
-                    cache.workload_digest = ev.u64("workload").unwrap_or(0);
-                }
-                "cache_entry" => {
-                    let field = |k: &str| {
-                        ev.u64(k)
-                            .ok_or_else(|| format!("cache_entry missing field {k}"))
-                    };
-                    let func_name = ev.str("func").unwrap_or("");
-                    let func = FuncId::ALL
-                        .iter()
-                        .copied()
-                        .find(|f| f.name() == func_name)
-                        .ok_or_else(|| format!("unknown cache function {func_name:?}"))?;
-                    let op_name = ev.str("op").unwrap_or("");
-                    let op = OpClass::ALL
-                        .iter()
-                        .copied()
-                        .find(|o| o.name() == op_name)
-                        .ok_or_else(|| format!("unknown cache op class {op_name:?}"))?;
-                    cache.insert(CacheEntry {
-                        key: field("key")?,
-                        func,
-                        op,
-                        population: field("population")?,
-                        counts: OutcomeCounts {
-                            masked: field("masked")? as usize,
-                            sdc: field("sdc")? as usize,
-                            crash_segfault: field("crash_segfault")? as usize,
-                            crash_abort: field("crash_abort")? as usize,
-                            hang: field("hang")? as usize,
-                        },
-                    });
-                }
-                other => return Err(format!("unexpected cache event {other:?}")),
+        cache.workload_digest = header.u64("workload").unwrap_or(0);
+        for ev in entries {
+            if ev.name != "cache_entry" {
+                return Err(format!("unexpected cache event {:?}", ev.name));
             }
+            let field = |k: &str| {
+                ev.u64(k)
+                    .ok_or_else(|| format!("cache_entry missing field {k}"))
+            };
+            let func_name = ev.str("func").unwrap_or("");
+            let func = FuncId::ALL
+                .iter()
+                .copied()
+                .find(|f| f.name() == func_name)
+                .ok_or_else(|| format!("unknown cache function {func_name:?}"))?;
+            let op_name = ev.str("op").unwrap_or("");
+            let op = OpClass::ALL
+                .iter()
+                .copied()
+                .find(|o| o.name() == op_name)
+                .ok_or_else(|| format!("unknown cache op class {op_name:?}"))?;
+            cache.insert(CacheEntry {
+                key: field("key")?,
+                func,
+                op,
+                population: field("population")?,
+                counts: OutcomeCounts {
+                    masked: field("masked")? as usize,
+                    sdc: field("sdc")? as usize,
+                    crash_segfault: field("crash_segfault")? as usize,
+                    crash_abort: field("crash_abort")? as usize,
+                    hang: field("hang")? as usize,
+                },
+            });
         }
         Ok(cache)
     }
@@ -321,10 +333,7 @@ pub struct ComposedResult<O> {
 /// across pipeline changes.
 fn pilot_spec(seed: u64, group: &SiteGroup, p: usize) -> FaultSpec {
     let salt = ((group.func.index() as u64) << 8) | group.op.index() as u64;
-    let h = mix64(seed ^ mix64((salt << 32) | p as u64));
-    let tap_index = mix64(h ^ 0x0009_0113) % group.population;
-    let bit = (mix64(h ^ 0xb17) % REG_BITS as u64) as u8;
-    FaultSpec::new(RegClass::Gpr, tap_index, bit)
+    group.pilot(mix64(seed ^ mix64((salt << 32) | p as u64)))
 }
 
 /// Run a compositional GPR campaign: groups whose upstream stage
@@ -336,7 +345,7 @@ fn pilot_spec(seed: u64, group: &SiteGroup, p: usize) -> FaultSpec {
 /// # Panics
 ///
 /// Panics if `golden` carries no forensic digest trace (profile with
-/// [`campaign::profile_golden_forensic`]) or no populated GPR site
+/// [`crate::campaign::profile_golden_forensic`]) or no populated GPR site
 /// groups.
 pub fn run_composed_campaign<W: Workload>(
     workload: &W,
@@ -353,13 +362,17 @@ pub fn run_composed_campaign<W: Workload>(
         !groups.is_empty(),
         "no populated GPR site groups in the golden profile"
     );
-    campaign::install_quiet_hook();
-    let budget = golden
-        .profile
-        .instr
-        .total
-        .saturating_mul(cfg.hang_factor.max(2))
-        .saturating_add(1_000_000);
+    // Pilots are group-confined and never attributed: the stage digests
+    // key the cache, they do not arm the forensic recorder.
+    let plan = Plan {
+        workload,
+        golden,
+        checkpoints: &[],
+        hang_factor: cfg.hang_factor,
+        threads: cfg.threads,
+        keep_sdc: false,
+        digests: None,
+    };
     let config_digest = cfg.digest();
 
     let mut group_outcomes = Vec::with_capacity(groups.len());
@@ -378,7 +391,7 @@ pub fn run_composed_campaign<W: Workload>(
         let (counts, reused) = match cached {
             Some(entry) => (entry.counts, true),
             None => {
-                let fresh = inject_group(workload, golden, cfg, group, budget, records.len());
+                let fresh = inject_group(&plan, cfg, group, records.len());
                 let mut counts = OutcomeCounts::default();
                 for r in &fresh {
                     counts.add(r.outcome);
@@ -454,11 +467,9 @@ pub fn run_composed_campaign<W: Workload>(
 /// class's 95% half-width is below `epsilon_pp` or the pilot cap / group
 /// population is exhausted.
 fn inject_group<W: Workload>(
-    workload: &W,
-    golden: &GoldenRun<W::Output>,
+    plan: &Plan<'_, W>,
     cfg: &ComposeConfig,
     group: &SiteGroup,
-    budget: u64,
     base_index: usize,
 ) -> Vec<Injection<W::Output>> {
     let cap = cfg
@@ -468,15 +479,13 @@ fn inject_group<W: Workload>(
         .max(1);
     let mut recs: Vec<Injection<W::Output>> = Vec::new();
     while recs.len() < cap {
-        let start = recs.len();
-        let n_batch = cfg.batch.max(1).min(cap - start);
-        let threads = cfg.threads.max(1).min(n_batch);
-        let batch = campaign::drive(n_batch, threads, |j| {
-            let p = start + j;
-            let spec = pilot_spec(cfg.seed, group, p);
-            pruning::run_one_grouped(workload, golden, spec, *group, budget, base_index + p)
-        });
-        recs.extend(batch);
+        let start = base_index + recs.len();
+        let n_batch = cfg.batch.max(1).min(cap - recs.len());
+        recs.extend(plan.drive(
+            start..start + n_batch,
+            |i| pilot_spec(cfg.seed, group, i - base_index),
+            None,
+        ));
         if recs.len() >= cfg.min_pilots.min(cap)
             && adaptive::max_half_width(&outcome_rates(&recs)) <= cfg.epsilon_pp
         {
@@ -489,7 +498,7 @@ fn inject_group<W: Workload>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{profile_golden_forensic, Workload};
+    use crate::campaign::{profile_golden_forensic, NoCheckpoint, Workload};
     use crate::forensics;
     use crate::tap;
     use crate::SimError;
@@ -504,8 +513,14 @@ mod tests {
 
     impl Workload for TwoStage {
         type Output = (u64, u64);
+        type Workspace = Option<(u64, u64)>;
+        type Checkpoint = NoCheckpoint;
 
-        fn run(&self) -> Result<(u64, u64), SimError> {
+        fn run<'w>(
+            &self,
+            ws: &'w mut Self::Workspace,
+            _from: Option<&NoCheckpoint>,
+        ) -> Result<&'w (u64, u64), SimError> {
             let mut acc = 0u64;
             {
                 let _f = tap::scope(crate::FuncId::MatchKeypoints);
@@ -524,7 +539,7 @@ mod tests {
                 }
                 forensics::record(forensics::Stage::Warp, warped);
             }
-            Ok((acc, warped))
+            Ok(ws.insert((acc, warped)))
         }
     }
 
@@ -587,15 +602,36 @@ mod tests {
 
     #[test]
     fn from_jsonl_rejects_garbage() {
-        assert!(CampaignCache::from_jsonl("not json\n").is_err());
-        assert!(
-            CampaignCache::from_jsonl("{\"event\":\"cache_header\",\"version\":99}\n").is_err()
-        );
-        assert!(CampaignCache::from_jsonl(
-            "{\"event\":\"cache_entry\",\"key\":1,\"func\":\"nope\",\"op\":\"data\"}\n"
-        )
+        let parse = |lines: &[&str]| CampaignCache::from_jsonl(&lines.join("\n"));
+        assert!(parse(&["not json"]).is_err());
+        assert!(parse(&["{\"event\":\"cache_header\",\"version\":99,\"entries\":0}"]).is_err());
+        assert!(parse(&[
+            "{\"event\":\"cache_header\",\"version\":1,\"entries\":1}",
+            "{\"event\":\"cache_entry\",\"key\":1,\"func\":\"nope\",\"op\":\"data\"}",
+        ])
         .is_err());
-        assert!(CampaignCache::from_jsonl("{\"event\":\"frame\",\"n\":1}\n").is_err());
+        assert!(parse(&["{\"event\":\"frame\",\"n\":1}"]).is_err());
+
+        // A real two-group cache, then damaged copies of it.
+        let w = TwoStage { warp_knob: 3 };
+        let mut cache = CampaignCache::new();
+        run_composed_campaign(
+            &w,
+            &profile_golden_forensic(&w).unwrap(),
+            &compose_cfg(),
+            &mut cache,
+        );
+        let text = cache.to_jsonl();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(parse(&lines).map(|c| c.len()), Ok(2));
+        // No header: entries alone are not a cache.
+        assert!(parse(&lines[1..]).is_err());
+        // The header must come first.
+        assert!(parse(&[lines[1], lines[0], lines[2]]).is_err());
+        // Exactly one header, even when the count matches.
+        assert!(parse(&[lines[0], lines[1], lines[0]]).is_err());
+        // A cache cut at a line boundary is not a smaller cache.
+        assert!(parse(&lines[..2]).is_err());
     }
 
     #[test]

@@ -27,15 +27,23 @@
 //!
 //! ```
 //! use vs_fault::{tap, FuncId, SimError};
-//! use vs_fault::campaign::{self, Workload, CampaignConfig};
+//! use vs_fault::campaign::{self, CampaignConfig, NoCheckpoint, Workload};
 //! use vs_fault::spec::RegClass;
 //!
 //! /// A toy workload: sums tapped values; a flipped high bit in the
-//! /// accumulator produces an SDC, a flipped index bit a crash.
+//! /// accumulator produces an SDC, a flipped index bit a crash. Each
+//! /// run writes its output into the worker's workspace and captures no
+//! /// checkpoints.
 //! struct Sum;
 //! impl Workload for Sum {
 //!     type Output = u64;
-//!     fn run(&self) -> Result<u64, SimError> {
+//!     type Workspace = Option<u64>;
+//!     type Checkpoint = NoCheckpoint;
+//!     fn run<'w>(
+//!         &self,
+//!         ws: &'w mut Option<u64>,
+//!         _from: Option<&NoCheckpoint>,
+//!     ) -> Result<&'w u64, SimError> {
 //!         let _g = tap::scope(FuncId::Other);
 //!         let data = [1u64, 2, 3, 4];
 //!         let mut acc = 0u64;
@@ -44,7 +52,7 @@
 //!             let v = *data.get(i).ok_or(SimError::Segfault)?;
 //!             acc = acc.wrapping_add(tap::gpr(v));
 //!         }
-//!         Ok(acc)
+//!         Ok(ws.insert(acc))
 //!     }
 //! }
 //!

@@ -16,14 +16,12 @@
 //! combines the per-group outcome rates into a population-weighted
 //! estimate of the full-campaign rates.
 
-use crate::campaign::{GoldenRun, Injection, Workload};
+use crate::campaign::{GoldenRun, Injection, Plan, Workload};
 use crate::func::{FuncId, OpClass};
+use crate::mix64;
 use crate::session::group_index;
 use crate::spec::{FaultSpec, RegClass, REG_BITS};
-use crate::state;
 use crate::stats::{outcome_rates, OutcomeRates};
-use crate::{mix64, session};
-use std::panic::{self, AssertUnwindSafe};
 
 /// One populated `(function, op-class)` site group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,6 +32,19 @@ pub struct SiteGroup {
     pub op: OpClass,
     /// Number of eligible dynamic taps in the group (its population).
     pub population: u64,
+}
+
+impl SiteGroup {
+    /// The group-confined GPR fault a pilot hash `h` draws: a uniform
+    /// tap of the group's eligible-tap stream and a uniform bit.
+    pub(crate) fn pilot(&self, h: u64) -> FaultSpec {
+        let tap_index = mix64(h ^ 0x0009_0113) % self.population;
+        let bit = (mix64(h ^ 0xb17) % REG_BITS as u64) as u8;
+        FaultSpec {
+            group: Some((self.func, self.op)),
+            ..FaultSpec::new(RegClass::Gpr, tap_index, bit)
+        }
+    }
 }
 
 /// Enumerate the populated GPR site groups of a golden profile,
@@ -119,12 +130,15 @@ pub fn run_pruned_campaign<W: Workload>(
         !groups.is_empty(),
         "no populated GPR site groups in the golden profile"
     );
-    let budget = golden
-        .profile
-        .instr
-        .total
-        .saturating_mul(cfg.hang_factor.max(2))
-        .saturating_add(1_000_000);
+    let plan = Plan {
+        workload,
+        golden,
+        checkpoints: &[],
+        hang_factor: cfg.hang_factor,
+        threads: 1,
+        keep_sdc: false,
+        digests: None,
+    };
 
     let mut per_group = Vec::with_capacity(groups.len());
     let mut all_records = Vec::new();
@@ -136,21 +150,15 @@ pub fn run_pruned_campaign<W: Workload>(
         let pilots = ((cfg.total_pilots as f64 * share).round() as usize)
             .max(cfg.min_pilots_per_group)
             .min(group.population as usize);
-        let mut records = Vec::with_capacity(pilots);
-        for p in 0..pilots {
-            let h = mix64(cfg.seed ^ mix64((gi as u64) << 32 | p as u64));
-            let tap_index = mix64(h ^ 0x0009_0113) % group.population;
-            let bit = (mix64(h ^ 0xb17) % REG_BITS as u64) as u8;
-            let spec = FaultSpec::new(RegClass::Gpr, tap_index, bit);
-            records.push(run_one_grouped(
-                workload,
-                golden,
-                spec,
-                *group,
-                budget,
-                injections + p,
-            ));
-        }
+        let first = injections;
+        let records = plan.drive(
+            first..first + pilots,
+            |i| {
+                let p = i - first;
+                group.pilot(mix64(cfg.seed ^ mix64((gi as u64) << 32 | p as u64)))
+            },
+            None,
+        );
         injections += records.len();
         per_group.push((*group, outcome_rates(&records)));
         all_records.extend(records);
@@ -212,64 +220,10 @@ pub fn weighted_estimate(groups: &[(SiteGroup, OutcomeRates)], n: usize) -> Outc
     estimate
 }
 
-/// Execute one group-confined injected run.
-pub(crate) fn run_one_grouped<W: Workload>(
-    workload: &W,
-    golden: &GoldenRun<W::Output>,
-    spec: FaultSpec,
-    group: SiteGroup,
-    budget: u64,
-    index: usize,
-) -> Injection<W::Output> {
-    let guard = session::begin_injection_grouped(spec, group.func, group.op, golden.mask, budget);
-    state::with(|s| s.in_injection.set(true));
-    let result = panic::catch_unwind(AssertUnwindSafe(|| workload.run()));
-    state::with(|s| s.in_injection.set(false));
-    let fired = session::report().fired;
-    drop(guard);
-    match result {
-        Err(_) => Injection {
-            index,
-            spec,
-            fired,
-            outcome: crate::campaign::Outcome::CrashSegfault,
-            sdc_output: None,
-            forensics: None,
-        },
-        Ok(Err(e)) => Injection {
-            index,
-            spec,
-            fired,
-            outcome: match e {
-                crate::SimError::Segfault => crate::campaign::Outcome::CrashSegfault,
-                crate::SimError::Abort => crate::campaign::Outcome::CrashAbort,
-                crate::SimError::Hang => crate::campaign::Outcome::Hang,
-            },
-            sdc_output: None,
-            forensics: None,
-        },
-        Ok(Ok(out)) => {
-            let outcome = if out == golden.output {
-                crate::campaign::Outcome::Masked
-            } else {
-                crate::campaign::Outcome::Sdc
-            };
-            Injection {
-                index,
-                spec,
-                fired,
-                outcome,
-                sdc_output: None,
-                forensics: None,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{profile_golden, CampaignConfig};
+    use crate::campaign::{profile_golden, CampaignConfig, NoCheckpoint};
     use crate::tap;
     use crate::SimError;
 
@@ -279,8 +233,14 @@ mod tests {
 
     impl Workload for TwoGroup {
         type Output = u64;
+        type Workspace = Option<u64>;
+        type Checkpoint = NoCheckpoint;
 
-        fn run(&self) -> Result<u64, SimError> {
+        fn run<'w>(
+            &self,
+            ws: &'w mut Option<u64>,
+            _from: Option<&NoCheckpoint>,
+        ) -> Result<&'w u64, SimError> {
             let data: Vec<u64> = (0..32).collect();
             let mut acc = 0u64;
             {
@@ -299,7 +259,7 @@ mod tests {
                     let _ = tap::gpr(i * 3);
                 }
             }
-            Ok(acc)
+            Ok(ws.insert(acc))
         }
     }
 
@@ -318,7 +278,8 @@ mod tests {
 
     #[test]
     fn grouped_faults_fire_in_their_group() {
-        let g = profile_golden(&TwoGroup).unwrap();
+        // A forensic golden must not make pilots attribute or keep outputs.
+        let g = crate::campaign::profile_golden_forensic(&TwoGroup).unwrap();
         let res = run_pruned_campaign(
             &TwoGroup,
             &g,
@@ -337,6 +298,7 @@ mod tests {
                     || (fired.func == FuncId::MatchKeypoints && fired.op == OpClass::Addr),
                 "pilot fired outside its group: {fired}"
             );
+            assert!(r.forensics.is_none() && r.sdc_output.is_none());
         }
     }
 

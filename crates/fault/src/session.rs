@@ -48,9 +48,11 @@ pub fn group_index(func: FuncId, op: OpClass) -> usize {
     func.index() * NUM_CLASSES + op.index()
 }
 
-/// Mid-run snapshot of a session's tap and instruction counters, taken at
-/// a workload-defined boundary (a frame, for the VS pipeline) during
-/// golden profiling.
+/// Snapshot of a session's tap and instruction counters. Taken at the
+/// end of the golden run it is the campaign's profile: the population
+/// of candidate error sites. Taken mid-run, at a workload-defined
+/// boundary (a frame, for the VS pipeline) during golden profiling, it
+/// summarizes the golden prefix.
 ///
 /// Paired with the workload's own state at the same boundary it forms a
 /// *checkpoint*: because an injected run is bit-identical to the golden
@@ -74,7 +76,8 @@ pub struct TapSnapshot {
 }
 
 impl TapSnapshot {
-    /// Eligible taps the prefix consumed for `class`.
+    /// Eligible taps of `class` counted up to the snapshot (for a golden
+    /// profile, the candidate error sites).
     pub fn eligible(&self, class: RegClass) -> u64 {
         match class {
             RegClass::Gpr => self.eligible_gpr,
@@ -161,7 +164,8 @@ pub fn begin_profile() -> SessionGuard {
 }
 
 /// Begin an injection session with `spec` armed, faults confined to
-/// `mask`, and the hang monitor set to `budget` instructions.
+/// `mask` (and to `spec.group`, when set), and the hang monitor set to
+/// `budget` instructions.
 ///
 /// # Panics
 ///
@@ -177,6 +181,9 @@ pub fn begin_injection(spec: FaultSpec, mask: FuncMask, budget: u64) -> SessionG
         s.armed_tap.set(spec.tap_index);
         s.armed_bit.set(spec.bit);
         s.armed_reg.set(spec.register());
+        if let Some((func, op)) = spec.group {
+            s.armed_group.set(group_index(func, op) as u16);
+        }
     });
     SessionGuard {
         _not_send: std::marker::PhantomData,
@@ -222,27 +229,6 @@ pub fn begin_injection_at(
     );
     let guard = begin_injection(spec, mask, budget);
     apply_snapshot(base);
-    guard
-}
-
-/// Begin an injection session whose fault is confined to one
-/// `(function, op-class)` site group: `spec.tap_index` indexes the
-/// group's eligible-tap stream. Used by the Relyzer-style pruned
-/// campaigns (only meaningful for GPR faults).
-///
-/// # Panics
-///
-/// Panics if a session is already active on this thread.
-#[must_use = "the session ends when the guard is dropped"]
-pub fn begin_injection_grouped(
-    spec: FaultSpec,
-    func: FuncId,
-    op: OpClass,
-    mask: FuncMask,
-    budget: u64,
-) -> SessionGuard {
-    let guard = begin_injection(spec, mask, budget);
-    state::with(|s| s.armed_group.set(group_index(func, op) as u16));
     guard
 }
 

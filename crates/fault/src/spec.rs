@@ -66,6 +66,10 @@ pub struct FaultSpec {
     pub tap_index: u64,
     /// Bit position to flip, `0..64`.
     pub bit: u8,
+    /// `(function, op-class)` site group the fault is confined to
+    /// (GPR only; see [`crate::pruning`]). When set, `tap_index`
+    /// indexes that group's eligible taps instead of all of them.
+    pub group: Option<(FuncId, OpClass)>,
 }
 
 impl FaultSpec {
@@ -80,6 +84,7 @@ impl FaultSpec {
             class,
             tap_index,
             bit,
+            group: None,
         }
     }
 

@@ -800,14 +800,18 @@ mod tests {
         struct DetectWl<const SWAR: bool>(GrayImage);
         impl<const SWAR: bool> vs_fault::campaign::Workload for DetectWl<SWAR> {
             type Output = Vec<KeyPoint>;
-            fn run(&self) -> Result<Vec<KeyPoint>, SimError> {
-                let mut scratch = FastScratch::default();
-                let mut out = Vec::new();
+            type Workspace = (FastScratch, Vec<KeyPoint>);
+            type Checkpoint = vs_fault::campaign::NoCheckpoint;
+            fn run<'w>(
+                &self,
+                (scratch, out): &'w mut Self::Workspace,
+                _from: Option<&Self::Checkpoint>,
+            ) -> Result<&'w Vec<KeyPoint>, SimError> {
                 let cfg = FastConfig::default();
                 if SWAR {
-                    detect_into(&self.0, &cfg, &mut scratch, &mut out)?;
+                    detect_into(&self.0, &cfg, scratch, out)?;
                 } else {
-                    detect_into_scalar(&self.0, &cfg, &mut scratch, &mut out)?;
+                    detect_into_scalar(&self.0, &cfg, scratch, out)?;
                 }
                 Ok(out)
             }

@@ -433,8 +433,7 @@ pub fn stop(name: &'static str, started: Option<Instant>) {
 /// one `metrics_phase` event per histogram (count, sum and the
 /// quantile ladder), one `metrics_counter` event per counter, each
 /// carrying the caller's `labels` verbatim (sweep cells tag snapshots
-/// with thread count and collector here). Quiet when no sink is
-/// installed.
+/// with their thread count here). Quiet when no sink is installed.
 pub fn emit_snapshot(merged: &WorkerMetrics, workers: usize, labels: &[(&str, Value<'_>)]) {
     for (name, h) in merged.histograms() {
         let mut fields = vec![

@@ -1091,24 +1091,21 @@ mod proptests {
         }
         impl<const SCALAR: bool> vs_fault::campaign::Workload for WarpWl<SCALAR> {
             type Output = (RgbImage, GrayImage);
-            fn run(&self) -> Result<Self::Output, SimError> {
-                let mut dst = RgbImage::default();
-                let mut mask = GrayImage::default();
+            type Workspace = (RgbImage, GrayImage);
+            type Checkpoint = vs_fault::campaign::NoCheckpoint;
+            fn run<'w>(
+                &self,
+                out: &'w mut Self::Workspace,
+                _from: Option<&Self::Checkpoint>,
+            ) -> Result<&'w Self::Output, SimError> {
                 let f = if SCALAR {
                     warp_perspective_offset_into_scalar
                 } else {
                     warp_perspective_offset_into
                 };
-                f(
-                    &self.src,
-                    &self.m,
-                    30,
-                    24,
-                    Vec2::new(-2.0, 1.0),
-                    &mut dst,
-                    &mut mask,
-                )?;
-                Ok((dst, mask))
+                let (dst, mask) = &mut *out;
+                f(&self.src, &self.m, 30, 24, Vec2::new(-2.0, 1.0), dst, mask)?;
+                Ok(out)
             }
         }
 

@@ -36,6 +36,13 @@ echo "== tier-1: cargo build --release =="
 # stale.
 cargo build --release --offline --workspace
 
+echo "== benchmark: build and test perfbench against the changed crates =="
+# perfbench is a workspace of its own (see BENCHMARK.json), so the
+# workspace build above never compiles it: a library API change that
+# breaks the benchmark would otherwise pass this gate.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== tier-1: cargo test -q (workspace) =="
 cargo test -q --workspace --release --offline
 

@@ -3,14 +3,15 @@
 //! computes. Fault draws, firing records and outcome classifications
 //! have to be bit-for-bit identical with metrics off and with a
 //! registry collecting every phase sample — across thread counts, both
-//! checkpoint policies, and both result-collection strategies. Metrics
-//! live outside the simulated machine; any divergence here means a
-//! timer leaked into the tap stream.
+//! checkpoint policies, and compositional pilots. Metrics live outside
+//! the simulated machine; any divergence here means a timer leaked into
+//! the tap stream.
 
 use std::sync::Arc;
 use video_summarization::prelude::*;
 use vs_core::workloads::VsWorkload;
-use vs_fault::campaign::{phase, CheckpointPolicy, Collection, Injection};
+use vs_fault::campaign::{phase, CheckpointPolicy, Injection};
+use vs_fault::compose::{self, CampaignCache, ComposeConfig};
 use vs_telemetry::metrics::{self, MetricsRegistry};
 
 fn workload() -> VsWorkload {
@@ -102,46 +103,41 @@ fn checkpointed_campaigns_are_identical_with_metrics_registry_installed() {
     }
 }
 
+/// Compose pilots run on the campaign executor too: a cold composed
+/// pass produces identical records with a registry installed, records
+/// one `exec` sample per pilot, and keeps its records free of forensic
+/// payloads and retained outputs.
 #[test]
-fn collection_strategies_are_identical_at_workload_layer() {
+fn composed_pilots_are_identical_with_metrics_registry_installed() {
     let w = workload();
-    let ck = campaign::profile_golden_checkpointed(&w, CheckpointPolicy::EveryKFrames(2)).unwrap();
-    const N: usize = 16;
-    const THREADS: usize = 4;
-
-    let cfg_for = |coll: Collection| {
-        CampaignConfig::new(RegClass::Gpr, N)
-            .seed(0x7E1E)
-            .threads(THREADS)
-            .checkpoint_policy(CheckpointPolicy::EveryKFrames(2))
-            .collection(coll)
+    let golden = campaign::profile_golden_forensic(&w).unwrap();
+    let cfg = ComposeConfig {
+        seed: 0x7E1E,
+        epsilon_pp: 100.0,
+        batch: 2,
+        min_pilots: 2,
+        max_pilots: 2,
+        hang_factor: 4,
+        threads: 2,
     };
-    let reg_slots = Arc::new(MetricsRegistry::new());
-    let slots = {
-        let _g = metrics::install(reg_slots.clone());
-        campaign::run_campaign_checkpointed(&w, &ck, &cfg_for(Collection::WorkerSlots))
+    let quiet = compose::run_composed_campaign(&w, &golden, &cfg, &mut CampaignCache::new());
+    let reg = Arc::new(MetricsRegistry::new());
+    let metered = {
+        let _g = metrics::install(reg.clone());
+        compose::run_composed_campaign(&w, &golden, &cfg, &mut CampaignCache::new())
     };
-    let reg_mutex = Arc::new(MetricsRegistry::new());
-    let mutex = {
-        let _g = metrics::install(reg_mutex.clone());
-        campaign::run_campaign_checkpointed(&w, &ck, &cfg_for(Collection::SharedMutex))
-    };
+    assert!(metered.injections_executed > 0);
     assert_eq!(
-        fingerprint(&slots),
-        fingerprint(&mutex),
-        "result-collection strategy changed campaign outcomes"
+        fingerprint(&quiet.records),
+        fingerprint(&metered.records),
+        "metrics perturbed the composed pilots"
     );
-
-    // Phase vocabulary matches the strategy: the legacy collector waits
-    // on the shared mutex once per worker, the per-worker-slot
-    // collector never locks (its scatter runs on the driver thread).
-    let m_mutex = reg_mutex.merged();
-    let lock = m_mutex.histogram(phase::LOCK_WAIT).expect("lock_wait");
-    assert_eq!(lock.count(), THREADS as u64);
-    assert!(m_mutex.histogram(phase::COLLECT).is_none());
-
-    let m_slots = reg_slots.merged();
-    assert!(m_slots.histogram(phase::LOCK_WAIT).is_none());
-    let collect = m_slots.histogram(phase::COLLECT).expect("collect");
-    assert_eq!(collect.count(), 1);
+    let pilots = metered.injections_executed as u64;
+    let m = reg.merged();
+    assert_eq!(m.histogram(phase::EXEC).expect("exec").count(), pilots);
+    assert_eq!(m.counter(phase::RUNS_FROM_SCRATCH), pilots);
+    assert!(metered
+        .records
+        .iter()
+        .all(|r| r.forensics.is_none() && r.sdc_output.is_none()));
 }
