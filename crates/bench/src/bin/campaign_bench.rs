@@ -26,7 +26,10 @@
 //! per-class rates against the reference campaign's 95% Wilson interval
 //! widened by the adaptive epsilon; `--min-reduction X` additionally
 //! requires the adaptive campaign to stop early with at least an `X`-fold
-//! injection reduction.
+//! injection reduction. The cold compositional pass runs with a metrics
+//! registry installed, and the binary fails when that pass injected
+//! pilots but fast-forwarded none of them (a golden-prefix chain the
+//! compositional driver failed to capture).
 //!
 //! The benchmark profiles one golden run (plain and checkpoint-capturing),
 //! then runs the same GPR campaign twice — every injection re-executed
@@ -49,6 +52,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 use vs_core::workloads::VsWorkload;
 use vs_core::{PipelineConfig, RunScratch};
@@ -57,6 +61,7 @@ use vs_fault::campaign::{self, CampaignConfig, CheckpointPolicy, Workload};
 use vs_fault::compose::{self, CampaignCache, ComposeConfig};
 use vs_fault::spec::RegClass;
 use vs_fault::stats::{outcome_rates, OutcomeClass, OutcomeRates};
+use vs_telemetry::metrics::{self, MetricsRegistry};
 use vs_telemetry::Value;
 use vs_video::{render_input, InputSpec};
 
@@ -344,8 +349,7 @@ fn run_adaptive_bench(
         knee_tol_pp: epsilon_pp / 2.0,
     };
     let threads = o.threads[0];
-    // Compose pilots run from scratch (no checkpoint fast-forward), so
-    // the smoke preset stops each group at a couple of pilots; the full
+    // The smoke preset stops each group at a couple of pilots; the full
     // preset resolves each group to 12pp before the weighted merge.
     let ccfg = if o.smoke {
         ComposeConfig {
@@ -394,9 +398,16 @@ fn run_adaptive_bench(
         Some(p) => CampaignCache::load(p)?,
         None => CampaignCache::new(),
     };
+    // The registry counts how many cold pilots resumed from the chain the
+    // compositional driver captures for itself.
+    let registry = Arc::new(MetricsRegistry::new());
     let t0 = Instant::now();
-    let cold = compose::run_composed_campaign(w, &golden.golden, &ccfg, &mut cache);
+    let cold = {
+        let _m = metrics::install(registry.clone());
+        compose::run_composed_campaign(w, &golden.golden, &ccfg, &mut cache)
+    };
     let cold_secs = t0.elapsed().as_secs_f64();
+    let cold_resumed = registry.merged().counter(campaign::phase::RUNS_RESUMED);
     let t0 = Instant::now();
     let warm = compose::run_composed_campaign(w, &golden.golden, &ccfg, &mut cache);
     let warm_secs = t0.elapsed().as_secs_f64();
@@ -428,11 +439,12 @@ fn run_adaptive_bench(
         epsilon_pp
     );
     println!(
-        "composed  {:>5} injections in {:>6.2}s cold ({}/{} groups injected); warm: {} injections, {} groups",
+        "composed  {:>5} injections in {:>6.2}s cold ({}/{} groups injected, {} resumed); warm: {} injections, {} groups",
         cold.injections_executed,
         cold_secs,
         cold_groups_injected,
         cold.groups.len(),
+        cold_resumed,
         warm.injections_executed,
         warm_groups_injected
     );
@@ -526,6 +538,12 @@ fn run_adaptive_bench(
     if warm_groups_injected != 0 {
         return Err(format!(
             "warm compositional pass re-injected {warm_groups_injected} groups"
+        ));
+    }
+    if cold.injections_executed > 0 && cold_resumed == 0 {
+        return Err(format!(
+            "cold compositional pass ran all {} pilots from scratch: no golden-prefix chain was captured",
+            cold.injections_executed
         ));
     }
     if o.rate_agreement && !agreement_ok {

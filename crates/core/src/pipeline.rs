@@ -10,6 +10,7 @@
 
 use crate::approx::drop_frame;
 use crate::config::{Approximation, PipelineConfig};
+use std::sync::Arc;
 use vs_fault::campaign::Checkpoint;
 use vs_fault::forensics::{self, DigestTrace, Stage};
 use vs_fault::session::{self, TapSnapshot};
@@ -21,7 +22,7 @@ use vs_image::{GrayImage, RgbImage};
 use vs_linalg::{Mat3, Vec2};
 use vs_matching::{Match, RatioMatcher, SimpleMatcher};
 use vs_telemetry::Value;
-use vs_warp::{Canvas, WarpScratch};
+use vs_warp::{Canvas, CanvasPatch, WarpScratch};
 
 /// Counters describing what the pipeline did with its input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -161,23 +162,27 @@ impl RunScratch {
     }
 }
 
-/// Render-phase extension of [`PipelineCheckpoint`]: the canvas as
+/// Render-phase extension of [`PipelineCheckpoint`]: the canvas pixels
 /// composited so far plus every already-finished panorama, so a resumed
 /// run replays only the composites at and after the captured position.
 /// The render phase holds ~90% of a run's taps (the warp pair dominates
 /// the execution profile, Fig 8), so these checkpoints — not the
 /// frame-loop ones — carry most of the campaign fast-forward.
+///
+/// The canvas is stored as a patch chain rather than a copy: a resumed
+/// run re-derives the segment's bounds, resets its canvas (both
+/// tap-free) and replays the patches. Each patch, and the finished
+/// panoramas, are shared by every checkpoint of the segment.
 #[derive(Clone)]
 struct RenderCheckpoint {
     /// Segment being rendered.
     segment: usize,
     /// Composites `0..pos` of that segment are already on the canvas.
     pos: usize,
-    canvas: Canvas,
-    /// Finished panoramas of segments `< segment`.
-    panoramas: Vec<RgbImage>,
-    /// Their origins, in segment order.
-    origins: Vec<Vec2>,
+    /// The pixels composites `0..pos` wrote, in composite order.
+    patches: Vec<Arc<CanvasPatch>>,
+    /// Finished panoramas of segments `< segment`, with their origins.
+    finished: Arc<[(RgbImage, Vec2)]>,
 }
 
 /// Pipeline state at a frame or composite boundary during golden
@@ -290,11 +295,12 @@ impl VideoSummarizer {
         self.run_inner(frames, from, None, scratch)
     }
 
-    /// Run as [`VideoSummarizer::run`] does — tap-for-tap identical —
-    /// while capturing a resumable [`PipelineCheckpoint`] every
-    /// `every_k` frames (at the top of the frame loop, skipping frame
-    /// 0). Meant to run under golden profiling so the checkpoints carry
-    /// meaningful tap counters.
+    /// Run from the start into `scratch` as
+    /// [`VideoSummarizer::run_with`] does — tap-for-tap identical — while
+    /// capturing a resumable [`PipelineCheckpoint`] every `every_k`
+    /// frames (at the top of the frame loop, skipping frame 0) and every
+    /// `every_k` composites of each segment. Meant to run under golden
+    /// profiling so the checkpoints carry meaningful tap counters.
     ///
     /// # Errors
     ///
@@ -303,16 +309,16 @@ impl VideoSummarizer {
         &self,
         frames: &[RgbImage],
         every_k: usize,
-    ) -> Result<(Summary, Vec<PipelineCheckpoint>), SimError> {
+        scratch: &mut RunScratch,
+    ) -> Result<Vec<PipelineCheckpoint>, SimError> {
         let mut checkpoints = Vec::new();
-        let mut scratch = RunScratch::default();
         self.run_inner(
             frames,
             None,
             Some((every_k.max(1), &mut checkpoints)),
-            &mut scratch,
+            scratch,
         )?;
-        Ok((std::mem::take(&mut scratch.summary), checkpoints))
+        Ok(checkpoints)
     }
 
     fn run_inner(
@@ -585,11 +591,11 @@ impl VideoSummarizer {
             scratch.summary.panoramas.push(RgbImage::default());
         }
         // Render fast-forward: a checkpoint captured mid-render carries
-        // the canvas and every finished panorama, so a resumed run
-        // replays only the composites at and after the captured
-        // position. Restores are bit-copies of golden state; the
-        // bounds/reset work they skip is tap-free, keeping the resumed
-        // tap stream exactly on the golden run's.
+        // the canvas pixels composited so far and every finished
+        // panorama, so a resumed run replays only the composites at and
+        // after the captured position. Restores rebuild golden state bit
+        // for bit, and the bounds/reset work they repeat is tap-free,
+        // keeping the resumed tap stream exactly on the golden run's.
         let render_resume = resume.and_then(|ck| ck.render.as_ref());
         let render_span = vs_telemetry::span_with(
             "render_stage",
@@ -599,28 +605,40 @@ impl VideoSummarizer {
             if let Some(rc) = render_resume {
                 if si < rc.segment {
                     let t_restore = vs_telemetry::metrics::start();
-                    scratch.summary.panoramas[si].copy_from(&rc.panoramas[si]);
-                    scratch.summary.panorama_origins.push(rc.origins[si]);
+                    let (pano, origin) = &rc.finished[si];
+                    scratch.summary.panoramas[si].copy_from(pano);
+                    scratch.summary.panorama_origins.push(*origin);
                     push_alignments(&mut scratch.summary.alignments, &scratch.segments[si], si);
                     vs_telemetry::metrics::stop(vs_fault::campaign::phase::RESTORE, t_restore);
                     continue;
                 }
             }
-            let start = match render_resume {
-                Some(rc) if rc.segment == si => {
-                    let t_restore = vs_telemetry::metrics::start();
-                    scratch.canvas.restore_from(&rc.canvas);
+            let resumed = render_resume.filter(|rc| rc.segment == si);
+            let t_restore = resumed.and_then(|_| vs_telemetry::metrics::start());
+            let bounds = segment_bounds(&scratch.segments[si], frames)?;
+            scratch.canvas.reset(&bounds)?;
+            let start = match resumed {
+                Some(rc) => {
+                    for patch in &rc.patches {
+                        scratch.canvas.apply(patch);
+                    }
                     vs_telemetry::metrics::stop(vs_fault::campaign::phase::RESTORE, t_restore);
                     rc.pos
                 }
-                _ => {
-                    let bounds = segment_bounds(&scratch.segments[si], frames)?;
-                    scratch.canvas.reset(&bounds)?;
-                    0
-                }
+                None => 0,
             };
+            // Capture-only state of this segment: the finished panoramas
+            // and the patches composited so far.
+            let finished: Option<Arc<[(RgbImage, Vec2)]>> = capture.is_some().then(|| {
+                scratch.summary.panoramas[..si]
+                    .iter()
+                    .cloned()
+                    .zip(scratch.summary.panorama_origins.iter().copied())
+                    .collect()
+            });
+            let mut written: Vec<Arc<CanvasPatch>> = Vec::new();
             for pos in start..scratch.segments[si].len() {
-                if let Some((every_k, sink)) = capture.as_mut() {
+                if let (Some((every_k, sink)), Some(finished)) = (capture.as_mut(), &finished) {
                     if pos % *every_k == 0 {
                         sink.push(PipelineCheckpoint {
                             next_frame: n,
@@ -632,9 +650,8 @@ impl VideoSummarizer {
                             render: Some(RenderCheckpoint {
                                 segment: si,
                                 pos,
-                                canvas: scratch.canvas.clone(),
-                                panoramas: scratch.summary.panoramas[..si].to_vec(),
-                                origins: scratch.summary.panorama_origins.clone(),
+                                patches: written.clone(),
+                                finished: finished.clone(),
                             }),
                             taps: session::snapshot(),
                             digests: forensics::current_trace(),
@@ -651,6 +668,9 @@ impl VideoSummarizer {
                     &self.config.compositing,
                     &mut scratch.warp,
                 )?;
+                if capture.is_some() {
+                    written.push(Arc::new(scratch.canvas.written_by(&scratch.warp)));
+                }
                 if forensics::enabled() {
                     let mut hd = forensics::hash_fold(0, idx as u64);
                     for v in h.to_rows() {
@@ -1131,8 +1151,9 @@ mod tests {
         let vs = VideoSummarizer::new(PipelineConfig::default());
         let (golden, ckpts, final_taps) = {
             let _g = session::begin_profile();
-            let (s, c) = vs.run_capturing(&frames, 3).unwrap();
-            (s, c, session::report())
+            let mut scratch = RunScratch::default();
+            let c = vs.run_capturing(&frames, 3, &mut scratch).unwrap();
+            (scratch.summary().clone(), c, session::report())
         };
         assert!(
             !ckpts.is_empty(),
@@ -1163,7 +1184,9 @@ mod tests {
     fn checkpoint_capture_respects_interval() {
         let frames = quick_input2(9);
         let vs = VideoSummarizer::new(PipelineConfig::default());
-        let (summary, ckpts) = vs.run_capturing(&frames, 4).unwrap();
+        let mut scratch = RunScratch::default();
+        let ckpts = vs.run_capturing(&frames, 4, &mut scratch).unwrap();
+        let summary = scratch.summary();
         let frame_at: Vec<usize> = ckpts
             .iter()
             .filter(|c| !c.is_render())

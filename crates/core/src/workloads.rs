@@ -66,13 +66,15 @@ impl Workload for VsWorkload {
         Ok(&scratch.summary().panoramas)
     }
 
-    fn run_capturing(
+    fn run_capturing<'w>(
         &self,
+        scratch: &'w mut RunScratch,
         every_k: usize,
-    ) -> Result<(Self::Output, Vec<PipelineCheckpoint>), SimError> {
-        self.summarizer
-            .run_capturing(&self.frames, every_k)
-            .map(|(s, cks)| (s.panoramas, cks))
+    ) -> Result<(&'w Vec<RgbImage>, Vec<PipelineCheckpoint>), SimError> {
+        let checkpoints = self
+            .summarizer
+            .run_capturing(&self.frames, every_k, scratch)?;
+        Ok((&scratch.summary().panoramas, checkpoints))
     }
 }
 

@@ -28,7 +28,7 @@ use crate::{mix64, state};
 use std::fmt;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use vs_telemetry::metrics;
 
 /// Phase vocabulary of the campaign metrics instrumentation: every
@@ -81,7 +81,8 @@ pub mod phase {
 /// through the [`crate::tap`] functions to be injectable.
 ///
 /// Every run executes into a [`Workload::Workspace`]. Campaign drivers
-/// keep one per worker thread, so a warmed-up run need not allocate.
+/// keep one per worker thread for the whole campaign, so a warmed-up run
+/// need not allocate.
 /// Reuse must be unobservable: a used workspace gives the same tap
 /// stream, error and output as a fresh one, even after a faulted,
 /// panicked or aborted run — so every buffer is reset before its first
@@ -102,8 +103,10 @@ pub trait Workload: Sync {
     /// threads, hence `Sync`; profiling clones it out of the workspace.
     type Output: PartialEq + Clone + Send + Sync + 'static;
 
-    /// Reusable per-worker run state, output included.
-    type Workspace: Default;
+    /// Reusable per-worker run state, output included. `Send` because
+    /// the driver keeps each worker's workspace for the whole campaign
+    /// and hands it to that worker's thread for every batch.
+    type Workspace: Default + Send;
 
     /// Workload state at a capture boundary of the golden run.
     type Checkpoint: Checkpoint;
@@ -123,19 +126,20 @@ pub trait Workload: Sync {
         from: Option<&Self::Checkpoint>,
     ) -> Result<&'w Self::Output, SimError>;
 
-    /// Run from the start, tap for tap as [`Workload::run`] does, while
-    /// capturing a checkpoint every `every_k` workload-defined units
-    /// (frames, for the pipeline), in execution order. The default
-    /// captures none.
+    /// Run from the start into `ws`, tap for tap as [`Workload::run`]
+    /// does, while capturing a checkpoint every `every_k` workload-defined
+    /// units (frames and composites, for the pipeline), in execution
+    /// order. The default captures none.
     ///
     /// # Errors
     ///
     /// As for [`Workload::run`].
-    fn run_capturing(
+    fn run_capturing<'w>(
         &self,
+        ws: &'w mut Self::Workspace,
         _every_k: usize,
-    ) -> Result<(Self::Output, Vec<Self::Checkpoint>), SimError> {
-        Ok((self.run(&mut Default::default(), None)?.clone(), Vec::new()))
+    ) -> Result<(&'w Self::Output, Vec<Self::Checkpoint>), SimError> {
+        Ok((self.run(ws, None)?, Vec::new()))
     }
 }
 
@@ -289,14 +293,11 @@ fn profile<W: Workload>(
     let (output, checkpoints, profile) = {
         // Telemetry-only span bracketing the golden run in driver traces.
         let _stage = vs_telemetry::span("profile_golden");
-        let _guard = session::begin_profile();
-        state::with(|s| s.mask_bits.set(mask.bits()));
+        let mut ws = W::Workspace::default();
+        let _guard = begin_golden(mask);
         let (output, checkpoints) = match every_k {
-            Some(k) => workload.run_capturing(k)?,
-            None => (
-                workload.run(&mut Default::default(), None)?.clone(),
-                Vec::new(),
-            ),
+            Some(k) => workload.run_capturing(&mut ws, k)?,
+            None => (workload.run(&mut ws, None)?, Vec::new()),
         };
         let profile = session::snapshot();
         vs_telemetry::emit(
@@ -315,7 +316,7 @@ fn profile<W: Workload>(
                 ("instr_total", vs_telemetry::Value::U64(profile.instr.total)),
             ],
         );
-        (output, checkpoints, profile)
+        (output.clone(), checkpoints, profile)
     };
     let digests = recorder.map(|r| {
         let trace = forensics::current_trace();
@@ -338,6 +339,38 @@ fn profile<W: Workload>(
         },
         checkpoints,
     })
+}
+
+/// Begin the counting session of a golden run, with fault eligibility
+/// confined to `mask`.
+fn begin_golden(mask: FuncMask) -> session::SessionGuard {
+    let guard = session::begin_profile();
+    state::with(|s| s.mask_bits.set(mask.bits()));
+    guard
+}
+
+/// The golden-prefix chain of a driver whose golden run carries none
+/// (the pruned and compositional campaigns): re-run the golden run into
+/// `ws` under `golden.mask`, capturing a checkpoint at every unit (k =
+/// 1). The chain is kept only if the re-run reproduces `golden.output`
+/// and `golden.profile` exactly, so it cannot move a record; otherwise it
+/// is empty and every run starts from scratch. Unlike the profilers it
+/// emits no `golden_profile` event; the grouped drivers attribute
+/// nothing, so the checkpoints' digest traces go unused.
+pub(crate) fn capture_chain<W: Workload>(
+    workload: &W,
+    golden: &GoldenRun<W::Output>,
+    ws: &mut W::Workspace,
+) -> Vec<W::Checkpoint> {
+    let _guard = begin_golden(golden.mask);
+    match workload.run_capturing(ws, 1) {
+        Ok((output, chain))
+            if *output == golden.output && session::snapshot() == golden.profile =>
+        {
+            chain
+        }
+        _ => Vec::new(),
+    }
 }
 
 /// Outcome of one injected run — the paper's four classes, with crashes
@@ -539,15 +572,18 @@ pub(crate) struct Plan<'a, W: Workload> {
     /// Golden digest trace to attribute every completed run against;
     /// `Some` arms the forensic recorder, which slows each run.
     pub digests: Option<DigestTrace>,
+    /// One workspace per worker, kept across [`Plan::drive`] calls so a
+    /// batch starts warm (grown to the thread count on first use).
+    pub workspaces: Mutex<Vec<W::Workspace>>,
 }
 
 impl<W: Workload> Plan<'_, W> {
     /// The campaign driver: execute runs `runs` across thread-striped
     /// workers, `draw(i)` giving run `i`'s fault, and return their
     /// records in index order. Worker `t` takes the `t`-th, `t +
-    /// threads`-th, ... run and owns one workspace for its whole stripe,
-    /// so the records do not depend on the thread count. `monitor`, if
-    /// any, records every classified run.
+    /// threads`-th, ... run into workspace `t`, so the records do not
+    /// depend on the thread count. `monitor`, if any, records every
+    /// classified run.
     ///
     /// When a [`metrics::MetricsRegistry`] is installed on the calling
     /// thread, every worker is armed for lock-free metrics collection
@@ -574,21 +610,29 @@ impl<W: Workload> Plan<'_, W> {
         let registry = metrics::registry();
         let registry = registry.as_deref();
         let draw = &draw;
+        let mut workspaces = self
+            .workspaces
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if workspaces.len() < threads {
+            workspaces.resize_with(threads, Default::default);
+        }
         let stripes: Vec<Vec<Injection<W::Output>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
+            let handles: Vec<_> = workspaces[..threads]
+                .iter_mut()
+                .enumerate()
+                .map(|(t, ws)| {
                     let stripe = (runs.start + t..runs.end).step_by(threads);
                     scope.spawn(move || {
                         let armed = registry.map(|_| metrics::arm());
                         let wall = metrics::start();
-                        let mut ws = W::Workspace::default();
                         let records = stripe
                             .map(|i| {
                                 let t_draw = metrics::start();
                                 let spec = draw(i);
                                 let from = self.resume_point(&spec);
                                 metrics::stop(phase::DRAW, t_draw);
-                                let rec = self.execute(from, spec, budget, i, &mut ws);
+                                let rec = self.execute(from, spec, budget, i, ws);
                                 if let Some(m) = monitor {
                                     m.record(&rec);
                                 }
@@ -608,6 +652,7 @@ impl<W: Workload> Plan<'_, W> {
                 .map(|h| h.join().expect("campaign worker panicked"))
                 .collect()
         });
+        drop(workspaces);
         // Interleave the stripes back into index order: run `j` is the
         // next record of stripe `j % threads`.
         let scatter_start = registry.map(|_| std::time::Instant::now());
@@ -624,11 +669,13 @@ impl<W: Workload> Plan<'_, W> {
     }
 
     /// The latest checkpoint whose prefix ends at or before `spec`'s
-    /// tap, or `None` when the run must start from scratch.
+    /// tap, counted in the spec's own index space (its group's taps for
+    /// a group-confined spec), or `None` when the run must start from
+    /// scratch.
     fn resume_point(&self, spec: &FaultSpec) -> Option<&W::Checkpoint> {
         let usable = self
             .checkpoints
-            .partition_point(|c| c.tap_snapshot().eligible(spec.class) <= spec.tap_index);
+            .partition_point(|c| c.tap_snapshot().consumed(spec) <= spec.tap_index);
         usable.checked_sub(1).map(|j| &self.checkpoints[j])
     }
 
@@ -753,6 +800,7 @@ pub(crate) fn run_batches<W: Workload>(
         threads: cfg.threads,
         keep_sdc: cfg.keep_sdc_outputs,
         digests: golden.digests,
+        workspaces: Mutex::default(),
     };
     let mut records = Vec::new();
     while records.len() < cfg.injections {
@@ -906,13 +954,14 @@ mod tests {
             Ok(ws.insert(self.exec(from, None)?))
         }
 
-        fn run_capturing(
+        fn run_capturing<'w>(
             &self,
+            ws: &'w mut Self::Workspace,
             every_k: usize,
-        ) -> Result<((u64, u64), Vec<ToyCheckpoint>), SimError> {
+        ) -> Result<(&'w (u64, u64), Vec<ToyCheckpoint>), SimError> {
             let mut checkpoints = Vec::new();
             let out = self.exec(None, Some((every_k, &mut checkpoints)))?;
-            Ok((out, checkpoints))
+            Ok((ws.insert(out), checkpoints))
         }
     }
 
@@ -1036,6 +1085,62 @@ mod tests {
                 assert_eq!(a, b, "class {class} threads {threads}");
             }
         }
+    }
+
+    /// Group-confined pilots resume from the latest checkpoint whose
+    /// count of *their group's* taps lies at or before their tap, and
+    /// replay the from-scratch records exactly: one pilot stream per
+    /// populated group of Toy, at 1 and 4 threads.
+    #[test]
+    fn grouped_pilots_resume_by_group_prefix() {
+        let ck = profile_golden_checkpointed(&Toy, CheckpointPolicy::EveryKFrames(5)).unwrap();
+        let groups = crate::pruning::site_groups(&ck.golden);
+        assert_eq!(groups.len(), 3, "Toy's data, address and control taps");
+        let plan = |checkpoints, threads| Plan {
+            workload: &Toy,
+            golden: &ck.golden,
+            checkpoints,
+            hang_factor: 16,
+            threads,
+            keep_sdc: false,
+            digests: None,
+            workspaces: Mutex::default(),
+        };
+        let fingerprint = |recs: &[Injection<(u64, u64)>]| -> Vec<_> {
+            recs.iter().map(|r| (r.spec, r.fired, r.outcome)).collect()
+        };
+        let mut resumed_somewhere = false;
+        for group in &groups {
+            let draw = |i: usize| group.pilot(crate::mix64(0x9e0 ^ i as u64));
+            let scratch = plan(&[], 1).drive(0..60, draw, None);
+            // Pilots whose group tap lies at or after the first
+            // checkpoint's group count must resume.
+            let resumable = (0..60)
+                .filter(|&i| {
+                    let spec = draw(i);
+                    spec.tap_index >= ck.checkpoints[0].taps.consumed(&spec)
+                })
+                .count() as u64;
+            resumed_somewhere |= resumable > 0;
+            for threads in [1, 4] {
+                let reg = std::sync::Arc::new(metrics::MetricsRegistry::new());
+                let fast = {
+                    let _g = metrics::install(reg.clone());
+                    plan(&ck.checkpoints, threads).drive(0..60, draw, None)
+                };
+                assert_eq!(
+                    fingerprint(&scratch),
+                    fingerprint(&fast),
+                    "{:?}/{:?} at {threads} threads",
+                    group.func,
+                    group.op
+                );
+                let m = reg.merged();
+                assert_eq!(m.counter(phase::RUNS_RESUMED), resumable);
+                assert_eq!(m.counter(phase::RUNS_FROM_SCRATCH), 60 - resumable);
+            }
+        }
+        assert!(resumed_somewhere);
     }
 
     /// A workload whose only taps are loop bounds: corrupting them upward
@@ -1384,6 +1489,7 @@ mod tests {
             threads: 1,
             keep_sdc: true,
             digests: None,
+            workspaces: Mutex::default(),
         };
         // Flip a high bit of the single control tap: guaranteed huge bound.
         let recs = plan.drive(0..1, |_| FaultSpec::new(RegClass::Gpr, 0, 40), None);

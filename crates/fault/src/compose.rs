@@ -31,7 +31,7 @@
 //! `campaign_bench` checks this empirically against a full fixed-budget
 //! campaign.
 
-use crate::campaign::{GoldenRun, Injection, Plan, Workload};
+use crate::campaign::{self, GoldenRun, Injection, Plan, Workload};
 use crate::forensics::{DigestTrace, Stage};
 use crate::func::{FuncId, OpClass};
 use crate::pruning::{self, SiteGroup};
@@ -40,6 +40,7 @@ use crate::stats::{outcome_rates, OutcomeCounts, OutcomeRates};
 use crate::{adaptive, mix64};
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Mutex;
 
 /// Sampling parameters for the injected (cache-miss) groups of a
 /// composed campaign.
@@ -342,6 +343,12 @@ fn pilot_spec(seed: u64, group: &SiteGroup, p: usize) -> FaultSpec {
 /// `cache`, so running twice against an unchanged golden run executes
 /// zero injections the second time.
 ///
+/// When any group misses the cache, the call first re-runs the golden
+/// run to capture its own golden-prefix chain (a checkpoint at every
+/// frame and composite, for the pipeline), and every pilot resumes from
+/// the latest checkpoint before its fault. Records are the ones
+/// from-scratch pilots give.
+///
 /// # Panics
 ///
 /// Panics if `golden` carries no forensic digest trace (profile with
@@ -362,34 +369,48 @@ pub fn run_composed_campaign<W: Workload>(
         !groups.is_empty(),
         "no populated GPR site groups in the golden profile"
     );
+    let config_digest = cfg.digest();
+    let lookups: Vec<(u64, Option<OutcomeCounts>)> = groups
+        .iter()
+        .map(|group| {
+            let key = group_key(config_digest, digests, group);
+            let cached = cache
+                .get(key)
+                .filter(|e| {
+                    e.func == group.func && e.op == group.op && e.population == group.population
+                })
+                .map(|e| e.counts);
+            (key, cached)
+        })
+        .collect();
+    let mut ws = W::Workspace::default();
+    let chain = if lookups.iter().any(|(_, cached)| cached.is_none()) {
+        campaign::capture_chain(workload, golden, &mut ws)
+    } else {
+        Vec::new()
+    };
     // Pilots are group-confined and never attributed: the stage digests
-    // key the cache, they do not arm the forensic recorder.
+    // key the cache, they do not arm the forensic recorder. The capture
+    // warmed the first worker's workspace.
     let plan = Plan {
         workload,
         golden,
-        checkpoints: &[],
+        checkpoints: &chain,
         hang_factor: cfg.hang_factor,
         threads: cfg.threads,
         keep_sdc: false,
         digests: None,
+        workspaces: Mutex::new(vec![ws]),
     };
-    let config_digest = cfg.digest();
 
     let mut group_outcomes = Vec::with_capacity(groups.len());
     let mut records = Vec::new();
     let mut injections_executed = 0usize;
     let mut reused_groups = 0usize;
 
-    for group in &groups {
-        let key = group_key(config_digest, digests, group);
-        let cached = cache
-            .get(key)
-            .filter(|e| {
-                e.func == group.func && e.op == group.op && e.population == group.population
-            })
-            .copied();
+    for (group, &(key, cached)) in groups.iter().zip(&lookups) {
         let (counts, reused) = match cached {
-            Some(entry) => (entry.counts, true),
+            Some(counts) => (counts, true),
             None => {
                 let fresh = inject_group(&plan, cfg, group, records.len());
                 let mut counts = OutcomeCounts::default();

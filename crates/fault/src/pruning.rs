@@ -16,12 +16,13 @@
 //! combines the per-group outcome rates into a population-weighted
 //! estimate of the full-campaign rates.
 
-use crate::campaign::{GoldenRun, Injection, Plan, Workload};
+use crate::campaign::{self, GoldenRun, Injection, Plan, Workload};
 use crate::func::{FuncId, OpClass};
 use crate::mix64;
 use crate::session::group_index;
 use crate::spec::{FaultSpec, RegClass, REG_BITS};
 use crate::stats::{outcome_rates, OutcomeRates};
+use std::sync::Mutex;
 
 /// One populated `(function, op-class)` site group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,6 +118,11 @@ pub struct PrunedResult<O> {
 /// injections into each populated site group, population-weighted
 /// aggregation.
 ///
+/// The call first re-runs the golden run to capture its own
+/// golden-prefix chain (a checkpoint at every frame and composite, for
+/// the pipeline), and every pilot resumes from the latest checkpoint
+/// before its fault. Records are the ones from-scratch pilots give.
+///
 /// # Panics
 ///
 /// Panics if the golden profile has no eligible GPR taps.
@@ -130,14 +136,17 @@ pub fn run_pruned_campaign<W: Workload>(
         !groups.is_empty(),
         "no populated GPR site groups in the golden profile"
     );
+    let mut ws = W::Workspace::default();
+    let chain = campaign::capture_chain(workload, golden, &mut ws);
     let plan = Plan {
         workload,
         golden,
-        checkpoints: &[],
+        checkpoints: &chain,
         hang_factor: cfg.hang_factor,
         threads: 1,
         keep_sdc: false,
         digests: None,
+        workspaces: Mutex::new(vec![ws]),
     };
 
     let mut per_group = Vec::with_capacity(groups.len());

@@ -84,6 +84,17 @@ impl TapSnapshot {
             RegClass::Fpr => self.eligible_fpr,
         }
     }
+
+    /// Taps of `spec`'s index space counted up to the snapshot: its
+    /// group's eligible taps for a group-confined GPR spec, its class's
+    /// eligible taps otherwise. A run armed with `spec` may resume after
+    /// this prefix only if `spec.tap_index` is at least this count.
+    pub fn consumed(&self, spec: &FaultSpec) -> u64 {
+        match (spec.class, spec.group) {
+            (RegClass::Gpr, Some((func, op))) => self.gpr_groups[group_index(func, op)],
+            (class, _) => self.eligible(class),
+        }
+    }
 }
 
 /// Whether an instrumentation session (profile or injection) is active
@@ -206,13 +217,14 @@ pub fn begin_profile_at(base: &TapSnapshot) -> SessionGuard {
 
 /// Begin an injection session that resumes after a golden prefix: the
 /// tap and instruction counters start at `base`, so `spec.tap_index`
-/// keeps its meaning in the whole-run eligible-tap stream.
+/// keeps its meaning in the whole-run eligible-tap stream (or, for a
+/// group-confined spec, in its group's stream).
 ///
 /// # Panics
 ///
 /// Panics if a session is already active on this thread, or if the armed
-/// fault's tap index lies inside the skipped prefix (the fault would
-/// silently never fire).
+/// fault's tap index lies inside the skipped prefix
+/// ([`TapSnapshot::consumed`]; the fault would silently never fire).
 #[must_use = "the session ends when the guard is dropped"]
 pub fn begin_injection_at(
     spec: FaultSpec,
@@ -221,10 +233,10 @@ pub fn begin_injection_at(
     base: &TapSnapshot,
 ) -> SessionGuard {
     assert!(
-        spec.tap_index >= base.eligible(spec.class),
-        "fault tap {} lies inside the skipped prefix ({} eligible {} taps)",
+        spec.tap_index >= base.consumed(&spec),
+        "fault tap {} lies inside the skipped prefix ({} {} taps of its index space)",
         spec.tap_index,
-        base.eligible(spec.class),
+        base.consumed(&spec),
         spec.class,
     );
     let guard = begin_injection(spec, mask, budget);
@@ -276,7 +288,7 @@ impl Drop for SessionGuard {
 mod tests {
     use super::*;
     use crate::tap;
-    use crate::FuncId;
+    use crate::{FuncId, OpClass};
 
     #[test]
     fn guard_drop_resets_everything() {
@@ -358,6 +370,48 @@ mod tests {
             instr: InstrCounts::default(),
         };
         let spec = FaultSpec::new(RegClass::Gpr, 3, 0);
+        let _g = begin_injection_at(spec, FuncMask::all(), u64::MAX, &base);
+    }
+
+    /// A prefix of 4 data taps and 3 address taps, all in `Other`.
+    fn mixed_prefix() -> TapSnapshot {
+        let _g = begin_profile();
+        let _f = tap::scope(FuncId::Other);
+        for i in 0..4u64 {
+            let _ = tap::gpr(i);
+        }
+        for i in 0..3 {
+            let _ = tap::addr(i);
+        }
+        snapshot()
+    }
+
+    #[test]
+    fn injection_at_counts_grouped_taps_in_their_group() {
+        let base = mixed_prefix();
+        assert_eq!(base.eligible_gpr, 7);
+        // Address tap 3 is the first address tap after the prefix, even
+        // though the class has already counted 7 eligible taps.
+        let spec = FaultSpec {
+            group: Some((FuncId::Other, OpClass::Addr)),
+            ..FaultSpec::new(RegClass::Gpr, 3, 0)
+        };
+        assert_eq!(base.consumed(&spec), 3);
+        let _g = begin_injection_at(spec, FuncMask::all(), u64::MAX, &base);
+        let _f = tap::scope(FuncId::Other);
+        assert_eq!(tap::gpr(8), 8, "data taps are outside the group");
+        assert_eq!(tap::addr(8), 9, "the group's tap 3 must corrupt bit 0");
+        assert!(report().fired.is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "inside the skipped prefix")]
+    fn injection_at_rejects_grouped_prefix_faults() {
+        let base = mixed_prefix();
+        let spec = FaultSpec {
+            group: Some((FuncId::Other, OpClass::Addr)),
+            ..FaultSpec::new(RegClass::Gpr, 2, 0)
+        };
         let _g = begin_injection_at(spec, FuncMask::all(), u64::MAX, &base);
     }
 

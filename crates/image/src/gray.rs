@@ -61,16 +61,6 @@ impl GrayImage {
         self.data.capacity()
     }
 
-    /// Overwrite this image with a bit-copy of `src`, reusing the
-    /// existing buffer whenever its capacity suffices — the
-    /// allocation-free counterpart of `clone` for recycled workspaces.
-    pub fn copy_from(&mut self, src: &GrayImage) {
-        self.width = src.width;
-        self.height = src.height;
-        self.data.clear();
-        self.data.extend_from_slice(&src.data);
-    }
-
     /// Build an image by evaluating `f(x, y)` for every pixel.
     pub fn from_fn(width: usize, height: usize, mut f: impl FnMut(usize, usize) -> u8) -> Self {
         let mut img = GrayImage::new(width, height);

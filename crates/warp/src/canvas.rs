@@ -38,6 +38,19 @@ pub struct CompositeOptions {
     pub gain_compensation: bool,
 }
 
+/// The canvas pixels one composite wrote, with their values after it: a
+/// render checkpoint's record of the canvas so far costs only these
+/// bytes, not a whole-canvas copy (see [`Canvas::written_by`] and
+/// [`Canvas::apply`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CanvasPatch {
+    /// `(first pixel index, pixel count)` of each run of written pixels,
+    /// in raster order.
+    runs: Vec<(usize, usize)>,
+    /// RGB bytes of the written pixels, run after run.
+    rgb: Vec<u8>,
+}
+
 /// A panorama accumulation surface.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Canvas {
@@ -99,13 +112,62 @@ impl Canvas {
         self.image.capacity() + self.mask.capacity()
     }
 
-    /// Overwrite this canvas with a bit-copy of `src`, reusing the pixel
-    /// buffers whenever capacity suffices — the allocation-free restore
-    /// path of render-phase checkpoint fast-forward.
-    pub fn restore_from(&mut self, src: &Canvas) {
-        self.image.copy_from(&src.image);
-        self.mask.copy_from(&src.mask);
-        self.origin = src.origin;
+    /// The pixels the last [`Canvas::composite_scratch`] into this canvas
+    /// with `warp` wrote, with their values now. Call it right after that
+    /// composite: the written pixels are the ones `warp`'s coverage mask
+    /// marks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `warp` does not hold a composite of this canvas's size.
+    pub fn written_by(&self, warp: &WarpScratch) -> CanvasPatch {
+        let written = warp.mask.as_bytes();
+        assert_eq!(
+            written.len(),
+            self.mask.as_bytes().len(),
+            "warp scratch holds no composite of this canvas"
+        );
+        let rgb = self.image.as_bytes();
+        let pixels = written.iter().filter(|&&m| m == 255).count();
+        let mut patch = CanvasPatch {
+            runs: Vec::new(),
+            rgb: Vec::with_capacity(3 * pixels),
+        };
+        let mut i = 0;
+        while i < written.len() {
+            if written[i] != 255 {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < written.len() && written[i] == 255 {
+                i += 1;
+            }
+            patch.runs.push((start, i - start));
+            patch.rgb.extend_from_slice(&rgb[3 * start..3 * i]);
+        }
+        patch.runs.shrink_to_fit();
+        patch
+    }
+
+    /// Replay a recorded patch: write its pixels and mark them covered.
+    /// Applying a segment's patches in order to a canvas freshly
+    /// [`Canvas::reset`] to the segment's bounds rebuilds the canvas as
+    /// composited.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the patch does not fit this canvas (it was recorded on a
+    /// canvas of another size).
+    pub fn apply(&mut self, patch: &CanvasPatch) {
+        let mut at = 0;
+        let image = self.image.as_bytes_mut();
+        let mask = self.mask.as_bytes_mut();
+        for &(start, len) in &patch.runs {
+            image[3 * start..3 * (start + len)].copy_from_slice(&patch.rgb[at..at + 3 * len]);
+            mask[start..start + len].fill(255);
+            at += 3 * len;
+        }
     }
 
     /// World coordinate of canvas pixel `(0, 0)`.
@@ -507,6 +569,65 @@ mod tests {
         )
         .unwrap();
         assert_eq!(raw.image().get(12, 8), Some([160, 160, 160]));
+    }
+
+    #[test]
+    fn patch_chain_rebuilds_every_composite() {
+        // Overlapping frames of different brightness on a tilted path,
+        // so every composite overwrites, blends or re-gains earlier ones.
+        let frames: Vec<(RgbImage, Mat3)> = (0..5u8)
+            .map(|k| {
+                let img = RgbImage::from_fn(18, 14, |x, y| {
+                    [40 + 30 * k, (x * 9) as u8, (y * 11) as u8 ^ (k * 17)]
+                });
+                let h = Mat3::translation(4.0 * k as f64, 2.5 * k as f64)
+                    * Mat3::rotation(0.04 * k as f64);
+                (img, h)
+            })
+            .collect();
+        let area = bounds(-3.0, -3.0, 45.0, 32.0);
+        for opts in [
+            CompositeOptions::default(),
+            CompositeOptions {
+                blend: BlendMode::Feather,
+                gain_compensation: false,
+            },
+            CompositeOptions {
+                blend: BlendMode::Overwrite,
+                gain_compensation: true,
+            },
+            CompositeOptions {
+                blend: BlendMode::Feather,
+                gain_compensation: true,
+            },
+        ] {
+            let mut canvas = Canvas::new(&area).unwrap();
+            let mut warp = WarpScratch::default();
+            let mut patches = Vec::new();
+            // A dirty canvas of another size, re-targeted before each
+            // replay, as a resumed campaign run's workspace would be.
+            let mut replayed = Canvas::new(&bounds(0.0, 0.0, 7.0, 9.0)).unwrap();
+            for (img, h) in &frames {
+                canvas.composite_scratch(img, h, &opts, &mut warp).unwrap();
+                patches.push(canvas.written_by(&warp));
+                replayed.reset(&area).unwrap();
+                for p in &patches {
+                    replayed.apply(p);
+                }
+                assert_eq!(
+                    replayed,
+                    canvas,
+                    "{opts:?} after {} composites",
+                    patches.len()
+                );
+            }
+            // The chain costs less than one whole canvas per composite.
+            let chain: usize = patches
+                .iter()
+                .map(|p| 16 * p.runs.len() + p.rgb.len())
+                .sum();
+            assert!(chain < patches.len() * canvas.footprint());
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@
 mod canvas;
 mod simd;
 
-pub use canvas::{BlendMode, Canvas, CompositeOptions};
+pub use canvas::{BlendMode, Canvas, CanvasPatch, CompositeOptions};
 
 /// Reusable warp destination + coverage-mask buffers for
 /// [`Canvas::composite_scratch`] (and any caller of

@@ -9,13 +9,15 @@
 //! records: `Debug` and `Display` text is free to change while the
 //! records it describes stay the same.
 
+use std::sync::Arc;
 use video_summarization::prelude::*;
 use vs_core::workloads::VsWorkload;
 use vs_fault::adaptive::{self, AdaptiveConfig};
-use vs_fault::campaign::{CheckpointPolicy, Injection};
+use vs_fault::campaign::{phase, CheckpointPolicy, Injection};
 use vs_fault::compose::{self, CampaignCache, ComposeConfig};
 use vs_fault::mix64;
 use vs_fault::pruning::{self, PrunedConfig};
+use vs_telemetry::metrics::{self, MetricsRegistry};
 
 const SEED: u64 = 0x9E_C0DE;
 
@@ -140,4 +142,33 @@ fn composed_cold_campaign_is_pinned() {
     let res = compose::run_composed_campaign(&w, &golden, &cfg, &mut CampaignCache::new());
     assert_eq!(res.reused_groups, 0, "a cold pass injects every group");
     assert_digest("composed cold", &res.records, 0xfcac_6e4b_1ec1_24e9);
+}
+
+/// A pruned campaign on a golden run profiled under a function mask:
+/// pilots fire only inside the mask, and they resume from the chain the
+/// pruned driver captures for itself. That chain is kept only if its
+/// re-run reproduces the golden profile, which it does only under the
+/// golden run's mask.
+#[test]
+fn masked_pruned_campaign_is_pinned() {
+    let w = workload();
+    let mask = FuncMask::only(&[FuncId::WarpPerspective, FuncId::RemapBilinear]);
+    let golden = campaign::profile_golden_masked(&w, mask).unwrap();
+    let cfg = PrunedConfig {
+        total_pilots: 24,
+        min_pilots_per_group: 1,
+        seed: SEED,
+        hang_factor: 16,
+    };
+    let registry = Arc::new(MetricsRegistry::new());
+    let res = {
+        let _m = metrics::install(registry.clone());
+        pruning::run_pruned_campaign(&w, &golden, &cfg)
+    };
+    assert!(registry.merged().counter(phase::RUNS_RESUMED) > 0);
+    assert!(res
+        .records
+        .iter()
+        .all(|r| r.fired.is_none_or(|f| mask.contains(f.func))));
+    assert_digest("masked pruned", &res.records, 0x6654_c5b1_c901_e323);
 }

@@ -105,8 +105,9 @@ fn checkpointed_campaigns_are_identical_with_metrics_registry_installed() {
 
 /// Compose pilots run on the campaign executor too: a cold composed
 /// pass produces identical records with a registry installed, records
-/// one `exec` sample per pilot, and keeps its records free of forensic
-/// payloads and retained outputs.
+/// one `exec` sample per pilot, fast-forwards pilots from the golden
+/// chain it captures (timing their restores), and keeps its records
+/// free of forensic payloads and retained outputs.
 #[test]
 fn composed_pilots_are_identical_with_metrics_registry_installed() {
     let w = workload();
@@ -135,7 +136,18 @@ fn composed_pilots_are_identical_with_metrics_registry_installed() {
     let pilots = metered.injections_executed as u64;
     let m = reg.merged();
     assert_eq!(m.histogram(phase::EXEC).expect("exec").count(), pilots);
-    assert_eq!(m.counter(phase::RUNS_FROM_SCRATCH), pilots);
+    assert_eq!(
+        m.counter(phase::RUNS_RESUMED) + m.counter(phase::RUNS_FROM_SCRATCH),
+        pilots
+    );
+    assert!(
+        m.counter(phase::RUNS_RESUMED) > 0,
+        "compose pilots must resume from the captured chain"
+    );
+    assert!(
+        m.histogram(phase::RESTORE).is_some(),
+        "resumed pilots must time checkpoint restore"
+    );
     assert!(metered
         .records
         .iter()
