@@ -75,12 +75,16 @@ pub fn assign_orientations_mut(
         let xi = kp.x.round() as isize;
         let yi = kp.y.round() as isize;
         let r2 = r.saturating_mul(r);
+        // Row width 2r + 1, wrapping as the native loop-bound arithmetic
+        // does: a corrupted radius near 2^62 charges the same (huge)
+        // count in every build profile instead of panicking in debug.
+        let width = r.max(0).wrapping_mul(2).wrapping_add(1) as u64;
         let mut m01 = 0.0f64;
         let mut m10 = 0.0f64;
         let mut dy = -r;
         while dy <= r {
-            tap::work(OpClass::IntAlu, (2 * r.max(0) + 1) as u64)?;
-            tap::work(OpClass::Mem, (2 * r.max(0) + 1) as u64)?;
+            tap::work(OpClass::IntAlu, width)?;
+            tap::work(OpClass::Mem, width)?;
             let mut dx = -r;
             while dx <= r {
                 if dx.saturating_mul(dx).saturating_add(dy.saturating_mul(dy)) <= r2 {
@@ -167,6 +171,32 @@ mod tests {
             assert_eq!(a.response, b.response);
         }
         assert!(out[0].angle.abs() < 0.2);
+    }
+
+    /// Every bit of a corrupted patch radius ends in a modeled outcome
+    /// under every build profile. Bit 62 overflows the row width
+    /// 2r + 1, which must wrap into a hang (as release builds always
+    /// did), not panic under debug assertions.
+    #[test]
+    fn corrupted_radius_never_panics() {
+        use vs_fault::{session, FaultSpec, FuncMask, RegClass};
+        let img = GrayImage::from_fn(32, 32, |x, y| (x * 7 + y * 3) as u8);
+        for bit in 0..64u8 {
+            let spec = FaultSpec {
+                group: Some((FuncId::OrbOrientation, OpClass::Control)),
+                ..FaultSpec::new(RegClass::Gpr, 0, bit)
+            };
+            let mut kps = [KeyPoint::new(16, 16, 1.0)];
+            let _session = session::begin_injection(spec, FuncMask::all(), 1_000_000);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                assign_orientations_mut(&img, &mut kps)
+            }));
+            assert!(session::report().fired.is_some(), "bit {bit}: never fired");
+            let result = result.unwrap_or_else(|_| panic!("bit {bit} panicked"));
+            if bit == 62 {
+                assert_eq!(result, Err(SimError::Hang));
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! The choice is cached in a `OnceLock`, so per-call dispatch is a load
 //! and a jump. Campaign record equality across levels is enforced by
 //! `scripts/verify.sh`, which replays the same campaign under `scalar`,
-//! `swar`, and `auto` in separate processes and diffs the records.
+//! `swar`, `sse2` (on x86_64) and `auto` (AVX2 where the CPU has it) in
+//! separate processes and diffs the records.
 
 use std::sync::OnceLock;
 

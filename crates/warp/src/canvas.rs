@@ -263,34 +263,36 @@ impl Canvas {
 
         let _f = tap::scope(FuncId::Blend);
         let w = self.image.width();
+        let len = self.mask.as_bytes().len();
+        let feather = opts.blend == BlendMode::Feather;
         for row in 0..win_h {
             tap::work(OpClass::Mem, 4 * win_w as u64)?;
             tap::work(OpClass::IntAlu, 2 * win_w as u64)?;
             tap::work(OpClass::Control, win_w as u64)?;
             // Address tap on the canvas row base of the store stream.
+            // The canvas is row-major, so patch row `row` is stored as
+            // `w` consecutive pixels from that base: canvas row `row`
+            // when the base is intact (every row off-session), a run
+            // shifted across row boundaries when a fault corrupted it.
+            // Every blend mode writes the run through row slices, up to
+            // the end of the canvas; a covered pixel past it segfaults.
             let canvas_row = tap::addr(row * w);
-            for col in 0..win_w {
-                if patch_mask.get(col, row) != Some(255) {
-                    continue;
+            let fit = len.saturating_sub(canvas_row).min(w);
+            let (at, to) = (row * w, canvas_row.min(len));
+            let covered = &patch_mask.as_bytes()[at..at + w];
+            let src = &patch.as_bytes()[3 * at..3 * (at + fit)];
+            let mask = &mut self.mask.as_bytes_mut()[to..to + fit];
+            let dst = &mut self.image.as_bytes_mut()[3 * to..3 * (to + fit)];
+            let pixels = src.chunks_exact(3).zip(dst.chunks_exact_mut(3));
+            for ((&m, k), (s, d)) in covered[..fit].iter().zip(mask).zip(pixels) {
+                if m == 255 {
+                    let old = (feather && *k == 255).then(|| pixel(d));
+                    d.copy_from_slice(&blend(pixel(s), gain, old));
+                    *k = 255;
                 }
-                let mut p = patch.get(col, row).ok_or(SimError::Segfault)?;
-                if gain != 1.0 {
-                    for c in &mut p {
-                        *c = vs_image::saturate_u8(*c as f64 * gain);
-                    }
-                }
-                let idx = canvas_row + col;
-                let (px, py) = (idx % w, idx / w);
-                if opts.blend == BlendMode::Feather && self.mask.get(px, py) == Some(255) {
-                    let old = self.image.get(px, py).ok_or(SimError::Segfault)?;
-                    for (pc, oc) in p.iter_mut().zip(old) {
-                        *pc = ((*pc as u16 + oc as u16) / 2) as u8;
-                    }
-                }
-                if !self.image.set(px, py, p) {
-                    return Err(SimError::Segfault);
-                }
-                self.mask.set(px, py, 255);
+            }
+            if covered[fit..].contains(&255) {
+                return Err(SimError::Segfault);
             }
         }
         Ok(())
@@ -373,6 +375,28 @@ impl Canvas {
             self.origin.y + min_y as f64,
         ))
     }
+}
+
+/// The first three bytes of `b` as a pixel.
+fn pixel(b: &[u8]) -> [u8; 3] {
+    [b[0], b[1], b[2]]
+}
+
+/// A patch pixel as it lands on the canvas: gain-compensated, then
+/// averaged with the covered canvas pixel `old` when feathering.
+#[inline(always)]
+fn blend(mut p: [u8; 3], gain: f64, old: Option<[u8; 3]>) -> [u8; 3] {
+    if gain != 1.0 {
+        for c in &mut p {
+            *c = vs_image::saturate_u8(*c as f64 * gain);
+        }
+    }
+    if let Some(old) = old {
+        for (pc, oc) in p.iter_mut().zip(old) {
+            *pc = ((*pc as u16 + oc as u16) / 2) as u8;
+        }
+    }
+    p
 }
 
 #[cfg(test)]
@@ -573,34 +597,9 @@ mod tests {
 
     #[test]
     fn patch_chain_rebuilds_every_composite() {
-        // Overlapping frames of different brightness on a tilted path,
-        // so every composite overwrites, blends or re-gains earlier ones.
-        let frames: Vec<(RgbImage, Mat3)> = (0..5u8)
-            .map(|k| {
-                let img = RgbImage::from_fn(18, 14, |x, y| {
-                    [40 + 30 * k, (x * 9) as u8, (y * 11) as u8 ^ (k * 17)]
-                });
-                let h = Mat3::translation(4.0 * k as f64, 2.5 * k as f64)
-                    * Mat3::rotation(0.04 * k as f64);
-                (img, h)
-            })
-            .collect();
+        let frames = tilted_frames();
         let area = bounds(-3.0, -3.0, 45.0, 32.0);
-        for opts in [
-            CompositeOptions::default(),
-            CompositeOptions {
-                blend: BlendMode::Feather,
-                gain_compensation: false,
-            },
-            CompositeOptions {
-                blend: BlendMode::Overwrite,
-                gain_compensation: true,
-            },
-            CompositeOptions {
-                blend: BlendMode::Feather,
-                gain_compensation: true,
-            },
-        ] {
+        for opts in ALL_OPTS {
             let mut canvas = Canvas::new(&area).unwrap();
             let mut warp = WarpScratch::default();
             let mut patches = Vec::new();
@@ -627,6 +626,154 @@ mod tests {
                 .map(|p| 16 * p.runs.len() + p.rgb.len())
                 .sum();
             assert!(chain < patches.len() * canvas.footprint());
+        }
+    }
+
+    /// Overlapping frames of different brightness on a tilted path, so
+    /// every composite overwrites, blends or re-gains earlier ones.
+    fn tilted_frames() -> Vec<(RgbImage, Mat3)> {
+        (0..5u8)
+            .map(|k| {
+                let img = RgbImage::from_fn(18, 14, |x, y| {
+                    [40 + 30 * k, (x * 9) as u8, (y * 11) as u8 ^ (k * 17)]
+                });
+                let h = Mat3::translation(4.0 * k as f64, 2.5 * k as f64)
+                    * Mat3::rotation(0.04 * k as f64);
+                (img, h)
+            })
+            .collect()
+    }
+
+    const ALL_OPTS: [CompositeOptions; 4] = [
+        CompositeOptions {
+            blend: BlendMode::Overwrite,
+            gain_compensation: false,
+        },
+        CompositeOptions {
+            blend: BlendMode::Feather,
+            gain_compensation: false,
+        },
+        CompositeOptions {
+            blend: BlendMode::Overwrite,
+            gain_compensation: true,
+        },
+        CompositeOptions {
+            blend: BlendMode::Feather,
+            gain_compensation: true,
+        },
+    ];
+
+    /// Per-pixel reference for the blend of `warp` onto `before`: each
+    /// covered pixel of patch row `r` is stored at canvas index
+    /// `base(r) + col`, split into `(idx % w, idx / w)`.
+    fn reference_blend(
+        before: &Canvas,
+        warp: &WarpScratch,
+        opts: &CompositeOptions,
+        base: impl Fn(usize) -> usize,
+    ) -> Result<Canvas, SimError> {
+        let mut out = before.clone();
+        let (w, h) = (out.image.width(), out.image.height());
+        let gain = if opts.gain_compensation {
+            before.exposure_gain(&warp.patch, &warp.mask)
+        } else {
+            1.0
+        };
+        for row in 0..h {
+            for col in 0..w {
+                if warp.mask.get(col, row) != Some(255) {
+                    continue;
+                }
+                let mut p = warp.patch.get(col, row).unwrap();
+                for c in &mut p {
+                    *c = vs_image::saturate_u8(*c as f64 * gain);
+                }
+                let idx = base(row) + col;
+                let (x, y) = (idx % w, idx / w);
+                if y >= h {
+                    return Err(SimError::Segfault);
+                }
+                if opts.blend == BlendMode::Feather && out.mask.get(x, y) == Some(255) {
+                    let old = out.image.get(x, y).unwrap();
+                    for c in 0..3 {
+                        p[c] = ((u16::from(p[c]) + u16::from(old[c])) / 2) as u8;
+                    }
+                }
+                out.image.set(x, y, p);
+                out.mask.set(x, y, 255);
+            }
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn row_slice_blend_matches_per_pixel_reference() {
+        let area = bounds(-3.0, -3.0, 45.0, 32.0);
+        for opts in ALL_OPTS {
+            let mut canvas = Canvas::new(&area).unwrap();
+            let mut warp = WarpScratch::default();
+            let mut gains = Vec::new();
+            for (img, h) in &tilted_frames() {
+                let before = canvas.clone();
+                canvas.composite_scratch(img, h, &opts, &mut warp).unwrap();
+                let w = canvas.image.width();
+                let want = reference_blend(&before, &warp, &opts, |r| r * w).unwrap();
+                assert_eq!(canvas, want, "{opts:?}");
+                gains.push(before.exposure_gain(&warp.patch, &warp.mask));
+            }
+            assert!(gains.iter().any(|&g| g != 1.0), "no composite re-gains");
+        }
+    }
+
+    /// A fault on one row base of the blend's store stream moves that
+    /// row's stores as the per-pixel reference does: a low bit shifts
+    /// them (wrapping across rows), a high bit sends them off the canvas.
+    #[test]
+    fn corrupted_row_base_matches_per_pixel_reference() {
+        use vs_fault::{session, FaultSpec, FuncMask, RegClass};
+        let area = bounds(-3.0, -3.0, 45.0, 32.0);
+        let frames = tilted_frames();
+        let row = 12;
+        for opts in ALL_OPTS {
+            for bit in [0u8, 1, 3, 40] {
+                let mut canvas = Canvas::new(&area).unwrap();
+                let w = canvas.image.width();
+                for (img, h) in &frames[..3] {
+                    canvas.composite_with(img, h, &opts).unwrap();
+                }
+                let before = canvas.clone();
+                let mut warp = WarpScratch::default();
+                let spec = FaultSpec {
+                    group: Some((FuncId::Blend, OpClass::Addr)),
+                    ..FaultSpec::new(RegClass::Gpr, row as u64, bit)
+                };
+                let got = {
+                    let _s = session::begin_injection(spec, FuncMask::all(), u64::MAX);
+                    let (img, h) = &frames[3];
+                    let got = canvas.composite_scratch(img, h, &opts, &mut warp);
+                    let fired = session::report().fired.expect("fault never fired");
+                    assert_eq!(fired.before, (row * w) as u64);
+                    got
+                };
+                let want = reference_blend(&before, &warp, &opts, |r| {
+                    if r == row {
+                        (r * w) ^ (1 << bit)
+                    } else {
+                        r * w
+                    }
+                });
+                if bit < 32 {
+                    assert_eq!(got, Ok(()), "{opts:?} bit {bit}");
+                    assert_eq!(Ok(&canvas), want.as_ref(), "{opts:?} bit {bit}");
+                    assert_ne!(
+                        canvas,
+                        reference_blend(&before, &warp, &opts, |r| r * w).unwrap()
+                    );
+                } else {
+                    assert_eq!(got, Err(SimError::Segfault), "{opts:?} bit {bit}");
+                    assert_eq!(want.unwrap_err(), SimError::Segfault);
+                }
+            }
         }
     }
 

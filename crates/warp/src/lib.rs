@@ -1014,21 +1014,55 @@ mod proptests {
     }
 
     /// Every available dispatch level — and the band-parallel entry at
-    /// several band counts — produces bit-identical pixels and masks
-    /// across the same transform families the oracle test sweeps.
+    /// several band counts — produces bit-identical pixels and masks:
+    /// on small canvases across the transform families the oracle test
+    /// sweeps, and on canvases much larger than their source at the
+    /// vector samplers' edge cases: coordinates exactly at -1, `sw` and
+    /// `sh`; NaN lanes from a vanishing projective divisor beside valid
+    /// lanes; block tails with `n % 4 != 0`; and a 2×2 source, whose
+    /// texel pairs span it whole.
     #[test]
     fn warp_levels_and_bands_match_scalar_oracle() {
         use vs_image::SimdLevel;
         let mut rng = vs_rng::SplitMix64::new(0x513D_3A12);
-        let src = RgbImage::from_fn(40, 32, |x, y| {
+        let small = RgbImage::from_fn(40, 32, |x, y| {
             [
                 (x * 5 % 256) as u8,
                 (y * 7 % 256) as u8,
                 ((x + 2 * y) % 256) as u8,
             ]
         });
-        let mut refr = (RgbImage::default(), GrayImage::default());
-        let mut got = (RgbImage::default(), GrayImage::default());
+        let mut noise = SplitMix64::new(0x5A3B_1E04);
+        let big = RgbImage::from_fn(160, 120, |_, _| {
+            let v = noise.next_u64();
+            [v as u8, (v >> 8) as u8, (v >> 16) as u8]
+        });
+        let tiny = RgbImage::from_fn(2, 2, |x, y| [(90 * x + 7) as u8, (200 * y) as u8, 255]);
+        // The pole: its divisor vanishes, while the rest of its row maps
+        // to within half a pixel of source (64, 48). The determinant is
+        // -32, so both inversions (here and in `warp_driver`) are exact.
+        let (pole_x, pole_y) = (150.0, 100.0);
+        let pole_inv = Mat3::from_rows([
+            64.0,
+            0.0,
+            -64.0 * pole_x,
+            48.0,
+            1.0,
+            0.5 - 48.0 * pole_x - pole_y,
+            1.0,
+            1.0,
+            -pole_x - pole_y,
+        ]);
+        let pole = pole_inv.inverse().unwrap();
+        assert_eq!(pole.inverse(), Some(pole_inv));
+        // Reference mask values `(x, y, mask)` a case must show. Identity
+        // at origin (-1, -1): destination pixels 0 and sw + 1 (sh + 1)
+        // sample exactly at -1 and sw (sh); sw + 2 lies past the source.
+        let edges = [(0, 0, 255), (161, 121, 255), (162, 60, 0)];
+        // The pole pixel is skipped, its row neighbours are sampled.
+        let poles = [(150, 100, 0), (149, 100, 255), (151, 100, 255)];
+        // (source, transform, origin, width, height, probes)
+        let mut cases = Vec::new();
         for case in 0..40u64 {
             let m = match case % 4 {
                 0 => Mat3::translation(
@@ -1053,14 +1087,82 @@ mod proptests {
                 ]),
             };
             let origin = Vec2::new(rng.gen_range(-6.0f64..6.0), rng.gen_range(-6.0f64..6.0));
-            warp_perspective_offset_into_scalar(&src, &m, 37, 29, origin, &mut refr.0, &mut refr.1)
+            cases.push((&small, m, origin, 37, 29, &[][..]));
+        }
+        for case in 0..24u64 {
+            let (source, m, origin, probes) = match case % 6 {
+                0 => (&big, Mat3::IDENTITY, Vec2::new(-1.0, -1.0), &edges[..]),
+                // Dyadic translations: ties of the rounding.
+                1 => (
+                    &big,
+                    Mat3::translation(
+                        rng.gen_range(-40i32..140) as f64 + 0.5,
+                        rng.gen_range(-30i32..80) as f64 + 0.25,
+                    ),
+                    Vec2::ZERO,
+                    &[][..],
+                ),
+                2 => (
+                    &big,
+                    Mat3::translation(70.0, 40.0)
+                        * Mat3::rotation(rng.gen_range(-3.0f64..3.0))
+                        * Mat3::scaling(rng.gen_range(0.5f64..2.0)),
+                    Vec2::new(rng.gen_range(-8.0f64..8.0), rng.gen_range(-8.0f64..8.0)),
+                    &[][..],
+                ),
+                3 => (
+                    &big,
+                    Mat3::from_rows([
+                        1.0 + rng.gen_range(-0.2f64..0.2),
+                        rng.gen_range(-0.1f64..0.1),
+                        rng.gen_range(0.0f64..100.0),
+                        rng.gen_range(-0.1f64..0.1),
+                        1.0 + rng.gen_range(-0.2f64..0.2),
+                        rng.gen_range(0.0f64..60.0),
+                        rng.gen_range(-0.002f64..0.002),
+                        rng.gen_range(-0.002f64..0.002),
+                        1.0,
+                    ]),
+                    Vec2::ZERO,
+                    &[][..],
+                ),
+                4 => (&big, pole, Vec2::ZERO, &poles[..]),
+                _ => (
+                    &tiny,
+                    Mat3::translation(rng.gen_range(0.0f64..150.0), rng.gen_range(0.0f64..100.0))
+                        * Mat3::rotation(rng.gen_range(-3.0f64..3.0))
+                        * Mat3::scaling(rng.gen_range(8.0f64..90.0)),
+                    Vec2::ZERO,
+                    &[][..],
+                ),
+            };
+            // Widths 301..=303 leave 1-3 scalar tail lanes per row.
+            cases.push((source, m, origin, 301 + (case % 3) as usize, 200, probes));
+        }
+        let mut refr = (RgbImage::default(), GrayImage::default());
+        let mut got = (RgbImage::default(), GrayImage::default());
+        for (case, &(source, m, origin, w, h, probes)) in cases.iter().enumerate() {
+            warp_perspective_offset_into_scalar(source, &m, w, h, origin, &mut refr.0, &mut refr.1)
                 .unwrap();
+            // The edge cases are all on the large canvases, and none may
+            // be vacuous.
+            assert!(
+                w < 300 || refr.1.as_bytes().contains(&255),
+                "case {case} samples nothing"
+            );
+            for &(x, y, want) in probes {
+                assert_eq!(
+                    refr.1.get(x, y),
+                    Some(want),
+                    "case {case}: mask at ({x}, {y})"
+                );
+            }
             for level in SimdLevel::ALL {
                 if !level.available() {
                     continue;
                 }
                 warp_perspective_offset_into_level(
-                    &src, &m, 37, 29, origin, &mut got.0, &mut got.1, level,
+                    source, &m, w, h, origin, &mut got.0, &mut got.1, level,
                 )
                 .unwrap();
                 assert_eq!(got.0, refr.0, "case {case} level {level}: pixels");
@@ -1068,7 +1170,7 @@ mod proptests {
             }
             for bands in [2usize, 3, 4, 64] {
                 warp_perspective_offset_into_bands(
-                    &src, &m, 37, 29, origin, &mut got.0, &mut got.1, bands,
+                    source, &m, w, h, origin, &mut got.0, &mut got.1, bands,
                 )
                 .unwrap();
                 assert_eq!(got.0, refr.0, "case {case} bands={bands}: pixels");

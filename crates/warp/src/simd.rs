@@ -1,17 +1,25 @@
-//! Vectorized coordinate computation for the bilinear warp — the only
-//! `unsafe` code in the warp crate.
+//! Vectorized bilinear warp — the only `unsafe` code in the warp crate.
 //!
 //! The warp's inner loop has two halves: the homogeneous coordinate
 //! transform (`hx/hw`, `hy/hw` — multiply/add/divide chains in f64) and
-//! the bilinear sample/blend/store. The transform is tap-free and
+//! the bilinear sample/store. The transform is tap-free and
 //! elementwise, so it vectorizes exactly: every SSE2/AVX2 lane performs
 //! the same IEEE operations in the same order as the scalar expression
 //! (`inv₀·dx + r1dy + inv₂`, then one correctly-rounded division), so
-//! the coordinates — and therefore every sampled byte — are
-//! bit-identical to [`super::remap_bilinear`]'s uncorrupted path. The
-//! sample/blend half reuses the scalar fast paths (fixed-point blend
-//! for dyadic weights, [`super::round_u8_in_range`] otherwise)
-//! unchanged.
+//! the coordinates are bit-identical to [`super::remap_bilinear`]'s
+//! uncorrupted path.
+//!
+//! The AVX2 tier samples four pixels per step as well
+//! (`x86::sample_avx2`): lanes that fail the finite/range checks are
+//! zeroed before any index math, the texels come from two 32-bit
+//! gathers per source row, and every lane runs the float blend's IEEE
+//! sequence (separate multiply and add, no FMA) with
+//! [`super::round_u8_in_range`]'s `trunc + (v − t ≥ 0.5)` rounding. No
+//! fixed-point branch is needed: for dyadic weights the float path
+//! computes the same bytes (`fixed_point_bilinear_matches_float_path`).
+//! Block tails and the SSE2 tier sample through the scalar
+//! [`sample_pixel`] (the uncorrupted-path body of the instrumented
+//! kernel).
 //!
 //! The per-pixel fault taps (`tap::fpr` on `sx`, `tap::addr` on the
 //! load/store bases, `tap::gpr` on the packed pixel) have no vector
@@ -232,6 +240,148 @@ mod x86 {
         }
         j
     }
+
+    /// Byte `k` of each 32-bit lane of `v`, as four f64 lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn byte_lanes(v: __m128i, k: i32) -> __m256d {
+        let shifted = _mm_srl_epi32(v, _mm_cvtsi32_si128(8 * k));
+        _mm256_cvtepi32_pd(_mm_and_si128(shifted, _mm_set1_epi32(0xff)))
+    }
+
+    /// Four-lane [`super::sample_pixel`] over the coordinate lanes
+    /// `0..n` of a block, for `dst`/`mask` pixels `idx0..idx0 + n`;
+    /// returns how many lanes it sampled (the largest multiple of 4
+    /// ≤ n). Stored bytes equal the scalar sampler's lane for lane.
+    ///
+    /// # Safety
+    ///
+    /// `src` must hold exactly `sh` rows of `row_stride = 3 * sw` bytes,
+    /// with `sw >= 2`, `sh >= 2` and `src.len() <= i32::MAX`.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sample_avx2(
+        src: &[u8],
+        row_stride: usize,
+        sw: usize,
+        sh: usize,
+        sxs: &[f64; BLOCK],
+        sys: &[f64; BLOCK],
+        n: usize,
+        dst: &mut [u8],
+        mask: &mut [u8],
+        idx0: usize,
+    ) -> usize {
+        let zero = _mm256_setzero_pd();
+        let one = _mm256_set1_pd(1.0);
+        let half = _mm256_set1_pd(0.5);
+        let lo = _mm256_set1_pd(-1.0);
+        let swf = _mm256_set1_pd(sw as f64);
+        let shf = _mm256_set1_pd(sh as f64);
+        // The casts are exact: 3 * sw * sh = src.len() ≤ i32::MAX.
+        let xmax = _mm_set1_epi32(sw as i32 - 2);
+        let ymax = _mm_set1_epi32(sh as i32 - 2);
+        let stride = _mm_set1_epi32(row_stride as i32);
+        let texel = _mm_set1_epi32(3);
+        let two = _mm_set1_epi32(2);
+        let src_ptr = src.as_ptr().cast::<i32>();
+        let mut j = 0usize;
+        while j + 4 <= n {
+            // SAFETY: j + 4 ≤ n ≤ BLOCK bounds both 4-lane loads.
+            let (sx, sy) = unsafe {
+                (
+                    _mm256_loadu_pd(sxs.as_ptr().add(j)),
+                    _mm256_loadu_pd(sys.as_ptr().add(j)),
+                )
+            };
+            // The scalar finite and range checks: ordered compares fail
+            // on NaN, and ±inf fails a bound.
+            let valid = _mm256_and_pd(
+                _mm256_and_pd(
+                    _mm256_cmp_pd::<_CMP_GE_OQ>(sx, lo),
+                    _mm256_cmp_pd::<_CMP_GE_OQ>(sy, lo),
+                ),
+                _mm256_and_pd(
+                    _mm256_cmp_pd::<_CMP_LE_OQ>(sx, swf),
+                    _mm256_cmp_pd::<_CMP_LE_OQ>(sy, shf),
+                ),
+            );
+            let lanes = _mm256_movemask_pd(valid);
+            if lanes == 0 {
+                j += 4;
+                continue;
+            }
+            // Invalid lanes become (0, 0) before any index math: they
+            // gather texel (0, 0) and are never stored.
+            let sx = _mm256_and_pd(sx, valid);
+            let sy = _mm256_and_pd(sy, valid);
+            // `as isize` truncation, then the clamp to [0, s - 2].
+            let x0 = _mm_min_epi32(
+                _mm_max_epi32(_mm256_cvttpd_epi32(sx), _mm_setzero_si128()),
+                xmax,
+            );
+            let y0 = _mm_min_epi32(
+                _mm_max_epi32(_mm256_cvttpd_epi32(sy), _mm_setzero_si128()),
+                ymax,
+            );
+            // `clamp(0.0, 1.0)`: the second operand wins ties, as in
+            // the scalar clamp.
+            let fx = _mm256_min_pd(
+                one,
+                _mm256_max_pd(zero, _mm256_sub_pd(sx, _mm256_cvtepi32_pd(x0))),
+            );
+            let fy = _mm256_min_pd(
+                one,
+                _mm256_max_pd(zero, _mm256_sub_pd(sy, _mm256_cvtepi32_pd(y0))),
+            );
+            let base0 = _mm_add_epi32(_mm_mullo_epi32(y0, stride), _mm_mullo_epi32(x0, texel));
+            let base1 = _mm_add_epi32(base0, stride);
+            // SAFETY: x0 ≤ sw - 2 and y0 ≤ sh - 2 give `base0 +
+            // row_stride + 5 ≤ 3·sw·sh - 1`, so the dwords at base0,
+            // base0 + 2, base1 and base1 + 2 (the 6-byte texel pairs of
+            // both rows) lie inside `src`; the offsets fit in i32 since
+            // src.len() ≤ i32::MAX.
+            let (t0, t2, b0, b2) = unsafe {
+                (
+                    _mm_i32gather_epi32::<1>(src_ptr, base0),
+                    _mm_i32gather_epi32::<1>(src_ptr, _mm_add_epi32(base0, two)),
+                    _mm_i32gather_epi32::<1>(src_ptr, base1),
+                    _mm_i32gather_epi32::<1>(src_ptr, _mm_add_epi32(base1, two)),
+                )
+            };
+            let mut packed = _mm_setzero_si128();
+            for c in 0..3 {
+                // Channel c of the left texel is dword byte c at +0; of
+                // the right texel, byte c + 1 at +2.
+                let p00 = byte_lanes(t0, c);
+                let p10 = byte_lanes(t2, c + 1);
+                let p01 = byte_lanes(b0, c);
+                let p11 = byte_lanes(b2, c + 1);
+                let top = _mm256_add_pd(p00, _mm256_mul_pd(_mm256_sub_pd(p10, p00), fx));
+                let bottom = _mm256_add_pd(p01, _mm256_mul_pd(_mm256_sub_pd(p11, p01), fx));
+                let v = _mm256_add_pd(top, _mm256_mul_pd(_mm256_sub_pd(bottom, top), fy));
+                let t = _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(v);
+                let up = _mm256_and_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(_mm256_sub_pd(v, t), half), one);
+                let byte = _mm_and_si128(
+                    _mm256_cvttpd_epi32(_mm256_add_pd(t, up)),
+                    _mm_set1_epi32(0xff),
+                );
+                packed = _mm_or_si128(packed, _mm_sll_epi32(byte, _mm_cvtsi32_si128(8 * c)));
+            }
+            let mut pixels = [0u32; 4];
+            // SAFETY: `pixels` is 16 writable bytes.
+            unsafe { _mm_storeu_si128(pixels.as_mut_ptr().cast(), packed) };
+            for (lane, p) in pixels.iter().enumerate() {
+                if lanes & (1 << lane) != 0 {
+                    let idx = idx0 + j + lane;
+                    dst[idx * 3..idx * 3 + 3].copy_from_slice(&p.to_le_bytes()[..3]);
+                    mask[idx] = 255;
+                }
+            }
+            j += 4;
+        }
+        j
+    }
 }
 
 /// Sample one destination pixel from precomputed source coordinates:
@@ -326,6 +476,12 @@ pub(crate) fn remap_span_bytes(
             return Ok(());
         }
     }
+    // The AVX2 sampler's contract: the image invariant, which
+    // `vs_image::MAX_PIXELS` keeps within 32-bit gather offsets.
+    assert!(
+        src_bytes.len() == row_stride * sh && src_bytes.len() <= i32::MAX as usize,
+        "source bytes disagree with the source dimensions"
+    );
     let mut sxs = [0f64; BLOCK];
     let mut sys = [0f64; BLOCK];
     for y in y0..y1 {
@@ -339,7 +495,31 @@ pub(crate) fn remap_span_bytes(
             fill_coords(
                 &inv_rows, origin.x, dy, r1dy, r4dy, const_hw, x, n, &mut sxs, &mut sys, wide,
             );
-            for j in 0..n {
+            // SAFETY: `wide` is only set when dispatch selected AVX2
+            // (availability-checked); the source contract is asserted
+            // above and `sw, sh >= 2` was checked on entry.
+            #[cfg(target_arch = "x86_64")]
+            let sampled = if wide {
+                unsafe {
+                    x86::sample_avx2(
+                        src_bytes,
+                        row_stride,
+                        sw,
+                        sh,
+                        &sxs,
+                        &sys,
+                        n,
+                        dst_band,
+                        mask_band,
+                        local_base + x,
+                    )
+                }
+            } else {
+                0
+            };
+            #[cfg(not(target_arch = "x86_64"))]
+            let sampled = 0;
+            for j in sampled..n {
                 sample_pixel(
                     src_bytes,
                     row_stride,

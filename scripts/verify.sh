@@ -78,23 +78,30 @@ grep -q '"outcomes_identical": true' /tmp/BENCH3_smoke.json || {
 }
 rm -f /tmp/BENCH3_smoke.json
 
-echo "== simd dispatch smoke: simd_check under VS_SIMD=scalar/swar/auto =="
+echo "== simd dispatch smoke: simd_check under VS_SIMD=scalar/swar/sse2/auto =="
 # The record stream of a fault campaign (and the plain panorama output)
 # must be byte-identical whichever kernel implementation the runtime
-# dispatcher picks. simd_check prints one digest per phase; the three
-# dispatch levels must agree line for line.
-VS_SIMD=scalar ./target/release/simd_check 2>/dev/null > /tmp/simd_scalar.txt
-VS_SIMD=swar   ./target/release/simd_check 2>/dev/null > /tmp/simd_swar.txt
-VS_SIMD=auto   ./target/release/simd_check 2>/dev/null > /tmp/simd_auto.txt
-diff /tmp/simd_scalar.txt /tmp/simd_swar.txt || {
-    echo "error: VS_SIMD=swar records diverge from scalar" >&2
-    exit 1
-}
-diff /tmp/simd_scalar.txt /tmp/simd_auto.txt || {
-    echo "error: VS_SIMD=auto records diverge from scalar" >&2
-    exit 1
-}
-rm -f /tmp/simd_scalar.txt /tmp/simd_swar.txt /tmp/simd_auto.txt
+# dispatcher picks. simd_check prints one digest per phase; the dispatch
+# levels must agree line for line. SSE2 is pinned explicitly on x86_64
+# (elsewhere pinning it panics) because `auto` picks AVX2 where the CPU
+# has it, and the two tiers sample differently.
+levels="swar auto"
+if [ "$(uname -m)" = x86_64 ]; then
+    levels="swar sse2 auto"
+fi
+for level in scalar $levels; do
+    VS_SIMD=$level ./target/release/simd_check 2>/dev/null > /tmp/simd_$level.txt || {
+        echo "error: simd_check failed under VS_SIMD=$level" >&2
+        exit 1
+    }
+done
+for level in $levels; do
+    diff /tmp/simd_scalar.txt /tmp/simd_$level.txt || {
+        echo "error: VS_SIMD=$level records diverge from scalar" >&2
+        exit 1
+    }
+done
+rm -f /tmp/simd_scalar.txt /tmp/simd_swar.txt /tmp/simd_sse2.txt /tmp/simd_auto.txt
 
 echo "== hd smoke: kernel_bench --hd --smoke =="
 # Every dispatch level must reproduce the scalar oracle bit-for-bit on
