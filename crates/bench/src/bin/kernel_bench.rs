@@ -47,11 +47,13 @@
 //! odd-dimension tier exercising pyramid-halving edge lanes), every
 //! kernel is timed at each compiled dispatch level with the SWAR path
 //! as the interleaved reference side, after a fresh bit-exactness
-//! check against the scalar oracle. Rows whose batch coefficient of
-//! variation exceeds 20% are flagged `unstable`. Row-band parallel
-//! blur/warp rows are added only when the host has ≥ 2 cores, and an
-//! end-to-end checkpointed-campaign row anchors the kernel numbers to
-//! campaign throughput. `--check-simd` fails the process unless SSE2
+//! check against the scalar oracle. The full tiers add the ORB rows:
+//! `fast_detect` and `brief_describe` (rBRIEF over the tier's oriented
+//! FAST keypoints; its SWAR side is the scalar pair loop). Rows whose
+//! batch coefficient of variation exceeds 20% are flagged `unstable`.
+//! Row-band parallel blur/warp rows are added only when the host has
+//! ≥ 2 cores, and an end-to-end checkpointed-campaign row anchors the
+//! kernel numbers to campaign throughput. `--check-simd` fails the process unless SSE2
 //! reaches ≥ 1.5× over SWAR on at least two of {fast_detect,
 //! warp_affine, warp_halfpix, hamming}; the AVX2 and row-band gates
 //! arm only when the CPU features / core count permit (a note is
@@ -67,7 +69,7 @@ use vs_core::PipelineConfig;
 use vs_fault::campaign::{self, CampaignConfig, CheckpointPolicy};
 use vs_fault::spec::RegClass;
 use vs_features::fast::{self, FastConfig, FastScratch};
-use vs_features::{Descriptor, KeyPoint};
+use vs_features::{brief, orientation, Descriptor, KeyPoint};
 use vs_image::{
     downsample_half_into_level, downsample_half_into_scalar, downsample_half_into_swar,
     gaussian_blur_5x5_into_bands, gaussian_blur_5x5_into_level, gaussian_blur_5x5_into_scalar,
@@ -672,6 +674,50 @@ fn bench_hd(o: &BenchOpts) -> Vec<HdRow> {
                     || {
                         fast::detect_into_level(&gray, &cfg, &mut scratch_l, &mut out_l, level)
                             .expect("fast");
+                    },
+                ));
+            }
+        }
+
+        {
+            // brief_describe: rBRIEF over the tier's FAST keypoints,
+            // oriented as ORB orients them, on the smoothed frame; the
+            // SWAR side runs the scalar pair loop.
+            let mut kps: Vec<KeyPoint> = Vec::new();
+            fast::detect_into_scalar(
+                &gray,
+                &FastConfig::default(),
+                &mut FastScratch::default(),
+                &mut kps,
+            )
+            .expect("fast");
+            orientation::assign_orientations_mut(&gray, &mut kps).expect("orientation");
+            let (mut tmp, mut smoothed) = (GrayImage::new(0, 0), GrayImage::new(0, 0));
+            gaussian_blur_5x5_into_scalar(&gray, &mut tmp, &mut smoothed);
+            let mut out_o: Vec<Descriptor> = Vec::new();
+            brief::describe_into_level(&smoothed, &kps, &mut out_o, SimdLevel::Scalar)
+                .expect("brief");
+            for &level in &levels {
+                let (mut out_s, mut out_l): (Vec<Descriptor>, Vec<Descriptor>) =
+                    (Vec::new(), Vec::new());
+                brief::describe_into_level(&smoothed, &kps, &mut out_s, SimdLevel::Swar)
+                    .expect("brief");
+                brief::describe_into_level(&smoothed, &kps, &mut out_l, level).expect("brief");
+                let identical = out_l == out_o && out_s == out_o;
+                rows.push(run_hd_pair(
+                    "brief_describe",
+                    &tier,
+                    level,
+                    "swar",
+                    o.budget,
+                    identical,
+                    || {
+                        brief::describe_into_level(&smoothed, &kps, &mut out_s, SimdLevel::Swar)
+                            .expect("brief");
+                    },
+                    || {
+                        brief::describe_into_level(&smoothed, &kps, &mut out_l, level)
+                            .expect("brief");
                     },
                 ));
             }

@@ -6,6 +6,13 @@
 //! The pattern itself is generated once, deterministically, from the
 //! crate-fixed seed, so descriptors are comparable across runs and
 //! processes.
+//!
+//! At the AVX2 dispatch level the pair loop runs in the vector sampler
+//! (`simd::brief_words`), four pairs per step over the pattern's
+//! coordinate columns (`pattern_columns`). It samples exactly the
+//! pixels the scalar loop samples, which stays as the other levels'
+//! path and as the sampler's oracle; the taps are the same at every
+//! level.
 
 use crate::keypoint::KeyPoint;
 use std::sync::OnceLock;
@@ -128,6 +135,41 @@ fn pattern() -> &'static [TestPair; BITS] {
     })
 }
 
+/// The pattern as four coordinate columns — every pair's `x1`, then
+/// `y1`, `x2`, `y2` — the layout the vector sampler loads four pairs at
+/// a time from. Built once from [`pattern`].
+pub(crate) fn pattern_columns() -> &'static [[f64; BITS]; 4] {
+    static COLUMNS: OnceLock<[[f64; BITS]; 4]> = OnceLock::new();
+    COLUMNS.get_or_init(|| {
+        let pat = pattern();
+        [
+            std::array::from_fn(|i| pat[i].x1),
+            std::array::from_fn(|i| pat[i].y1),
+            std::array::from_fn(|i| pat[i].x2),
+            std::array::from_fn(|i| pat[i].y2),
+        ]
+    })
+}
+
+/// The scalar pair loop: the descriptor words of a keypoint at
+/// `(cx, cy)` with orientation `(sin, cos)`.
+fn words_scalar(smoothed: &GrayImage, cx: f64, cy: f64, sin: f64, cos: f64) -> [u64; 4] {
+    let mut words = [0u64; 4];
+    for (i, p) in pattern().iter().enumerate() {
+        // Rotate both sample offsets by the keypoint orientation.
+        let r1x = cx + p.x1 * cos - p.y1 * sin;
+        let r1y = cy + p.x1 * sin + p.y1 * cos;
+        let r2x = cx + p.x2 * cos - p.y2 * sin;
+        let r2y = cy + p.x2 * sin + p.y2 * cos;
+        let a = smoothed.get_clamped(r1x.round() as isize, r1y.round() as isize);
+        let b = smoothed.get_clamped(r2x.round() as isize, r2y.round() as isize);
+        if a < b {
+            words[i / 64] |= 1u64 << (i % 64);
+        }
+    }
+    words
+}
+
 /// Describe each keypoint with a rotation-steered BRIEF descriptor over
 /// the (pre-smoothed) image.
 ///
@@ -158,29 +200,35 @@ pub fn describe_into(
     keypoints: &[KeyPoint],
     out: &mut Vec<Descriptor>,
 ) -> Result<(), SimError> {
+    describe_into_level(smoothed, keypoints, out, vs_image::dispatch::level())
+}
+
+/// [`describe_into`] at an explicit [`vs_image::SimdLevel`]: the AVX2
+/// level samples with the vector sampler, every other level with the
+/// scalar pair loop. Descriptors and tap stream are identical at every
+/// level.
+///
+/// # Errors
+///
+/// Propagates hang-budget exhaustion.
+pub fn describe_into_level(
+    smoothed: &GrayImage,
+    keypoints: &[KeyPoint],
+    out: &mut Vec<Descriptor>,
+    level: vs_image::SimdLevel,
+) -> Result<(), SimError> {
     let _f = tap::scope(FuncId::OrbDescribe);
-    let pat = pattern();
+    let vector = level == vs_image::SimdLevel::Avx2;
     out.clear();
     for kp in keypoints {
         tap::work(OpClass::Mem, 2 * BITS as u64)?;
         tap::work(OpClass::IntAlu, 4 * BITS as u64)?;
         tap::work(OpClass::Float, 4 * BITS as u64)?;
         let (sin, cos) = kp.angle.sin_cos();
-        let cx = kp.x;
-        let cy = kp.y;
-        let mut words = [0u64; 4];
-        for (i, p) in pat.iter().enumerate() {
-            // Rotate both sample offsets by the keypoint orientation.
-            let r1x = cx + p.x1 * cos - p.y1 * sin;
-            let r1y = cy + p.x1 * sin + p.y1 * cos;
-            let r2x = cx + p.x2 * cos - p.y2 * sin;
-            let r2y = cy + p.x2 * sin + p.y2 * cos;
-            let a = smoothed.get_clamped(r1x.round() as isize, r1y.round() as isize);
-            let b = smoothed.get_clamped(r2x.round() as isize, r2y.round() as isize);
-            if a < b {
-                words[i / 64] |= 1u64 << (i % 64);
-            }
-        }
+        let sampled = vector
+            .then(|| crate::simd::brief_words(smoothed, pattern_columns(), kp.x, kp.y, sin, cos))
+            .flatten();
+        let words = sampled.unwrap_or_else(|| words_scalar(smoothed, kp.x, kp.y, sin, cos));
         // Store the descriptor through tapped index and data registers:
         // a corrupted store index escapes the descriptor buffer (the
         // address-fault crash surface), a corrupted data word silently
@@ -346,6 +394,66 @@ mod tests {
         // Pairs must not all be identical (degenerate pattern).
         let distinct = p1.iter().filter(|p| (p.x1, p.y1) != (p.x2, p.y2)).count();
         assert!(distinct > 250);
+    }
+
+    /// The vector sampler (AVX2 level) against the scalar pair loop at
+    /// every available level: border and far-outside keypoints, 1×1 and
+    /// 2×3 images, NaN, ±inf and random-bit angles (FPR flips of the
+    /// orientation tap produce them), and coordinates with a fraction of
+    /// exactly ±0.5 — ties only half-away-from-zero rounding resolves as
+    /// the scalar loop does.
+    #[test]
+    fn vector_sampler_matches_scalar_loop() {
+        use std::f64::consts::{FRAC_PI_2, PI};
+        use vs_image::SimdLevel;
+        let mut rng = vs_rng::SplitMix64::new(0x0B1E_F5A1);
+        let mut angles = vec![
+            0.0,
+            FRAC_PI_2,
+            -PI,
+            1e-300,
+            1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        angles.extend((0..24).map(|_| f64::from_bits(rng.next_u64())));
+        for (w, h) in [(1usize, 1usize), (2, 3), (64, 48), (97, 33)] {
+            let img = textured((w * 31 + h) as u64, w, h);
+            let (wf, hf) = (w as f64, h as f64);
+            let centres = [
+                (0.0, 0.0),
+                (wf - 1.0, hf - 1.0),
+                (wf / 2.0, 0.0),
+                (10.5, 7.5),
+                (10.5, -0.5),
+                (-2.5, 3.5),
+                (wf + 0.5, hf / 2.0 + 0.5),
+                (1e18, -1e18),
+            ];
+            let kps: Vec<KeyPoint> = centres
+                .iter()
+                .flat_map(|&(x, y)| {
+                    angles.iter().map(move |&angle| KeyPoint {
+                        x,
+                        y,
+                        response: 1.0,
+                        angle,
+                        level: 0,
+                    })
+                })
+                .collect();
+            let mut want = Vec::new();
+            describe_into_level(&img, &kps, &mut want, SimdLevel::Scalar).unwrap();
+            let mut got = Vec::new();
+            for level in SimdLevel::ALL.into_iter().filter(|l| l.available()) {
+                describe_into_level(&img, &kps, &mut got, level).unwrap();
+                for (i, (g, s)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g, s, "{w}x{h} level {level} keypoint {:?}", kps[i]);
+                }
+                assert_eq!(got.len(), want.len());
+            }
+        }
     }
 
     #[test]

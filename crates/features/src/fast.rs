@@ -9,8 +9,15 @@
 //! line flows through an address tap (a corrupted base drives the centre
 //! pixel load out of bounds → simulated segfault) and candidate centre
 //! intensities flow through data taps.
+//!
+//! Scores are integers (a SAD of at most 16 · 255 = 4080), kept in a
+//! `u16` plane for the non-maximum suppression; the `f64` keypoint
+//! response carries the same value. At the AVX2 dispatch level the scan
+//! runs the block segment test of `simd::block32` over 32 centres at a
+//! time, and taps each surviving centre exactly as the other levels do.
 
 use crate::keypoint::KeyPoint;
+use crate::simd;
 use vs_fault::{tap, FuncId, OpClass, SimError};
 use vs_image::GrayImage;
 
@@ -171,14 +178,14 @@ pub(crate) fn swar_segment_test(ring_vals: &[u8; 16], c: u64, t: u8, prereject: 
 }
 
 /// SAD corner response: sum of |circle - centre| over pixels exceeding
-/// the threshold.
-fn response(img: &GrayImage, x: usize, y: usize, center: u8, t: u8) -> f64 {
-    let mut acc = 0.0;
+/// the threshold (at most 16 · 255, so it fits a `u16`).
+fn response(img: &GrayImage, x: usize, y: usize, center: u8, t: u8) -> u16 {
+    let mut acc = 0u16;
     for &(dx, dy) in &CIRCLE {
         let v = img.get_clamped(x as isize + dx as isize, y as isize + dy as isize);
         let d = (v as i16 - center as i16).abs();
         if d > t as i16 {
-            acc += d as f64;
+            acc += d as u16;
         }
     }
     acc
@@ -189,8 +196,8 @@ fn response(img: &GrayImage, x: usize, y: usize, center: u8, t: u8) -> f64 {
 /// allocates nothing.
 #[derive(Debug, Default)]
 pub struct FastScratch {
-    scores: Vec<f64>,
-    candidates: Vec<(usize, usize, f64)>,
+    scores: Vec<u16>,
+    candidates: Vec<(usize, usize, u16)>,
     prereject: u64,
 }
 
@@ -244,7 +251,10 @@ pub fn detect(img: &GrayImage, config: &FastConfig) -> Result<Vec<KeyPoint>, Sim
 /// The SWAR path sits strictly between the same taps as the scalar loop
 /// and computes the same corner decision, so the tap stream and results
 /// stay bit-identical — [`detect_into_scalar`] keeps the original path
-/// alive as the proof oracle.
+/// alive as the proof oracle. The AVX2 level decides 32 centres per
+/// block before their taps and uses a block's verdict only for a centre
+/// whose tapped value equals the loaded pixel; any other tapped value
+/// takes the single-candidate path.
 pub fn detect_into(
     img: &GrayImage,
     config: &FastConfig,
@@ -290,73 +300,89 @@ pub fn detect_into_level(
 enum Mode {
     /// Original per-pixel classify/arc loop, no pre-reject.
     Scalar,
-    /// SWAR masks + popcount pre-reject (PR 4).
+    /// SWAR masks + popcount pre-reject.
     Swar,
     /// Vector compass quick-scan + 128-bit ring classify.
     Sse2,
-    /// As [`Mode::Sse2`] with a 32-lane quick-scan.
+    /// 32-centre block segment test; SSE2 for the single candidates.
     Avx2,
 }
 
-/// The tapped candidate block shared by every scan strategy: data-tap
-/// the centre register, run the full segment test, and score/record the
-/// corner. Byte-identical tap stream across modes; a fault-widened
-/// centre always falls back to the saturating-i64 classify loop.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn process_candidate(
-    img: &GrayImage,
-    data: &[u8],
-    ring: &[isize; 16],
-    w: usize,
-    x: usize,
-    y: usize,
-    center: u8,
+/// Per-call state of the candidate walk: the image and its ring
+/// offsets, and the outputs every tested candidate feeds.
+struct Walk<'a> {
+    img: &'a GrayImage,
+    ring: [isize; 16],
     t: u8,
     mode: Mode,
-    prereject: &mut u64,
-    scores: &mut [f64],
-    candidates: &mut Vec<(usize, usize, f64)>,
-) -> Result<(), SimError> {
-    // Full segment test on a data-tapped centre value. The comparison
-    // happens in the full register width, as the native `cmp` would: a
-    // corrupted high bit makes the centre enormous and every circle
-    // pixel "darker".
-    let center_reg = tap::gpr(center as u64) as i64;
-    tap::work(OpClass::IntAlu, 32)?;
-    let base = (y * w + x) as isize;
-    let corner = if mode != Mode::Scalar && (0..=255).contains(&center_reg) {
-        // Uncorrupted centre: mask computation + popcount pre-reject,
-        // exact arc test on the surviving masks.
-        let ring_vals: [u8; 16] = std::array::from_fn(|i| data[(base + ring[i]) as usize]);
-        if mode == Mode::Swar {
-            swar_segment_test(&ring_vals, center_reg as u64, t, prereject)
-        } else {
-            crate::simd::segment_test_simd(&ring_vals, center_reg as u8, t, prereject)
-        }
-    } else {
-        // Fault-widened centre (or the scalar oracle): original
-        // saturating-i64 classify loop.
-        let mut states = [0u8; 16];
-        for (i, s) in states.iter_mut().enumerate() {
-            let v = data[(base + ring[i]) as usize] as i64;
-            *s = if v >= center_reg.saturating_add(t as i64) {
-                1
-            } else if v <= center_reg.saturating_sub(t as i64) {
-                2
-            } else {
-                0
-            };
-        }
-        has_arc(&states)
-    };
-    if corner {
-        let center = center_reg.clamp(0, 255) as u8;
-        let score = response(img, x, y, center, t);
-        scores[y * w + x] = score;
-        candidates.push((x, y, score));
+    prereject: u64,
+    scores: &'a mut [u16],
+    candidates: &'a mut Vec<(usize, usize, u16)>,
+}
+
+impl Walk<'_> {
+    /// The tapped candidate block shared by every scan strategy:
+    /// data-tap the centre register, then run the full segment test on
+    /// the tapped value. Byte-identical tap stream across modes.
+    #[inline(always)]
+    fn candidate(&mut self, x: usize, y: usize, center: u8) -> Result<(), SimError> {
+        // The comparison happens in the full register width, as the
+        // native `cmp` would: a corrupted high bit makes the centre
+        // enormous and every circle pixel "darker".
+        let center_reg = tap::gpr(center as u64) as i64;
+        tap::work(OpClass::IntAlu, 32)?;
+        self.test(x, y, center_reg);
+        Ok(())
     }
-    Ok(())
+
+    /// Segment test, scoring and recording of one candidate whose
+    /// centre register holds `center_reg`. A fault-widened centre always
+    /// takes the saturating-i64 classify loop.
+    fn test(&mut self, x: usize, y: usize, center_reg: i64) {
+        let w = self.img.width();
+        let data = self.img.as_bytes();
+        let base = (y * w + x) as isize;
+        let ring = &self.ring;
+        let corner = if self.mode != Mode::Scalar && (0..=255).contains(&center_reg) {
+            // Uncorrupted centre: mask computation + popcount pre-reject,
+            // exact arc test on the surviving masks.
+            let ring_vals: [u8; 16] = std::array::from_fn(|i| data[(base + ring[i]) as usize]);
+            if self.mode == Mode::Swar {
+                swar_segment_test(&ring_vals, center_reg as u64, self.t, &mut self.prereject)
+            } else {
+                crate::simd::segment_test_simd(
+                    &ring_vals,
+                    center_reg as u8,
+                    self.t,
+                    &mut self.prereject,
+                )
+            }
+        } else {
+            // Fault-widened centre (or the scalar oracle): original
+            // saturating-i64 classify loop.
+            let mut states = [0u8; 16];
+            for (i, s) in states.iter_mut().enumerate() {
+                let v = data[(base + ring[i]) as usize] as i64;
+                *s = if v >= center_reg.saturating_add(self.t as i64) {
+                    1
+                } else if v <= center_reg.saturating_sub(self.t as i64) {
+                    2
+                } else {
+                    0
+                };
+            }
+            has_arc(&states)
+        };
+        if corner {
+            let center = center_reg.clamp(0, 255) as u8;
+            self.record(x, y, response(self.img, x, y, center, self.t));
+        }
+    }
+
+    fn record(&mut self, x: usize, y: usize, score: u16) {
+        self.scores[y * self.img.width() + x] = score;
+        self.candidates.push((x, y, score));
+    }
 }
 
 fn detect_into_impl(
@@ -374,20 +400,23 @@ fn detect_into_impl(
     if w < 8 || h < 8 {
         return Ok(());
     }
-    let scores = &mut scratch.scores;
-    scores.clear();
-    scores.resize(w * h, 0.0);
-    let candidates = &mut scratch.candidates;
-    candidates.clear();
+    scratch.scores.clear();
+    scratch.scores.resize(w * h, 0);
+    scratch.candidates.clear();
     let t = config.threshold;
     let data = img.as_bytes();
     // Linear offsets of the 16-pixel ring; in-bounds for every interior
     // (3-pixel-margin) centre, where the clamped reads never clamped.
-    let mut ring = [0isize; 16];
-    for (o, &(dx, dy)) in ring.iter_mut().zip(CIRCLE.iter()) {
-        *o = dy as isize * w as isize + dx as isize;
-    }
-    let mut prereject = 0u64;
+    let ring = simd::ring_offsets(w);
+    let mut walk = Walk {
+        img,
+        ring,
+        t,
+        mode,
+        prereject: 0,
+        scores: &mut scratch.scores,
+        candidates: &mut scratch.candidates,
+    };
 
     for y in 3..h - 3 {
         // One address tap per row: the row base pointer. All centre loads
@@ -400,52 +429,50 @@ fn detect_into_impl(
         // Row-slice fast path only while the base register is intact.
         let row = (row_base == y * w).then(|| &data[row_base..row_base + w]);
         if let (Some(r), Mode::Sse2 | Mode::Avx2) = (row, mode) {
-            // Vector compass quick-scan: the quick rejection is tap-free
-            // in the scalar walk, so computing its pass mask 16/32
-            // centres at a time and visiting survivors in ascending x
-            // reproduces the tap stream byte-for-byte.
-            let lanes = crate::simd::quick_lanes(mode == Mode::Avx2);
+            // The quick rejection is tap-free in the scalar walk, so
+            // deciding it for a block of centres and visiting survivors
+            // in ascending x reproduces the tap stream byte-for-byte.
             let mut x = 3usize;
-            while x + lanes + 3 <= w {
-                let mut mask = crate::simd::quick_pass_mask(data, w, y, x, t, mode == Mode::Avx2);
-                while mask != 0 {
-                    let j = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    process_candidate(
-                        img,
-                        data,
-                        &ring,
-                        w,
-                        x + j,
-                        y,
-                        r[x + j],
-                        t,
-                        mode,
-                        &mut prereject,
-                        scores,
-                        candidates,
-                    )?;
+            if mode == Mode::Avx2 {
+                // The block also decides each survivor's segment test,
+                // pre-reject and response for its loaded centre value,
+                // which a fault in the centre's tap may change.
+                while x + simd::BLOCK + 3 <= w {
+                    let block = simd::block32(data, w, y, x, t);
+                    let mut mask = block.pass;
+                    while mask != 0 {
+                        let j = mask.trailing_zeros() as usize;
+                        mask &= mask - 1;
+                        let center = r[x + j];
+                        let center_reg = tap::gpr(center as u64) as i64;
+                        tap::work(OpClass::IntAlu, 32)?;
+                        if center_reg != i64::from(center) {
+                            walk.test(x + j, y, center_reg);
+                            continue;
+                        }
+                        walk.prereject += u64::from(block.prereject >> j & 1);
+                        if block.corner >> j & 1 == 1 {
+                            walk.record(x + j, y, block.response[j]);
+                        }
+                    }
+                    x += simd::BLOCK;
                 }
-                x += lanes;
+            } else {
+                while x + simd::QUICK_LANES + 3 <= w {
+                    let mut mask = simd::quick_pass_mask(data, w, y, x, t);
+                    while mask != 0 {
+                        let j = mask.trailing_zeros() as usize;
+                        mask &= mask - 1;
+                        walk.candidate(x + j, y, r[x + j])?;
+                    }
+                    x += simd::QUICK_LANES;
+                }
             }
             while x < w - 3 {
                 let base = (y * w + x) as isize;
                 let vals: [u8; 4] = std::array::from_fn(|q| data[(base + ring[4 * q]) as usize]);
-                if crate::simd::compass_pass(vals, r[x], t) {
-                    process_candidate(
-                        img,
-                        data,
-                        &ring,
-                        w,
-                        x,
-                        y,
-                        r[x],
-                        t,
-                        mode,
-                        &mut prereject,
-                        scores,
-                        candidates,
-                    )?;
+                if simd::compass_pass(vals, r[x], t) {
+                    walk.candidate(x, y, r[x])?;
                 }
                 x += 1;
             }
@@ -472,22 +499,12 @@ fn detect_into_impl(
             if bright < 2 && dark < 2 {
                 continue;
             }
-            process_candidate(
-                img,
-                data,
-                &ring,
-                w,
-                x,
-                y,
-                center,
-                t,
-                mode,
-                &mut prereject,
-                scores,
-                candidates,
-            )?;
+            walk.candidate(x, y, center)?;
         }
     }
+    let prereject = walk.prereject;
+    let scores = &scratch.scores;
+    let candidates = &scratch.candidates;
 
     if config.nonmax_suppression {
         out.extend(
@@ -516,23 +533,35 @@ fn detect_into_impl(
                     }
                     is_max
                 })
-                .map(|&(x, y, s)| KeyPoint::new(x, y, s)),
+                .map(|&(x, y, s)| KeyPoint::new(x, y, f64::from(s))),
         );
     } else {
-        out.extend(candidates.iter().map(|&(x, y, s)| KeyPoint::new(x, y, s)));
+        out.extend(
+            candidates
+                .iter()
+                .map(|&(x, y, s)| KeyPoint::new(x, y, f64::from(s))),
+        );
     }
 
     // Strongest first; deterministic tie-break on raster position. The
     // comparator is a strict total order over distinct candidates
-    // (responses are finite, positions unique), so the in-place unstable
-    // sort agrees with a stable one.
-    out.sort_unstable_by(|a, b| {
+    // (responses are integers, positions unique), so selecting the k
+    // strongest and sorting only those gives exactly the prefix a full
+    // sort would.
+    let strongest_first = |a: &KeyPoint, b: &KeyPoint| {
         b.response
             .partial_cmp(&a.response)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| (a.y as u64, a.x as u64).cmp(&(b.y as u64, b.x as u64)))
-    });
-    out.truncate(config.max_keypoints);
+    };
+    let k = config.max_keypoints;
+    if out.len() > k {
+        if k > 0 {
+            out.select_nth_unstable_by(k - 1, strongest_first);
+        }
+        out.truncate(k);
+    }
+    out.sort_unstable_by(strongest_first);
     scratch.prereject = prereject;
     Ok(())
 }
@@ -765,6 +794,22 @@ mod tests {
         let mut s_lvl = FastScratch::default();
         let mut kp_ref = Vec::new();
         let mut kp_lvl = Vec::new();
+        let mut check = |img: &GrayImage, cfg: &FastConfig, ctx: &str| {
+            detect_into_scalar(img, cfg, &mut s_ref, &mut kp_ref).unwrap();
+            let mut swar_pre = None;
+            for level in SimdLevel::ALL {
+                if !level.available() {
+                    continue;
+                }
+                detect_into_level(img, cfg, &mut s_lvl, &mut kp_lvl, level).unwrap();
+                assert_eq!(kp_lvl, kp_ref, "{ctx} level {level}");
+                if level != SimdLevel::Scalar {
+                    let pre = swar_pre.get_or_insert(s_lvl.prereject());
+                    assert_eq!(s_lvl.prereject(), *pre, "{ctx} level {level}");
+                }
+            }
+            kp_ref.len()
+        };
         for trial in 0..24 {
             let w = 8 + rng.gen_range(0usize..50);
             let h = 8 + rng.gen_range(0usize..50);
@@ -773,17 +818,97 @@ mod tests {
                 threshold: [0, 4, 20, 255][trial % 4],
                 ..FastConfig::default()
             };
-            detect_into_scalar(&img, &cfg, &mut s_ref, &mut kp_ref).unwrap();
-            let mut swar_pre = None;
-            for level in SimdLevel::ALL {
-                if !level.available() {
-                    continue;
+            check(&img, &cfg, &format!("trial {trial}: {w}x{h}"));
+        }
+        // Widths covering one to four 32-centre blocks plus 0–31-pixel
+        // tails; random, plateau (equal-score corners of identical
+        // squares tie in NMS and at the top-k cut) and flat images (at
+        // t = 0 every pixel is a corner of response 0); thresholds 0 and
+        // 255 among them; and `max_keypoints` of 0, 1, a few, and more
+        // than there are candidates.
+        for blocks in 1..=4usize {
+            for tail in [0usize, 1, 17, 31, rng.gen_range(0usize..32)] {
+                let w = 6 + 32 * blocks + tail;
+                let h = 8 + rng.gen_range(0usize..8);
+                let images = [
+                    GrayImage::from_fn(w, h, |_, _| rng.gen_range(0u32..256) as u8),
+                    GrayImage::from_fn(w, h, |x, y| if x % 7 < 3 && y % 6 < 3 { 210 } else { 40 }),
+                    GrayImage::from_fn(w, h, |_, _| 77),
+                ];
+                for (k, img) in images.iter().enumerate() {
+                    for threshold in [0u8, 1, 20, 255] {
+                        for max_keypoints in [0, 1, 5, usize::MAX] {
+                            let cfg = FastConfig {
+                                threshold,
+                                max_keypoints,
+                                ..FastConfig::default()
+                            };
+                            let ctx = format!("{w}x{h} image {k} t={threshold} k={max_keypoints}");
+                            let n = check(img, &cfg, &ctx);
+                            assert!(n <= max_keypoints, "{ctx}: {n} keypoints");
+                        }
+                    }
                 }
-                detect_into_level(&img, &cfg, &mut s_lvl, &mut kp_lvl, level).unwrap();
-                assert_eq!(kp_lvl, kp_ref, "trial {trial} level {level}: {w}x{h}");
-                if level != SimdLevel::Scalar {
-                    let pre = swar_pre.get_or_insert(s_lvl.prereject());
-                    assert_eq!(s_lvl.prereject(), *pre, "trial {trial} level {level}");
+            }
+        }
+    }
+
+    /// Fault-path equivalence at every level. Under the same
+    /// `(FastDetect, IntAlu)`-confined fault every level returns the
+    /// scalar oracle's keypoints (or error), fires the same fault and
+    /// counts the same instructions. Flips of bits 0–7 keep the tapped
+    /// centre in 0..=255 but change it, so a level that trusted its
+    /// vector verdict for the loaded centre would diverge; bits 8, 40 and
+    /// 63 widen it. The image spans three 32-centre blocks plus a tail.
+    #[test]
+    fn fault_path_matches_scalar_at_every_level() {
+        use vs_fault::{session, FaultSpec, FuncMask, RegClass};
+        use vs_image::SimdLevel;
+        let mut rng = vs_rng::SplitMix64::new(0xFA17_0B10);
+        let img = GrayImage::from_fn(131, 40, |x, y| {
+            if (x / 9 + y / 7) % 3 == 0 {
+                rng.gen_range(0u32..256) as u8
+            } else {
+                (x + 2 * y) as u8
+            }
+        });
+        let cfg = FastConfig::default();
+        let group = (FuncId::FastDetect, OpClass::IntAlu);
+        let taps = {
+            let _s = session::begin_profile();
+            detect(&img, &cfg).unwrap();
+            session::report().gpr_groups[session::group_index(group.0, group.1)]
+        };
+        assert!(taps > 300, "only {taps} candidate taps");
+        let run = |level: Option<SimdLevel>, spec: FaultSpec| {
+            let _s = session::begin_injection(spec, FuncMask::all(), u64::MAX);
+            let mut scratch = FastScratch::default();
+            let mut out = Vec::new();
+            let res = match level {
+                None => detect_into_scalar(&img, &cfg, &mut scratch, &mut out),
+                Some(l) => detect_into_level(&img, &cfg, &mut scratch, &mut out, l),
+            };
+            let report = session::report();
+            (res.map(|()| out), report.fired, report.instr)
+        };
+        let levels: Vec<_> = SimdLevel::ALL
+            .into_iter()
+            .filter(|l| l.available())
+            .collect();
+        for tap_index in (0..taps).step_by(13) {
+            for bit in (0..8).chain([8, 40, 63]) {
+                let spec = FaultSpec {
+                    group: Some(group),
+                    ..FaultSpec::new(RegClass::Gpr, tap_index, bit)
+                };
+                let want = run(None, spec);
+                assert!(want.1.is_some(), "tap {tap_index} bit {bit} never fired");
+                for &level in &levels {
+                    assert_eq!(
+                        run(Some(level), spec),
+                        want,
+                        "tap {tap_index} bit {bit} level {level}"
+                    );
                 }
             }
         }

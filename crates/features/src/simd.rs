@@ -1,20 +1,36 @@
-//! Explicit SSE2/AVX2 paths for the FAST-9 segment test — the only
-//! `unsafe` code in the features crate.
+//! Explicit SSE2/AVX2 paths for ORB — the FAST-9 segment test and the
+//! rBRIEF sampler — and the only `unsafe` code in the features crate.
 //!
-//! Two pieces are vectorized, both *outside* the fault-tap stream so the
-//! vector paths are campaign-safe at any dispatch level:
+//! Every vector path computes exactly what the scalar code computes,
+//! and none of them sits inside the fault-tap stream, so they are
+//! campaign-safe at any dispatch level:
 //!
-//! * the per-row **compass quick-scan**: the scalar detector rejects a
-//!   pixel without any taps when fewer than 2 of the 4 compass points
-//!   (ring entries 0/4/8/12) clear the threshold. The vector scan
-//!   computes that pass/fail bit for 16 (SSE2) or 32 (AVX2) consecutive
-//!   centres at once; surviving candidates are then processed in
-//!   ascending-x order, so the tap sequence is byte-identical to the
-//!   scalar walk.
-//! * the per-candidate **ring classify**: the 16 gathered ring bytes are
-//!   classified against `c ± t` in one 128-bit comparison pair instead
-//!   of four 4-lane SWAR words; the resulting bright/dark masks feed the
-//!   same popcount pre-reject and [`crate::fast`] `has_arc16` scan.
+//! * the SSE2 per-row **compass quick-scan** ([`quick_pass_mask`]): the
+//!   scalar detector rejects a pixel without any taps when fewer than 2
+//!   of the 4 compass points (ring entries 0/4/8/12) clear the
+//!   threshold. The vector scan computes that pass/fail bit for 16
+//!   consecutive centres at once; surviving candidates are then
+//!   processed in ascending-x order, so the tap sequence is
+//!   byte-identical to the scalar walk.
+//! * the SSE2 per-candidate **ring classify** ([`segment_test_simd`]):
+//!   the 16 gathered ring bytes are classified against `c ± t` in one
+//!   128-bit comparison pair instead of four 4-lane SWAR words; the
+//!   resulting bright/dark masks feed the same popcount pre-reject and
+//!   [`crate::fast`] `has_arc16` scan.
+//! * the AVX2 **block segment test** ([`block32`]): one pass over the 16
+//!   ring rows of 32 consecutive centres returns the compass pass mask,
+//!   the corner mask (an AND ladder over the 16 bright and the 16 dark
+//!   masks finds every 9-arc, wrap-around included), the popcount
+//!   pre-reject mask and 32 SAD responses in u16 lanes. The detector
+//!   still taps every passing centre in ascending x, and trusts the
+//!   block only when the tapped centre equals the loaded one.
+//! * the AVX2 **rBRIEF sampler** ([`brief_words`]): four pattern pairs
+//!   per step in f64 lanes, in the scalar loop's expression order with
+//!   separate multiplies and adds (no FMA). It rounds half away from
+//!   zero as `trunc + (f ≥ 0.5) − (f ≤ −0.5)` and clamps in f64 with NaN
+//!   mapped to 0 (as `NaN.round() as isize` is 0), so each sample index
+//!   is the pixel `GrayImage::get_clamped` reads. The two loads per
+//!   pair are bounds-checked slice reads.
 //!
 //! Threshold predicates avoid the saturating-add trap: `v ≥ c + t` is
 //! evaluated as `sat(v - c) ≥ t` (exact for `t ≥ 1`; `adds_epu8(c, t)`
@@ -25,10 +41,13 @@
 //! over the full (c, t, v) cube in the tests.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use crate::fast::{classify, has_arc16, ARC_LENGTH};
+use crate::brief::BITS;
+use crate::fast::{classify, has_arc16, ARC_LENGTH, CIRCLE};
+use vs_image::GrayImage;
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use crate::brief::BITS;
     use std::arch::x86_64::*;
 
     /// Unsigned per-byte `a ≥ b`.
@@ -119,28 +138,194 @@ mod x86 {
         _mm256_cmpgt_epi8(_mm256_set1_epi8(-1), sum)
     }
 
-    /// Compass pass mask for 32 consecutive centres (movemask bit order
-    /// is ascending byte order, lane-local then cross-lane — ascending x).
+    /// Lanes where 9 contiguous masks of the 16-entry ring are set,
+    /// counting wrap-around: `has_arc16`'s AND ladder (offsets 1, 2, 4,
+    /// then the ninth entry) run across masks instead of across bits.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub(super) fn quick32(data: &[u8], w: usize, y: usize, x0: usize, t: u8) -> u32 {
+    fn arc9_256(m: &[__m256i; 16]) -> __m256i {
+        let mut r2 = [_mm256_setzero_si256(); 16];
+        for (i, r) in r2.iter_mut().enumerate() {
+            *r = _mm256_and_si256(m[i], m[(i + 1) % 16]);
+        }
+        let mut r4 = [_mm256_setzero_si256(); 16];
+        for (i, r) in r4.iter_mut().enumerate() {
+            *r = _mm256_and_si256(r2[i], r2[(i + 2) % 16]);
+        }
+        let mut any = _mm256_setzero_si256();
+        for (i, r) in r4.iter().enumerate() {
+            let r8 = _mm256_and_si256(*r, r4[(i + 4) % 16]);
+            any = _mm256_or_si256(any, _mm256_and_si256(r8, m[(i + 8) % 16]));
+        }
+        any
+    }
+
+    /// Lanes where at least `ARC_LENGTH` (9) of the 16 masks are set:
+    /// each set mask is −1 as i8, so the sum lies in [−16, 0] and
+    /// `< −8` means 9 or more.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn at_least9_256(m: &[__m256i; 16]) -> __m256i {
+        let mut sum = _mm256_setzero_si256();
+        for v in m {
+            sum = _mm256_add_epi8(sum, *v);
+        }
+        _mm256_cmpgt_epi8(_mm256_set1_epi8(-8), sum)
+    }
+
+    /// Block segment test for the 32 centres at `data[base..base + 32]`
+    /// (movemask bit order is ascending byte order — ascending x).
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2, and every ring row lies in `data`:
+    /// `base + ring[i] ≥ 0` and `base + ring[i] + 32 ≤ data.len()` for
+    /// all `i`, as does `base + 32 ≤ data.len()` — asserted in the safe
+    /// wrapper.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn block32(
+        data: &[u8],
+        ring: &[isize; 16],
+        base: usize,
+        t: u8,
+    ) -> super::Block32 {
         let tv = _mm256_set1_epi8(t as i8);
         let t_zero = t == 0;
-        // SAFETY: the five loads read data[(y±3)·w + x0 ± 3 .. +32];
-        // the wrapper asserts x0 ≥ 3 and (y+3)·w + x0 + 35 ≤ data.len().
+        let p = data.as_ptr();
+        let zero = _mm256_setzero_si256();
+        // The 32 bytes at `base + off`, for `off` 0 or a ring offset.
+        let row = |off: isize| {
+            // SAFETY: the caller guarantees that the centre row and each
+            // ring row `base + ring[i] .. + 32` lie in `data`.
+            unsafe { _mm256_loadu_si256(p.offset(base as isize + off).cast()) }
+        };
+        let c = row(0);
+        let mut bright = [zero; 16];
+        let mut dark = [zero; 16];
+        // Compass entries first: a block none of whose centres survives
+        // the quick rejection needs nothing else.
+        for i in [0, 4, 8, 12] {
+            (bright[i], dark[i]) = classify32(row(ring[i]), c, tv, t_zero);
+        }
+        let pass = _mm256_or_si256(
+            at_least2_256(bright[0], bright[4], bright[8], bright[12]),
+            at_least2_256(dark[0], dark[4], dark[8], dark[12]),
+        );
+        let pass = _mm256_movemask_epi8(pass) as u32;
+        if pass == 0 {
+            return super::Block32::default();
+        }
+        let (mut sad_lo, mut sad_hi) = (zero, zero);
+        for (i, &off) in ring.iter().enumerate() {
+            let v = row(off);
+            if i % 4 != 0 {
+                (bright[i], dark[i]) = classify32(v, c, tv, t_zero);
+            }
+            // The SAD response adds |v − c| where it exceeds t.
+            let diff = _mm256_or_si256(_mm256_subs_epu8(v, c), _mm256_subs_epu8(c, v));
+            let kept = _mm256_andnot_si256(ge_u8_256(tv, diff), diff);
+            sad_lo = _mm256_add_epi16(sad_lo, _mm256_unpacklo_epi8(kept, zero));
+            sad_hi = _mm256_add_epi16(sad_hi, _mm256_unpackhi_epi8(kept, zero));
+        }
+        let corner = _mm256_or_si256(arc9_256(&bright), arc9_256(&dark));
+        let survive = _mm256_or_si256(at_least9_256(&bright), at_least9_256(&dark));
+        // The unpacks interleave within 128-bit lanes: `sad_lo` holds
+        // centres 0..8 and 16..24, `sad_hi` 8..16 and 24..32.
+        let mut response = [0u16; 32];
+        let first = _mm256_permute2x128_si256::<0x20>(sad_lo, sad_hi);
+        let second = _mm256_permute2x128_si256::<0x31>(sad_lo, sad_hi);
+        // SAFETY: `response` holds 32 u16 lanes, two 256-bit stores.
         unsafe {
-            let p = data.as_ptr();
-            let c = _mm256_loadu_si256(p.add(y * w + x0).cast());
-            let top = _mm256_loadu_si256(p.add((y - 3) * w + x0).cast());
-            let bot = _mm256_loadu_si256(p.add((y + 3) * w + x0).cast());
-            let right = _mm256_loadu_si256(p.add(y * w + x0 + 3).cast());
-            let left = _mm256_loadu_si256(p.add(y * w + x0 - 3).cast());
-            let (b0, d0) = classify32(top, c, tv, t_zero);
-            let (b1, d1) = classify32(right, c, tv, t_zero);
-            let (b2, d2) = classify32(bot, c, tv, t_zero);
-            let (b3, d3) = classify32(left, c, tv, t_zero);
-            let pass =
-                _mm256_or_si256(at_least2_256(b0, b1, b2, b3), at_least2_256(d0, d1, d2, d3));
-            _mm256_movemask_epi8(pass) as u32
+            _mm256_storeu_si256(response.as_mut_ptr().cast(), first);
+            _mm256_storeu_si256(response.as_mut_ptr().add(16).cast(), second);
+        }
+        super::Block32 {
+            pass,
+            corner: _mm256_movemask_epi8(corner) as u32 & pass,
+            prereject: !(_mm256_movemask_epi8(survive) as u32) & pass,
+            response,
+        }
+    }
+
+    /// `f.round()` (half away from zero) in four f64 lanes, as
+    /// `trunc(f) + (f − trunc(f) ≥ 0.5) − (f − trunc(f) ≤ −0.5)`. The
+    /// difference is exact; ±inf stays ±inf and NaN stays NaN. Only the
+    /// sign of a zero result may differ from `f64::round`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) fn round_half_away(f: __m256d) -> __m256d {
+        let t = _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(f);
+        let frac = _mm256_sub_pd(f, t);
+        let one = _mm256_set1_pd(1.0);
+        let up = _mm256_and_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(frac, _mm256_set1_pd(0.5)), one);
+        let down = _mm256_and_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(frac, _mm256_set1_pd(-0.5)), one);
+        _mm256_sub_pd(_mm256_add_pd(t, up), down)
+    }
+
+    /// `clamp(f, 0, max)` with NaN mapped to 0. `max_pd` returns its
+    /// second operand when either is NaN, so the zero goes second.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn clamp_nan0(f: __m256d, max: __m256d) -> __m256d {
+        _mm256_min_pd(_mm256_max_pd(f, _mm256_setzero_pd()), max)
+    }
+
+    /// Linear sample indices of all `BITS` rBRIEF pairs for a keypoint
+    /// at `(cx, cy)` with orientation `(sin, cos)`, four pairs per step:
+    /// `idx[0][i]` / `idx[1][i]` are the first / second sample of pair
+    /// `i` in a `w × h` image (`w, h ≥ 1`, `w·h ≤ 2^52`, checked in the
+    /// safe wrapper). `cols` holds the pattern's x1, y1, x2, y2 columns.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    pub(super) fn brief_indices(
+        cols: &[[f64; BITS]; 4],
+        cx: f64,
+        cy: f64,
+        sin: f64,
+        cos: f64,
+        w: usize,
+        h: usize,
+        idx: &mut [[u64; BITS]; 2],
+    ) {
+        let (vcx, vcy) = (_mm256_set1_pd(cx), _mm256_set1_pd(cy));
+        let (vsin, vcos) = (_mm256_set1_pd(sin), _mm256_set1_pd(cos));
+        let xmax = _mm256_set1_pd((w - 1) as f64);
+        let ymax = _mm256_set1_pd((h - 1) as f64);
+        let wf = _mm256_set1_pd(w as f64);
+        // 2^52: adding it to an integer n in [0, 2^52) leaves n in the
+        // low mantissa bits, so the bit patterns differ by exactly n.
+        let magic = _mm256_set1_pd(4_503_599_627_370_496.0);
+        let index = |px: __m256d, py: __m256d| {
+            // (cx + px·cos) − py·sin and (cy + px·sin) + py·cos, as the
+            // scalar loop evaluates them.
+            let rx = _mm256_sub_pd(
+                _mm256_add_pd(vcx, _mm256_mul_pd(px, vcos)),
+                _mm256_mul_pd(py, vsin),
+            );
+            let ry = _mm256_add_pd(
+                _mm256_add_pd(vcy, _mm256_mul_pd(px, vsin)),
+                _mm256_mul_pd(py, vcos),
+            );
+            let xi = clamp_nan0(round_half_away(rx), xmax);
+            let yi = clamp_nan0(round_half_away(ry), ymax);
+            // y·w + x < w·h < 2^52: exact in f64.
+            let lin = _mm256_add_pd(_mm256_mul_pd(yi, wf), xi);
+            _mm256_sub_epi64(
+                _mm256_castpd_si256(_mm256_add_pd(lin, magic)),
+                _mm256_castpd_si256(magic),
+            )
+        };
+        for s in (0..BITS).step_by(4) {
+            // SAFETY: `s + 4 <= BITS`, the length of every column and of
+            // both index rows.
+            unsafe {
+                let x1 = _mm256_loadu_pd(cols[0].as_ptr().add(s));
+                let y1 = _mm256_loadu_pd(cols[1].as_ptr().add(s));
+                let x2 = _mm256_loadu_pd(cols[2].as_ptr().add(s));
+                let y2 = _mm256_loadu_pd(cols[3].as_ptr().add(s));
+                _mm256_storeu_si256(idx[0].as_mut_ptr().add(s).cast(), index(x1, y1));
+                _mm256_storeu_si256(idx[1].as_mut_ptr().add(s).cast(), index(x2, y2));
+            }
         }
     }
 
@@ -160,15 +345,6 @@ mod x86 {
     }
 }
 
-/// How many centres one quick-scan step covers.
-pub(crate) fn quick_lanes(wide: bool) -> usize {
-    if wide {
-        32
-    } else {
-        16
-    }
-}
-
 /// Scalar compass predicate (used by the vector tail and non-x86
 /// builds): ≥ 2 of the 4 compass samples share a non-zero classify
 /// state. Byte-identical to the inline test in the scalar detector.
@@ -185,41 +361,31 @@ pub(crate) fn compass_pass(vals: [u8; 4], center: u8, t: u8) -> bool {
     bright >= 2 || dark >= 2
 }
 
-/// Pass mask for `quick_lanes(wide)` consecutive centres starting at
+/// How many centres one SSE2 quick-scan step covers.
+pub(crate) const QUICK_LANES: usize = 16;
+
+/// Pass mask for [`QUICK_LANES`] consecutive centres starting at
 /// `(x0, y)`: bit `j` set iff centre `x0 + j` survives the compass
 /// quick-rejection. Requires an interior span: `3 ≤ y < h-3`, `x0 ≥ 3`,
-/// `x0 + lanes + 3 ≤ w`.
-pub(crate) fn quick_pass_mask(
-    data: &[u8],
-    w: usize,
-    y: usize,
-    x0: usize,
-    t: u8,
-    wide: bool,
-) -> u32 {
-    let lanes = quick_lanes(wide);
+/// `x0 + 19 ≤ w`.
+pub(crate) fn quick_pass_mask(data: &[u8], w: usize, y: usize, x0: usize, t: u8) -> u32 {
     assert!(
-        x0 >= 3 && x0 + lanes + 3 <= w,
+        x0 >= 3 && x0 + QUICK_LANES + 3 <= w,
         "quick-scan span out of bounds"
     );
     assert!(
-        (y + 3) * w + x0 + lanes + 3 <= data.len(),
+        (y + 3) * w + x0 + QUICK_LANES + 3 <= data.len(),
         "quick-scan rows out of bounds"
     );
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: SSE2 is baseline x86-64; `wide` is only set when dispatch
-    // selected AVX2, which `dispatch::level` verifies is available.
+    // SAFETY: SSE2 is baseline x86-64.
     unsafe {
-        if wide {
-            x86::quick32(data, w, y, x0, t)
-        } else {
-            x86::quick16(data, w, y, x0, t)
-        }
+        x86::quick16(data, w, y, x0, t)
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
         let mut mask = 0u32;
-        for j in 0..lanes {
+        for j in 0..QUICK_LANES {
             let x = x0 + j;
             let c = data[y * w + x];
             let vals = [
@@ -234,6 +400,141 @@ pub(crate) fn quick_pass_mask(
         }
         mask
     }
+}
+
+/// How many centres one [`block32`] call covers.
+pub(crate) const BLOCK: usize = 32;
+
+/// What [`block32`] computes for 32 consecutive centres; bit (or lane)
+/// `j` describes centre `x0 + j`. `corner` and `prereject` bits are set
+/// only where `pass` is, and `response[j]` is meaningful only there.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Block32 {
+    /// The compass quick-rejection passes.
+    pub pass: u32,
+    /// The ring holds 9 contiguous bright or 9 contiguous dark pixels.
+    pub corner: u32,
+    /// Fewer than 9 bright and fewer than 9 dark ring pixels: the
+    /// popcount pre-reject the SWAR and SSE2 segment tests count.
+    pub prereject: u32,
+    /// SAD response: the sum of `|v − c|` over ring pixels where it
+    /// exceeds `t`, at most 16 · 255.
+    pub response: [u16; BLOCK],
+}
+
+/// Linear offsets of the 16 ring pixels at row stride `w`.
+pub(crate) fn ring_offsets(w: usize) -> [isize; 16] {
+    CIRCLE.map(|(dx, dy)| dy as isize * w as isize + dx as isize)
+}
+
+/// Block segment test for the [`BLOCK`] centres `x0..x0 + 32` of row
+/// `y`, with the scalar detector's classify, arc, pre-reject and
+/// response semantics for a centre equal to its loaded pixel. Requires
+/// an interior span: `3 ≤ y < h-3`, `x0 ≥ 3`, `x0 + 35 ≤ w`.
+pub(crate) fn block32(data: &[u8], w: usize, y: usize, x0: usize, t: u8) -> Block32 {
+    assert!(
+        y >= 3 && x0 >= 3 && x0 + BLOCK + 3 <= w,
+        "block span out of bounds"
+    );
+    assert!(
+        (y + 3) * w + x0 + BLOCK + 3 <= data.len(),
+        "block rows out of bounds"
+    );
+    let ring = ring_offsets(w);
+    let base = y * w + x0;
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 was just detected. Every ring row lies in `data`:
+        // the lowest, `base − 3w − 3`, is ≥ 0 since y ≥ 3 and x0 ≥ 3, and
+        // the highest ends at `base + 3w + 3 + 32 ≤ data.len()`.
+        return unsafe { x86::block32(data, &ring, base, t) };
+    }
+    block32_lanes(data, &ring, base, t)
+}
+
+/// Per-centre form of [`block32`]: the scalar compass predicate, the
+/// SWAR segment test and a scalar SAD, lane by lane. The block's body
+/// without AVX2, and the oracle the vector block is tested against.
+fn block32_lanes(data: &[u8], ring: &[isize; 16], base: usize, t: u8) -> Block32 {
+    let mut b = Block32::default();
+    for j in 0..BLOCK {
+        let at = base + j;
+        let c = data[at];
+        let v: [u8; 16] = std::array::from_fn(|i| data[(at as isize + ring[i]) as usize]);
+        if !compass_pass([v[0], v[4], v[8], v[12]], c, t) {
+            continue;
+        }
+        b.pass |= 1 << j;
+        let mut pre = 0u64;
+        b.corner |= u32::from(crate::fast::swar_segment_test(&v, c as u64, t, &mut pre)) << j;
+        b.prereject |= (pre as u32) << j;
+        b.response[j] = v
+            .iter()
+            .map(|&p| p.abs_diff(c))
+            .filter(|&d| d > t)
+            .map(u16::from)
+            .sum();
+    }
+    b
+}
+
+/// The four rBRIEF descriptor words of a keypoint at `(cx, cy)` with
+/// orientation `(sin, cos)`, sampled by the AVX2 sampler: bit `i` is set
+/// iff pair `i`'s first sample is darker than its second. `cols` holds
+/// the pattern's x1, y1, x2 and y2 columns. `None` without AVX2 or on
+/// an empty image; the caller then runs the scalar pair loop.
+pub(crate) fn brief_words(
+    img: &GrayImage,
+    cols: &[[f64; BITS]; 4],
+    cx: f64,
+    cy: f64,
+    sin: f64,
+    cos: f64,
+) -> Option<[u64; 4]> {
+    let mut idx = [[0u64; BITS]; 2];
+    if !brief_indices(img, cols, cx, cy, sin, cos, &mut idx) {
+        return None;
+    }
+    let data = img.as_bytes();
+    let mut words = [0u64; 4];
+    for (i, (&a, &b)) in idx[0].iter().zip(&idx[1]).enumerate() {
+        words[i / 64] |= u64::from(data[a as usize] < data[b as usize]) << (i % 64);
+    }
+    Some(words)
+}
+
+/// Fill `idx` with the linear sample indices of every rBRIEF pair (see
+/// `x86::brief_indices`); `false`, leaving `idx` untouched, without
+/// AVX2 or on an empty image.
+fn brief_indices(
+    img: &GrayImage,
+    cols: &[[f64; BITS]; 4],
+    cx: f64,
+    cy: f64,
+    sin: f64,
+    cos: f64,
+    idx: &mut [[u64; BITS]; 2],
+) -> bool {
+    let (w, h) = (img.width(), img.height());
+    if img.is_empty() {
+        return false;
+    }
+    // `vs_image::MAX_PIXELS` keeps every index far below the sampler's
+    // 2^52 exactness bound.
+    assert!(
+        img.as_bytes().len() as u64 <= 1 << 52,
+        "image too large for the sampler"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 was just detected; the sampler's loads and stores
+        // stay inside the fixed-size `cols` and `idx` arrays.
+        unsafe { x86::brief_indices(cols, cx, cy, sin, cos, w, h, idx) };
+        return true;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (cols, cx, cy, sin, cos, idx);
+    false
 }
 
 /// SSE2 full segment test for one candidate: same contract as the SWAR
@@ -304,7 +605,7 @@ mod tests {
 
     /// The vector quick-scan mask agrees bit-for-bit with the scalar
     /// compass predicate at every lane, across thresholds (including the
-    /// t = 0 priority edge) and both widths.
+    /// t = 0 priority edge).
     #[test]
     fn quick_mask_matches_scalar_compass() {
         let mut rng = vs_rng::SplitMix64::new(0xC0_3A55);
@@ -316,31 +617,200 @@ mod tests {
                 1 => 255,
                 _ => rng.gen_range(0u32..256) as u8,
             };
-            for wide in [false, true] {
-                if wide && !vs_image::SimdLevel::Avx2.available() {
-                    continue;
+            for y in 3..h - 3 {
+                let mut x0 = 3usize;
+                while x0 + QUICK_LANES + 3 <= w {
+                    let mask = quick_pass_mask(&data, w, y, x0, t);
+                    for j in 0..QUICK_LANES {
+                        let x = x0 + j;
+                        let c = data[y * w + x];
+                        let vals = [
+                            data[(y - 3) * w + x],
+                            data[y * w + x + 3],
+                            data[(y + 3) * w + x],
+                            data[y * w + x - 3],
+                        ];
+                        assert_eq!(
+                            mask >> j & 1 == 1,
+                            compass_pass(vals, c, t),
+                            "trial {trial} y={y} x={x} t={t}"
+                        );
+                    }
+                    x0 += QUICK_LANES;
                 }
-                let lanes = quick_lanes(wide);
-                for y in 3..h - 3 {
-                    let mut x0 = 3usize;
-                    while x0 + lanes + 3 <= w {
-                        let mask = quick_pass_mask(&data, w, y, x0, t, wide);
-                        for j in 0..lanes {
-                            let x = x0 + j;
-                            let c = data[y * w + x];
-                            let vals = [
-                                data[(y - 3) * w + x],
-                                data[y * w + x + 3],
-                                data[(y + 3) * w + x],
-                                data[y * w + x - 3],
-                            ];
+            }
+        }
+    }
+
+    /// The AVX2 block segment test equals its per-centre form — pass,
+    /// corner and pre-reject masks exactly, responses on every passing
+    /// lane — at every block offset of random, two-level, plateau and
+    /// saturated images, across thresholds including 0, 1 and 255.
+    #[test]
+    fn block32_matches_per_centre_lanes() {
+        if !vs_image::SimdLevel::Avx2.available() {
+            return;
+        }
+        let mut rng = vs_rng::SplitMix64::new(0xB10C_3232);
+        let (w, h) = (77usize, 12usize);
+        for trial in 0..48u32 {
+            let data: Vec<u8> = match trial % 4 {
+                0 => (0..w * h).map(|_| rng.gen_range(0u32..256) as u8).collect(),
+                1 => (0..w * h)
+                    .map(|_| if rng.gen_range(0u32..2) == 0 { 0 } else { 255 })
+                    .collect(),
+                2 => (0..w * h)
+                    .map(|i| if (i % w) / 9 % 2 == 0 { 120 } else { 121 })
+                    .collect(),
+                _ => (0..w * h)
+                    .map(|_| 100 + rng.gen_range(0u32..40) as u8)
+                    .collect(),
+            };
+            let t = match trial % 6 {
+                0 => 0,
+                1 => 1,
+                2 => 255,
+                _ => rng.gen_range(0u32..64) as u8,
+            };
+            let ring = ring_offsets(w);
+            for y in 3..h - 3 {
+                for x0 in 3..=w - BLOCK - 3 {
+                    let got = block32(&data, w, y, x0, t);
+                    let want = block32_lanes(&data, &ring, y * w + x0, t);
+                    let ctx = format!("trial {trial} t={t} y={y} x0={x0}");
+                    assert_eq!(got.pass, want.pass, "pass: {ctx}");
+                    assert_eq!(got.corner, want.corner, "corner: {ctx}");
+                    assert_eq!(got.prereject, want.prereject, "prereject: {ctx}");
+                    for j in (0..BLOCK).filter(|j| want.pass >> j & 1 == 1) {
+                        assert_eq!(got.response[j], want.response[j], "response {j}: {ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The vector rounding is `f64::round` (half away from zero) on
+    /// ties, near-ties, huge, infinite, NaN and random-bit inputs.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn round_half_away_matches_f64_round() {
+        use std::arch::x86_64::*;
+        if !vs_image::SimdLevel::Avx2.available() {
+            return;
+        }
+        let mut vals = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            10.5,
+            -10.5,
+            0.49999999999999994,
+            -0.49999999999999994,
+            4503599627370495.5,
+            -4503599627370495.5,
+            4503599627370497.0,
+            1e300,
+            -1e300,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut rng = vs_rng::SplitMix64::new(0x0020_C00D);
+        vals.extend((0..4000).map(|_| f64::from_bits(rng.next_u64())));
+        vals.extend((0..4000).map(|i| (i as f64 - 2000.0) * 0.25));
+        while vals.len() % 4 != 0 {
+            vals.push(0.5);
+        }
+        for lanes in vals.chunks_exact(4) {
+            let mut out = [0f64; 4];
+            // SAFETY: AVX2 is available (checked above); `lanes` and
+            // `out` hold four f64 each.
+            unsafe {
+                let v = _mm256_loadu_pd(lanes.as_ptr());
+                _mm256_storeu_pd(out.as_mut_ptr(), x86::round_half_away(v));
+            }
+            for (f, r) in lanes.iter().zip(out) {
+                // `==`, not bit equality: `-0.3` rounds to `+0.0` here and
+                // to `-0.0` in `f64::round`, and both clamp to index 0.
+                let want = f.round();
+                assert!(
+                    r == want || (r.is_nan() && want.is_nan()),
+                    "round({f:e}) = {r:e}, want {want:e}"
+                );
+            }
+        }
+    }
+
+    /// Scalar sample index of one pattern point: the rotation the scalar
+    /// rBRIEF loop evaluates, then `get_clamped`'s coordinate clamp.
+    fn scalar_index(
+        (w, h): (usize, usize),
+        (cx, cy): (f64, f64),
+        (sin, cos): (f64, f64),
+        (px, py): (f64, f64),
+    ) -> u64 {
+        let rx = cx + px * cos - py * sin;
+        let ry = cy + px * sin + py * cos;
+        let x = (rx.round() as isize).clamp(0, w as isize - 1) as u64;
+        let y = (ry.round() as isize).clamp(0, h as isize - 1) as u64;
+        y * w as u64 + x
+    }
+
+    /// Every sample index of the AVX2 rBRIEF sampler equals the scalar
+    /// loop's: interior, border and far-outside keypoints, half-integer
+    /// coordinates (ties), 1×1 and 2×3 images, and NaN, ±inf and
+    /// random-bit orientations.
+    #[test]
+    fn brief_indices_match_scalar_rotation_and_clamp() {
+        if !vs_image::SimdLevel::Avx2.available() {
+            return;
+        }
+        let cols = crate::brief::pattern_columns();
+        let mut rng = vs_rng::SplitMix64::new(0xB41E_F00D);
+        let mut angles = vec![
+            0.0,
+            std::f64::consts::FRAC_PI_2,
+            -std::f64::consts::PI,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+        ];
+        angles.extend((0..40).map(|_| f64::from_bits(rng.next_u64())));
+        angles.extend(
+            (0..40).map(|_| rng.gen_range(0u32..6284) as f64 / 1000.0 - std::f64::consts::PI),
+        );
+        for (w, h) in [(1usize, 1usize), (2, 3), (40, 30), (131, 17)] {
+            let img = GrayImage::new(w, h);
+            let centres = [
+                (0.0, 0.0),
+                (w as f64 - 1.0, h as f64 - 1.0),
+                (w as f64 / 2.0, h as f64 / 2.0),
+                (10.5, 7.5),
+                (-3.5, 2.5),
+                (w as f64 + 0.5, -0.5),
+                (1e18, -1e18),
+            ];
+            for &(cx, cy) in &centres {
+                for &angle in &angles {
+                    let (sin, cos) = f64::sin_cos(angle);
+                    let mut idx = [[0u64; BITS]; 2];
+                    assert!(brief_indices(&img, cols, cx, cy, sin, cos, &mut idx));
+                    for i in 0..BITS {
+                        for (k, row) in idx.iter().enumerate() {
+                            let point = (cols[2 * k][i], cols[2 * k + 1][i]);
+                            let want = scalar_index((w, h), (cx, cy), (sin, cos), point);
                             assert_eq!(
-                                mask >> j & 1 == 1,
-                                compass_pass(vals, c, t),
-                                "trial {trial} wide={wide} y={y} x={x} t={t}"
+                                row[i], want,
+                                "{w}x{h} centre ({cx}, {cy}) angle {angle:e} pair {i} sample {k}"
                             );
                         }
-                        x0 += lanes;
                     }
                 }
             }

@@ -172,3 +172,25 @@ fn masked_pruned_campaign_is_pinned() {
         .all(|r| r.fired.is_none_or(|f| mask.contains(f.func))));
     assert_digest("masked pruned", &res.records, 0x6654_c5b1_c901_e323);
 }
+
+/// A stratified pruned campaign with many pilots per group at a tight
+/// hang budget: it reaches the sparsely drawn groups (orientation and
+/// description sites among them) and their hang pilots, where debug and
+/// release builds once recorded different outcomes. Tier-1 runs this
+/// test in the debug profile and `scripts/verify.sh` in release, so a
+/// profile split fails one of them.
+#[test]
+fn stratified_pruned_campaign_is_pinned() {
+    let w = workload();
+    let golden = campaign::profile_golden(&w).unwrap();
+    let cfg = PrunedConfig {
+        total_pilots: 128,
+        min_pilots_per_group: 8,
+        seed: SEED,
+        hang_factor: 4,
+    };
+    let res = pruning::run_pruned_campaign(&w, &golden, &cfg);
+    assert_eq!(res.groups.len(), 14, "populated site groups");
+    assert_eq!(res.records.len(), 202, "pilots");
+    assert_digest("stratified pruned", &res.records, 0xf0b3_ef25_71fc_c2db);
+}
