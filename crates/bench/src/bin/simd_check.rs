@@ -4,12 +4,14 @@
 //!
 //! Runs one plain (off-session) pipeline pass plus a small GPR and a
 //! small FPR campaign on the standard `VsWorkload`, and prints one
-//! digest line per phase to stdout. The dispatch level and detected
-//! CPU features go to stderr only. `scripts/verify.sh` executes this
-//! binary under `VS_SIMD=scalar`, `VS_SIMD=swar` and `VS_SIMD=auto`
-//! and diffs the stdout — any divergence means a vector kernel leaked
-//! a bit somewhere (into the output pixels, the tap stream, or an
-//! injection outcome).
+//! digest line per phase to stdout; the dispatch level and detected
+//! CPU features go to stderr only. It exits non-zero when the plain
+//! pass's panoramas differ from the tapped golden run's output, so
+//! every level checks its untapped render against the tapped one.
+//! `scripts/verify.sh` executes this binary under `VS_SIMD=scalar`,
+//! `swar`, `sse2` (on x86-64) and `auto` and diffs the stdout — any
+//! divergence means a vector kernel leaked a bit somewhere (into the
+//! output pixels, the tap stream, or an injection outcome).
 //!
 //! `std::hash::DefaultHasher` is deterministic across processes (SipHash
 //! with fixed keys), so the digests are directly comparable.
@@ -96,6 +98,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // The plain run renders through the untapped path (at SSE2/AVX2 the
+    // last-frame-first painter), the golden run frame by frame under
+    // taps: at every level both must give the same panoramas.
+    if panoramas != golden.output {
+        eprintln!("error: plain panoramas differ from the golden run's");
+        return ExitCode::FAILURE;
+    }
     for class in [RegClass::Gpr, RegClass::Fpr] {
         let cfg = CampaignConfig::new(class, 32).seed(0x51D0);
         let records = campaign::run_campaign(&w, &golden, &cfg);

@@ -18,11 +18,11 @@ use vs_fault::{tap, FuncId, OpClass, SimError};
 use vs_features::{Descriptor, Feature, Orb, OrbScratch};
 use vs_geometry::ransac::{self, RansacConfig, RansacScratch};
 use vs_geometry::transform::{transformed_bounds, Bounds};
-use vs_image::{GrayImage, RgbImage};
+use vs_image::{GrayImage, RgbImage, SimdLevel};
 use vs_linalg::{Mat3, Vec2};
 use vs_matching::{Match, RatioMatcher, SimpleMatcher};
 use vs_telemetry::Value;
-use vs_warp::{Canvas, CanvasPatch, WarpScratch};
+use vs_warp::{BlendMode, Canvas, CanvasPatch, WarpScratch};
 
 /// Counters describing what the pipeline did with its input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -597,6 +597,18 @@ impl VideoSummarizer {
         // for bit, and the bounds/reset work they repeat is tap-free,
         // keeping the resumed tap stream exactly on the golden run's.
         let render_resume = resume.and_then(|ck| ck.render.as_ref());
+        // Untapped Overwrite renders paint each segment last frame first
+        // (`Canvas::paint_overwrites`): the same pixels, each sampled once.
+        // Tapped runs (profiles, campaign pilots, checkpoint capture) and
+        // the scalar/SWAR levels keep the sequential full-canvas warps,
+        // whose tap stream sets Fig 5/8 and every campaign record.
+        let level = vs_image::dispatch::level();
+        let opts = &self.config.compositing;
+        let paint = capture.is_none()
+            && !session::active()
+            && opts.blend == BlendMode::Overwrite
+            && !opts.gain_compensation
+            && matches!(level, SimdLevel::Sse2 | SimdLevel::Avx2);
         let render_span = vs_telemetry::span_with(
             "render_stage",
             &[("segments", Value::U64(seg_count as u64))],
@@ -627,56 +639,60 @@ impl VideoSummarizer {
                 }
                 None => 0,
             };
-            // Capture-only state of this segment: the finished panoramas
-            // and the patches composited so far.
-            let finished: Option<Arc<[(RgbImage, Vec2)]>> = capture.is_some().then(|| {
-                scratch.summary.panoramas[..si]
-                    .iter()
-                    .cloned()
-                    .zip(scratch.summary.panorama_origins.iter().copied())
-                    .collect()
-            });
-            let mut written: Vec<Arc<CanvasPatch>> = Vec::new();
-            for pos in start..scratch.segments[si].len() {
-                if let (Some((every_k, sink)), Some(finished)) = (capture.as_mut(), &finished) {
-                    if pos % *every_k == 0 {
-                        sink.push(PipelineCheckpoint {
-                            next_frame: n,
-                            stats,
-                            segments: scratch.segments.clone(),
-                            current: Vec::new(),
-                            prev: None,
-                            discard_streak,
-                            render: Some(RenderCheckpoint {
-                                segment: si,
-                                pos,
-                                patches: written.clone(),
-                                finished: finished.clone(),
-                            }),
-                            taps: session::snapshot(),
-                            digests: forensics::current_trace(),
-                        });
-                    }
+            if paint {
+                let items = &scratch.segments[si][start..];
+                scratch
+                    .canvas
+                    .paint_overwrites(frames, items, &mut scratch.warp, level)?;
+                for &(idx, h) in items {
+                    record_composite(idx, &h);
                 }
-                tap::work(OpClass::IntAlu, 50)?;
-                let (idx, h) = scratch.segments[si][pos];
-                let fi = tap::addr(idx);
-                let frame = frames.get(fi).ok_or(SimError::Segfault)?;
-                scratch.canvas.composite_scratch(
-                    frame,
-                    &h,
-                    &self.config.compositing,
-                    &mut scratch.warp,
-                )?;
-                if capture.is_some() {
-                    written.push(Arc::new(scratch.canvas.written_by(&scratch.warp)));
-                }
-                if forensics::enabled() {
-                    let mut hd = forensics::hash_fold(0, idx as u64);
-                    for v in h.to_rows() {
-                        hd = forensics::hash_fold(hd, v.to_bits());
+            } else {
+                // Capture-only state of this segment: the finished panoramas
+                // and the patches composited so far.
+                let finished: Option<Arc<[(RgbImage, Vec2)]>> = capture.is_some().then(|| {
+                    scratch.summary.panoramas[..si]
+                        .iter()
+                        .cloned()
+                        .zip(scratch.summary.panorama_origins.iter().copied())
+                        .collect()
+                });
+                let mut written: Vec<Arc<CanvasPatch>> = Vec::new();
+                for pos in start..scratch.segments[si].len() {
+                    if let (Some((every_k, sink)), Some(finished)) = (capture.as_mut(), &finished) {
+                        if pos % *every_k == 0 {
+                            sink.push(PipelineCheckpoint {
+                                next_frame: n,
+                                stats,
+                                segments: scratch.segments.clone(),
+                                current: Vec::new(),
+                                prev: None,
+                                discard_streak,
+                                render: Some(RenderCheckpoint {
+                                    segment: si,
+                                    pos,
+                                    patches: written.clone(),
+                                    finished: finished.clone(),
+                                }),
+                                taps: session::snapshot(),
+                                digests: forensics::current_trace(),
+                            });
+                        }
                     }
-                    forensics::record(Stage::Warp, hd);
+                    tap::work(OpClass::IntAlu, 50)?;
+                    let (idx, h) = scratch.segments[si][pos];
+                    let fi = tap::addr(idx);
+                    let frame = frames.get(fi).ok_or(SimError::Segfault)?;
+                    scratch.canvas.composite_scratch(
+                        frame,
+                        &h,
+                        &self.config.compositing,
+                        &mut scratch.warp,
+                    )?;
+                    if capture.is_some() {
+                        written.push(Arc::new(scratch.canvas.written_by(&scratch.warp)));
+                    }
+                    record_composite(idx, &h);
                 }
             }
             forensics::record_bytes(Stage::Warp, scratch.canvas.image().as_bytes());
@@ -928,6 +944,18 @@ fn segment_bounds(segment: &[(usize, Mat3)], frames: &[RgbImage]) -> Result<Boun
     bounds.ok_or(SimError::Abort)
 }
 
+/// Fold one composite's frame index and transform into the warp-stage
+/// digest (a no-op when forensics is off).
+fn record_composite(idx: usize, h: &Mat3) {
+    if forensics::enabled() {
+        let mut hd = forensics::hash_fold(0, idx as u64);
+        for v in h.to_rows() {
+            hd = forensics::hash_fold(hd, v.to_bits());
+        }
+        forensics::record(Stage::Warp, hd);
+    }
+}
+
 /// Record the alignment of every frame in a segment.
 fn push_alignments(out: &mut Vec<FrameAlignment>, segment: &[(usize, Mat3)], si: usize) {
     for &(frame, h) in segment {
@@ -1176,6 +1204,37 @@ mod tests {
                 final_taps,
                 "tap counters diverged resuming at frame {}",
                 ck.next_frame()
+            );
+        }
+    }
+
+    /// An untapped resume from a render checkpoint paints the rest of
+    /// the segment last frame first over the restored canvas, which must
+    /// reproduce the tapped golden run.
+    #[test]
+    fn off_session_render_resume_matches_golden() {
+        let frames = quick_input2(8);
+        let vs = VideoSummarizer::new(PipelineConfig::default());
+        let mut scratch = RunScratch::default();
+        let ckpts = {
+            let _g = session::begin_profile();
+            vs.run_capturing(&frames, 2, &mut scratch).unwrap()
+        };
+        let golden = scratch.summary().clone();
+        let renders: Vec<&PipelineCheckpoint> = ckpts.iter().filter(|c| c.is_render()).collect();
+        assert!(
+            renders.iter().any(|c| c.render.as_ref().unwrap().pos > 0),
+            "no checkpoint restores canvas pixels"
+        );
+        for ck in renders {
+            let rc = ck.render.as_ref().unwrap();
+            vs.run_with(&frames, Some(ck), &mut scratch).unwrap();
+            assert_eq!(
+                *scratch.summary(),
+                golden,
+                "resume at segment {} composite {}",
+                rc.segment,
+                rc.pos
             );
         }
     }

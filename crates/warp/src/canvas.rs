@@ -6,9 +6,13 @@
 //! frame is warped into its window and composited with later-frame-
 //! overwrites blending. That overwrite is the mechanism behind the
 //! compositional masking of Fig 11b: an SDC in one warped frame can be
-//! painted over by the next frame.
+//! painted over by the next frame. Outside fault sessions the same
+//! overwrite composites can run last frame first
+//! ([`Canvas::paint_overwrites`]), so no pixel a later frame covers is
+//! sampled at all.
 
-use crate::{warp_perspective_offset_into, WarpScratch, MAX_WARP_PIXELS};
+use crate::simd::remap_span_bytes;
+use crate::{checked_inverse, warp_perspective_offset_into, WarpScratch, MAX_WARP_PIXELS};
 use vs_fault::{tap, FuncId, OpClass, SimError};
 use vs_geometry::transform::{transformed_bounds, Bounds};
 use vs_image::{GrayImage, RgbImage};
@@ -236,10 +240,13 @@ impl Canvas {
         let _ = transformed_bounds(h, src.width(), src.height()).ok_or(SimError::Abort)?;
         // Paper-faithful cost structure: like OpenCV's `warpPerspective`
         // with `dsize` = panorama size, every frame is warped across the
-        // ENTIRE canvas. This is what makes the warp pair dominate the
-        // execution profile (Fig 8) and what makes the stitching cost
-        // effectively polynomial in accepted frames (§IV-A): fewer or
-        // smaller panoramas save panorama-sized work per frame.
+        // ENTIRE canvas. Tapped runs (golden profiles, every campaign
+        // pilot) composite this way, which is what makes the warp pair
+        // dominate the execution profile (Fig 8) and what makes the
+        // stitching cost effectively polynomial in accepted frames
+        // (§IV-A): fewer or smaller panoramas save panorama-sized work
+        // per frame. Untapped summaries reach the same pixels through
+        // `paint_overwrites`, which samples each pixel once.
         let (win_w, win_h) = (self.image.width(), self.image.height());
         warp_perspective_offset_into(
             src,
@@ -298,6 +305,76 @@ impl Canvas {
         Ok(())
     }
 
+    /// Composite `items` — `(index into frames, transform)` pairs — with
+    /// [`BlendMode::Overwrite`] and no gain compensation, leaving the
+    /// canvas exactly as consecutive [`Canvas::composite_scratch`] calls
+    /// would, but painting **last frame first**: each frame samples only
+    /// the pixels no later frame has painted, so every canvas pixel is
+    /// sampled once, by the last frame that covers it.
+    ///
+    /// Every item is checked in order before any pixel is painted, with
+    /// [`Canvas::composite_scratch`]'s checks in its order, so a list
+    /// that would abort part-way returns the same error and paints
+    /// nothing. The painted set lives in `warp`'s mask (its patch buffer
+    /// is never touched), apart from the canvas mask, so content already
+    /// on the canvas — a segment rebuilt from its
+    /// [`CanvasPatch`] chain — is overwritten wherever a frame covers it.
+    /// Each composite is one `warp_stage` span and one `warp` event, in
+    /// paint order.
+    ///
+    /// The pixels are bit-identical at every `level`: AVX2 samples
+    /// through the four-lane sampler, any other level through the SSE2
+    /// coordinate path. Tap-free, so it belongs outside instrumentation
+    /// sessions, where taps are pass-throughs.
+    ///
+    /// # Errors
+    ///
+    /// * [`SimError::Segfault`] — an item's frame index is out of range
+    ///   (the frame-pointer dereference the render loop models).
+    /// * [`SimError::Abort`] — as [`Canvas::composite`], for the first
+    ///   failing item.
+    pub fn paint_overwrites(
+        &mut self,
+        frames: &[RgbImage],
+        items: &[(usize, Mat3)],
+        warp: &mut WarpScratch,
+        level: vs_image::SimdLevel,
+    ) -> Result<(), SimError> {
+        assert!(
+            !vs_fault::session::active(),
+            "paint_overwrites skips the fault taps: call it outside sessions"
+        );
+        let (w, h) = (self.image.width(), self.image.height());
+        let checked = |&(idx, ref m): &(usize, Mat3)| {
+            let src = frames.get(idx).ok_or(SimError::Segfault)?;
+            let _ = transformed_bounds(m, src.width(), src.height()).ok_or(SimError::Abort)?;
+            checked_inverse(src, m, w, h).map(|inv| (src, inv))
+        };
+        for item in items {
+            checked(item)?;
+        }
+        warp.mask.try_reset(w, h).ok_or(SimError::Abort)?;
+        let wide = level == vs_image::SimdLevel::Avx2;
+        for item in items.iter().rev() {
+            let _stage = vs_telemetry::span("warp_stage");
+            let t0 = vs_telemetry::enabled().then(std::time::Instant::now);
+            let (src, inv) = checked(item)?;
+            let dst = self.image.as_bytes_mut();
+            let painted = warp.mask.as_bytes_mut();
+            remap_span_bytes(src, &inv, dst, painted, w, self.origin, 0, h, wide)?;
+            crate::emit_warp(w * h, t0);
+        }
+        for (k, &p) in self
+            .mask
+            .as_bytes_mut()
+            .iter_mut()
+            .zip(warp.mask.as_bytes())
+        {
+            *k |= p;
+        }
+        Ok(())
+    }
+
     /// Mean-luma gain matching the incoming patch to the canvas content
     /// it overlaps; 1.0 when there is no overlap. Clamped to [0.6, 1.6].
     fn exposure_gain(&self, patch: &RgbImage, patch_mask: &GrayImage) -> f64 {
@@ -343,27 +420,20 @@ impl Canvas {
     /// was composited.
     pub fn crop_to_content_into(&self, out: &mut RgbImage) -> Option<Vec2> {
         let w = self.image.width();
-        let h = self.image.height();
-        let mut min_x = w;
-        let mut min_y = h;
-        let mut max_x = 0usize;
-        let mut max_y = 0usize;
-        let mut any = false;
-        for y in 0..h {
-            let row = &self.mask.as_bytes()[y * w..(y + 1) * w];
-            for (x, &m) in row.iter().enumerate() {
-                if m == 255 {
-                    any = true;
-                    min_x = min_x.min(x);
-                    min_y = min_y.min(y);
-                    max_x = max_x.max(x);
-                    max_y = max_y.max(y);
-                }
-            }
-        }
-        if !any {
+        if w == 0 {
             return None;
         }
+        // Each row's first and last covered pixel bound its coverage.
+        let (mut min_x, mut min_y, mut max_x, mut max_y) = (w, None, 0, 0);
+        for (y, row) in self.mask.as_bytes().chunks_exact(w).enumerate() {
+            let Some(first) = row.iter().position(|&m| m == 255) else {
+                continue;
+            };
+            let last = row.iter().rposition(|&m| m == 255).unwrap_or(first);
+            min_y.get_or_insert(y);
+            (min_x, max_x, max_y) = (min_x.min(first), max_x.max(last), y);
+        }
+        let min_y = min_y?;
         if !self
             .image
             .crop_into(min_x, min_y, max_x - min_x + 1, max_y - min_y + 1, out)
@@ -483,6 +553,29 @@ mod tests {
             cropped.height()
         );
         assert_eq!(cropped.get(2, 2), Some([3, 3, 3]));
+        // A mask with holes: several runs per row, uncovered rows between
+        // covered ones, and a lone pixel that alone sets the right edge.
+        for (x, y) in [(2.0, 20.0), (30.0, 22.0), (12.0, 40.0)] {
+            c.composite(&solid(4, 3, [5, 5, 5]), &Mat3::translation(x, y))
+                .unwrap();
+        }
+        c.mask.set(47, 30, 255);
+        let covered: Vec<(usize, usize)> = (0..c.mask.height())
+            .flat_map(|y| (0..c.mask.width()).map(move |x| (x, y)))
+            .filter(|&(x, y)| c.mask.get(x, y) == Some(255))
+            .collect();
+        let x0 = covered.iter().map(|p| p.0).min().unwrap();
+        let x1 = covered.iter().map(|p| p.0).max().unwrap();
+        let y0 = covered.iter().map(|p| p.1).min().unwrap();
+        let y1 = covered.iter().map(|p| p.1).max().unwrap();
+        assert_eq!(x1, 47);
+        let (img, origin) = c.crop_to_content_with_origin().unwrap();
+        assert_eq!(origin, Vec2::new(x0 as f64, y0 as f64));
+        let mut want = RgbImage::default();
+        assert!(c
+            .image
+            .crop_into(x0, y0, x1 - x0 + 1, y1 - y0 + 1, &mut want));
+        assert_eq!(img, want);
     }
 
     #[test]
@@ -774,6 +867,134 @@ mod tests {
                     assert_eq!(want.unwrap_err(), SimError::Segfault);
                 }
             }
+        }
+    }
+
+    /// Runs `items` through sequential Overwrite [`Canvas::composite_scratch`]
+    /// calls and through the painter at both vector levels, from the same
+    /// `start` canvas: results must agree, the canvases must be equal, a
+    /// failing list must leave the painted canvas untouched, and the
+    /// painter must never grow the patch buffer. Returns the sequential
+    /// canvas.
+    fn assert_paints_like_sequential(
+        start: &Canvas,
+        frames: &[RgbImage],
+        items: &[(usize, Mat3)],
+    ) -> Canvas {
+        use vs_image::SimdLevel;
+        let mut want = start.clone();
+        let mut warp = WarpScratch::default();
+        let opts = CompositeOptions::default();
+        let seq = items.iter().try_for_each(|&(i, h)| {
+            let src = frames.get(i).ok_or(SimError::Segfault)?;
+            want.composite_scratch(src, &h, &opts, &mut warp)
+        });
+        for level in [SimdLevel::Sse2, SimdLevel::Avx2] {
+            if !level.available() {
+                continue;
+            }
+            let mut got = start.clone();
+            let mut warp = WarpScratch::default();
+            let painted = got.paint_overwrites(frames, items, &mut warp, level);
+            assert_eq!(painted, seq, "{level}: result");
+            if seq.is_ok() {
+                assert_eq!(got, want, "{level}: canvas");
+            } else {
+                assert_eq!(&got, start, "{level}: painted before failing");
+            }
+            assert_eq!(warp.patch.capacity(), 0, "{level}: patch buffer touched");
+        }
+        want
+    }
+
+    #[test]
+    fn painter_matches_sequential_overwrites() {
+        let area = bounds(-3.0, -3.0, 45.0, 32.0);
+        let (frames, hs): (Vec<RgbImage>, Vec<Mat3>) = tilted_frames().into_iter().unzip();
+        let items: Vec<(usize, Mat3)> = hs.into_iter().enumerate().collect();
+        let fresh = Canvas::new(&area).unwrap();
+        let all = assert_paints_like_sequential(&fresh, &frames, &items);
+        assert!(all.coverage() > 0.3);
+        // Projective, off-canvas and constant-divisor (|c| < 1e-12, so
+        // the warp samples nothing) items among the tilted ones.
+        let projective = Mat3::from_rows([1.0, 0.05, 2.0, -0.03, 0.9, 1.0, 0.004, -0.003, 1.0]);
+        let off_canvas = Mat3::translation(500.0, -400.0);
+        let tiny_divisor = Mat3::from_rows([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1e13]);
+        let c = tiny_divisor.inverse().unwrap().to_rows()[8];
+        assert!(c != 0.0 && c.abs() < 1e-12, "divisor {c}");
+        let mut mixed = items.clone();
+        mixed.insert(1, (2, projective));
+        mixed.insert(3, (0, off_canvas));
+        mixed.push((4, tiny_divisor));
+        let painted = assert_paints_like_sequential(&fresh, &frames, &mixed);
+        for (i, h) in [(2, projective), (0, off_canvas), (4, tiny_divisor)] {
+            let mut alone = fresh.clone();
+            alone.composite(&frames[i], &h).unwrap();
+            assert_eq!(alone.coverage() > 0.0, i == 2, "item ({i}, {h:?})");
+        }
+        assert_ne!(painted, all, "the projective item changed nothing");
+    }
+
+    /// A resumed segment: the canvas is rebuilt from its patch chain, so
+    /// restored pixels carry mask bytes the painter must still paint over.
+    #[test]
+    fn painter_overwrites_restored_canvas_content() {
+        let area = bounds(-3.0, -3.0, 45.0, 32.0);
+        let (frames, hs): (Vec<RgbImage>, Vec<Mat3>) = tilted_frames().into_iter().unzip();
+        let items: Vec<(usize, Mat3)> = hs.into_iter().enumerate().collect();
+        for pos in 1..items.len() {
+            let mut canvas = Canvas::new(&area).unwrap();
+            let mut warp = WarpScratch::default();
+            let mut patches = Vec::new();
+            for &(i, h) in &items[..pos] {
+                canvas
+                    .composite_scratch(&frames[i], &h, &CompositeOptions::default(), &mut warp)
+                    .unwrap();
+                patches.push(canvas.written_by(&warp));
+            }
+            let mut resumed = Canvas::new(&bounds(0.0, 0.0, 7.0, 9.0)).unwrap();
+            resumed.reset(&area).unwrap();
+            for p in &patches {
+                resumed.apply(p);
+            }
+            assert_eq!(resumed, canvas);
+            let done = assert_paints_like_sequential(&resumed, &frames, &items[pos..]);
+            // The later frames do overlap the restored ones.
+            assert_ne!(done.image, resumed.image, "resume at {pos}");
+        }
+    }
+
+    /// A list that aborts part-way returns the first failing item's
+    /// error and paints nothing.
+    #[test]
+    fn painter_checks_every_item_before_painting() {
+        let area = bounds(-3.0, -3.0, 45.0, 32.0);
+        let (mut frames, hs): (Vec<RgbImage>, Vec<Mat3>) = tilted_frames().into_iter().unzip();
+        frames.push(solid(1, 7, [9, 9, 9]));
+        let items: Vec<(usize, Mat3)> = hs.into_iter().enumerate().collect();
+        let degenerate = Mat3::from_rows([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, -1.0 / 18.0, 0.0, 1.0]);
+        let singular = Mat3::from_rows([1.0, 2.0, 0.0, 2.0, 4.0, 0.0, 0.0, 0.0, 1.0]);
+        let fresh = Canvas::new(&area).unwrap();
+        let (mut warp, level) = (WarpScratch::default(), vs_image::dispatch::level());
+        let cases = [
+            ((1, degenerate), SimError::Abort),
+            ((3, singular), SimError::Abort),
+            ((5, Mat3::IDENTITY), SimError::Abort),
+            ((9, Mat3::IDENTITY), SimError::Segfault),
+        ];
+        for (bad, err) in cases {
+            let mut list = items.clone();
+            list.insert(2, bad);
+            let mut canvas = fresh.clone();
+            let got = canvas.paint_overwrites(&frames, &list, &mut warp, level);
+            assert_eq!(got, Err(err), "{bad:?}");
+            assert_paints_like_sequential(&fresh, &frames, &list);
+            // Two failing items: the earlier one's error wins.
+            list.insert(4, cases[3].0);
+            assert_paints_like_sequential(&fresh, &frames, &list);
+            list.insert(1, cases[3].0);
+            let got = canvas.paint_overwrites(&frames, &list, &mut warp, level);
+            assert_eq!(got, Err(SimError::Segfault));
         }
     }
 

@@ -11,7 +11,11 @@
 //!
 //! [`Canvas`] composites warped frames into a panorama with
 //! later-frame-overwrites blending; that overlap is what masks many
-//! warp-stage SDCs in the end-to-end workflow (§VI-C).
+//! warp-stage SDCs in the end-to-end workflow (§VI-C). Tapped runs warp
+//! every frame across the whole canvas, as the paper's application
+//! does; untapped summaries paint a segment's composites last frame
+//! first ([`Canvas::paint_overwrites`]), sampling each canvas pixel once,
+//! by the last frame that covers it, for the same bytes.
 //!
 //! # Example
 //!
@@ -525,10 +529,7 @@ pub fn warp_perspective_offset_into_bands(
     let _f = tap::scope(FuncId::WarpPerspective);
     tap::work(OpClass::Float, 120)?;
     tap::work(OpClass::IntAlu, 60)?;
-    if dst_w.checked_mul(dst_h).is_none_or(|p| p > MAX_WARP_PIXELS) {
-        return Err(SimError::Abort);
-    }
-    let inv = h.inverse().ok_or(SimError::Abort)?;
+    let inv = checked_inverse(src, h, dst_w, dst_h)?;
     dst.try_reset(dst_w, dst_h).ok_or(SimError::Abort)?;
     mask.try_reset(dst_w, dst_h).ok_or(SimError::Abort)?;
     let wide = vs_image::dispatch::level() == vs_image::SimdLevel::Avx2;
@@ -559,16 +560,7 @@ pub fn warp_perspective_offset_into_bands(
     if let Some(e) = first_err {
         return Err(e);
     }
-    vs_telemetry::emit(
-        "warp",
-        &[
-            ("pixels", vs_telemetry::Value::U64((dst_w * dst_h) as u64)),
-            (
-                "ns",
-                vs_telemetry::Value::U64(t0.map_or(0, |t| t.elapsed().as_nanos() as u64)),
-            ),
-        ],
-    );
+    emit_warp(dst_w * dst_h, t0);
     Ok(())
 }
 
@@ -605,6 +597,46 @@ pub fn warp_perspective_offset_into_scalar(
 type RemapFn =
     fn(&RgbImage, &Mat3, &mut RgbImage, &mut GrayImage, Vec2, usize, usize) -> Result<(), SimError>;
 
+/// The `warp` kernel event: destination `pixels` and the nanoseconds
+/// since `t0` (0 when no telemetry sink was installed at the start).
+pub(crate) fn emit_warp(pixels: usize, t0: Option<std::time::Instant>) {
+    vs_telemetry::emit(
+        "warp",
+        &[
+            ("pixels", vs_telemetry::Value::U64(pixels as u64)),
+            (
+                "ns",
+                vs_telemetry::Value::U64(t0.map_or(0, |t| t.elapsed().as_nanos() as u64)),
+            ),
+        ],
+    );
+}
+
+/// The checks a warp of `src` by `h` into a `dst_w`×`dst_h` destination
+/// makes before it samples, in order: the destination within
+/// [`MAX_WARP_PIXELS`], an invertible transform, and a source of at least
+/// 2×2 pixels (the bilinear footprint). Returns the inverse the remap
+/// kernels sample with. Tap-free, so callers place it after their taps.
+///
+/// # Errors
+///
+/// [`SimError::Abort`] when any check fails.
+pub(crate) fn checked_inverse(
+    src: &RgbImage,
+    h: &Mat3,
+    dst_w: usize,
+    dst_h: usize,
+) -> Result<Mat3, SimError> {
+    if dst_w.checked_mul(dst_h).is_none_or(|p| p > MAX_WARP_PIXELS) {
+        return Err(SimError::Abort);
+    }
+    let inv = h.inverse().ok_or(SimError::Abort)?;
+    if src.width() < 2 || src.height() < 2 {
+        return Err(SimError::Abort);
+    }
+    Ok(inv)
+}
+
 #[allow(clippy::too_many_arguments)]
 fn warp_driver(
     src: &RgbImage,
@@ -625,23 +657,11 @@ fn warp_driver(
     let _f = tap::scope(FuncId::WarpPerspective);
     tap::work(OpClass::Float, 120)?;
     tap::work(OpClass::IntAlu, 60)?;
-    if dst_w.checked_mul(dst_h).is_none_or(|p| p > MAX_WARP_PIXELS) {
-        return Err(SimError::Abort);
-    }
-    let inv = h.inverse().ok_or(SimError::Abort)?;
+    let inv = checked_inverse(src, h, dst_w, dst_h)?;
     dst.try_reset(dst_w, dst_h).ok_or(SimError::Abort)?;
     mask.try_reset(dst_w, dst_h).ok_or(SimError::Abort)?;
     remap(src, &inv, dst, mask, origin, 0, dst_h)?;
-    vs_telemetry::emit(
-        "warp",
-        &[
-            ("pixels", vs_telemetry::Value::U64((dst_w * dst_h) as u64)),
-            (
-                "ns",
-                vs_telemetry::Value::U64(t0.map_or(0, |t| t.elapsed().as_nanos() as u64)),
-            ),
-        ],
-    );
+    emit_warp(dst_w * dst_h, t0);
     Ok(())
 }
 

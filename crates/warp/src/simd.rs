@@ -306,7 +306,9 @@ mod x86 {
                     _mm256_cmp_pd::<_CMP_LE_OQ>(sy, shf),
                 ),
             );
-            let lanes = _mm256_movemask_pd(valid);
+            // Lanes whose mask byte is already set keep their bytes.
+            let unset = (0..4).fold(0, |b, l| b | (i32::from(mask[idx0 + j + l] == 0) << l));
+            let lanes = _mm256_movemask_pd(valid) & unset;
             if lanes == 0 {
                 j += 4;
                 continue;
@@ -400,7 +402,7 @@ fn sample_pixel(
     mask_band: &mut [u8],
     idx: usize,
 ) {
-    if !sx.is_finite() || !sy.is_finite() {
+    if mask_band[idx] != 0 || !sx.is_finite() || !sy.is_finite() {
         return;
     }
     if sx < -1.0 || sy < -1.0 || sx > sw as f64 || sy > sh as f64 {
@@ -447,6 +449,12 @@ fn sample_pixel(
 /// (`dst_band`/`mask_band` hold exactly those rows). Bit-identical to
 /// the instrumented kernel's output on the same rows; usable from
 /// multiple threads on disjoint bands.
+///
+/// A pixel whose mask byte is already set keeps its bytes, and a block
+/// whose mask bytes are all set is skipped. On a zeroed mask (every
+/// whole-image warp) that changes nothing; [`crate::Canvas`]'s
+/// last-frame-first painter passes the set of pixels later frames have
+/// painted.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn remap_span_bytes(
     src: &RgbImage,
@@ -492,6 +500,11 @@ pub(crate) fn remap_span_bytes(
         let mut x = 0usize;
         while x < w {
             let n = BLOCK.min(w - x);
+            let at = local_base + x;
+            if mask_band[at..at + n].iter().all(|&m| m != 0) {
+                x += n;
+                continue;
+            }
             fill_coords(
                 &inv_rows, origin.x, dy, r1dy, r4dy, const_hw, x, n, &mut sxs, &mut sys, wide,
             );
@@ -502,16 +515,7 @@ pub(crate) fn remap_span_bytes(
             let sampled = if wide {
                 unsafe {
                     x86::sample_avx2(
-                        src_bytes,
-                        row_stride,
-                        sw,
-                        sh,
-                        &sxs,
-                        &sys,
-                        n,
-                        dst_band,
-                        mask_band,
-                        local_base + x,
+                        src_bytes, row_stride, sw, sh, &sxs, &sys, n, dst_band, mask_band, at,
                     )
                 }
             } else {
@@ -529,7 +533,7 @@ pub(crate) fn remap_span_bytes(
                     sys[j],
                     dst_band,
                     mask_band,
-                    local_base + x + j,
+                    at + j,
                 );
             }
             x += n;

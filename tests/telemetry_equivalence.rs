@@ -66,6 +66,35 @@ fn golden_profile_is_identical_with_jsonl_sink_installed() {
     assert!(events.iter().any(|e| e.name == "frame"));
 }
 
+/// Untapped summaries paint each segment last frame first, but still
+/// trace one `warp_stage` span and one timed `warp` event per composite,
+/// in a well-formed span tree.
+#[test]
+fn untapped_summary_traces_one_warp_per_composite() {
+    let w = workload();
+    let (sink, bytes) = shared_jsonl_sink();
+    let summary = {
+        let _g = vs_telemetry::install(sink);
+        w.summarize().unwrap()
+    };
+    let text = String::from_utf8(bytes.lock().unwrap().clone()).unwrap();
+    let events = vs_telemetry::jsonl::parse_trace(&text).expect("trace must parse");
+    let composites = summary.alignments.len();
+    assert!(composites > 1);
+    let warps: Vec<_> = events.iter().filter(|e| e.name == "warp").collect();
+    assert_eq!(warps.len(), composites, "one warp event per composite");
+    for e in &warps {
+        assert!(e.u64("ns").is_some_and(|ns| ns > 0), "untimed warp: {e:?}");
+        assert!(e.u64("pixels").is_some_and(|px| px > 0), "{e:?}");
+    }
+    let stages = events
+        .iter()
+        .filter(|e| e.name == "span_enter" && e.str("span") == Some("warp_stage"))
+        .count();
+    assert_eq!(stages, composites, "one warp_stage span per composite");
+    vs_telemetry::export::validate_spans(&events).expect("span tree must validate");
+}
+
 #[test]
 fn campaigns_are_identical_across_threads_with_jsonl_sink() {
     let w = workload();
