@@ -47,13 +47,17 @@
 //! odd-dimension tier exercising pyramid-halving edge lanes), every
 //! kernel is timed at each compiled dispatch level with the SWAR path
 //! as the interleaved reference side, after a fresh bit-exactness
-//! check against the scalar oracle. The full tiers add the ORB rows:
-//! `fast_detect` and `brief_describe` (rBRIEF over the tier's oriented
-//! FAST keypoints; its SWAR side is the scalar pair loop). Rows whose
-//! batch coefficient of variation exceeds 20% are flagged `unstable`.
-//! Row-band parallel blur/warp rows are added only when the host has
-//! ≥ 2 cores, and an end-to-end checkpointed-campaign row anchors the
-//! kernel numbers to campaign throughput. `--check-simd` fails the process unless SSE2
+//! check against the scalar oracle. Every tier times `decode` (the
+//! grayscale conversion; below AVX2 every level runs the plain loop),
+//! `blur5x5` and `downsample`. The full tiers add the ORB rows:
+//! `fast_detect` at `FastConfig::default()`, `fast_detect_paper` at the
+//! Paper-scale pipeline's ORB threshold and per-level keypoint cap, and
+//! `brief_describe` (rBRIEF over the tier's oriented FAST keypoints;
+//! its SWAR side is the scalar pair loop). Rows whose batch coefficient
+//! of variation exceeds 20% are flagged `unstable`. A row-band parallel
+//! warp row is added only when the host has ≥ 2 cores, and an
+//! end-to-end checkpointed-campaign row anchors the kernel numbers to
+//! campaign throughput. `--check-simd` fails the process unless SSE2
 //! reaches ≥ 1.5× over SWAR on at least two of {fast_detect,
 //! warp_affine, warp_halfpix, hamming}; the AVX2 and row-band gates
 //! arm only when the CPU features / core count permit (a note is
@@ -64,16 +68,17 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use vs_bench::timing::{fmt_secs, measure_pair, Measurement};
+use vs_core::experiments::{pipeline_config, Scale};
 use vs_core::workloads::VsWorkload;
-use vs_core::PipelineConfig;
+use vs_core::{Approximation, PipelineConfig};
 use vs_fault::campaign::{self, CampaignConfig, CheckpointPolicy};
 use vs_fault::spec::RegClass;
 use vs_features::fast::{self, FastConfig, FastScratch};
 use vs_features::{brief, orientation, Descriptor, KeyPoint};
 use vs_image::{
     downsample_half_into_level, downsample_half_into_scalar, downsample_half_into_swar,
-    gaussian_blur_5x5_into_bands, gaussian_blur_5x5_into_level, gaussian_blur_5x5_into_scalar,
-    gaussian_blur_5x5_into_swar, GrayImage, RgbImage, SimdLevel,
+    gaussian_blur_5x5_into_level, gaussian_blur_5x5_into_scalar, gaussian_blur_5x5_into_swar,
+    GrayImage, RgbImage, SimdLevel,
 };
 use vs_linalg::{Mat3, Vec2};
 use vs_matching::{Match, RatioMatcher};
@@ -562,9 +567,22 @@ fn hd_levels() -> Vec<SimdLevel> {
         .collect()
 }
 
+/// The FAST settings the Paper-scale pipeline passes per pyramid level
+/// (threshold, and the feature cap split evenly over the levels, as
+/// `Orb::detect_and_describe_into` splits it) — the ones `golden_hd`
+/// runs.
+fn paper_fast_config() -> FastConfig {
+    let orb = pipeline_config(Scale::Paper, Approximation::Baseline).orb;
+    FastConfig {
+        threshold: orb.fast_threshold,
+        max_keypoints: (orb.max_features / orb.levels.max(1)).max(8),
+        ..FastConfig::default()
+    }
+}
+
 /// HD-tier dispatch-level sweep. Full tiers run every kernel; the
-/// odd-dimension tier runs only blur + downsample (its purpose is the
-/// pyramid-halving edge lanes).
+/// odd-dimension tier runs only decode, blur and downsample (its
+/// purpose is the odd-width tails and pyramid-halving edge lanes).
 fn bench_hd(o: &BenchOpts) -> Vec<HdRow> {
     let levels = hd_levels();
     let tiers: &[(usize, usize, bool)] = if o.smoke {
@@ -582,6 +600,31 @@ fn bench_hd(o: &BenchOpts) -> Vec<HdRow> {
         )
         .remove(0);
         let gray = frame.to_gray();
+
+        {
+            let mut out_o = GrayImage::new(0, 0);
+            frame.to_gray_into_level(&mut out_o, SimdLevel::Scalar);
+            for &level in &levels {
+                let (mut out_s, mut out_l) = (GrayImage::new(0, 0), GrayImage::new(0, 0));
+                frame.to_gray_into_level(&mut out_s, SimdLevel::Swar);
+                frame.to_gray_into_level(&mut out_l, level);
+                let identical = out_l == out_o && out_s == out_o;
+                rows.push(run_hd_pair(
+                    "decode",
+                    &tier,
+                    level,
+                    "swar",
+                    o.budget,
+                    identical,
+                    || {
+                        frame.to_gray_into_level(&mut out_s, SimdLevel::Swar);
+                    },
+                    || {
+                        frame.to_gray_into_level(&mut out_l, level);
+                    },
+                ));
+            }
+        }
 
         {
             let (mut tmp_o, mut out_o) = (GrayImage::new(0, 0), GrayImage::new(0, 0));
@@ -639,8 +682,10 @@ fn bench_hd(o: &BenchOpts) -> Vec<HdRow> {
             continue;
         }
 
-        {
-            let cfg = FastConfig::default();
+        for (kernel, cfg) in [
+            ("fast_detect", FastConfig::default()),
+            ("fast_detect_paper", paper_fast_config()),
+        ] {
             let mut scratch_o = FastScratch::default();
             let mut out_o: Vec<KeyPoint> = Vec::new();
             fast::detect_into_scalar(&gray, &cfg, &mut scratch_o, &mut out_o).expect("fast");
@@ -655,7 +700,7 @@ fn bench_hd(o: &BenchOpts) -> Vec<HdRow> {
                     .expect("fast");
                 let identical = out_l == out_o && out_s == out_o;
                 rows.push(run_hd_pair(
-                    "fast_detect",
+                    kernel,
                     &tier,
                     level,
                     "swar",
@@ -859,8 +904,8 @@ fn bench_hd(o: &BenchOpts) -> Vec<HdRow> {
     rows
 }
 
-/// Row-band parallel blur/warp rows: banded vs single-band dispatched
-/// kernels. Only meaningful with ≥ 2 host cores; skipped (with a note)
+/// Row-band parallel warp row: banded vs single-band dispatched
+/// kernel. Only meaningful with ≥ 2 host cores; skipped (with a note)
 /// otherwise, so the serial-host CI lane never measures fake
 /// parallelism.
 fn bench_hd_bands(o: &BenchOpts, host_cores: usize) -> (Vec<HdRow>, Option<String>) {
@@ -879,32 +924,7 @@ fn bench_hd_bands(o: &BenchOpts, host_cores: usize) -> (Vec<HdRow>, Option<Strin
             .with_frame_size(kw, kh),
     )
     .remove(0);
-    let gray = frame.to_gray();
     let mut rows = Vec::new();
-
-    {
-        let (mut tmp_o, mut out_o) = (GrayImage::new(0, 0), GrayImage::new(0, 0));
-        let (mut tmp_s, mut out_s) = (GrayImage::new(0, 0), GrayImage::new(0, 0));
-        let (mut tmp_b, mut out_b) = (GrayImage::new(0, 0), GrayImage::new(0, 0));
-        gaussian_blur_5x5_into_scalar(&gray, &mut tmp_o, &mut out_o);
-        gaussian_blur_5x5_into_level(&gray, &mut tmp_s, &mut out_s, level);
-        gaussian_blur_5x5_into_bands(&gray, &mut tmp_b, &mut out_b, bands);
-        let identical = out_s == out_o && out_b == out_o;
-        rows.push(run_hd_pair(
-            &format!("blur5x5_bands{bands}"),
-            &tier,
-            level,
-            "single_band",
-            o.budget,
-            identical,
-            || {
-                gaussian_blur_5x5_into_level(&gray, &mut tmp_s, &mut out_s, level);
-            },
-            || {
-                gaussian_blur_5x5_into_bands(&gray, &mut tmp_b, &mut out_b, bands);
-            },
-        ));
-    }
 
     {
         let h = Mat3::translation(10.0, 5.0) * Mat3::rotation(0.1);

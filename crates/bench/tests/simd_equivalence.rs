@@ -1,5 +1,5 @@
 //! Cross-crate SIMD equivalence: every compiled dispatch level (and
-//! the row-band parallel entries) must reproduce the scalar oracle
+//! the row-band parallel warp) must reproduce the scalar oracle
 //! bit-for-bit on golden inputs AND on fault-corrupted inputs.
 //!
 //! The corrupted inputs matter because SIMD kernels run inside fault
@@ -12,8 +12,8 @@
 use vs_features::fast::{self, FastConfig, FastScratch};
 use vs_features::{Descriptor, KeyPoint};
 use vs_image::{
-    downsample_half_into_level, downsample_half_into_scalar, gaussian_blur_5x5_into_bands,
-    gaussian_blur_5x5_into_level, gaussian_blur_5x5_into_scalar, GrayImage, RgbImage, SimdLevel,
+    downsample_half_into_level, downsample_half_into_scalar, gaussian_blur_5x5_into_level,
+    gaussian_blur_5x5_into_scalar, GrayImage, RgbImage, SimdLevel,
 };
 use vs_linalg::{Mat3, Vec2};
 use vs_matching::{Match, RatioMatcher, SimpleMatcher};
@@ -62,7 +62,7 @@ fn gray_inputs() -> Vec<(String, GrayImage)> {
 }
 
 #[test]
-fn blur_levels_and_bands_match_scalar_on_golden_and_corrupted() {
+fn blur_levels_match_scalar_on_golden_and_corrupted() {
     for (name, img) in gray_inputs() {
         let (mut tmp_o, mut out_o) = (GrayImage::new(0, 0), GrayImage::new(0, 0));
         gaussian_blur_5x5_into_scalar(&img, &mut tmp_o, &mut out_o);
@@ -70,10 +70,6 @@ fn blur_levels_and_bands_match_scalar_on_golden_and_corrupted() {
         for level in available_levels() {
             gaussian_blur_5x5_into_level(&img, &mut tmp, &mut out, level);
             assert_eq!(out, out_o, "blur {name} level {level}");
-        }
-        for bands in [2usize, 3, 5] {
-            gaussian_blur_5x5_into_bands(&img, &mut tmp, &mut out, bands);
-            assert_eq!(out, out_o, "blur {name} bands {bands}");
         }
     }
 }
@@ -144,6 +140,51 @@ fn warp_levels_and_bands_match_scalar_on_golden_and_corrupted() {
                 .unwrap();
                 assert_eq!(dst, dst_o, "warp {name} t{ti} bands {bands}: pixels");
                 assert_eq!(mask, mask_o, "warp {name} t{ti} bands {bands}: mask");
+            }
+        }
+    }
+}
+
+/// Outside a fault session the AVX2 FAST walk records block corners
+/// without tapping; inside one it taps every passing centre. On the
+/// pyramid of an HD Input 2 frame, at the Paper pipeline's settings
+/// (threshold 14, 180 keypoints per level) and the default ones, both
+/// walks give the same keypoints and pre-reject count at every level.
+#[test]
+fn fast_untapped_walk_matches_tapped_walk_on_hd_pyramid() {
+    let frame = render_input(
+        &InputSpec::input2_preset()
+            .with_frames(1)
+            .with_frame_size(1280, 720),
+    )
+    .remove(0);
+    let mut pyramid = vec![frame.to_gray()];
+    for _ in 0..2 {
+        let next = vs_image::downsample_half(pyramid.last().unwrap());
+        pyramid.push(next);
+    }
+    let configs = [
+        FastConfig {
+            threshold: 14,
+            max_keypoints: 180,
+            ..FastConfig::default()
+        },
+        FastConfig::default(),
+    ];
+    let (mut s_off, mut s_on) = (FastScratch::default(), FastScratch::default());
+    let (mut off, mut on): (Vec<KeyPoint>, Vec<KeyPoint>) = (Vec::new(), Vec::new());
+    for (i, img) in pyramid.iter().enumerate() {
+        for cfg in &configs {
+            for level in available_levels() {
+                fast::detect_into_level(img, cfg, &mut s_off, &mut off, level).unwrap();
+                {
+                    let _s = vs_fault::session::begin_profile();
+                    fast::detect_into_level(img, cfg, &mut s_on, &mut on, level).unwrap();
+                }
+                let ctx = format!("pyramid level {i} t={} level {level}", cfg.threshold);
+                assert!(!off.is_empty(), "{ctx}: no keypoints");
+                assert_eq!(off, on, "{ctx}");
+                assert_eq!(s_off.prereject(), s_on.prereject(), "{ctx}");
             }
         }
     }

@@ -14,10 +14,20 @@
 //! `u16` plane for the non-maximum suppression; the `f64` keypoint
 //! response carries the same value. At the AVX2 dispatch level the scan
 //! runs the block segment test of `simd::block32` over 32 centres at a
-//! time, and taps each surviving centre exactly as the other levels do.
+//! time. Inside a fault session it taps each surviving centre exactly as
+//! the other levels do; outside one every tap returns its input, so the
+//! walk records the block's corners directly and visits no other centre.
+//!
+//! Selection is lazy: candidates are visited strongest first (response
+//! descending, then raster position), in rounds that partition and sort
+//! only a prefix of the candidate list, and the non-maximum test stops
+//! at the `max_keypoints`-th survivor. The test reads only the score
+//! plane and calls no tap, so the result is the full sort's prefix at
+//! every level, in and out of sessions.
 
 use crate::keypoint::KeyPoint;
 use crate::simd;
+use std::cmp::{Ordering, Reverse};
 use vs_fault::{tap, FuncId, OpClass, SimError};
 use vs_image::GrayImage;
 
@@ -254,7 +264,18 @@ pub fn detect(img: &GrayImage, config: &FastConfig) -> Result<Vec<KeyPoint>, Sim
 /// alive as the proof oracle. The AVX2 level decides 32 centres per
 /// block before their taps and uses a block's verdict only for a centre
 /// whose tapped value equals the loaded pixel; any other tapped value
-/// takes the single-candidate path.
+/// takes the single-candidate path. Outside a fault session, where
+/// `tap::gpr` returns its input and `tap::work` never fails, the AVX2
+/// walk skips the per-centre taps and records each block's corners and
+/// pre-reject count directly: the same records and count the tapped
+/// walk would reach.
+///
+/// The strongest survivors are then picked lazily: candidates are
+/// partitioned and sorted one strongest-first prefix at a time, and the
+/// 3×3 non-maximum test runs in that order until `max_keypoints`
+/// survivors are found. Each prefix holds only candidates stronger than
+/// every later one, so the survivors and their order equal those of
+/// suppressing every candidate and sorting the result.
 pub fn detect_into(
     img: &GrayImage,
     config: &FastConfig,
@@ -408,6 +429,8 @@ fn detect_into_impl(
     // Linear offsets of the 16-pixel ring; in-bounds for every interior
     // (3-pixel-margin) centre, where the clamped reads never clamped.
     let ring = simd::ring_offsets(w);
+    // Checked once per call, as the render loop gates its painter.
+    let untapped = mode == Mode::Avx2 && !vs_fault::session::active();
     let mut walk = Walk {
         img,
         ring,
@@ -433,7 +456,23 @@ fn detect_into_impl(
             // deciding it for a block of centres and visiting survivors
             // in ascending x reproduces the tap stream byte-for-byte.
             let mut x = 3usize;
-            if mode == Mode::Avx2 {
+            if untapped {
+                // Off-session taps return their input and charge
+                // nothing, so the tapped walk below would trust every
+                // block verdict: it would count exactly the block's
+                // pre-rejects and record exactly its corners.
+                while x + simd::BLOCK + 3 <= w {
+                    let block = simd::block32(data, w, y, x, t);
+                    walk.prereject += u64::from(block.prereject.count_ones());
+                    let mut mask = block.corner;
+                    while mask != 0 {
+                        let j = mask.trailing_zeros() as usize;
+                        mask &= mask - 1;
+                        walk.record(x + j, y, block.response[j]);
+                    }
+                    x += simd::BLOCK;
+                }
+            } else if mode == Mode::Avx2 {
                 // The block also decides each survivor's segment test,
                 // pre-reject and response for its loaded centre value,
                 // which a fault in the centre's tap may change.
@@ -502,68 +541,77 @@ fn detect_into_impl(
             walk.candidate(x, y, center)?;
         }
     }
-    let prereject = walk.prereject;
-    let scores = &scratch.scores;
-    let candidates = &scratch.candidates;
-
-    if config.nonmax_suppression {
-        out.extend(
-            candidates
-                .iter()
-                .filter(|&&(x, y, s)| {
-                    let mut is_max = true;
-                    'outer: for dy in -1isize..=1 {
-                        for dx in -1isize..=1 {
-                            if dx == 0 && dy == 0 {
-                                continue;
-                            }
-                            let nx = x as isize + dx;
-                            let ny = y as isize + dy;
-                            if nx < 0 || ny < 0 || nx >= w as isize || ny >= h as isize {
-                                continue;
-                            }
-                            let n = scores[ny as usize * w + nx as usize];
-                            // Strictly-greater on one side of the raster order
-                            // keeps exactly one point of a plateau.
-                            if n > s || (n == s && (ny, nx) < (y as isize, x as isize)) {
-                                is_max = false;
-                                break 'outer;
-                            }
-                        }
-                    }
-                    is_max
-                })
-                .map(|&(x, y, s)| KeyPoint::new(x, y, f64::from(s))),
-        );
-    } else {
-        out.extend(
-            candidates
-                .iter()
-                .map(|&(x, y, s)| KeyPoint::new(x, y, f64::from(s))),
-        );
-    }
-
-    // Strongest first; deterministic tie-break on raster position. The
-    // comparator is a strict total order over distinct candidates
-    // (responses are integers, positions unique), so selecting the k
-    // strongest and sorting only those gives exactly the prefix a full
-    // sort would.
-    let strongest_first = |a: &KeyPoint, b: &KeyPoint| {
-        b.response
-            .partial_cmp(&a.response)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| (a.y as u64, a.x as u64).cmp(&(b.y as u64, b.x as u64)))
-    };
-    let k = config.max_keypoints;
-    if out.len() > k {
-        if k > 0 {
-            out.select_nth_unstable_by(k - 1, strongest_first);
-        }
-        out.truncate(k);
-    }
-    out.sort_unstable_by(strongest_first);
-    scratch.prereject = prereject;
+    scratch.prereject = walk.prereject;
+    select_strongest(
+        &mut scratch.candidates,
+        &scratch.scores,
+        w,
+        config.nonmax_suppression,
+        config.max_keypoints,
+        out,
+    );
     Ok(())
+}
+
+/// Strongest first: response descending, then raster position `(y, x)`
+/// ascending. A strict total order, since candidate positions are
+/// unique.
+fn strongest_first(a: &(usize, usize, u16), b: &(usize, usize, u16)) -> Ordering {
+    (Reverse(a.2), a.1, a.0).cmp(&(Reverse(b.2), b.1, b.0))
+}
+
+/// The 3×3 non-maximum test on the score plane of width `w`: a
+/// neighbour with a higher score, or an equal score earlier in raster
+/// order, suppresses `(x, y)`. The one-sided tie-break keeps exactly one
+/// point of a plateau. Candidates keep a 3-pixel margin, so every
+/// neighbour is inside the plane.
+fn is_local_max(scores: &[u16], w: usize, x: usize, y: usize, s: u16) -> bool {
+    for ny in y - 1..=y + 1 {
+        for nx in x - 1..=x + 1 {
+            let n = scores[ny * w + nx];
+            if (nx, ny) != (x, y) && (n > s || (n == s && (ny, nx) < (y, x))) {
+                return false;
+            }
+        }
+    }
+    true
+}
+
+/// Push the `k` strongest survivors of `candidates` to `out`, strongest
+/// first, visiting candidates lazily in [`strongest_first`] order.
+///
+/// Each round partitions a prefix of the unvisited candidates with
+/// `select_nth_unstable_by` and sorts only that prefix, so every round
+/// holds candidates stronger than all later ones and the visit order is
+/// exactly a full sort's. The non-maximum test depends only on the
+/// score plane, so stopping at the `k`-th survivor yields the prefix of
+/// the full suppress-then-sort result. Reorders `candidates` in place.
+fn select_strongest(
+    candidates: &mut [(usize, usize, u16)],
+    scores: &[u16],
+    w: usize,
+    nonmax_suppression: bool,
+    k: usize,
+    out: &mut Vec<KeyPoint>,
+) {
+    let mut rest = candidates;
+    while out.len() < k && !rest.is_empty() {
+        let m = (k - out.len()).saturating_mul(4).max(64).min(rest.len());
+        if m < rest.len() {
+            rest.select_nth_unstable_by(m - 1, strongest_first);
+        }
+        let (round, tail) = std::mem::take(&mut rest).split_at_mut(m);
+        round.sort_unstable_by(strongest_first);
+        for &(x, y, s) in round.iter() {
+            if !nonmax_suppression || is_local_max(scores, w, x, y, s) {
+                out.push(KeyPoint::new(x, y, f64::from(s)));
+                if out.len() == k {
+                    return;
+                }
+            }
+        }
+        rest = tail;
+    }
 }
 
 #[cfg(test)]
@@ -849,6 +897,157 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Test-side reference for the whole detector that shares no code
+    /// with its walk or its selection: the segment test at every
+    /// interior pixel, a 3×3 suppression with the raster tie-break over
+    /// every candidate, a full sort, then truncation.
+    fn detect_oracle(img: &GrayImage, cfg: &FastConfig) -> Vec<KeyPoint> {
+        let (w, h) = (img.width(), img.height());
+        if w < 8 || h < 8 {
+            return Vec::new();
+        }
+        let t = cfg.threshold;
+        let mut scores = vec![0u16; w * h];
+        let mut candidates = Vec::new();
+        for y in 3..h - 3 {
+            for x in 3..w - 3 {
+                let c = img.get(x, y).unwrap();
+                let ring = CIRCLE.map(|(dx, dy)| {
+                    img.get(
+                        (x as isize + dx as isize) as usize,
+                        (y as isize + dy as isize) as usize,
+                    )
+                    .unwrap()
+                });
+                if scalar_segment(&ring, i64::from(c), t) {
+                    let s = ring
+                        .iter()
+                        .map(|&v| v.abs_diff(c))
+                        .filter(|&d| d > t)
+                        .map(u16::from)
+                        .sum();
+                    scores[y * w + x] = s;
+                    candidates.push((x, y, s));
+                }
+            }
+        }
+        // A neighbour beats (x, y) with a higher score, or with the same
+        // score at an earlier raster position.
+        let survives = |&(x, y, s): &(usize, usize, u16)| {
+            (-1isize..=1).all(|dy| {
+                (-1isize..=1).all(|dx| {
+                    let (nx, ny) = (x as isize + dx, y as isize + dy);
+                    let n = scores[ny as usize * w + nx as usize];
+                    (dx, dy) == (0, 0) || n < s || (n == s && (ny, nx) > (y as isize, x as isize))
+                })
+            })
+        };
+        let mut kept: Vec<_> = candidates
+            .into_iter()
+            .filter(|c| !cfg.nonmax_suppression || survives(c))
+            .collect();
+        kept.sort_by(|a, b| b.2.cmp(&a.2).then((a.1, a.0).cmp(&(b.1, b.0))));
+        kept.truncate(cfg.max_keypoints);
+        kept.into_iter()
+            .map(|(x, y, s)| KeyPoint::new(x, y, f64::from(s)))
+            .collect()
+    }
+
+    /// The lazy strongest-first selection equals the full
+    /// suppress-sort-truncate reference at every level, for keypoint caps
+    /// around the survivor count `s`, with and without suppression.
+    /// Plateau images tie responses across neighbours (the raster
+    /// tie-break decides) and at the cap; random images at a low
+    /// threshold hold many more candidates than survivors, so reaching
+    /// `s` survivors takes several selection rounds.
+    #[test]
+    fn selection_matches_full_sort_oracle_at_every_level() {
+        use vs_image::SimdLevel;
+        let mut rng = vs_rng::SplitMix64::new(0x5E1E_C7ED);
+        let mut images = vec![
+            // Identical squares: equal-score corners, tied across
+            // squares, and 2×2 blocks whose four pixels tie.
+            GrayImage::from_fn(77, 41, |x, y| if x % 7 < 3 && y % 6 < 3 { 210 } else { 40 }),
+            GrayImage::from_fn(70, 20, |x, y| if x % 4 < 2 && y % 4 < 2 { 200 } else { 60 }),
+            // Wide flat plateaus with single-step edges.
+            GrayImage::from_fn(90, 30, |x, y| ((x / 11 + y / 9) % 2) as u8 * 30 + 100),
+            // Grid lines.
+            GrayImage::from_fn(
+                66,
+                34,
+                |x, y| if x % 8 == 0 || y % 8 == 0 { 250 } else { 5 },
+            ),
+        ];
+        for (w, h) in [(40, 40), (101, 37), (140, 24)] {
+            images.push(GrayImage::from_fn(w, h, |_, _| {
+                rng.gen_range(0u32..256) as u8
+            }));
+        }
+        let mut scratch = FastScratch::default();
+        let mut out = Vec::new();
+        for (i, img) in images.iter().enumerate() {
+            for threshold in [0u8, 1, 20, 255] {
+                for nonmax_suppression in [true, false] {
+                    let all = FastConfig {
+                        threshold,
+                        nonmax_suppression,
+                        max_keypoints: usize::MAX,
+                    };
+                    let s = detect_oracle(img, &all).len();
+                    let caps = [0, 1, 5, s.saturating_sub(1), s, s + 1, usize::MAX];
+                    for max_keypoints in caps {
+                        let cfg = FastConfig {
+                            max_keypoints,
+                            ..all.clone()
+                        };
+                        let want = detect_oracle(img, &cfg);
+                        for level in SimdLevel::ALL.into_iter().filter(|l| l.available()) {
+                            detect_into_level(img, &cfg, &mut scratch, &mut out, level).unwrap();
+                            assert_eq!(
+                                out, want,
+                                "image {i} t={threshold} nms={nonmax_suppression} \
+                                 k={max_keypoints} (s={s}) level {level}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Outside a fault session the AVX2 walk visits only the block
+    /// corners; inside one it taps every passing centre. Both must give
+    /// the same keypoints and pre-reject count at every level.
+    #[test]
+    fn untapped_walk_matches_tapped_walk_at_every_level() {
+        use vs_fault::session;
+        use vs_image::SimdLevel;
+        let mut rng = vs_rng::SplitMix64::new(0x0B7A_99ED);
+        let mut s_off = FastScratch::default();
+        let mut s_on = FastScratch::default();
+        let (mut off, mut on) = (Vec::new(), Vec::new());
+        for trial in 0..24 {
+            let w = 8 + rng.gen_range(0usize..150);
+            let h = 8 + rng.gen_range(0usize..30);
+            let img = GrayImage::from_fn(w, h, |_, _| rng.gen_range(0u32..256) as u8);
+            let cfg = FastConfig {
+                threshold: [0, 1, 20, 255][trial % 4],
+                max_keypoints: [1, 120, usize::MAX][trial % 3],
+                ..FastConfig::default()
+            };
+            for level in SimdLevel::ALL.into_iter().filter(|l| l.available()) {
+                detect_into_level(&img, &cfg, &mut s_off, &mut off, level).unwrap();
+                {
+                    let _s = session::begin_profile();
+                    detect_into_level(&img, &cfg, &mut s_on, &mut on, level).unwrap();
+                }
+                let ctx = format!("trial {trial}: {w}x{h} level {level}");
+                assert_eq!(off, on, "{ctx}");
+                assert_eq!(s_off.prereject(), s_on.prereject(), "{ctx}");
             }
         }
     }

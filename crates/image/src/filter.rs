@@ -219,8 +219,9 @@ pub fn gaussian_blur_5x5_into_level(
     use crate::dispatch::SimdLevel;
     match level {
         SimdLevel::Scalar => gaussian_blur_5x5_into_scalar(img, tmp, out),
-        SimdLevel::Swar => gaussian_blur_5x5_into_swar(img, tmp, out),
-        SimdLevel::Sse2 => crate::simd::blur5x5_sse2(img, tmp, out),
+        // SSE2 rows lost to SWAR at every HD tier, so SSE2 blurs
+        // through SWAR.
+        SimdLevel::Swar | SimdLevel::Sse2 => gaussian_blur_5x5_into_swar(img, tmp, out),
         SimdLevel::Avx2 => crate::simd::blur5x5_avx2(img, tmp, out),
     }
 }
@@ -233,76 +234,6 @@ pub fn gaussian_blur_5x5_into_swar(
     out: &mut GrayImage,
 ) -> bool {
     separable_blur_fixed_into(img, &[1, 4, 6, 4, 1], 4, tmp, out)
-}
-
-/// [`gaussian_blur_5x5_into`] with the row work split across `bands`
-/// scoped threads — an opt-in intra-run parallel mode for HD frames.
-///
-/// Output is bit-identical to the single-threaded path at every
-/// dispatch level: the horizontal pass writes disjoint `tmp` row bands
-/// (one thread each), a join barrier makes the full `tmp` plane
-/// visible, and the vertical pass writes disjoint `out` row bands while
-/// reading `tmp` shared — the same row arithmetic in a different
-/// schedule, with no fault taps anywhere in the kernel. `bands <= 1`
-/// (or a frame shorter than the band count) falls through to the plain
-/// dispatched path.
-pub fn gaussian_blur_5x5_into_bands(
-    img: &GrayImage,
-    tmp: &mut GrayImage,
-    out: &mut GrayImage,
-    bands: usize,
-) -> bool {
-    let (w, h) = (img.width(), img.height());
-    let bands = bands.min(h).max(1);
-    if bands <= 1 {
-        return gaussian_blur_5x5_into(img, tmp, out);
-    }
-    let mut grew = tmp
-        .try_reset(w, h)
-        .expect("image dimensions exceed MAX_PIXELS");
-    grew |= out
-        .try_reset(w, h)
-        .expect("image dimensions exceed MAX_PIXELS");
-    if img.is_empty() {
-        return grew;
-    }
-    let src = img.as_bytes();
-    let rows_per = h.div_ceil(bands);
-    {
-        let tmp_bytes = tmp.as_bytes_mut();
-        std::thread::scope(|s| {
-            for (b, chunk) in tmp_bytes.chunks_mut(rows_per * w).enumerate() {
-                let y0 = b * rows_per;
-                s.spawn(move || {
-                    for (i, trow) in chunk.chunks_mut(w).enumerate() {
-                        let y = y0 + i;
-                        crate::simd::hrow_dispatch(&src[y * w..y * w + w], trow);
-                    }
-                });
-            }
-        });
-    }
-    {
-        let t = tmp.as_bytes();
-        let dst = out.as_bytes_mut();
-        std::thread::scope(|s| {
-            for (b, chunk) in dst.chunks_mut(rows_per * w).enumerate() {
-                let y0 = b * rows_per;
-                s.spawn(move || {
-                    for (i, orow) in chunk.chunks_mut(w).enumerate() {
-                        let y = y0 + i;
-                        let rows: [&[u8]; 5] = std::array::from_fn(|k| {
-                            let yc =
-                                (y as isize + k as isize - 2).clamp(0, h as isize - 1) as usize;
-                            &t[yc * w..yc * w + w]
-                        });
-                        crate::simd::vrow_dispatch(&rows, orow);
-                    }
-                });
-            }
-        });
-    }
-    grew
 }
 
 /// Float reference oracle for [`gaussian_blur_5x5_into`]: the original
@@ -419,26 +350,6 @@ mod tests {
                 s += ik[i] * vs[i] as u32;
             }
             assert_eq!(acc, s as f64 / 16.0, "window {vs:?}");
-        }
-    }
-
-    /// The band-parallel blur is bit-identical to the single-threaded
-    /// dispatched path (tmp plane included) for every band count,
-    /// including bands > rows and band boundaries cutting the 5-row
-    /// vertical window.
-    #[test]
-    fn band_parallel_blur_matches_single_threaded() {
-        let mut rng = SplitMix64::new(0xBA2D_B10B);
-        let (mut ta, mut oa) = (GrayImage::new(0, 0), GrayImage::new(0, 0));
-        let (mut tb, mut ob) = (GrayImage::new(0, 0), GrayImage::new(0, 0));
-        for &(w, h) in &[(1usize, 1usize), (7, 3), (40, 11), (64, 48), (33, 5)] {
-            let img = GrayImage::from_fn(w, h, |_, _| rng.gen_range(0u32..256) as u8);
-            gaussian_blur_5x5_into(&img, &mut ta, &mut oa);
-            for bands in [0usize, 1, 2, 3, 4, 7, 64] {
-                gaussian_blur_5x5_into_bands(&img, &mut tb, &mut ob, bands);
-                assert_eq!(oa, ob, "{w}x{h} bands={bands}");
-                assert_eq!(ta, tb, "{w}x{h} bands={bands} tmp plane");
-            }
         }
     }
 

@@ -38,8 +38,7 @@ pub use dispatch::SimdLevel;
 pub use draw::{draw_disc_gray, draw_line_gray, fill_rect_gray, fill_rect_rgb};
 pub use filter::{
     box_blur, gaussian_blur_3x3, gaussian_blur_5x5, gaussian_blur_5x5_into,
-    gaussian_blur_5x5_into_bands, gaussian_blur_5x5_into_level, gaussian_blur_5x5_into_scalar,
-    gaussian_blur_5x5_into_swar,
+    gaussian_blur_5x5_into_level, gaussian_blur_5x5_into_scalar, gaussian_blur_5x5_into_swar,
 };
 pub use gray::GrayImage;
 pub use integral::IntegralImage;

@@ -175,7 +175,23 @@ impl RgbImage {
     /// buffer. Bit-identical to [`RgbImage::to_gray`]: the row-wise
     /// slice walk performs the same fixed-point luma computation in the
     /// same raster order. Returns whether the destination buffer grew.
+    ///
+    /// Dispatches on [`crate::dispatch::level`]; use
+    /// [`RgbImage::to_gray_into_level`] to pin a level explicitly.
     pub fn to_gray_into(&self, out: &mut GrayImage) -> bool {
+        self.to_gray_into_level(out, crate::dispatch::level())
+    }
+
+    /// [`RgbImage::to_gray_into`] at an explicit [`SimdLevel`]. Every
+    /// level runs the same integer loop, compiled for AVX2 at the AVX2
+    /// level, so all levels produce identical bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `level` is AVX2 and the host lacks it.
+    ///
+    /// [`SimdLevel`]: crate::dispatch::SimdLevel
+    pub fn to_gray_into_level(&self, out: &mut GrayImage, level: crate::SimdLevel) -> bool {
         // `self` exists, so width*height already respects MAX_PIXELS.
         let grew = out
             .try_reset(self.width, self.height)
@@ -183,19 +199,7 @@ impl RgbImage {
         if self.width == 0 || self.height == 0 {
             return grew;
         }
-        let dst = out.as_bytes_mut();
-        for (dst_row, src_row) in dst
-            .chunks_exact_mut(self.width)
-            .zip(self.data.chunks_exact(self.width * 3))
-        {
-            for (d, px) in dst_row.iter_mut().zip(src_row.chunks_exact(3)) {
-                let r = px[0] as u32;
-                let g = px[1] as u32;
-                let b = px[2] as u32;
-                // Fixed-point 0.299 R + 0.587 G + 0.114 B.
-                *d = ((r * 306 + g * 601 + b * 117 + 512) >> 10) as u8;
-            }
-        }
+        crate::simd::luma(&self.data, out.as_bytes_mut(), self.width, level);
         grew
     }
 
@@ -319,6 +323,15 @@ mod tests {
         assert!(img.crop(4, 4, 2, 2).is_none());
     }
 
+    /// The per-pixel luma formula, written out independently of the
+    /// row loop the levels share.
+    fn luma_oracle(img: &RgbImage) -> GrayImage {
+        GrayImage::from_fn(img.width(), img.height(), |x, y| {
+            let [r, g, b] = img.get(x, y).unwrap().map(u32::from);
+            ((r * 306 + g * 601 + b * 117 + 512) >> 10) as u8
+        })
+    }
+
     #[test]
     fn to_gray_into_matches_to_gray_and_reuses_buffer() {
         let img = RgbImage::from_fn(7, 5, |x, y| [x as u8, (y * 3) as u8, (x * y) as u8]);
@@ -326,6 +339,39 @@ mod tests {
         let grew = img.to_gray_into(&mut out);
         assert!(!grew, "81-pixel buffer must absorb a 35-pixel result");
         assert_eq!(out, img.to_gray());
+        // Every available level on widths around the vector widths, on
+        // random bytes with both extremes forced in; then every channel
+        // value at every channel position, and the corners of the
+        // colour cube. One buffer serves every size, so each call also
+        // resizes a dirty destination.
+        let mut rng = vs_rng::SplitMix64::new(0x6EA7_DEC0);
+        let mut images: Vec<RgbImage> = [(1, 3), (2, 2), (3, 4), (31, 3), (33, 5), (1919, 2)]
+            .into_iter()
+            .map(|(w, h)| {
+                let mut img = RgbImage::from_fn(w, h, |_, _| {
+                    std::array::from_fn(|_| rng.gen_range(0u32..256) as u8)
+                });
+                let bytes = img.as_bytes_mut();
+                bytes[0] = 0;
+                bytes[w * h * 3 - 1] = 255;
+                img
+            })
+            .collect();
+        images.push(RgbImage::from_fn(256, 3, |x, y| {
+            let mut p = [255 - x as u8; 3];
+            p[y] = x as u8;
+            p
+        }));
+        images.push(RgbImage::from_fn(8, 1, |x, _| {
+            std::array::from_fn(|c| if x >> c & 1 == 1 { 255 } else { 0 })
+        }));
+        for img in &images {
+            let want = luma_oracle(img);
+            for level in crate::SimdLevel::ALL.into_iter().filter(|l| l.available()) {
+                img.to_gray_into_level(&mut out, level);
+                assert_eq!(out, want, "{img:?} level {level}");
+            }
+        }
     }
 
     #[test]
