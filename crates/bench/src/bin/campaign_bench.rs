@@ -1,106 +1,110 @@
 //! Campaign-throughput benchmark: measures how much golden-prefix
 //! fast-forwarding plus per-worker workspace reuse (checkpointed fault
 //! campaigns) speeds up injection throughput, counts the workload's
-//! steady-state heap allocations, and emits the result as `BENCH_2.json`.
+//! steady-state heap allocations, sweeps worker thread counts with the
+//! campaign phase metrics armed, and emits the result as `BENCH_2.json`.
 //!
 //! ```text
 //! campaign_bench [--frames N] [--inj N] [--threads N[,N...]] [--every-k K]
 //!                [--seed S] [--out FILE] [--trace FILE] [--smoke]
-//!                [--adaptive] [--adaptive-out FILE] [--epsilon PP]
+//!                [--expect-scaling X] [--adaptive] [--epsilon PP]
 //!                [--cache FILE] [--rate-agreement] [--min-reduction X]
 //! ```
 //!
-//! `--threads` accepts a comma list (`--threads 1,2,4`): the first count
-//! drives the off/on comparison, and every further count re-runs the
-//! checkpointed campaign as a scaling sweep whose outcome records must
-//! be identical to the first run's (thread-striping is index-
-//! deterministic, so any divergence is a bug). The sweep lands in the
-//! JSON as `thread_sweep` rows, each annotated with whether it
-//! oversubscribes the recorded `host_cores`.
-//!
-//! `--adaptive` switches to the adaptive-campaign benchmark (emitted as
-//! `BENCH_4.json`): one fixed-budget reference campaign, the
-//! Wilson-gated adaptive campaign at the same seed, and a cold/warm
-//! compositional pass against a (optionally persistent, `--cache`)
-//! group-measurement cache. `--rate-agreement` gates every estimate's
-//! per-class rates against the reference campaign's 95% Wilson interval
-//! widened by the adaptive epsilon; `--min-reduction X` additionally
-//! requires the adaptive campaign to stop early with at least an `X`-fold
-//! injection reduction. The cold compositional pass runs with a metrics
-//! registry installed, and the binary fails when that pass injected
-//! pilots but fast-forwarded none of them (a golden-prefix chain the
-//! compositional driver failed to capture).
-//!
 //! The benchmark profiles one golden run (plain and checkpoint-capturing),
-//! then runs the same GPR campaign twice — every injection re-executed
-//! from scratch, and every injection fast-forwarded from the latest
-//! usable checkpoint, both into reused per-worker workspaces — and
-//! cross-checks that both campaigns classify every injection identically
-//! before reporting runs/sec. A counting global allocator (this binary only) measures the
+//! then runs the same GPR campaign twice, metrics off — every injection
+//! re-executed from scratch, and every injection fast-forwarded from the
+//! latest usable checkpoint, both into reused per-worker workspaces —
+//! and reports runs/sec. A counting global allocator measures the
 //! workspace path: the first run on a cold workspace allocates
 //! (`allocs_per_run_scratch`), warmed-up runs must not allocate at all
-//! (`allocs_per_run_steady`, gated to 0). `--smoke` shrinks everything so
-//! the whole benchmark finishes in seconds (used by `scripts/verify.sh`
-//! as an offline end-to-end gate).
+//! (`allocs_per_run_steady`).
 //!
-//! All progress output flows through the `vs-telemetry` sink layer:
-//! human-readable lines on stdout, plus a complete JSONL trace (stage
-//! counters, per-injection outcomes, live campaign snapshots, per-run
-//! `scratch_reuse` counters) when `--trace` is given. Validate traces
-//! with the `trace_check` binary.
+//! The thread sweep then re-runs the checkpointed campaign at every
+//! `--threads` count (a comma list, `--threads 1,2,4`) with a
+//! `MetricsRegistry` installed, so each worker's wall time decomposes
+//! into the named campaign phases (`draw`, `setup`, `exec`, `teardown`,
+//! `classify`, `record`). At the first count the campaign runs in
+//! interleaved metrics-off/metrics-on pairs, an A/B of what arming the
+//! metrics costs; each further count runs the preset's repeat count. The
+//! sweep lands in the JSON as `thread_sweep` rows (median wall time,
+//! phase-attribution coverage, and whether the count oversubscribes the
+//! recorded `host_cores`) plus an `overhead` object, and in the trace as
+//! `metrics_phase`/`metrics_counter` snapshots, `metrics_coverage` and
+//! `metrics_overhead` events.
+//!
+//! The binary fails when
+//! - the checkpointed campaign, or any sweep campaign, classifies an
+//!   injection differently from the primary checkpointed run
+//!   (thread-striping only partitions injection indices, and metrics
+//!   live outside the simulated machine);
+//! - a warmed workspace run still allocates;
+//! - any sweep row attributes less than 95% of worker wall time to the
+//!   phase vocabulary;
+//! - the metrics-on median exceeds the metrics-off median by more than
+//!   2% plus 5 ms (the slack floors smoke-scale scheduler noise);
+//! - `--expect-scaling X` is given, the host has at least as many cores
+//!   as the widest count, and the widest count is less than `X` times
+//!   as fast as the first. On a smaller host the gate is skipped with a
+//!   note.
+//!
+//! `--adaptive` switches to the adaptive-campaign benchmark (written to
+//! `--out`, default `BENCH_4.json`): one fixed-budget reference
+//! campaign, the Wilson-gated adaptive campaign at the same seed, and a
+//! cold/warm compositional pass against a (optionally persistent,
+//! `--cache`) group-measurement cache. It fails when the warm pass
+//! re-injects a group, when the cold pass injected pilots but
+//! fast-forwarded none of them, and when a loaded cache carries this
+//! run's digest yet the cold pass still injects a group: group keys are
+//! a function of the run's configuration, the compositional
+//! configuration and the golden stage digests, which that digest folds.
+//! `--rate-agreement` gates every estimate's per-class rates against
+//! the reference campaign's 95% Wilson interval widened by the adaptive
+//! epsilon; `--min-reduction X` requires the adaptive campaign to
+//! converge with at least an `X`-fold injection reduction.
+//!
+//! `--smoke` shrinks everything so the whole benchmark finishes in
+//! seconds; explicit flags override it. All progress output flows
+//! through the `vs-telemetry` sink layer: human-readable lines on
+//! stdout, plus a complete JSONL trace when `--trace` is given. Validate
+//! traces with the `trace_check` binary.
 
-use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+use vs_bench::alloc::{self, CountingAlloc};
+use vs_bench::cli;
+use vs_bench::manifest::{config_digest, Manifest};
 use vs_core::workloads::VsWorkload;
 use vs_core::{PipelineConfig, RunScratch};
 use vs_fault::adaptive::{self, AdaptiveConfig};
-use vs_fault::campaign::{self, CampaignConfig, CheckpointPolicy, Workload};
+use vs_fault::campaign::{
+    self, phase, CampaignConfig, CheckpointPolicy, CheckpointedGolden, Injection, Workload,
+};
 use vs_fault::compose::{self, CampaignCache, ComposeConfig};
+use vs_fault::forensics::Stage;
 use vs_fault::spec::RegClass;
 use vs_fault::stats::{outcome_rates, OutcomeClass, OutcomeRates};
-use vs_telemetry::metrics::{self, MetricsRegistry};
+use vs_image::RgbImage;
+use vs_telemetry::metrics::{self, MetricsRegistry, WorkerMetrics};
 use vs_telemetry::Value;
 use vs_video::{render_input, InputSpec};
-
-/// Process-wide allocation counter: every `alloc`/`realloc`/
-/// `alloc_zeroed` bumps it. Bench binary only — the library crates stay
-/// on the system allocator. Measurement windows run on an otherwise
-/// quiescent process, so deltas attribute cleanly to the code under
-/// test.
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn alloc_calls() -> u64 {
-    ALLOC_CALLS.load(Ordering::Relaxed)
-}
+/// Largest metrics overhead the A/B accepts, as a share of the
+/// metrics-off median...
+const MAX_OVERHEAD: f64 = 0.02;
+/// ...plus this absolute slack: a smoke campaign lasts tens of
+/// milliseconds, and one scheduler hiccup exceeds any percentage.
+const OVERHEAD_SLACK_SECS: f64 = 0.005;
+/// Interleaved metrics-off/metrics-on pairs in the overhead A/B.
+const OVERHEAD_PAIRS: usize = 3;
+/// Smallest share of summed worker wall time the phase vocabulary must
+/// attribute in every sweep row.
+const MIN_COVERAGE: f64 = 0.95;
 
 /// Allocation counts of the workspace path: first run on a cold
 /// workspace, and the per-run average over a warmed-up workspace (which
@@ -121,22 +125,22 @@ fn measure_allocs(w: &VsWorkload) -> AllocStats {
         scope
             .spawn(|| {
                 let mut scratch = RunScratch::default();
-                let a0 = alloc_calls();
+                let a0 = alloc::calls();
                 w.run(&mut scratch, None).expect("golden run failed");
-                let per_run_scratch = alloc_calls() - a0;
+                let per_run_scratch = alloc::calls() - a0;
                 // Swap-paired buffers (current/previous features, RANSAC
                 // inlier lists) reach their high-water marks only once
                 // each buffer has served every role: warm up past that.
                 for _ in 0..WARMUP_RUNS {
                     w.run(&mut scratch, None).expect("golden run failed");
                 }
-                let a1 = alloc_calls();
+                let a1 = alloc::calls();
                 for _ in 0..STEADY_RUNS {
                     w.run(&mut scratch, None).expect("golden run failed");
                 }
                 AllocStats {
                     per_run_scratch,
-                    per_run_steady: (alloc_calls() - a1) as f64 / STEADY_RUNS as f64,
+                    per_run_steady: (alloc::calls() - a1) as f64 / STEADY_RUNS as f64,
                 }
             })
             .join()
@@ -144,31 +148,34 @@ fn measure_allocs(w: &VsWorkload) -> AllocStats {
     })
 }
 
-const USAGE: &str = "usage: campaign_bench [--frames N] [--inj N] [--threads N[,N...]] [--every-k K] [--seed S] [--out FILE] [--trace FILE] [--smoke] [--adaptive] [--adaptive-out FILE] [--epsilon PP] [--cache FILE] [--rate-agreement] [--min-reduction X]";
+const USAGE: &str = "usage: campaign_bench [--frames N] [--inj N] [--threads N[,N...]] [--every-k K] [--seed S] [--out FILE] [--trace FILE] [--smoke] [--expect-scaling X] [--adaptive] [--epsilon PP] [--cache FILE] [--rate-agreement] [--min-reduction X]";
 
 struct BenchOpts {
     frames: usize,
     width: usize,
     height: usize,
     injections: usize,
-    /// Thread counts to bench: the first is the primary off/on
-    /// comparison, the rest are scaling-sweep reruns.
+    /// Thread counts to bench: the first drives the off/on comparison
+    /// and the overhead A/B, every count gets a sweep row.
     threads: Vec<usize>,
     every_k: usize,
     seed: u64,
-    out: std::path::PathBuf,
-    trace: Option<std::path::PathBuf>,
+    /// Metrics-armed campaigns per sweep row after the first.
+    repeats: usize,
+    out: PathBuf,
+    trace: Option<PathBuf>,
+    /// Required speedup of the widest thread count over the first (0
+    /// disables the gate).
+    expect_scaling: f64,
     /// Run the adaptive-campaign benchmark instead of the throughput
     /// benchmark.
     adaptive: bool,
-    /// Output path of the adaptive benchmark JSON.
-    adaptive_out: std::path::PathBuf,
     /// Adaptive Wilson half-width target, percentage points. `None`
     /// picks a scale-appropriate default (8pp full, 30pp smoke).
     epsilon: Option<f64>,
     /// Persistent compositional cache path (loaded before the cold
     /// pass, saved after the warm pass).
-    cache: Option<std::path::PathBuf>,
+    cache: Option<PathBuf>,
     /// Fail unless every estimate passes the per-class agreement gate.
     rate_agreement: bool,
     /// Fail unless the adaptive campaign converges with at least this
@@ -179,86 +186,84 @@ struct BenchOpts {
     smoke: bool,
 }
 
-impl Default for BenchOpts {
-    fn default() -> Self {
-        BenchOpts {
-            frames: 16,
-            width: 128,
-            height: 96,
-            injections: 120,
-            threads: vec![vs_bench::host_cores()],
-            every_k: 1,
-            seed: 0xBE6C,
-            out: "BENCH_2.json".into(),
-            trace: None,
-            adaptive: false,
-            adaptive_out: "BENCH_4.json".into(),
-            epsilon: None,
-            cache: None,
-            rate_agreement: false,
-            min_reduction: 0.0,
-            smoke: false,
-        }
-    }
+fn parse(a: &mut cli::Args) -> Result<BenchOpts, String> {
+    let smoke = a.flag("--smoke");
+    let adaptive = a.flag("--adaptive");
+    let (frames, width, height, injections, repeats) = if smoke {
+        (6, 80, 60, 24, 2)
+    } else {
+        (16, 128, 96, 120, 3)
+    };
+    let out = if adaptive {
+        "BENCH_4.json"
+    } else {
+        "BENCH_2.json"
+    };
+    Ok(BenchOpts {
+        frames: a.value("--frames")?.unwrap_or(frames),
+        width,
+        height,
+        injections: a.value("--inj")?.unwrap_or(injections),
+        threads: a
+            .counts("--threads")?
+            .unwrap_or_else(|| vec![vs_bench::host_cores()]),
+        every_k: a.count("--every-k")?.unwrap_or(1),
+        seed: a.value("--seed")?.unwrap_or(0xBE6C),
+        repeats,
+        out: a.value("--out")?.unwrap_or_else(|| out.into()),
+        trace: a.value("--trace")?,
+        expect_scaling: a.value("--expect-scaling")?.unwrap_or(0.0),
+        adaptive,
+        epsilon: a.value("--epsilon")?,
+        cache: a.value("--cache")?,
+        rate_agreement: a.flag("--rate-agreement"),
+        min_reduction: a.value("--min-reduction")?.unwrap_or(0.0),
+        smoke,
+    })
 }
 
-/// Parse a `--threads` comma list: non-empty, every count positive.
-fn parse_threads(v: &str) -> Result<Vec<usize>, String> {
-    let list: Vec<usize> = v
-        .split(',')
-        .map(|s| s.trim().parse::<usize>().map_err(|_| "bad --threads"))
-        .collect::<Result<_, _>>()?;
-    if list.is_empty() || list.contains(&0) {
-        return Err("--threads needs positive counts".into());
+impl BenchOpts {
+    /// The ledger's config digest: the run's shape, so comparable runs
+    /// share a series.
+    fn config_digest(&self, pipeline_digest: u64) -> u64 {
+        config_digest(&[
+            self.frames as u64,
+            self.width as u64,
+            self.height as u64,
+            self.injections as u64,
+            self.every_k as u64,
+            self.seed,
+            pipeline_digest,
+        ])
     }
-    Ok(list)
-}
 
-fn parse(args: &[String]) -> Result<BenchOpts, String> {
-    let mut o = BenchOpts::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut val = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--frames" => o.frames = val("--frames")?.parse().map_err(|_| "bad --frames")?,
-            "--inj" => o.injections = val("--inj")?.parse().map_err(|_| "bad --inj")?,
-            "--threads" => o.threads = parse_threads(&val("--threads")?)?,
-            "--every-k" => o.every_k = val("--every-k")?.parse().map_err(|_| "bad --every-k")?,
-            "--seed" => o.seed = val("--seed")?.parse().map_err(|_| "bad --seed")?,
-            "--out" => o.out = val("--out")?.into(),
-            "--trace" => o.trace = Some(val("--trace")?.into()),
-            "--adaptive" => o.adaptive = true,
-            "--adaptive-out" => o.adaptive_out = val("--adaptive-out")?.into(),
-            "--epsilon" => {
-                o.epsilon = Some(val("--epsilon")?.parse().map_err(|_| "bad --epsilon")?)
-            }
-            "--cache" => o.cache = Some(val("--cache")?.into()),
-            "--rate-agreement" => o.rate_agreement = true,
-            "--min-reduction" => {
-                o.min_reduction = val("--min-reduction")?
-                    .parse()
-                    .map_err(|_| "bad --min-reduction")?
-            }
-            "--smoke" => {
-                o.frames = 6;
-                o.width = 80;
-                o.height = 60;
-                o.injections = 24;
-                o.smoke = true;
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-        if o.every_k == 0 {
-            return Err("--every-k must be positive".into());
-        }
+    /// The checkpointed GPR campaign at `threads` workers.
+    fn campaign(&self, threads: usize) -> CampaignConfig {
+        CampaignConfig::new(RegClass::Gpr, self.injections)
+            .seed(self.seed)
+            .threads(threads)
+            .checkpoint_policy(CheckpointPolicy::EveryKFrames(self.every_k))
     }
-    Ok(o)
 }
 
 fn json_f(x: f64) -> String {
     format!("{x:.6}")
+}
+
+/// Median of a non-empty sample (the upper one for even counts).
+fn median(times: &[f64]) -> f64 {
+    let mut s = times.to_vec();
+    s.sort_by(f64::total_cmp);
+    s[s.len() / 2]
+}
+
+/// Outcome identity: same faults drawn, same firing, same
+/// classification, in the same campaign order.
+fn same_records<O>(a: &[Injection<O>], b: &[Injection<O>]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.index == y.index && x.spec == y.spec && x.outcome == y.outcome && x.fired == y.fired
+        })
 }
 
 /// One outcome class of an estimate checked against the reference
@@ -333,7 +338,7 @@ fn rates_json(r: &OutcomeRates) -> String {
 /// reference campaign, the Wilson-gated adaptive campaign at the same
 /// seed (whose records are a prefix of the reference's), and a
 /// cold+warm compositional pass against the group-measurement cache.
-/// Emits the BENCH_4 JSON and applies the warm-reuse, rate-agreement
+/// Emits the BENCH_4 JSON and applies the cache-reuse, rate-agreement
 /// and injection-reduction gates.
 fn run_adaptive_bench(
     o: &BenchOpts,
@@ -378,12 +383,25 @@ fn run_adaptive_bench(
         CheckpointPolicy::EveryKFrames(o.every_k),
     )
     .map_err(|e| format!("forensic golden run failed: {e:?}"))?;
+    // Everything a group key folds: the run's configuration, the
+    // compositional configuration and the golden stage digests.
+    let stages = golden
+        .golden
+        .digests
+        .as_ref()
+        .ok_or("forensic golden run recorded no stage digests")?;
+    let cache_digest = config_digest(
+        &[o.config_digest(pipeline_digest), ccfg.digest()]
+            .into_iter()
+            .chain(
+                Stage::ALL
+                    .iter()
+                    .flat_map(|&s| [stages.digest(s), stages.count(s)]),
+            )
+            .collect::<Vec<_>>(),
+    );
 
-    let cfg = CampaignConfig::new(RegClass::Gpr, o.injections)
-        .seed(o.seed)
-        .threads(threads)
-        .checkpoint_policy(CheckpointPolicy::EveryKFrames(o.every_k));
-
+    let cfg = o.campaign(threads);
     let t0 = Instant::now();
     let fixed = campaign::run_campaign_checkpointed(w, &golden, &cfg);
     let fixed_secs = t0.elapsed().as_secs_f64();
@@ -398,6 +416,7 @@ fn run_adaptive_bench(
         Some(p) => CampaignCache::load(p)?,
         None => CampaignCache::new(),
     };
+    let warm_start = !cache.is_empty() && cache.workload_digest == cache_digest;
     // The registry counts how many cold pilots resumed from the chain the
     // compositional driver captures for itself.
     let registry = Arc::new(MetricsRegistry::new());
@@ -407,12 +426,12 @@ fn run_adaptive_bench(
         compose::run_composed_campaign(w, &golden.golden, &ccfg, &mut cache)
     };
     let cold_secs = t0.elapsed().as_secs_f64();
-    let cold_resumed = registry.merged().counter(campaign::phase::RUNS_RESUMED);
+    let cold_resumed = registry.merged().counter(phase::RUNS_RESUMED);
     let t0 = Instant::now();
     let warm = compose::run_composed_campaign(w, &golden.golden, &ccfg, &mut cache);
     let warm_secs = t0.elapsed().as_secs_f64();
     if let Some(p) = &o.cache {
-        cache.workload_digest = pipeline_digest;
+        cache.workload_digest = cache_digest;
         cache
             .save(p)
             .map_err(|e| format!("write {}: {e}", p.display()))?;
@@ -505,23 +524,11 @@ fn run_adaptive_bench(
         agreement_json(&c_rows, ccfg.epsilon_pp),
         agreement_ok
     );
-    std::fs::write(&o.adaptive_out, &json)
-        .map_err(|e| format!("cannot write {}: {e}", o.adaptive_out.display()))?;
-    let out_path = o.adaptive_out.display().to_string();
+    std::fs::write(&o.out, &json).map_err(|e| format!("cannot write {}: {e}", o.out.display()))?;
+    let out_path = o.out.display().to_string();
     vs_telemetry::emit("artifact", &[("path", Value::Str(&out_path))]);
-    vs_bench::manifest::Manifest::new("adaptive_bench")
-        .u64(
-            "config_digest",
-            vs_bench::manifest::config_digest(&[
-                o.frames as u64,
-                o.width as u64,
-                o.height as u64,
-                o.injections as u64,
-                o.every_k as u64,
-                o.seed,
-                pipeline_digest,
-            ]),
-        )
+    Manifest::new("adaptive_bench")
+        .u64("config_digest", o.config_digest(pipeline_digest))
         .u64("pipeline_digest", pipeline_digest)
         .u64("injections", o.injections as u64)
         .u64("threads", threads as u64)
@@ -538,6 +545,12 @@ fn run_adaptive_bench(
     if warm_groups_injected != 0 {
         return Err(format!(
             "warm compositional pass re-injected {warm_groups_injected} groups"
+        ));
+    }
+    if warm_start && cold_groups_injected != 0 {
+        return Err(format!(
+            "the loaded cache carries this run's digest, yet the cold pass injected {cold_groups_injected} of {} groups",
+            cold.groups.len()
         ));
     }
     if cold.injections_executed > 0 && cold_resumed == 0 {
@@ -566,21 +579,369 @@ fn run_adaptive_bench(
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = match parse(&args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::FAILURE;
+/// One thread-sweep row: metrics-armed checkpointed campaigns at one
+/// thread count.
+struct SweepRow {
+    threads: usize,
+    /// Median wall time of the row's metrics-armed campaigns.
+    secs: f64,
+    /// Whether every campaign of the row matched the primary records.
+    identical: bool,
+    /// Merged phase metrics of the row's last campaign.
+    metrics: WorkerMetrics,
+}
+
+impl SweepRow {
+    /// Nanoseconds the top-level phases attribute, and summed worker
+    /// wall time.
+    fn attribution(&self) -> (u64, u64) {
+        let sum = |name: &str| self.metrics.histogram(name).map_or(0, |h| h.sum());
+        (
+            phase::TOP.iter().map(|p| sum(p)).sum(),
+            sum(phase::WORKER_WALL),
+        )
+    }
+
+    /// Share of summed worker wall time the phase vocabulary covers.
+    fn coverage(&self) -> f64 {
+        let (attributed, wall) = self.attribution();
+        if wall == 0 {
+            0.0
+        } else {
+            attributed as f64 / wall as f64
         }
+    }
+}
+
+/// The metrics-overhead A/B at the first thread count.
+struct Overhead {
+    off: Vec<f64>,
+    on: Vec<f64>,
+}
+
+impl Overhead {
+    fn pct(&self) -> f64 {
+        (median(&self.on) / median(&self.off) - 1.0) * 100.0
+    }
+
+    fn within_gate(&self) -> bool {
+        median(&self.on) <= median(&self.off) * (1.0 + MAX_OVERHEAD) + OVERHEAD_SLACK_SECS
+    }
+
+    fn json(&self) -> String {
+        let min = |t: &[f64]| t.iter().copied().fold(f64::INFINITY, f64::min);
+        format!(
+            "{{\"off_secs\": {}, \"on_secs\": {}, \"off_min_secs\": {}, \"on_min_secs\": {}, \"overhead_pct\": {}, \"pairs\": {}, \"within_gate\": {}}}",
+            json_f(median(&self.off)),
+            json_f(median(&self.on)),
+            json_f(min(&self.off)),
+            json_f(min(&self.on)),
+            json_f(self.pct()),
+            self.off.len(),
+            self.within_gate()
+        )
+    }
+}
+
+/// Time one checkpointed campaign, with `registry` installed (and reset
+/// first, so it holds this campaign's metrics only) when given. Returns
+/// the wall time and whether the records equal `reference`.
+fn timed_campaign(
+    w: &VsWorkload,
+    golden: &CheckpointedGolden<VsWorkload>,
+    cfg: &CampaignConfig,
+    registry: Option<&Arc<MetricsRegistry>>,
+    reference: &[Injection<Vec<RgbImage>>],
+) -> (f64, bool) {
+    let _metrics = registry.map(|r| {
+        r.reset();
+        metrics::install(r.clone())
+    });
+    let t0 = Instant::now();
+    let records = campaign::run_campaign_checkpointed(w, golden, cfg);
+    let secs = t0.elapsed().as_secs_f64();
+    (secs, same_records(&records, reference))
+}
+
+/// The thread sweep: the overhead A/B at the first count (its
+/// metrics-on side is the first row), then `repeats` metrics-armed
+/// campaigns at every further count. Emits the metrics snapshot,
+/// coverage and row events of every row, and the overhead event.
+fn thread_sweep(
+    o: &BenchOpts,
+    w: &VsWorkload,
+    ck: &CheckpointedGolden<VsWorkload>,
+    reference: &[Injection<Vec<RgbImage>>],
+    host_cores: usize,
+) -> (Overhead, Vec<SweepRow>) {
+    let registry = Arc::new(MetricsRegistry::new());
+    let first = o.threads[0];
+    let mut overhead = Overhead {
+        off: Vec::new(),
+        on: Vec::new(),
+    };
+    let mut identical = true;
+    for _ in 0..OVERHEAD_PAIRS {
+        let (off, same_off) = timed_campaign(w, ck, &o.campaign(first), None, reference);
+        let (on, same_on) = timed_campaign(w, ck, &o.campaign(first), Some(&registry), reference);
+        overhead.off.push(off);
+        overhead.on.push(on);
+        identical &= same_off && same_on;
+    }
+    let mut rows = vec![SweepRow {
+        threads: first,
+        secs: median(&overhead.on),
+        identical,
+        metrics: registry.merged(),
+    }];
+    for &n in &o.threads[1..] {
+        let runs: Vec<(f64, bool)> = (0..o.repeats)
+            .map(|_| timed_campaign(w, ck, &o.campaign(n), Some(&registry), reference))
+            .collect();
+        let secs: Vec<f64> = runs.iter().map(|r| r.0).collect();
+        rows.push(SweepRow {
+            threads: n,
+            secs: median(&secs),
+            identical: runs.iter().all(|r| r.1),
+            metrics: registry.merged(),
+        });
+    }
+
+    for row in &rows {
+        let n = row.threads;
+        let (attributed, wall) = row.attribution();
+        metrics::emit_snapshot(&row.metrics, n, &[("threads", Value::U64(n as u64))]);
+        vs_telemetry::emit(
+            "metrics_coverage",
+            &[
+                ("threads", Value::U64(n as u64)),
+                ("attributed_ns", Value::U64(attributed)),
+                ("wall_ns", Value::U64(wall)),
+                ("coverage", Value::F64(row.coverage())),
+            ],
+        );
+        vs_telemetry::emit(
+            "thread_sweep",
+            &[
+                ("threads", Value::U64(n as u64)),
+                ("on_secs", Value::F64(row.secs)),
+                (
+                    "runs_per_sec_on",
+                    Value::F64(o.injections as f64 / row.secs),
+                ),
+                ("identical", Value::Bool(row.identical)),
+                ("oversubscribed", Value::Bool(n > host_cores)),
+                ("coverage", Value::F64(row.coverage())),
+            ],
+        );
+    }
+    vs_telemetry::emit(
+        "metrics_overhead",
+        &[
+            ("off_secs", Value::F64(median(&overhead.off))),
+            ("on_secs", Value::F64(median(&overhead.on))),
+            ("overhead_pct", Value::F64(overhead.pct())),
+            ("pairs", Value::U64(OVERHEAD_PAIRS as u64)),
+        ],
+    );
+    (overhead, rows)
+}
+
+/// The throughput benchmark: allocation count, golden runs, the
+/// scratch and checkpointed campaigns, the thread sweep, `BENCH_2.json`
+/// and every gate.
+fn run_throughput_bench(
+    o: &BenchOpts,
+    w: &VsWorkload,
+    host_cores: usize,
+    pipeline_digest: u64,
+) -> Result<(), String> {
+    // Steady-state allocation count of the workspace path (quiet
+    // thread), then a short traced demo on this thread so the JSONL
+    // trace carries per-run `scratch_reuse` counters reaching grown=0.
+    let allocs = measure_allocs(w);
+    vs_telemetry::emit(
+        "bench_alloc",
+        &[
+            ("allocs_per_run_scratch", Value::U64(allocs.per_run_scratch)),
+            ("allocs_per_run_steady", Value::F64(allocs.per_run_steady)),
+        ],
+    );
+
+    // Golden runs: plain (what scratch campaigns need) and capturing
+    // (what checkpointed campaigns need).
+    let t0 = Instant::now();
+    let golden = campaign::profile_golden(w).expect("golden run failed");
+    let golden_run_secs = t0.elapsed().as_secs_f64();
+    let t0 = Instant::now();
+    let ck = campaign::profile_golden_checkpointed(w, CheckpointPolicy::EveryKFrames(o.every_k))
+        .expect("capturing golden run failed");
+    let golden_capturing_secs = t0.elapsed().as_secs_f64();
+    vs_telemetry::emit(
+        "golden_profiled",
+        &[
+            ("plain_secs", Value::F64(golden_run_secs)),
+            ("capturing_secs", Value::F64(golden_capturing_secs)),
+            ("checkpoints", Value::U64(ck.checkpoints.len() as u64)),
+        ],
+    );
+
+    // The same campaign, from scratch and fast-forwarded, metrics off.
+    let primary_threads = o.threads[0];
+    let cfg_off = CampaignConfig::new(RegClass::Gpr, o.injections)
+        .seed(o.seed)
+        .threads(primary_threads);
+    let t0 = Instant::now();
+    let scratch = campaign::run_campaign(w, &golden, &cfg_off);
+    let campaign_off_secs = t0.elapsed().as_secs_f64();
+
+    let t0 = Instant::now();
+    let fast = campaign::run_campaign_checkpointed(w, &ck, &o.campaign(primary_threads));
+    let campaign_on_secs = t0.elapsed().as_secs_f64();
+
+    let identical = same_records(&scratch, &fast);
+    let (overhead, rows) = thread_sweep(o, w, &ck, &fast, host_cores);
+    let sweep_identical = rows.iter().all(|r| r.identical);
+
+    let runs_off = o.injections as f64 / campaign_off_secs;
+    let runs_on = o.injections as f64 / campaign_on_secs;
+    let speedup = campaign_off_secs / campaign_on_secs;
+    vs_telemetry::emit(
+        "bench_result",
+        &[
+            ("off_secs", Value::F64(campaign_off_secs)),
+            ("runs_per_sec_off", Value::F64(runs_off)),
+            ("on_secs", Value::F64(campaign_on_secs)),
+            ("runs_per_sec_on", Value::F64(runs_on)),
+            ("speedup", Value::F64(speedup)),
+            ("identical", Value::Bool(identical)),
+            ("allocs_per_run_steady", Value::F64(allocs.per_run_steady)),
+        ],
+    );
+
+    // Traced steady-state demo: a few golden runs on this thread (where
+    // the sink lives) so the trace ends with `scratch_reuse` counters at
+    // grown=0 — what `trace_check --scratch-steady` validates.
+    {
+        let mut demo = RunScratch::default();
+        for _ in 0..4 {
+            w.run(&mut demo, None).expect("golden run failed");
+        }
+    }
+
+    let sweep_json = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"threads\": {}, \"on_secs\": {}, \"runs_per_sec_on\": {}, \"identical\": {}, \"oversubscribed\": {}, \"coverage\": {}}}",
+                r.threads,
+                json_f(r.secs),
+                json_f(o.injections as f64 / r.secs),
+                r.identical,
+                r.threads > host_cores,
+                json_f(r.coverage())
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
+    let json = format!(
+        "{{\n  \"bench\": \"campaign_throughput\",\n  \"frames\": {},\n  \"frame_size\": [{}, {}],\n  \"injections\": {},\n  \"threads\": {},\n  \"host_cores\": {},\n  \"checkpoint_every_k\": {},\n  \"checkpoints\": {},\n  \"golden_run_secs\": {},\n  \"golden_capturing_secs\": {},\n  \"campaign_checkpoint_off_secs\": {},\n  \"campaign_checkpoint_on_secs\": {},\n  \"runs_per_sec_off\": {},\n  \"runs_per_sec_on\": {},\n  \"speedup\": {},\n  \"allocs_per_run_scratch\": {},\n  \"allocs_per_run_steady\": {},\n  \"thread_sweep\": [\n{sweep_json}\n  ],\n  \"overhead\": {},\n  \"outcomes_identical\": {}\n}}\n",
+        o.frames,
+        o.width,
+        o.height,
+        o.injections,
+        primary_threads,
+        host_cores,
+        o.every_k,
+        ck.checkpoints.len(),
+        json_f(golden_run_secs),
+        json_f(golden_capturing_secs),
+        json_f(campaign_off_secs),
+        json_f(campaign_on_secs),
+        json_f(runs_off),
+        json_f(runs_on),
+        json_f(speedup),
+        allocs.per_run_scratch,
+        json_f(allocs.per_run_steady),
+        overhead.json(),
+        identical && sweep_identical
+    );
+    std::fs::write(&o.out, &json).map_err(|e| format!("cannot write {}: {e}", o.out.display()))?;
+    let out_path = o.out.display().to_string();
+    vs_telemetry::emit("artifact", &[("path", Value::Str(&out_path))]);
+    let mut manifest = Manifest::new("campaign_bench")
+        .u64("config_digest", o.config_digest(pipeline_digest))
+        .u64("pipeline_digest", pipeline_digest)
+        .u64("injections", o.injections as u64)
+        .u64("threads", primary_threads as u64)
+        .u64("seed", o.seed)
+        .f64("runs_per_sec_off", runs_off)
+        .f64("runs_per_sec_on", runs_on)
+        .f64("speedup", speedup)
+        .f64("allocs_per_run_steady", allocs.per_run_steady)
+        .f64("overhead_pct", overhead.pct())
+        .bool("identical", identical && sweep_identical)
+        .rates(&outcome_rates(&fast));
+    for name in phase::TOP {
+        if let Some(h) = rows[0].metrics.histogram(name) {
+            manifest = manifest.phase(name, h);
+        }
+    }
+    manifest.append_default();
+
+    if !identical {
+        return Err("checkpointed campaign diverged from scratch campaign".into());
+    }
+    if !sweep_identical {
+        return Err("thread sweep diverged from primary campaign outcomes".into());
+    }
+    if allocs.per_run_steady != 0.0 {
+        return Err(format!(
+            "steady-state workspace runs still allocate ({} allocs/run)",
+            allocs.per_run_steady
+        ));
+    }
+    if let Some(r) = rows.iter().find(|r| r.coverage() < MIN_COVERAGE) {
+        return Err(format!(
+            "attribution coverage {:.3} at {} threads below {MIN_COVERAGE}: a worker phase is missing from the vocabulary",
+            r.coverage(),
+            r.threads
+        ));
+    }
+    if !overhead.within_gate() {
+        return Err(format!(
+            "metrics overhead {:+.2}% exceeds {}% plus {} ms",
+            overhead.pct(),
+            MAX_OVERHEAD * 100.0,
+            OVERHEAD_SLACK_SECS * 1e3
+        ));
+    }
+    if o.expect_scaling > 0.0 {
+        let widest = rows.iter().max_by_key(|r| r.threads).expect("rows");
+        let scaling = rows[0].secs / widest.secs;
+        if host_cores < widest.threads {
+            println!(
+                "note: --expect-scaling {} skipped: host_cores = {host_cores} < {} threads, the requested speedup is physically unavailable on this host",
+                o.expect_scaling, widest.threads
+            );
+        } else if scaling < o.expect_scaling {
+            return Err(format!(
+                "speedup {scaling:.2}x at {} threads below required {:.2}x",
+                widest.threads, o.expect_scaling
+            ));
+        }
+    }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let o = match cli::parse(USAGE, parse) {
+        Ok(o) => o,
+        Err(code) => return code,
     };
     let sink = match vs_bench::trace::build_sink(o.trace.as_deref()) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot create trace file: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return cli::fail(format!("cannot create trace file: {e}")),
     };
     vs_telemetry::set_trace_seed(o.seed);
     let _telemetry = vs_telemetry::install(sink);
@@ -617,204 +978,13 @@ fn main() -> ExitCode {
     let pipeline_digest = pipeline.digest();
     let w = VsWorkload::new(frames, pipeline);
 
-    if o.adaptive {
-        return match run_adaptive_bench(&o, &w, host_cores, pipeline_digest) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    let result = if o.adaptive {
+        run_adaptive_bench(&o, &w, host_cores, pipeline_digest)
+    } else {
+        run_throughput_bench(&o, &w, host_cores, pipeline_digest)
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => cli::fail(e),
     }
-
-    // Steady-state allocation count of the workspace path (quiet
-    // thread), then a short traced demo on this thread so the JSONL
-    // trace carries per-run `scratch_reuse` counters reaching grown=0.
-    let allocs = measure_allocs(&w);
-    vs_telemetry::emit(
-        "bench_alloc",
-        &[
-            ("allocs_per_run_scratch", Value::U64(allocs.per_run_scratch)),
-            ("allocs_per_run_steady", Value::F64(allocs.per_run_steady)),
-        ],
-    );
-
-    // Golden runs: plain (what scratch campaigns need) and capturing
-    // (what checkpointed campaigns need).
-    let t0 = Instant::now();
-    let golden = campaign::profile_golden(&w).expect("golden run failed");
-    let golden_run_secs = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let ck = campaign::profile_golden_checkpointed(&w, CheckpointPolicy::EveryKFrames(o.every_k))
-        .expect("capturing golden run failed");
-    let golden_capturing_secs = t0.elapsed().as_secs_f64();
-    vs_telemetry::emit(
-        "golden_profiled",
-        &[
-            ("plain_secs", Value::F64(golden_run_secs)),
-            ("capturing_secs", Value::F64(golden_capturing_secs)),
-            ("checkpoints", Value::U64(ck.checkpoints.len() as u64)),
-        ],
-    );
-
-    // The same campaign, from scratch and fast-forwarded.
-    let primary_threads = o.threads[0];
-    let cfg_off = CampaignConfig::new(RegClass::Gpr, o.injections)
-        .seed(o.seed)
-        .threads(primary_threads);
-    let t0 = Instant::now();
-    let scratch = campaign::run_campaign(&w, &golden, &cfg_off);
-    let campaign_off_secs = t0.elapsed().as_secs_f64();
-
-    let cfg_on = CampaignConfig::new(RegClass::Gpr, o.injections)
-        .seed(o.seed)
-        .threads(primary_threads)
-        .checkpoint_policy(CheckpointPolicy::EveryKFrames(o.every_k));
-    let t0 = Instant::now();
-    let fast = campaign::run_campaign_checkpointed(&w, &ck, &cfg_on);
-    let campaign_on_secs = t0.elapsed().as_secs_f64();
-
-    // Scaling sweep: rerun the checkpointed campaign at every further
-    // thread count. Thread-striping only partitions injection indices,
-    // so every rerun must classify every injection exactly like the
-    // primary run — a divergence means a cross-thread determinism bug.
-    let mut sweep_rows = vec![(primary_threads, campaign_on_secs, true)];
-    let mut sweep_identical = true;
-    for &n in &o.threads[1..] {
-        let cfg = CampaignConfig::new(RegClass::Gpr, o.injections)
-            .seed(o.seed)
-            .threads(n)
-            .checkpoint_policy(CheckpointPolicy::EveryKFrames(o.every_k));
-        let t0 = Instant::now();
-        let rerun = campaign::run_campaign_checkpointed(&w, &ck, &cfg);
-        let secs = t0.elapsed().as_secs_f64();
-        let same = rerun.len() == fast.len()
-            && rerun
-                .iter()
-                .zip(&fast)
-                .all(|(a, b)| a.spec == b.spec && a.outcome == b.outcome && a.fired == b.fired);
-        sweep_identical &= same;
-        vs_telemetry::emit(
-            "thread_sweep",
-            &[
-                ("threads", Value::U64(n as u64)),
-                ("on_secs", Value::F64(secs)),
-                ("runs_per_sec_on", Value::F64(o.injections as f64 / secs)),
-                ("identical", Value::Bool(same)),
-                ("oversubscribed", Value::Bool(n > host_cores)),
-            ],
-        );
-        sweep_rows.push((n, secs, same));
-    }
-
-    let identical = scratch.len() == fast.len()
-        && scratch
-            .iter()
-            .zip(&fast)
-            .all(|(a, b)| a.spec == b.spec && a.outcome == b.outcome && a.fired == b.fired);
-    let runs_off = o.injections as f64 / campaign_off_secs;
-    let runs_on = o.injections as f64 / campaign_on_secs;
-    let speedup = campaign_off_secs / campaign_on_secs;
-    vs_telemetry::emit(
-        "bench_result",
-        &[
-            ("off_secs", Value::F64(campaign_off_secs)),
-            ("runs_per_sec_off", Value::F64(runs_off)),
-            ("on_secs", Value::F64(campaign_on_secs)),
-            ("runs_per_sec_on", Value::F64(runs_on)),
-            ("speedup", Value::F64(speedup)),
-            ("identical", Value::Bool(identical)),
-            ("allocs_per_run_steady", Value::F64(allocs.per_run_steady)),
-        ],
-    );
-
-    // Traced steady-state demo: a few golden runs on this thread (where
-    // the sink lives) so the trace ends with `scratch_reuse` counters at
-    // grown=0 — what `trace_check --scratch-steady` validates.
-    {
-        let mut demo = RunScratch::default();
-        for _ in 0..4 {
-            w.run(&mut demo, None).expect("golden run failed");
-        }
-    }
-
-    let sweep_json = sweep_rows
-        .iter()
-        .map(|&(n, secs, same)| {
-            format!(
-                "    {{\"threads\": {n}, \"on_secs\": {}, \"runs_per_sec_on\": {}, \"identical\": {same}, \"oversubscribed\": {}}}",
-                json_f(secs),
-                json_f(o.injections as f64 / secs),
-                n > host_cores
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"bench\": \"campaign_throughput\",\n  \"frames\": {},\n  \"frame_size\": [{}, {}],\n  \"injections\": {},\n  \"threads\": {},\n  \"host_cores\": {},\n  \"checkpoint_every_k\": {},\n  \"checkpoints\": {},\n  \"golden_run_secs\": {},\n  \"golden_capturing_secs\": {},\n  \"campaign_checkpoint_off_secs\": {},\n  \"campaign_checkpoint_on_secs\": {},\n  \"runs_per_sec_off\": {},\n  \"runs_per_sec_on\": {},\n  \"speedup\": {},\n  \"allocs_per_run_scratch\": {},\n  \"allocs_per_run_steady\": {},\n  \"thread_sweep\": [\n{sweep_json}\n  ],\n  \"outcomes_identical\": {}\n}}\n",
-        o.frames,
-        o.width,
-        o.height,
-        o.injections,
-        primary_threads,
-        host_cores,
-        o.every_k,
-        ck.checkpoints.len(),
-        json_f(golden_run_secs),
-        json_f(golden_capturing_secs),
-        json_f(campaign_off_secs),
-        json_f(campaign_on_secs),
-        json_f(runs_off),
-        json_f(runs_on),
-        json_f(speedup),
-        allocs.per_run_scratch,
-        json_f(allocs.per_run_steady),
-        identical && sweep_identical
-    );
-    if let Err(e) = std::fs::write(&o.out, &json) {
-        eprintln!("error: cannot write {}: {e}", o.out.display());
-        return ExitCode::FAILURE;
-    }
-    let out_path = o.out.display().to_string();
-    vs_telemetry::emit("artifact", &[("path", Value::Str(&out_path))]);
-    vs_bench::manifest::Manifest::new("campaign_bench")
-        .u64(
-            "config_digest",
-            vs_bench::manifest::config_digest(&[
-                o.frames as u64,
-                o.width as u64,
-                o.height as u64,
-                o.injections as u64,
-                o.every_k as u64,
-                o.seed,
-                pipeline_digest,
-            ]),
-        )
-        .u64("pipeline_digest", pipeline_digest)
-        .u64("injections", o.injections as u64)
-        .u64("threads", primary_threads as u64)
-        .u64("seed", o.seed)
-        .f64("runs_per_sec_off", runs_off)
-        .f64("runs_per_sec_on", runs_on)
-        .f64("speedup", speedup)
-        .f64("allocs_per_run_steady", allocs.per_run_steady)
-        .bool("identical", identical && sweep_identical)
-        .rates(&outcome_rates(&fast))
-        .append_default();
-    if !identical {
-        eprintln!("error: checkpointed campaign diverged from scratch campaign");
-        return ExitCode::FAILURE;
-    }
-    if !sweep_identical {
-        eprintln!("error: thread sweep diverged from primary campaign outcomes");
-        return ExitCode::FAILURE;
-    }
-    if allocs.per_run_steady != 0.0 {
-        eprintln!(
-            "error: steady-state workspace runs still allocate ({} allocs/run)",
-            allocs.per_run_steady
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }

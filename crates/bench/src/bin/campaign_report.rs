@@ -31,6 +31,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use vs_bench::cli;
 use vs_core::quality::{self, SdcQuality};
 use vs_core::workloads::VsWorkload;
 use vs_core::PipelineConfig;
@@ -57,50 +58,26 @@ struct ReportOpts {
     trace: Option<PathBuf>,
 }
 
-impl Default for ReportOpts {
-    fn default() -> Self {
-        ReportOpts {
-            frames: 12,
-            width: 128,
-            height: 96,
-            injections: 200,
-            threads: vs_bench::host_cores(),
-            every_k: 1,
-            seed: 0xF0DE,
-            out_dir: "out/forensics".into(),
-            trace: None,
-        }
-    }
-}
-
-fn parse(args: &[String]) -> Result<ReportOpts, String> {
-    let mut o = ReportOpts::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut val = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--frames" => o.frames = val("--frames")?.parse().map_err(|_| "bad --frames")?,
-            "--inj" => o.injections = val("--inj")?.parse().map_err(|_| "bad --inj")?,
-            "--threads" => o.threads = val("--threads")?.parse().map_err(|_| "bad --threads")?,
-            "--every-k" => o.every_k = val("--every-k")?.parse().map_err(|_| "bad --every-k")?,
-            "--seed" => o.seed = val("--seed")?.parse().map_err(|_| "bad --seed")?,
-            "--out-dir" => o.out_dir = val("--out-dir")?.into(),
-            "--trace" => o.trace = Some(val("--trace")?.into()),
-            "--smoke" => {
-                o.frames = 6;
-                o.width = 80;
-                o.height = 60;
-                o.injections = 60;
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-        if o.every_k == 0 || o.threads == 0 {
-            return Err("--every-k and --threads must be positive".into());
-        }
-    }
-    Ok(o)
+fn parse(a: &mut cli::Args) -> Result<ReportOpts, String> {
+    let smoke = a.flag("--smoke");
+    let (frames, width, height, injections) = if smoke {
+        (6, 80, 60, 60)
+    } else {
+        (12, 128, 96, 200)
+    };
+    Ok(ReportOpts {
+        frames: a.value("--frames")?.unwrap_or(frames),
+        width,
+        height,
+        injections: a.value("--inj")?.unwrap_or(injections),
+        threads: a.count("--threads")?.unwrap_or_else(vs_bench::host_cores),
+        every_k: a.count("--every-k")?.unwrap_or(1),
+        seed: a.value("--seed")?.unwrap_or(0xF0DE),
+        out_dir: a
+            .value("--out-dir")?
+            .unwrap_or_else(|| "out/forensics".into()),
+        trace: a.value("--trace")?,
+    })
 }
 
 fn class_name(class: RegClass) -> &'static str {
@@ -437,20 +414,13 @@ fn render_json(reports: &[ClassReport], o: &ReportOpts, checkpoints: usize) -> S
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = match parse(&args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+    let o = match cli::parse(USAGE, parse) {
+        Ok(o) => o,
+        Err(code) => return code,
     };
     let sink = match vs_bench::trace::build_sink(o.trace.as_deref()) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot create trace file: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return cli::fail(format!("cannot create trace file: {e}")),
     };
     vs_telemetry::set_trace_seed(o.seed);
     let _telemetry = vs_telemetry::install(sink);
@@ -489,8 +459,7 @@ fn main() -> ExitCode {
         .collect();
 
     if let Err(e) = std::fs::create_dir_all(&o.out_dir) {
-        eprintln!("error: cannot create {}: {e}", o.out_dir.display());
-        return ExitCode::FAILURE;
+        return cli::fail(format!("cannot create {}: {e}", o.out_dir.display()));
     }
     let artifacts = [
         (
@@ -506,8 +475,7 @@ fn main() -> ExitCode {
     for (name, contents) in &artifacts {
         let path = o.out_dir.join(name);
         if let Err(e) = std::fs::write(&path, contents) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
+            return cli::fail(format!("cannot write {}: {e}", path.display()));
         }
         let shown = path.display().to_string();
         vs_telemetry::emit("artifact", &[("path", Value::Str(&shown))]);

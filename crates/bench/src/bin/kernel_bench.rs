@@ -5,9 +5,8 @@
 //! tiers and emits `BENCH_6.json`.
 //!
 //! ```text
-//! kernel_bench [--threads N[,N...]] [--seed S] [--out FILE]
-//!              [--trace FILE] [--smoke] [--check-speedups]
-//!              [--hd] [--check-simd]
+//! kernel_bench [--seed S] [--out FILE] [--trace FILE] [--smoke]
+//!              [--check-speedups] [--hd] [--check-simd]
 //! ```
 //!
 //! Six kernel rows, each `scalar_ns` / `swar_ns` / `speedup` /
@@ -33,13 +32,11 @@
 //! dedicated sink-less thread so telemetry timers stay disabled —
 //! the same conditions campaign workers see.
 //!
-//! An end-to-end row then runs the checkpointed GPR campaign at every
-//! `--threads` count (BENCH_2-compatible workload defaults) and
-//! cross-checks that all thread counts classify every injection
-//! identically; `runs_per_sec_on` is directly comparable with
-//! `BENCH_2.json`. `--check-speedups` additionally fails the process
-//! if any kernel row regresses below 1.0× — the `scripts/verify.sh`
-//! gate.
+//! The binary fails when a kernel diverges from its scalar oracle or a
+//! warmed kernel path allocates; `--check-speedups` additionally fails
+//! it if any kernel row regresses below 1.0× — the `scripts/verify.sh`
+//! gate. End-to-end campaign throughput, and its thread sweep, are
+//! `campaign_bench`'s.
 //!
 //! # HD mode (`--hd`)
 //!
@@ -54,25 +51,19 @@
 //! Paper-scale pipeline's ORB threshold and per-level keypoint cap, and
 //! `brief_describe` (rBRIEF over the tier's oriented FAST keypoints;
 //! its SWAR side is the scalar pair loop). Rows whose batch coefficient
-//! of variation exceeds 20% are flagged `unstable`. A row-band parallel
-//! warp row is added only when the host has ≥ 2 cores, and an
-//! end-to-end checkpointed-campaign row anchors the kernel numbers to
-//! campaign throughput. `--check-simd` fails the process unless SSE2
-//! reaches ≥ 1.5× over SWAR on at least two of {fast_detect,
-//! warp_affine, warp_halfpix, hamming}; the AVX2 and row-band gates
-//! arm only when the CPU features / core count permit (a note is
-//! printed when they auto-skip).
+//! of variation exceeds 20% are flagged `unstable`. `--check-simd`
+//! fails the process unless SSE2 reaches ≥ 1.5× over SWAR on at least
+//! two of {fast_detect, warp_affine, warp_halfpix, hamming}; the AVX2
+//! gate arms only when the CPU has AVX2 (a note is printed when it
+//! auto-skips).
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use vs_bench::alloc::{self, CountingAlloc};
+use vs_bench::cli;
 use vs_bench::timing::{fmt_secs, measure_pair, Measurement};
 use vs_core::experiments::{pipeline_config, Scale};
-use vs_core::workloads::VsWorkload;
-use vs_core::{Approximation, PipelineConfig};
-use vs_fault::campaign::{self, CampaignConfig, CheckpointPolicy};
-use vs_fault::spec::RegClass;
+use vs_core::Approximation;
 use vs_features::fast::{self, FastConfig, FastScratch};
 use vs_features::{brief, orientation, Descriptor, KeyPoint};
 use vs_image::{
@@ -85,59 +76,17 @@ use vs_matching::{Match, RatioMatcher};
 use vs_rng::SplitMix64;
 use vs_telemetry::Value;
 use vs_video::{render_input, InputSpec};
-use vs_warp::{
-    warp_perspective_offset_into_bands, warp_perspective_offset_into_level,
-    warp_perspective_offset_into_scalar,
-};
+use vs_warp::{warp_perspective_offset_into_level, warp_perspective_offset_into_scalar};
 
-/// Process-wide allocation counter (bench binary only) — used to pin
-/// the warmed kernel paths at zero allocations per call.
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
-
+/// Pins the warmed kernel paths at zero allocations per call.
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn alloc_calls() -> u64 {
-    ALLOC_CALLS.load(Ordering::Relaxed)
-}
-
 const USAGE: &str =
-    "usage: kernel_bench [--threads N[,N...]] [--seed S] [--out FILE] [--trace FILE] [--smoke] [--check-speedups] [--hd] [--check-simd]";
+    "usage: kernel_bench [--seed S] [--out FILE] [--trace FILE] [--smoke] [--check-speedups] [--hd] [--check-simd]";
 
 struct BenchOpts {
-    /// End-to-end campaign workload — BENCH_2-compatible defaults so
-    /// `runs_per_sec_on` is directly comparable.
-    frames: usize,
-    width: usize,
-    height: usize,
-    injections: usize,
-    every_k: usize,
     seed: u64,
-    /// Campaign thread counts; first is primary, rest are sweep reruns.
-    threads: Vec<usize>,
     /// Kernel input sizes and per-side timing budget.
     kernel_w: usize,
     kernel_h: usize,
@@ -155,80 +104,29 @@ struct BenchOpts {
     smoke: bool,
 }
 
-impl Default for BenchOpts {
-    fn default() -> Self {
-        BenchOpts {
-            frames: 16,
-            width: 128,
-            height: 96,
-            injections: 120,
-            every_k: 1,
-            seed: 0xBE6C,
-            threads: vec![vs_bench::host_cores()],
-            kernel_w: 480,
-            kernel_h: 360,
-            queries: 256,
-            train: 512,
-            budget: Duration::from_millis(500),
-            out: "BENCH_3.json".into(),
-            trace: None,
-            check_speedups: false,
-            hd: false,
-            check_simd: false,
-            smoke: false,
-        }
-    }
-}
-
-fn parse_threads(v: &str) -> Result<Vec<usize>, String> {
-    let list: Vec<usize> = v
-        .split(',')
-        .map(|s| s.trim().parse::<usize>().map_err(|_| "bad --threads"))
-        .collect::<Result<_, _>>()?;
-    if list.is_empty() || list.contains(&0) {
-        return Err("--threads needs positive counts".into());
-    }
-    Ok(list)
-}
-
-fn parse(args: &[String]) -> Result<BenchOpts, String> {
-    let mut o = BenchOpts::default();
-    let mut out_set = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut val = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--threads" => o.threads = parse_threads(&val("--threads")?)?,
-            "--seed" => o.seed = val("--seed")?.parse().map_err(|_| "bad --seed")?,
-            "--out" => {
-                o.out = val("--out")?.into();
-                out_set = true;
-            }
-            "--trace" => o.trace = Some(val("--trace")?.into()),
-            "--check-speedups" => o.check_speedups = true,
-            "--hd" => o.hd = true,
-            "--check-simd" => o.check_simd = true,
-            "--smoke" => {
-                o.smoke = true;
-                o.frames = 6;
-                o.width = 80;
-                o.height = 60;
-                o.injections = 24;
-                o.kernel_w = 240;
-                o.kernel_h = 180;
-                o.queries = 64;
-                o.train = 128;
-                o.budget = Duration::from_millis(150);
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-    }
-    if o.hd && !out_set {
-        o.out = "BENCH_6.json".into();
-    }
-    Ok(o)
+fn parse(a: &mut cli::Args) -> Result<BenchOpts, String> {
+    let smoke = a.flag("--smoke");
+    let hd = a.flag("--hd");
+    let (kernel_w, kernel_h, queries, train, budget_ms) = if smoke {
+        (240, 180, 64, 128, 150)
+    } else {
+        (480, 360, 256, 512, 500)
+    };
+    let out = if hd { "BENCH_6.json" } else { "BENCH_3.json" };
+    Ok(BenchOpts {
+        seed: a.value("--seed")?.unwrap_or(0xBE6C),
+        kernel_w,
+        kernel_h,
+        queries,
+        train,
+        budget: Duration::from_millis(budget_ms),
+        out: a.value("--out")?.unwrap_or_else(|| out.into()),
+        trace: a.value("--trace")?,
+        check_speedups: a.flag("--check-speedups"),
+        hd,
+        check_simd: a.flag("--check-simd"),
+        smoke,
+    })
 }
 
 /// One kernel row: scalar-vs-SWAR timing, a fresh bit-exactness check
@@ -260,11 +158,11 @@ fn run_pair(
     mut swar_f: impl FnMut(),
 ) -> KernelRow {
     swar_f();
-    let a0 = alloc_calls();
+    let a0 = alloc::calls();
     for _ in 0..4 {
         swar_f();
     }
-    let steady_allocs = (alloc_calls() - a0) / 4;
+    let steady_allocs = (alloc::calls() - a0) / 4;
     let (scalar, swar) = measure_pair(budget, &mut scalar_f, &mut swar_f);
     let row = KernelRow {
         name,
@@ -497,16 +395,13 @@ fn json_f(x: f64) -> String {
     format!("{x:.6}")
 }
 
-/// One HD-tier row: a dispatch level timed against an interleaved
-/// reference side on the same input (SWAR for level rows, the
-/// single-band dispatched kernel for row-band rows), plus a fresh
-/// bit-exactness verdict against the scalar oracle.
+/// One HD-tier row: a dispatch level timed against the interleaved SWAR
+/// reference on the same input, plus a fresh bit-exactness verdict
+/// against the scalar oracle.
 struct HdRow {
     kernel: String,
     tier: String,
     level: SimdLevel,
-    /// What the reference side is ("swar" or "single_band").
-    ref_kind: &'static str,
     reference: Measurement,
     at_level: Measurement,
     identical: bool,
@@ -524,12 +419,10 @@ impl HdRow {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_hd_pair(
     kernel: &str,
     tier: &str,
     level: SimdLevel,
-    ref_kind: &'static str,
     budget: Duration,
     identical: bool,
     mut ref_f: impl FnMut(),
@@ -540,13 +433,12 @@ fn run_hd_pair(
         kernel: kernel.into(),
         tier: tier.into(),
         level,
-        ref_kind,
         reference,
         at_level,
         identical,
     };
     println!(
-        "{:<24} {:<6} {ref_kind} {:>11}/iter   level {:>11}/iter   {:>6.2}x   identical={}{}",
+        "{:<24} {:<6} swar {:>11}/iter   level {:>11}/iter   {:>6.2}x   identical={}{}",
         format!("{kernel}@{tier}"),
         level.as_str(),
         fmt_secs(reference.secs_per_iter),
@@ -613,7 +505,6 @@ fn bench_hd(o: &BenchOpts) -> Vec<HdRow> {
                     "decode",
                     &tier,
                     level,
-                    "swar",
                     o.budget,
                     identical,
                     || {
@@ -639,7 +530,6 @@ fn bench_hd(o: &BenchOpts) -> Vec<HdRow> {
                     "blur5x5",
                     &tier,
                     level,
-                    "swar",
                     o.budget,
                     identical,
                     || {
@@ -665,7 +555,6 @@ fn bench_hd(o: &BenchOpts) -> Vec<HdRow> {
                     "downsample",
                     &tier,
                     level,
-                    "swar",
                     o.budget,
                     identical,
                     || {
@@ -703,7 +592,6 @@ fn bench_hd(o: &BenchOpts) -> Vec<HdRow> {
                     kernel,
                     &tier,
                     level,
-                    "swar",
                     o.budget,
                     identical,
                     || {
@@ -753,7 +641,6 @@ fn bench_hd(o: &BenchOpts) -> Vec<HdRow> {
                     "brief_describe",
                     &tier,
                     level,
-                    "swar",
                     o.budget,
                     identical,
                     || {
@@ -818,7 +705,6 @@ fn bench_hd(o: &BenchOpts) -> Vec<HdRow> {
                     name,
                     &tier,
                     level,
-                    "swar",
                     o.budget,
                     identical,
                     || {
@@ -882,7 +768,6 @@ fn bench_hd(o: &BenchOpts) -> Vec<HdRow> {
                 "hamming",
                 &tier,
                 level,
-                "swar",
                 o.budget,
                 identical,
                 || {
@@ -904,108 +789,15 @@ fn bench_hd(o: &BenchOpts) -> Vec<HdRow> {
     rows
 }
 
-/// Row-band parallel warp row: banded vs single-band dispatched
-/// kernel. Only meaningful with ≥ 2 host cores; skipped (with a note)
-/// otherwise, so the serial-host CI lane never measures fake
-/// parallelism.
-fn bench_hd_bands(o: &BenchOpts, host_cores: usize) -> (Vec<HdRow>, Option<String>) {
-    if host_cores < 2 {
-        let note = format!("row-band parallel rows skipped: host_cores = {host_cores} < 2");
-        println!("note: {note}");
-        return (Vec::new(), Some(note));
-    }
-    let bands = host_cores.min(4);
-    let level = vs_image::dispatch::level();
-    let (kw, kh) = if o.smoke { (639, 359) } else { (1920, 1080) };
-    let tier = format!("{kw}x{kh}");
-    let frame = render_input(
-        &InputSpec::input2_preset()
-            .with_frames(1)
-            .with_frame_size(kw, kh),
-    )
-    .remove(0);
-    let mut rows = Vec::new();
-
-    {
-        let h = Mat3::translation(10.0, 5.0) * Mat3::rotation(0.1);
-        let origin = Vec2::new(-2.0, 1.0);
-        let (mut dst_o, mut mask_o) = (RgbImage::new(0, 0), GrayImage::new(0, 0));
-        let (mut dst_s, mut mask_s) = (RgbImage::new(0, 0), GrayImage::new(0, 0));
-        let (mut dst_b, mut mask_b) = (RgbImage::new(0, 0), GrayImage::new(0, 0));
-        warp_perspective_offset_into_scalar(&frame, &h, kw, kh, origin, &mut dst_o, &mut mask_o)
-            .expect("warp");
-        warp_perspective_offset_into_level(
-            &frame,
-            &h,
-            kw,
-            kh,
-            origin,
-            &mut dst_s,
-            &mut mask_s,
-            level,
-        )
-        .expect("warp");
-        warp_perspective_offset_into_bands(
-            &frame,
-            &h,
-            kw,
-            kh,
-            origin,
-            &mut dst_b,
-            &mut mask_b,
-            bands,
-        )
-        .expect("warp");
-        let identical = dst_s == dst_o && mask_s == mask_o && dst_b == dst_o && mask_b == mask_o;
-        rows.push(run_hd_pair(
-            &format!("warp_affine_bands{bands}"),
-            &tier,
-            level,
-            "single_band",
-            o.budget,
-            identical,
-            || {
-                warp_perspective_offset_into_level(
-                    &frame,
-                    &h,
-                    kw,
-                    kh,
-                    origin,
-                    &mut dst_s,
-                    &mut mask_s,
-                    level,
-                )
-                .expect("warp");
-            },
-            || {
-                warp_perspective_offset_into_bands(
-                    &frame,
-                    &h,
-                    kw,
-                    kh,
-                    origin,
-                    &mut dst_b,
-                    &mut mask_b,
-                    bands,
-                )
-                .expect("warp");
-            },
-        ));
-    }
-
-    (rows, None)
-}
-
 /// Kernels whose SIMD speedup the `--check-simd` gate inspects.
 const GATE_KERNELS: [&str; 4] = ["fast_detect", "warp_affine", "warp_halfpix", "hamming"];
 
 fn hd_row_json(r: &HdRow) -> String {
     format!(
-        "    {{\"kernel\": \"{}\", \"tier\": \"{}\", \"level\": \"{}\", \"ref_kind\": \"{}\", \"ref_ns\": {}, \"level_ns\": {}, \"ref_min_ns\": {}, \"level_min_ns\": {}, \"speedup\": {}, \"ref_cv\": {}, \"level_cv\": {}, \"unstable\": {}, \"identical\": {}, \"batches\": {}}}",
+        "    {{\"kernel\": \"{}\", \"tier\": \"{}\", \"level\": \"{}\", \"ref_kind\": \"swar\", \"ref_ns\": {}, \"level_ns\": {}, \"ref_min_ns\": {}, \"level_min_ns\": {}, \"speedup\": {}, \"ref_cv\": {}, \"level_cv\": {}, \"unstable\": {}, \"identical\": {}, \"batches\": {}}}",
         r.kernel,
         r.tier,
         r.level.as_str(),
-        r.ref_kind,
         json_f(r.reference.secs_per_iter * 1e9),
         json_f(r.at_level.secs_per_iter * 1e9),
         json_f(r.reference.min_secs_per_iter * 1e9),
@@ -1019,9 +811,8 @@ fn hd_row_json(r: &HdRow) -> String {
     )
 }
 
-/// HD mode entry: dispatch-level sweep, row-band rows, end-to-end
-/// campaign anchor, gates, `BENCH_6.json`.
-fn run_hd(o: &BenchOpts, host_cores: usize) -> ExitCode {
+/// HD mode entry: dispatch-level sweep, gates, `BENCH_6.json`.
+fn run_hd(o: &BenchOpts, host_cores: usize) -> Result<(), String> {
     let features = vs_image::dispatch::detected_features();
     vs_telemetry::emit(
         "bench_config",
@@ -1036,24 +827,19 @@ fn run_hd(o: &BenchOpts, host_cores: usize) -> ExitCode {
 
     // All kernel timing on a sink-less thread (telemetry timers off —
     // the same conditions campaign workers see).
-    let (rows, band_rows, band_note) = std::thread::scope(|scope| {
+    let rows = std::thread::scope(|scope| {
         scope
-            .spawn(|| {
-                let rows = bench_hd(o);
-                let (band_rows, band_note) = bench_hd_bands(o, host_cores);
-                (rows, band_rows, band_note)
-            })
+            .spawn(|| bench_hd(o))
             .join()
             .expect("kernel bench thread panicked")
     });
-    for r in rows.iter().chain(&band_rows) {
+    for r in &rows {
         vs_telemetry::emit(
             "hd_kernel_result",
             &[
                 ("kernel", Value::Str(&r.kernel)),
                 ("tier", Value::Str(&r.tier)),
                 ("level", Value::Str(r.level.as_str())),
-                ("ref_kind", Value::Str(r.ref_kind)),
                 ("ref_ns", Value::F64(r.reference.secs_per_iter * 1e9)),
                 ("level_ns", Value::F64(r.at_level.secs_per_iter * 1e9)),
                 ("speedup", Value::F64(r.speedup())),
@@ -1062,40 +848,13 @@ fn run_hd(o: &BenchOpts, host_cores: usize) -> ExitCode {
             ],
         );
     }
-
-    // End-to-end anchor: one checkpointed GPR campaign at the primary
-    // thread count, BENCH_2-compatible workload defaults.
-    let frames = render_input(
-        &InputSpec::input2_preset()
-            .with_frames(o.frames)
-            .with_frame_size(o.width, o.height),
-    );
-    let w = VsWorkload::new(frames, PipelineConfig::default());
-    let ck = campaign::profile_golden_checkpointed(&w, CheckpointPolicy::EveryKFrames(o.every_k))
-        .expect("capturing golden run failed");
-    let cfg = CampaignConfig::new(RegClass::Gpr, o.injections)
-        .seed(o.seed)
-        .threads(o.threads[0])
-        .checkpoint_policy(CheckpointPolicy::EveryKFrames(o.every_k));
-    let t0 = Instant::now();
-    let results = campaign::run_campaign_checkpointed(&w, &ck, &cfg);
-    let e2e_secs = t0.elapsed().as_secs_f64();
-    std::hint::black_box(results.len());
-    let runs_on = o.injections as f64 / e2e_secs;
-    println!(
-        "end_to_end: {} injections at {} threads in {:.2}s ({:.2} runs/s)",
-        o.injections, o.threads[0], e2e_secs, runs_on
-    );
     vs_telemetry::emit(
         "bench_result",
-        &[
-            ("runs_per_sec_on", Value::F64(runs_on)),
-            ("kernels", Value::U64((rows.len() + band_rows.len()) as u64)),
-        ],
+        &[("kernels", Value::U64(rows.len() as u64))],
     );
 
-    // Gates. SSE2 is always armed (x86-64 baseline); AVX2 and row-band
-    // arm only when the CPU / core count permits.
+    // Gates. SSE2 is always armed (x86-64 baseline); AVX2 arms only
+    // when the CPU has it.
     let wins = |lvl: SimdLevel| {
         GATE_KERNELS
             .iter()
@@ -1111,8 +870,6 @@ fn run_hd(o: &BenchOpts, host_cores: usize) -> ExitCode {
     let avx2_armed = SimdLevel::Avx2.available();
     let avx2_wins = wins(SimdLevel::Avx2);
     let avx2_pass = avx2_wins >= 2;
-    let band_armed = host_cores >= 2;
-    let band_pass = band_rows.iter().any(|r| r.speedup() >= 1.2);
     if sse2_armed {
         println!("gate sse2: {sse2_wins}/4 gate kernels at >=1.5x over swar -> pass={sse2_pass}");
     } else {
@@ -1123,103 +880,47 @@ fn run_hd(o: &BenchOpts, host_cores: usize) -> ExitCode {
     } else {
         println!("note: avx2 gate skipped (avx2 not detected; features: {features})");
     }
-    if band_armed {
-        println!(
-            "gate bands: best {:.2}x -> pass={band_pass}",
-            band_rows.iter().map(|r| r.speedup()).fold(0.0, f64::max)
-        );
-    } else {
-        println!("note: row-band gate skipped (host_cores = {host_cores} < 2)");
-    }
 
     let rows_json = rows.iter().map(hd_row_json).collect::<Vec<_>>().join(",\n");
-    let band_json = band_rows
-        .iter()
-        .map(hd_row_json)
-        .collect::<Vec<_>>()
-        .join(",\n");
     let json = format!(
-        "{{\n  \"bench\": \"kernel_simd_hd\",\n  \"detected_features\": \"{features}\",\n  \"host_cores\": {host_cores},\n  \"seed\": {},\n  \"rows\": [\n{rows_json}\n  ],\n  \"band_rows\": [{}{band_json}{}],\n  \"band_note\": {},\n  \"end_to_end\": {{\"injections\": {}, \"threads\": {}, \"frames\": {}, \"frame_size\": [{}, {}], \"on_secs\": {}, \"runs_per_sec_on\": {}}},\n  \"gates\": {{\"sse2_armed\": {sse2_armed}, \"sse2_wins\": {sse2_wins}, \"sse2_pass\": {sse2_pass}, \"avx2_armed\": {avx2_armed}, \"avx2_wins\": {avx2_wins}, \"avx2_pass\": {avx2_pass}, \"band_armed\": {band_armed}, \"band_pass\": {band_pass}}}\n}}\n",
+        "{{\n  \"bench\": \"kernel_simd_hd\",\n  \"detected_features\": \"{features}\",\n  \"host_cores\": {host_cores},\n  \"seed\": {},\n  \"rows\": [\n{rows_json}\n  ],\n  \"gates\": {{\"sse2_armed\": {sse2_armed}, \"sse2_wins\": {sse2_wins}, \"sse2_pass\": {sse2_pass}, \"avx2_armed\": {avx2_armed}, \"avx2_wins\": {avx2_wins}, \"avx2_pass\": {avx2_pass}}}\n}}\n",
         o.seed,
-        if band_rows.is_empty() { "" } else { "\n" },
-        if band_rows.is_empty() { "" } else { "\n  " },
-        band_note
-            .as_ref()
-            .map_or("null".to_string(), |n| format!("\"{n}\"")),
-        o.injections,
-        o.threads[0],
-        o.frames,
-        o.width,
-        o.height,
-        json_f(e2e_secs),
-        json_f(runs_on),
     );
-    if let Err(e) = std::fs::write(&o.out, &json) {
-        eprintln!("error: cannot write {}: {e}", o.out.display());
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(&o.out, &json).map_err(|e| format!("cannot write {}: {e}", o.out.display()))?;
     let out_path = o.out.display().to_string();
     vs_telemetry::emit("artifact", &[("path", Value::Str(&out_path))]);
 
-    if let Some(bad) = rows.iter().chain(&band_rows).find(|r| !r.identical) {
-        eprintln!(
-            "error: {}@{} at level {} diverged from the scalar oracle",
+    if let Some(bad) = rows.iter().find(|r| !r.identical) {
+        return Err(format!(
+            "{}@{} at level {} diverged from the scalar oracle",
             bad.kernel,
             bad.tier,
             bad.level.as_str()
-        );
-        return ExitCode::FAILURE;
+        ));
     }
     if o.check_simd {
         if sse2_armed && !sse2_pass {
-            eprintln!("error: sse2 gate failed ({sse2_wins}/4 gate kernels at >=1.5x, need >=2)");
-            return ExitCode::FAILURE;
+            return Err(format!(
+                "sse2 gate failed ({sse2_wins}/4 gate kernels at >=1.5x, need >=2)"
+            ));
         }
         if avx2_armed && !avx2_pass {
-            eprintln!("error: avx2 gate failed ({avx2_wins}/4 gate kernels at >=1.5x, need >=2)");
-            return ExitCode::FAILURE;
-        }
-        if band_armed && !band_pass {
-            eprintln!("error: row-band gate failed (no banded row at >=1.2x)");
-            return ExitCode::FAILURE;
+            return Err(format!(
+                "avx2 gate failed ({avx2_wins}/4 gate kernels at >=1.5x, need >=2)"
+            ));
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = match parse(&args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let sink = match vs_bench::trace::build_sink(o.trace.as_deref()) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot create trace file: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    vs_telemetry::set_trace_seed(o.seed);
-    let _telemetry = vs_telemetry::install(sink);
-    let host_cores = vs_bench::host_cores();
-    if o.hd {
-        return run_hd(&o, host_cores);
-    }
+/// Scalar-versus-SWAR mode: kernel rows, gates, `BENCH_3.json`.
+fn run_kernels(o: &BenchOpts, host_cores: usize) -> Result<(), String> {
     vs_telemetry::emit(
         "bench_config",
         &[
             ("bench", Value::Str("kernel_microbench")),
             ("kernel_width", Value::U64(o.kernel_w as u64)),
             ("kernel_height", Value::U64(o.kernel_h as u64)),
-            ("frames", Value::U64(o.frames as u64)),
-            ("width", Value::U64(o.width as u64)),
-            ("height", Value::U64(o.height as u64)),
-            ("injections", Value::U64(o.injections as u64)),
-            ("threads", Value::U64(o.threads[0] as u64)),
             ("seed", Value::U64(o.seed)),
             ("host_cores", Value::U64(host_cores as u64)),
         ],
@@ -1229,7 +930,7 @@ fn main() -> ExitCode {
     // per-call event spam from the instrumented kernels).
     let rows = std::thread::scope(|scope| {
         scope
-            .spawn(|| bench_kernels(&o))
+            .spawn(|| bench_kernels(o))
             .join()
             .expect("kernel bench thread panicked")
     });
@@ -1247,61 +948,13 @@ fn main() -> ExitCode {
         );
     }
 
-    // End-to-end: the checkpointed GPR campaign at every requested
-    // thread count, all counts cross-checked for identical outcomes.
-    let frames = render_input(
-        &InputSpec::input2_preset()
-            .with_frames(o.frames)
-            .with_frame_size(o.width, o.height),
-    );
-    let w = VsWorkload::new(frames, PipelineConfig::default());
-    let ck = campaign::profile_golden_checkpointed(&w, CheckpointPolicy::EveryKFrames(o.every_k))
-        .expect("capturing golden run failed");
-    let mut sweep: Vec<(usize, f64, bool)> = Vec::new();
-    let mut primary: Option<Vec<campaign::Injection<<VsWorkload as campaign::Workload>::Output>>> =
-        None;
-    let mut sweep_identical = true;
-    for &n in &o.threads {
-        let cfg = CampaignConfig::new(RegClass::Gpr, o.injections)
-            .seed(o.seed)
-            .threads(n)
-            .checkpoint_policy(CheckpointPolicy::EveryKFrames(o.every_k));
-        let t0 = Instant::now();
-        let results = campaign::run_campaign_checkpointed(&w, &ck, &cfg);
-        let secs = t0.elapsed().as_secs_f64();
-        let same = primary.as_ref().is_none_or(|p: &Vec<_>| {
-            p.len() == results.len()
-                && p.iter()
-                    .zip(&results)
-                    .all(|(a, b)| a.spec == b.spec && a.outcome == b.outcome && a.fired == b.fired)
-        });
-        sweep_identical &= same;
-        vs_telemetry::emit(
-            "thread_sweep",
-            &[
-                ("threads", Value::U64(n as u64)),
-                ("on_secs", Value::F64(secs)),
-                ("runs_per_sec_on", Value::F64(o.injections as f64 / secs)),
-                ("identical", Value::Bool(same)),
-                ("oversubscribed", Value::Bool(n > host_cores)),
-            ],
-        );
-        sweep.push((n, secs, same));
-        if primary.is_none() {
-            primary = Some(results);
-        }
-    }
-    let runs_on = o.injections as f64 / sweep[0].1;
-
     let kernels_identical = rows.iter().all(|r| r.identical);
     let kernels_alloc_free = rows.iter().all(|r| r.steady_allocs == 0);
-    let outcomes_identical = kernels_identical && sweep_identical;
     vs_telemetry::emit(
         "bench_result",
         &[
-            ("runs_per_sec_on", Value::F64(runs_on)),
             ("kernels", Value::U64(rows.len() as u64)),
-            ("identical", Value::Bool(outcomes_identical)),
+            ("identical", Value::Bool(kernels_identical)),
         ],
     );
 
@@ -1325,87 +978,61 @@ fn main() -> ExitCode {
         })
         .collect::<Vec<_>>()
         .join(",\n");
-    let sweep_json = sweep
-        .iter()
-        .map(|&(n, secs, same)| {
-            format!(
-                "    {{\"threads\": {n}, \"on_secs\": {}, \"runs_per_sec_on\": {}, \"identical\": {same}, \"oversubscribed\": {}}}",
-                json_f(secs),
-                json_f(o.injections as f64 / secs),
-                n > host_cores
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
     let json = format!(
-        "{{\n  \"bench\": \"kernel_microbench\",\n  \"kernel_frame_size\": [{}, {}],\n  \"frames\": {},\n  \"frame_size\": [{}, {}],\n  \"injections\": {},\n  \"checkpoint_every_k\": {},\n  \"seed\": {},\n  \"host_cores\": {},\n  \"kernels\": [\n{kernel_json}\n  ],\n  \"runs_per_sec_on\": {},\n  \"thread_sweep\": [\n{sweep_json}\n  ],\n  \"outcomes_identical\": {}\n}}\n",
-        o.kernel_w,
-        o.kernel_h,
-        o.frames,
-        o.width,
-        o.height,
-        o.injections,
-        o.every_k,
-        o.seed,
-        host_cores,
-        json_f(runs_on),
-        outcomes_identical
+        "{{\n  \"bench\": \"kernel_microbench\",\n  \"kernel_frame_size\": [{}, {}],\n  \"seed\": {},\n  \"host_cores\": {},\n  \"kernels\": [\n{kernel_json}\n  ],\n  \"kernels_identical\": {}\n}}\n",
+        o.kernel_w, o.kernel_h, o.seed, host_cores, kernels_identical
     );
-    if let Err(e) = std::fs::write(&o.out, &json) {
-        eprintln!("error: cannot write {}: {e}", o.out.display());
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(&o.out, &json).map_err(|e| format!("cannot write {}: {e}", o.out.display()))?;
     let out_path = o.out.display().to_string();
     vs_telemetry::emit("artifact", &[("path", Value::Str(&out_path))]);
     let kernel_speedup_min = rows
         .iter()
         .map(KernelRow::speedup)
         .fold(f64::INFINITY, f64::min);
-    let mut manifest = vs_bench::manifest::Manifest::new("kernel_bench")
+    vs_bench::manifest::Manifest::new("kernel_bench")
         .u64(
             "config_digest",
-            vs_bench::manifest::config_digest(&[
-                o.kernel_w as u64,
-                o.kernel_h as u64,
-                o.frames as u64,
-                o.width as u64,
-                o.height as u64,
-                o.injections as u64,
-                o.every_k as u64,
-                o.seed,
-            ]),
+            vs_bench::manifest::config_digest(&[o.kernel_w as u64, o.kernel_h as u64, o.seed]),
         )
-        .u64("injections", o.injections as u64)
-        .u64("threads", o.threads[0] as u64)
         .u64("seed", o.seed)
         .u64("kernels", rows.len() as u64)
-        .f64("runs_per_sec_on", runs_on)
         .f64("kernel_speedup_min", kernel_speedup_min)
-        .bool("identical", outcomes_identical);
-    if let Some(primary) = &primary {
-        manifest = manifest.rates(&vs_fault::stats::outcome_rates(primary));
-    }
-    manifest.append_default();
+        .bool("identical", kernels_identical)
+        .append_default();
 
     if !kernels_identical {
-        eprintln!("error: a SWAR kernel diverged from its scalar oracle");
-        return ExitCode::FAILURE;
-    }
-    if !sweep_identical {
-        eprintln!("error: thread sweep diverged from primary campaign outcomes");
-        return ExitCode::FAILURE;
+        return Err("a SWAR kernel diverged from its scalar oracle".into());
     }
     if !kernels_alloc_free {
-        eprintln!("error: a warmed kernel path still allocates at steady state");
-        return ExitCode::FAILURE;
+        return Err("a warmed kernel path still allocates at steady state".into());
     }
     if o.check_speedups {
-        for r in &rows {
-            if r.speedup() < 1.0 {
-                eprintln!("error: kernel {} regressed ({:.3}x)", r.name, r.speedup());
-                return ExitCode::FAILURE;
-            }
+        if let Some(r) = rows.iter().find(|r| r.speedup() < 1.0) {
+            return Err(format!("kernel {} regressed ({:.3}x)", r.name, r.speedup()));
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let o = match cli::parse(USAGE, parse) {
+        Ok(o) => o,
+        Err(code) => return code,
+    };
+    let sink = match vs_bench::trace::build_sink(o.trace.as_deref()) {
+        Ok(s) => s,
+        Err(e) => return cli::fail(format!("cannot create trace file: {e}")),
+    };
+    vs_telemetry::set_trace_seed(o.seed);
+    let _telemetry = vs_telemetry::install(sink);
+    let host_cores = vs_bench::host_cores();
+    let result = if o.hd {
+        run_hd(&o, host_cores)
+    } else {
+        run_kernels(&o, host_cores)
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => cli::fail(e),
+    }
 }

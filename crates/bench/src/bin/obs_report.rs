@@ -41,8 +41,9 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use vs_bench::json::Json;
+use vs_bench::cli;
 use vs_bench::timing::cv_of;
+use vs_telemetry::jsonl;
 use vs_telemetry::ledger::Ledger;
 use vs_telemetry::{OwnedEvent, OwnedValue};
 
@@ -69,44 +70,21 @@ struct Opts {
     quiet: bool,
 }
 
-fn parse(args: &[String]) -> Result<Opts, String> {
-    let mut o = Opts {
-        ledger_dir: match std::env::var("VS_LEDGER_DIR") {
-            Ok(dir) if !dir.is_empty() => dir.into(),
-            _ => "out/ledger".into(),
-        },
-        bench_dir: ".".into(),
-        out_dir: "out/observatory".into(),
-        threshold_pct: 10.0,
-        widen_pp: 1.0,
-        quiet: false,
+fn parse(a: &mut cli::Args) -> Result<Opts, String> {
+    let ledger_dir = match std::env::var("VS_LEDGER_DIR") {
+        Ok(dir) if !dir.is_empty() => dir.into(),
+        _ => "out/ledger".into(),
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut val = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--ledger" => o.ledger_dir = val("--ledger")?.into(),
-            "--bench-dir" => o.bench_dir = val("--bench-dir")?.into(),
-            "--out-dir" => o.out_dir = val("--out-dir")?.into(),
-            "--threshold-pct" => {
-                let v = val("--threshold-pct")?;
-                o.threshold_pct = v
-                    .parse()
-                    .map_err(|_| format!("bad --threshold-pct '{v}'"))?;
-            }
-            "--widen-pp" => {
-                let v = val("--widen-pp")?;
-                o.widen_pp = v.parse().map_err(|_| format!("bad --widen-pp '{v}'"))?;
-            }
-            "--quiet" => o.quiet = true,
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-    }
-    Ok(o)
+    Ok(Opts {
+        ledger_dir: a.value("--ledger")?.unwrap_or(ledger_dir),
+        bench_dir: a.value("--bench-dir")?.unwrap_or_else(|| ".".into()),
+        out_dir: a
+            .value("--out-dir")?
+            .unwrap_or_else(|| "out/observatory".into()),
+        threshold_pct: a.value("--threshold-pct")?.unwrap_or(10.0),
+        widen_pp: a.value("--widen-pp")?.unwrap_or(1.0),
+        quiet: a.flag("--quiet"),
+    })
 }
 
 /// One flagged regression.
@@ -133,18 +111,6 @@ struct GroupSummary {
     runs: usize,
     compared: usize,
     flagged: usize,
-}
-
-fn f64_field(ev: &OwnedEvent, key: &str) -> Option<f64> {
-    ev.fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| match v {
-            OwnedValue::F64(x) => Some(*x),
-            OwnedValue::U64(x) => Some(*x as f64),
-            OwnedValue::I64(x) => Some(*x as f64),
-            _ => None,
-        })
 }
 
 fn display_field(ev: &OwnedEvent, key: &str) -> String {
@@ -213,8 +179,7 @@ fn rate_keys(ev: &OwnedEvent) -> Vec<String> {
         .iter()
         .filter(|(k, _)| !k.ends_with("_lo") && !k.ends_with("_hi"))
         .filter(|(k, _)| {
-            f64_field(ev, &format!("{k}_lo")).is_some()
-                && f64_field(ev, &format!("{k}_hi")).is_some()
+            ev.f64(&format!("{k}_lo")).is_some() && ev.f64(&format!("{k}_hi")).is_some()
         })
         .map(|(k, _)| k.clone())
         .collect()
@@ -231,19 +196,19 @@ fn drift_finding(
     widen_pp: f64,
 ) -> Option<Finding> {
     let (p_lo, p_hi) = (
-        f64_field(prev, &format!("{key}_lo"))?,
-        f64_field(prev, &format!("{key}_hi"))?,
+        prev.f64(&format!("{key}_lo"))?,
+        prev.f64(&format!("{key}_hi"))?,
     );
     let (l_lo, l_hi) = (
-        f64_field(latest, &format!("{key}_lo"))?,
-        f64_field(latest, &format!("{key}_hi"))?,
+        latest.f64(&format!("{key}_lo"))?,
+        latest.f64(&format!("{key}_hi"))?,
     );
     let disjoint = l_lo - widen_pp > p_hi + widen_pp || l_hi + widen_pp < p_lo - widen_pp;
     disjoint.then(|| Finding {
         group: group.to_string(),
         metric: key.to_string(),
-        baseline: f64_field(prev, key).unwrap_or((p_lo + p_hi) / 2.0),
-        latest: f64_field(latest, key).unwrap_or((l_lo + l_hi) / 2.0),
+        baseline: prev.f64(key).unwrap_or((p_lo + p_hi) / 2.0),
+        latest: latest.f64(key).unwrap_or((l_lo + l_hi) / 2.0),
         threshold: widen_pp,
         kind: "rate_drift",
     })
@@ -265,17 +230,16 @@ fn analyze_ledger(
     for (group, mut runs) in groups {
         // Append order is already chronological; unix_ms refines it
         // when ledgers are concatenated.
-        runs.sort_by_key(|ev| f64_field(ev, "unix_ms").unwrap_or(0.0) as u64);
+        runs.sort_by_key(|ev| ev.u64("unix_ms").unwrap_or(0));
         let mut compared = 0usize;
         let mut flagged = 0usize;
         if let Some((latest, priors)) = runs.split_last() {
             if !priors.is_empty() {
                 for metric in THROUGHPUT_KEYS {
-                    let Some(l) = f64_field(latest, metric) else {
+                    let Some(l) = latest.f64(metric) else {
                         continue;
                     };
-                    let history: Vec<f64> =
-                        priors.iter().filter_map(|p| f64_field(p, metric)).collect();
+                    let history: Vec<f64> = priors.iter().filter_map(|p| p.f64(metric)).collect();
                     if history.is_empty() {
                         continue;
                     }
@@ -288,7 +252,7 @@ fn analyze_ledger(
                 }
                 let prev = priors.last().expect("non-empty priors");
                 for key in rate_keys(latest) {
-                    if f64_field(prev, &key).is_none() {
+                    if prev.f64(&key).is_none() {
                         continue;
                     }
                     compared += 1;
@@ -311,40 +275,34 @@ fn analyze_ledger(
 
 /// Analyze the committed `BENCH_*.json` trajectory: group by `bench`
 /// name and host shape, order by file name, compare the latest file's
-/// headline metrics against the median of its predecessors.
+/// headline metrics against the median of its predecessors. Each file
+/// is an event named after the file, carrying its top-level scalars.
 fn analyze_bench_files(
-    files: &[(String, Json)],
+    files: &[OwnedEvent],
     threshold_pct: f64,
 ) -> (Vec<GroupSummary>, Vec<Finding>) {
-    let mut groups: BTreeMap<String, Vec<&(String, Json)>> = BTreeMap::new();
-    for entry in files {
-        let bench = entry.1.get("bench").and_then(Json::as_str).unwrap_or("?");
-        let cores = entry
-            .1
-            .get("host_cores")
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
+    let mut groups: BTreeMap<String, Vec<&OwnedEvent>> = BTreeMap::new();
+    for file in files {
+        let bench = file.str("bench").unwrap_or("?");
+        let cores = file.u64("host_cores").unwrap_or(0);
         groups
             .entry(format!("BENCH:{bench}/cores={cores}"))
             .or_default()
-            .push(entry);
+            .push(file);
     }
     let mut summaries = Vec::new();
     let mut findings = Vec::new();
     for (group, mut members) in groups {
-        members.sort_by(|a, b| a.0.cmp(&b.0));
+        members.sort_by(|a, b| a.name.cmp(&b.name));
         let mut compared = 0usize;
         let mut flagged = 0usize;
-        if let Some(((_, latest), priors)) = members.split_last() {
+        if let Some((latest, priors)) = members.split_last() {
             if !priors.is_empty() {
                 for metric in THROUGHPUT_KEYS {
-                    let Some(l) = latest.get(metric).and_then(Json::as_f64) else {
+                    let Some(l) = latest.f64(metric) else {
                         continue;
                     };
-                    let history: Vec<f64> = priors
-                        .iter()
-                        .filter_map(|(_, j)| j.get(metric).and_then(Json::as_f64))
-                        .collect();
+                    let history: Vec<f64> = priors.iter().filter_map(|p| p.f64(metric)).collect();
                     if history.is_empty() {
                         continue;
                     }
@@ -367,8 +325,16 @@ fn analyze_bench_files(
     (summaries, findings)
 }
 
+/// Read one `BENCH_*.json` document as an event named `name`.
+fn bench_event(name: String, text: &str) -> Result<OwnedEvent, jsonl::ParseError> {
+    Ok(OwnedEvent {
+        name,
+        fields: jsonl::parse_document(text)?.into_fields(),
+    })
+}
+
 /// Load every `BENCH_*.json` in `dir`, name-sorted.
-fn load_bench_files(dir: &Path) -> Result<Vec<(String, Json)>, String> {
+fn load_bench_files(dir: &Path) -> Result<Vec<OwnedEvent>, String> {
     let mut files = Vec::new();
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
@@ -381,10 +347,11 @@ fn load_bench_files(dir: &Path) -> Result<Vec<(String, Json)>, String> {
         }
         let text = std::fs::read_to_string(entry.path())
             .map_err(|e| format!("cannot read {}: {e}", entry.path().display()))?;
-        let json = Json::parse(&text).map_err(|e| format!("{}: {e}", entry.path().display()))?;
-        files.push((name, json));
+        files.push(
+            bench_event(name, &text).map_err(|e| format!("{}: {e}", entry.path().display()))?,
+        );
     }
-    files.sort_by(|a, b| a.0.cmp(&b.0));
+    files.sort_by(|a, b| a.name.cmp(&b.name));
     Ok(files)
 }
 
@@ -472,29 +439,24 @@ fn render_json(summaries: &[GroupSummary], findings: &[Finding]) -> String {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = match parse(&args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+    let o = match cli::parse(USAGE, parse) {
+        Ok(o) => o,
+        Err(code) => return code,
     };
 
     let ledger = Ledger::in_dir(&o.ledger_dir);
     let entries = match ledger.read() {
         Ok(e) => e,
         Err(e) => {
-            eprintln!("error: cannot read ledger {}: {e}", ledger.path().display());
-            return ExitCode::FAILURE;
+            return cli::fail(format!(
+                "cannot read ledger {}: {e}",
+                ledger.path().display()
+            ))
         }
     };
     let bench_files = match load_bench_files(&o.bench_dir) {
         Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return cli::fail(e),
     };
 
     let (mut summaries, mut findings) = analyze_ledger(&entries, o.threshold_pct, o.widen_pp);
@@ -510,14 +472,12 @@ fn main() -> ExitCode {
     let md = render_markdown(&summaries, &findings, ledger.path(), bench_files.len());
     let json = render_json(&summaries, &findings);
     if let Err(e) = std::fs::create_dir_all(&o.out_dir) {
-        eprintln!("error: cannot create {}: {e}", o.out_dir.display());
-        return ExitCode::FAILURE;
+        return cli::fail(format!("cannot create {}: {e}", o.out_dir.display()));
     }
     for (name, body) in [("obs_report.md", &md), ("obs_report.json", &json)] {
         let path = o.out_dir.join(name);
         if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
+            return cli::fail(format!("cannot write {}: {e}", path.display()));
         }
     }
     if !o.quiet {
@@ -620,26 +580,35 @@ mod tests {
 
     #[test]
     fn bench_trajectory_flags_latest_file_regression() {
-        let old = Json::parse(
+        let file = |name: &str, text: &str| bench_event(name.into(), text).unwrap();
+        let old = file(
+            "BENCH_1.json",
             r#"{"bench": "campaign_throughput", "host_cores": 1, "runs_per_sec_on": 100.0}"#,
-        )
-        .unwrap();
-        let new = Json::parse(
+        );
+        let new = file(
+            "BENCH_2.json",
             r#"{"bench": "campaign_throughput", "host_cores": 1, "runs_per_sec_on": 50.0}"#,
-        )
-        .unwrap();
-        let files = vec![("BENCH_1.json".into(), old), ("BENCH_2.json".into(), new)];
-        let (_, findings) = analyze_bench_files(&files, 10.0);
+        );
+        let (_, findings) = analyze_bench_files(&[old, new], 10.0);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].metric, "runs_per_sec_on");
         // Different host shapes never compare.
-        let a =
-            Json::parse(r#"{"bench": "x", "host_cores": 1, "runs_per_sec_on": 100.0}"#).unwrap();
-        let b = Json::parse(r#"{"bench": "x", "host_cores": 8, "runs_per_sec_on": 10.0}"#).unwrap();
-        let (_, findings) = analyze_bench_files(
-            &[("BENCH_1.json".into(), a), ("BENCH_2.json".into(), b)],
-            10.0,
+        let a = file(
+            "BENCH_1.json",
+            r#"{"bench": "x", "host_cores": 1, "runs_per_sec_on": 100.0}"#,
         );
+        let b = file(
+            "BENCH_2.json",
+            r#"{"bench": "x", "host_cores": 8, "runs_per_sec_on": 10.0}"#,
+        );
+        let (_, findings) = analyze_bench_files(&[a, b], 10.0);
         assert!(findings.is_empty());
+    }
+
+    #[test]
+    fn bench_files_with_duplicate_keys_are_unreadable() {
+        let err =
+            bench_event("BENCH_1.json".into(), r#"{"bench": "x", "bench": "y"}"#).unwrap_err();
+        assert_eq!(err.kind, jsonl::ParseErrorKind::DuplicateKey);
     }
 }

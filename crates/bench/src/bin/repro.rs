@@ -17,108 +17,86 @@
 //! print to stdout.
 
 use std::process::ExitCode;
-use vs_bench::{figs, Opts};
+use vs_bench::{cli, figs, Opts};
 use vs_core::experiments::Scale;
 use vs_telemetry::Value;
 
 const USAGE: &str = "usage: repro <figure|all> [--scale quick|paper] [--inj N] [--out DIR] [--threads N] [--seed S] [--trace FILE]
 figures: fig5 fig6 fig8 fig9 fig9a fig9b fig10 fig11 fig11a fig11b fig12 fig13 ablations pruning";
 
-fn parse(args: &[String]) -> Result<(Vec<String>, Opts, Option<std::path::PathBuf>), String> {
-    let mut figures = Vec::new();
-    let mut opts = Opts::default();
-    let mut trace = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--trace" => {
-                let v = it.next().ok_or("--trace needs a value")?;
-                trace = Some(v.into());
-            }
-            "--scale" => {
-                let v = it.next().ok_or("--scale needs a value")?;
-                opts.scale = match v.as_str() {
-                    "quick" => Scale::Quick,
-                    "paper" => Scale::Paper,
-                    other => return Err(format!("unknown scale '{other}'")),
-                };
-            }
-            "--inj" => {
-                let v = it.next().ok_or("--inj needs a value")?;
-                opts.injections = v.parse().map_err(|_| format!("bad --inj '{v}'"))?;
-            }
-            "--out" => {
-                let v = it.next().ok_or("--out needs a value")?;
-                opts.out_dir = v.into();
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                opts.threads = v.parse().map_err(|_| format!("bad --threads '{v}'"))?;
-                if opts.threads == 0 {
-                    return Err("--threads must be positive".into());
-                }
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                opts.seed = v.parse().map_err(|_| format!("bad --seed '{v}'"))?;
-            }
-            f if f.starts_with("fig") || matches!(f, "all" | "ablations" | "pruning") => {
-                figures.push(f.to_string())
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-    }
+/// A requested figure: its name and its report generator.
+type Figure = (String, fn(&Opts) -> String);
+
+fn parse(a: &mut cli::Args) -> Result<(Vec<Figure>, Opts, Option<std::path::PathBuf>), String> {
+    let defaults = Opts::default();
+    let opts = Opts {
+        scale: a
+            .value_with("--scale", |v| match v {
+                "quick" => Some(Scale::Quick),
+                "paper" => Some(Scale::Paper),
+                _ => None,
+            })?
+            .unwrap_or(defaults.scale),
+        injections: a.value("--inj")?.unwrap_or(defaults.injections),
+        out_dir: a.value("--out")?.unwrap_or(defaults.out_dir),
+        threads: a.count("--threads")?.unwrap_or(defaults.threads),
+        seed: a.value("--seed")?.unwrap_or(defaults.seed),
+    };
+    let trace = a.value("--trace")?;
+    let figures = a
+        .positionals()
+        .into_iter()
+        .map(|f| match generator(&f) {
+            Some(run) => Ok((f, run)),
+            None => Err(format!("unknown figure '{f}'")),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     if figures.is_empty() {
         return Err("no figure requested".into());
     }
     Ok((figures, opts, trace))
 }
 
-fn dispatch(figure: &str, opts: &Opts) -> Result<Vec<String>, String> {
-    let one = |s: String| vec![s];
-    Ok(match figure {
-        "fig5" => one(figs::fig5::run(opts)),
-        "fig6" => one(figs::fig6::run(opts)),
-        "fig8" => one(figs::fig8::run(opts)),
-        "fig9" => one(figs::fig9::run(opts)),
-        "fig9a" => one(figs::fig9::run_a(opts)),
-        "fig9b" => one(figs::fig9::run_b(opts)),
-        "fig10" => one(figs::fig10::run(opts)),
-        "fig11" => one(figs::fig11::run(opts)),
-        "fig11a" => one(figs::fig11::run_a(opts)),
-        "fig11b" => one(figs::fig11::run_b(opts)),
-        "fig12" => one(figs::fig12::run(opts)),
-        "fig13" => one(figs::fig13::run(opts)),
-        "ablations" => one(figs::ablations::run(opts)),
-        "pruning" => one(figs::pruning::run(opts)),
-        "all" => {
-            let mut out = Vec::new();
-            for f in [
+/// The report generator of one figure name; `None` for an unknown one.
+fn generator(figure: &str) -> Option<fn(&Opts) -> String> {
+    let run: fn(&Opts) -> String = match figure {
+        "fig5" => figs::fig5::run,
+        "fig6" => figs::fig6::run,
+        "fig8" => figs::fig8::run,
+        "fig9" => figs::fig9::run,
+        "fig9a" => figs::fig9::run_a,
+        "fig9b" => figs::fig9::run_b,
+        "fig10" => figs::fig10::run,
+        "fig11" => figs::fig11::run,
+        "fig11a" => figs::fig11::run_a,
+        "fig11b" => figs::fig11::run_b,
+        "fig12" => figs::fig12::run,
+        "fig13" => figs::fig13::run,
+        "ablations" => figs::ablations::run,
+        "pruning" => figs::pruning::run,
+        "all" => |opts| {
+            [
                 "fig5", "fig6", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-            ] {
-                out.extend(dispatch(f, opts)?);
-            }
-            out
-        }
-        other => return Err(format!("unknown figure '{other}'")),
-    })
+            ]
+            .iter()
+            .filter_map(|f| generator(f))
+            .map(|run| run(opts))
+            .collect::<Vec<_>>()
+            .join("\n")
+        },
+        _ => return None,
+    };
+    Some(run)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (figures, opts, trace) = match parse(&args) {
+    let (figures, opts, trace) = match cli::parse(USAGE, parse) {
         Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+        Err(code) => return code,
     };
     let sink = match vs_bench::trace::build_sink(trace.as_deref()) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot create trace file: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return cli::fail(format!("cannot create trace file: {e}")),
     };
     vs_telemetry::set_trace_seed(opts.seed);
     let _telemetry = vs_telemetry::install(sink);
@@ -134,29 +112,19 @@ fn main() -> ExitCode {
             ("out", Value::Str(&out_dir)),
         ],
     );
-    for figure in &figures {
+    for (figure, run) in &figures {
         let t0 = std::time::Instant::now();
         vs_telemetry::emit("figure_start", &[("figure", Value::Str(figure))]);
-        match dispatch(figure, &opts) {
-            Ok(reports) => {
-                // The report body is the deliverable, not telemetry: it
-                // goes straight to stdout.
-                for r in reports {
-                    println!("{r}");
-                }
-                vs_telemetry::emit(
-                    "figure_done",
-                    &[
-                        ("figure", Value::Str(figure)),
-                        ("secs", Value::F64(t0.elapsed().as_secs_f64())),
-                    ],
-                );
-            }
-            Err(e) => {
-                eprintln!("error: {e}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
+        // The report body is the deliverable, not telemetry: it goes
+        // straight to stdout.
+        println!("{}", run(&opts));
+        vs_telemetry::emit(
+            "figure_done",
+            &[
+                ("figure", Value::Str(figure)),
+                ("secs", Value::F64(t0.elapsed().as_secs_f64())),
+            ],
+        );
     }
     ExitCode::SUCCESS
 }

@@ -21,7 +21,9 @@
 //! digest lines are the contract this binary is diffed on.
 
 use std::hash::{DefaultHasher, Hash, Hasher};
+use std::path::PathBuf;
 use std::process::ExitCode;
+use vs_bench::cli;
 use vs_core::workloads::VsWorkload;
 use vs_core::PipelineConfig;
 use vs_fault::campaign::{self, CampaignConfig};
@@ -31,33 +33,17 @@ use vs_video::{render_input, InputSpec};
 const USAGE: &str = "usage: simd_check [--trace FILE]";
 
 fn main() -> ExitCode {
-    let mut trace: Option<std::path::PathBuf> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--trace" => match it.next() {
-                Some(v) => trace = Some(v.into()),
-                None => {
-                    eprintln!("error: --trace needs a value\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("error: unknown argument '{other}'\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let trace: Option<PathBuf> = match cli::parse(USAGE, |a| a.value("--trace")) {
+        Ok(t) => t,
+        Err(code) => return code,
+    };
     let _telemetry = match &trace {
         Some(path) => match vs_bench::trace::build_jsonl_sink(path) {
             Ok(sink) => {
                 vs_telemetry::set_trace_seed(0x51D0);
                 Some(vs_telemetry::install(sink))
             }
-            Err(e) => {
-                eprintln!("error: cannot create trace file: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return cli::fail(format!("cannot create trace file: {e}")),
         },
         None => None,
     };
@@ -76,10 +62,7 @@ fn main() -> ExitCode {
     // Plain run: the panorama pixels themselves.
     let panoramas = match w.summarize() {
         Ok(s) => s.panoramas,
-        Err(e) => {
-            eprintln!("error: plain run failed: {e:?}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return cli::fail(format!("plain run failed: {e:?}")),
     };
     let mut h = DefaultHasher::new();
     panoramas.len().hash(&mut h);
@@ -93,17 +76,13 @@ fn main() -> ExitCode {
     // any retained SDC output) folded into one digest per class.
     let golden = match campaign::profile_golden(&w) {
         Ok(g) => g,
-        Err(e) => {
-            eprintln!("error: golden profile failed: {e:?}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return cli::fail(format!("golden profile failed: {e:?}")),
     };
     // The plain run renders through the untapped path (at SSE2/AVX2 the
     // last-frame-first painter), the golden run frame by frame under
     // taps: at every level both must give the same panoramas.
     if panoramas != golden.output {
-        eprintln!("error: plain panoramas differ from the golden run's");
-        return ExitCode::FAILURE;
+        return cli::fail("plain panoramas differ from the golden run's");
     }
     for class in [RegClass::Gpr, RegClass::Fpr] {
         let cfg = CampaignConfig::new(class, 32).seed(0x51D0);

@@ -15,13 +15,13 @@
 //! every `warp` and `match` event must carry an `ns` timer, every `orb`
 //! event the `fast_prereject`/`fast_ns`/`blur_ns` counters, and at
 //! least one traced detection must have exercised the SWAR pre-reject
-//! (`fast_prereject > 0`). `--metrics` validates the scaling-report
-//! metrics snapshots: at least one `metrics_phase` event, each carrying
-//! the full quantile schema (`count`/`sum_ns`/`mean_ns`/`p50_ns`/
-//! `p90_ns`/`p99_ns`/`max_ns` as u64) with monotone quantiles
-//! (p50 <= p90 <= p99 <= max), every `metrics_counter` carrying a u64
-//! `value`, and at least one `metrics_coverage` event whose `coverage`
-//! lies in [0, 1]. `--forensics` validates the fault-forensics
+//! (`fast_prereject > 0`). `--metrics` validates the metrics snapshots
+//! of `campaign_bench`'s thread sweep: at least one `metrics_phase`
+//! event, each carrying the full quantile schema (`count`/`sum_ns`/
+//! `mean_ns`/`p50_ns`/`p90_ns`/`p99_ns`/`max_ns` as u64) with monotone
+//! quantiles (p50 <= p90 <= p99 <= max), every `metrics_counter`
+//! carrying a u64 `value`, and at least one `metrics_coverage` event
+//! whose `coverage` lies in [0, 1]. `--forensics` validates the fault-forensics
 //! digest events: at least one `forensics_golden` carrying a digest per
 //! pipeline stage, at least one `injection` with an `attr_stage`
 //! attribution field, and every SDC injection carrying attribution
@@ -39,6 +39,7 @@
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+use vs_bench::cli;
 
 const USAGE: &str = "usage: trace_check FILE [--expect NAME=COUNT]... [--require NAME]... [--scratch-steady] [--kernels] [--metrics] [--forensics] [--spans] [--export-chrome FILE] [--export-flame FILE] [--quiet]";
 
@@ -56,87 +57,42 @@ struct CheckOpts {
     quiet: bool,
 }
 
-fn parse(args: &[String]) -> Result<CheckOpts, String> {
-    let mut file = None;
-    let mut expect = Vec::new();
-    let mut require = Vec::new();
-    let mut scratch_steady = false;
-    let mut kernels = false;
-    let mut metrics = false;
-    let mut forensics = false;
-    let mut spans = false;
-    let mut export_chrome = None;
-    let mut export_flame = None;
-    let mut quiet = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--expect" => {
-                let v = it.next().ok_or("--expect needs NAME=COUNT")?;
-                let (name, count) = v.split_once('=').ok_or("--expect needs NAME=COUNT")?;
-                let count = count
-                    .parse()
-                    .map_err(|_| format!("bad --expect count '{count}'"))?;
-                expect.push((name.to_string(), count));
-            }
-            "--require" => {
-                require.push(it.next().ok_or("--require needs NAME")?.clone());
-            }
-            "--scratch-steady" => scratch_steady = true,
-            "--kernels" => kernels = true,
-            "--metrics" => metrics = true,
-            "--forensics" => forensics = true,
-            "--spans" => spans = true,
-            "--export-chrome" => {
-                export_chrome = Some(it.next().ok_or("--export-chrome needs FILE")?.into());
-            }
-            "--export-flame" => {
-                export_flame = Some(it.next().ok_or("--export-flame needs FILE")?.into());
-            }
-            "--quiet" => quiet = true,
-            other if file.is_none() && !other.starts_with("--") => {
-                file = Some(other.into());
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-    }
+fn parse(a: &mut cli::Args) -> Result<CheckOpts, String> {
     Ok(CheckOpts {
-        file: file.ok_or("no trace file given")?,
-        expect,
-        require,
-        scratch_steady,
-        kernels,
-        metrics,
-        forensics,
-        spans,
-        export_chrome,
-        export_flame,
-        quiet,
+        expect: a.values_with("--expect", |v| {
+            let (name, count) = v.split_once('=')?;
+            Some((name.to_string(), count.parse().ok()?))
+        })?,
+        require: a.values("--require")?,
+        scratch_steady: a.flag("--scratch-steady"),
+        kernels: a.flag("--kernels"),
+        metrics: a.flag("--metrics"),
+        forensics: a.flag("--forensics"),
+        spans: a.flag("--spans"),
+        export_chrome: a.value("--export-chrome")?,
+        export_flame: a.value("--export-flame")?,
+        quiet: a.flag("--quiet"),
+        // Fields evaluate in this order: the positional comes last.
+        file: match a.positionals().as_slice() {
+            [file] => file.into(),
+            [] => return Err("no trace file given".into()),
+            [_, extra, ..] => return Err(format!("unknown argument '{extra}'")),
+        },
     })
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = match parse(&args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+    let o = match cli::parse(USAGE, parse) {
+        Ok(o) => o,
+        Err(code) => return code,
     };
     let text = match std::fs::read_to_string(&o.file) {
         Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {}: {e}", o.file.display());
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return cli::fail(format!("cannot read {}: {e}", o.file.display())),
     };
     let events = match vs_telemetry::jsonl::parse_trace(&text) {
         Ok(ev) => ev,
-        Err((line, e)) => {
-            eprintln!("error: {}:{line}: {e}", o.file.display());
-            return ExitCode::FAILURE;
-        }
+        Err((line, e)) => return cli::fail(format!("{}:{line}: {e}", o.file.display())),
     };
 
     let mut census: BTreeMap<&str, usize> = BTreeMap::new();
@@ -218,8 +174,8 @@ fn main() -> ExitCode {
     }
     if o.metrics {
         // Metrics snapshots from a metrics-armed campaign (the
-        // scaling_report binary): phase histograms with a complete,
-        // monotone quantile schema, plus attribution coverage.
+        // campaign_bench thread sweep): phase histograms with a
+        // complete, monotone quantile schema, plus attribution coverage.
         let phases: Vec<_> = events
             .iter()
             .filter(|e| e.name == "metrics_phase")

@@ -14,8 +14,9 @@
 //! synthetic inputs; the claims under reproduction are the *shapes*
 //! (orderings, crossovers, magnitudes' ballpark) — see EXPERIMENTS.md.
 
+pub mod alloc;
+pub mod cli;
 pub mod figs;
-pub mod json;
 pub mod manifest;
 pub mod report;
 pub mod timing;

@@ -1,13 +1,18 @@
-//! Minimal JSONL trace parsing — enough to validate traces produced by
-//! [`crate::JsonlSink`] without an external JSON dependency.
+//! The one JSON reader of the workspace, with no external dependency.
 //!
-//! The grammar accepted is exactly what the sink emits: one flat JSON
-//! object per line whose first key is `"event"`, with string, number,
-//! boolean and `null` values. Nested objects/arrays are rejected; this
-//! is a schema validator, not a general JSON parser. Malformed input is
-//! rejected loudly with a classified [`ParseErrorKind`] — a truncated
-//! line, a bad escape, a duplicated key — never skipped, because a trace
-//! (or ledger) that half-parses is worse than one that fails.
+//! [`parse_document`] reads a whole JSON document into a [`Json`] tree
+//! (objects, arrays and scalars); the bench binaries read their nested
+//! `BENCH_*.json` artifacts through it. [`parse_line`] and
+//! [`parse_trace`] read the JSONL traces [`crate::JsonlSink`] writes:
+//! each line must be one flat object whose first key is `"event"`, with
+//! string, number, boolean and `null` values — a schema check on top of
+//! the same grammar.
+//!
+//! One policy covers every input: malformed input is rejected loudly
+//! with a classified [`ParseErrorKind`] — a truncated line, a bad escape
+//! or lone surrogate, a duplicated key — never skipped or repaired,
+//! because a trace (or ledger, or artifact) that half-parses is worse
+//! than one that fails.
 
 use crate::event::{OwnedEvent, OwnedValue};
 
@@ -26,7 +31,7 @@ pub enum ParseErrorKind {
     BadUtf8,
     /// A malformed numeric literal.
     BadNumber,
-    /// The same key appears more than once in one event object.
+    /// The same key appears more than once in one object.
     DuplicateKey,
     /// A nested object or array value (trace events are flat).
     Nested,
@@ -57,9 +62,51 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// A parsed JSON value. Scalars use the trace representation: integers
+/// read as [`OwnedValue::U64`] or [`OwnedValue::I64`], other numbers as
+/// [`OwnedValue::F64`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// A string, number, boolean or `null`.
+    Scalar(OwnedValue),
+    /// An array.
+    Array(Vec<Json>),
+    /// An object, members in source order (keys are unique).
+    Object(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// Member `key` of an object; `None` for a missing key or a
+    /// non-object.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The scalar members of an object as event fields, in order;
+    /// array and object members are left out.
+    pub fn into_fields(self) -> Vec<(String, OwnedValue)> {
+        match self {
+            Json::Object(members) => members
+                .into_iter()
+                .filter_map(|(k, v)| match v {
+                    Json::Scalar(v) => Some((k, v)),
+                    _ => None,
+                })
+                .collect(),
+            _ => Vec::new(),
+        }
+    }
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Whether values below the top level may be objects or arrays
+    /// (false for trace lines).
+    nested: bool,
 }
 
 impl<'a> Parser<'a> {
@@ -95,7 +142,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
@@ -118,6 +165,37 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, ParseError> {
+        let mut code = 0u32;
+        for _ in 0..4 {
+            let Some(h) = self.bump().and_then(|b| (b as char).to_digit(16)) else {
+                return self.err(ParseErrorKind::BadEscape, "bad \\u escape");
+            };
+            code = code * 16 + h;
+        }
+        Ok(code)
+    }
+
+    /// The character of a `\u` escape whose `\u` was just read: a
+    /// scalar value, or a high surrogate followed by an escaped low
+    /// one. A lone surrogate is an error.
+    fn unicode_escape(&mut self) -> Result<char, ParseError> {
+        let mut code = self.hex4()?;
+        if (0xD800..0xDC00).contains(&code) && self.bytes[self.pos..].starts_with(b"\\u") {
+            self.pos += 2;
+            let low = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&low) {
+                return self.err(ParseErrorKind::BadEscape, "bad \\u code point");
+            }
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+        }
+        match char::from_u32(code) {
+            Some(c) => Ok(c),
+            None => self.err(ParseErrorKind::BadEscape, "bad \\u code point"),
+        }
+    }
+
     fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
         let mut out = String::new();
@@ -129,24 +207,12 @@ impl<'a> Parser<'a> {
                     Some(b'"') => out.push('"'),
                     Some(b'\\') => out.push('\\'),
                     Some(b'/') => out.push('/'),
+                    Some(b'b') => out.push('\u{0008}'),
+                    Some(b'f') => out.push('\u{000C}'),
                     Some(b'n') => out.push('\n'),
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let Some(h) = self.bump().and_then(|b| (b as char).to_digit(16)) else {
-                                return self.err(ParseErrorKind::BadEscape, "bad \\u escape");
-                            };
-                            code = code * 16 + h;
-                        }
-                        match char::from_u32(code) {
-                            Some(c) => out.push(c),
-                            None => {
-                                return self.err(ParseErrorKind::BadEscape, "bad \\u code point")
-                            }
-                        }
-                    }
+                    Some(b'u') => out.push(self.unicode_escape()?),
                     None => return self.err(ParseErrorKind::Truncated, "unterminated escape"),
                     _ => return self.err(ParseErrorKind::BadEscape, "bad escape"),
                 },
@@ -173,26 +239,91 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<OwnedValue, ParseError> {
+    /// One value; `top` marks the document's outermost value, which is
+    /// the only one a trace line may open as an object.
+    fn value(&mut self, top: bool) -> Result<Json, ParseError> {
         self.skip_ws();
+        let scalar = |v| Ok(Json::Scalar(v));
         match self.peek() {
-            Some(b'"') => Ok(OwnedValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", OwnedValue::Bool(true)),
-            Some(b'f') => self.literal("false", OwnedValue::Bool(false)),
-            Some(b'n') => self.literal("null", OwnedValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(b'{' | b'[') => self.err(
+            Some(b'{' | b'[') if !top && !self.nested => self.err(
                 ParseErrorKind::Nested,
                 "nested values not allowed in trace events",
             ),
+            Some(b) if top && !self.nested && b != b'{' => {
+                self.err(ParseErrorKind::Schema, "expected '{'")
+            }
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => scalar(OwnedValue::Str(self.string()?)),
+            Some(b't') => self.literal("true", OwnedValue::Bool(true)),
+            Some(b'f') => self.literal("false", OwnedValue::Bool(false)),
+            Some(b'n') => self.literal("null", OwnedValue::Null),
+            Some(b'-' | b'0'..=b'9') => scalar(self.number()?),
             _ => self.schema_err("expected a value"),
         }
     }
 
-    fn literal(&mut self, lit: &str, value: OwnedValue) -> Result<OwnedValue, ParseError> {
+    /// The separator after an element: `true` after a `,`, `false`
+    /// after the closing byte.
+    fn next_element(&mut self, close: u8) -> Result<bool, ParseError> {
+        self.skip_ws();
+        let kind = match self.bump() {
+            Some(b',') => return Ok(true),
+            Some(b) if b == close => return Ok(false),
+            Some(_) => {
+                self.pos -= 1;
+                ParseErrorKind::Schema
+            }
+            None => ParseErrorKind::Truncated,
+        };
+        self.err(kind, &format!("expected ',' or '{}'", close as char))
+    }
+
+    fn object(&mut self) -> Result<Json, ParseError> {
+        self.expect(b'{')?;
+        let mut members: Vec<(String, Json)> = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Object(members));
+        }
+        loop {
+            let key = self.string()?;
+            self.expect(b':')?;
+            let value = self.value(false)?;
+            if members.iter().any(|(k, _)| *k == key) {
+                return self.err(
+                    ParseErrorKind::DuplicateKey,
+                    &format!("duplicate key \"{key}\""),
+                );
+            }
+            members.push((key, value));
+            if !self.next_element(b'}')? {
+                return Ok(Json::Object(members));
+            }
+        }
+    }
+
+    fn array(&mut self) -> Result<Json, ParseError> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Array(items));
+        }
+        loop {
+            items.push(self.value(false)?);
+            if !self.next_element(b']')? {
+                return Ok(Json::Array(items));
+            }
+        }
+    }
+
+    fn literal(&mut self, lit: &str, value: OwnedValue) -> Result<Json, ParseError> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(value)
+            Ok(Json::Scalar(value))
         } else {
             self.schema_err(&format!("expected '{lit}'"))
         }
@@ -231,6 +362,20 @@ impl<'a> Parser<'a> {
             }
         }
     }
+
+    /// The whole input as one value, with nothing but whitespace after
+    /// it.
+    fn document(mut self) -> Result<Json, ParseError> {
+        let value = self.value(true)?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return self.err(
+                ParseErrorKind::TrailingGarbage,
+                "trailing garbage after value",
+            );
+        }
+        Ok(value)
+    }
 }
 
 /// Length of a UTF-8 sequence from its first byte (0 = invalid start).
@@ -244,6 +389,21 @@ fn utf8_len(b: u8) -> usize {
     }
 }
 
+/// Parse a complete JSON document (any nesting) into a [`Json`] tree.
+///
+/// # Errors
+///
+/// Returns a [`ParseError`] for malformed JSON, a duplicated key in any
+/// object, a lone surrogate escape or trailing non-whitespace.
+pub fn parse_document(text: &str) -> Result<Json, ParseError> {
+    Parser {
+        bytes: text.as_bytes(),
+        pos: 0,
+        nested: true,
+    }
+    .document()
+}
+
 /// Parse one JSONL trace line into an [`OwnedEvent`].
 ///
 /// # Errors
@@ -252,49 +412,25 @@ fn utf8_len(b: u8) -> usize {
 /// whose first key is `"event"` with a string value, or when a key is
 /// duplicated within the object.
 pub fn parse_line(line: &str) -> Result<OwnedEvent, ParseError> {
-    let mut p = Parser {
+    let doc = Parser {
         bytes: line.as_bytes(),
         pos: 0,
-    };
-    p.expect(b'{')?;
-    let first_key = p.string()?;
-    if first_key != "event" {
-        return p.err(ParseErrorKind::Schema, "first key must be \"event\"");
+        nested: false,
     }
-    p.expect(b':')?;
-    let name = p.string()?;
-    let mut fields: Vec<(String, OwnedValue)> = Vec::new();
-    loop {
-        p.skip_ws();
-        match p.bump() {
-            Some(b'}') => break,
-            Some(b',') => {
-                let key = p.string()?;
-                p.expect(b':')?;
-                let value = p.value()?;
-                if key == "event" || fields.iter().any(|(k, _)| *k == key) {
-                    return p.err(
-                        ParseErrorKind::DuplicateKey,
-                        &format!("duplicate key \"{key}\""),
-                    );
-                }
-                fields.push((key, value));
-            }
-            Some(_) => {
-                p.pos = p.pos.saturating_sub(1);
-                return p.err(ParseErrorKind::Schema, "expected ',' or '}'");
-            }
-            None => return p.err(ParseErrorKind::Truncated, "expected ',' or '}'"),
-        }
+    .document()?;
+    // The flat parser only returns an object whose members are scalars.
+    let mut fields = doc.into_fields().into_iter();
+    match fields.next() {
+        Some((key, OwnedValue::Str(name))) if key == "event" => Ok(OwnedEvent {
+            name,
+            fields: fields.collect(),
+        }),
+        _ => Err(ParseError {
+            at: 0,
+            kind: ParseErrorKind::Schema,
+            message: "first key must be \"event\" with a string value".into(),
+        }),
     }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return p.err(
-            ParseErrorKind::TrailingGarbage,
-            "trailing garbage after object",
-        );
-    }
-    Ok(OwnedEvent { name, fields })
 }
 
 /// Parse a whole JSONL trace, reporting the first failing line (1-based).
@@ -452,5 +588,86 @@ mod tests {
         assert_eq!(parsed.get("c"), Some(&OwnedValue::F64(7.5)));
         assert_eq!(parsed.get("d"), Some(&OwnedValue::F64(1000.0)));
         assert_eq!(parsed.get("e"), Some(&OwnedValue::U64(u64::MAX)));
+    }
+
+    #[test]
+    fn documents_parse_nested_bench_artifact_shape() {
+        let doc = "{\n  \"bench\": \"campaign_throughput\",\r\n  \"runs_per_sec_on\": 123.456,\n\t\"overhead\": {\"p50\": 0.01, \"ok\": true},\n  \"thread_sweep\": [\n    {\"threads\": 1, \"identical\": true},\n    {\"threads\": 4, \"identical\": true}\n  ],\n  \"note\": null\n}\n";
+        let v = parse_document(doc).unwrap();
+        let scalar = |j: Option<&Json>| match j {
+            Some(Json::Scalar(v)) => v.clone(),
+            other => panic!("not a scalar: {other:?}"),
+        };
+        assert_eq!(
+            scalar(v.get("bench")),
+            OwnedValue::Str("campaign_throughput".into())
+        );
+        assert_eq!(scalar(v.get("runs_per_sec_on")), OwnedValue::F64(123.456));
+        let overhead = v.get("overhead").unwrap();
+        assert_eq!(scalar(overhead.get("ok")), OwnedValue::Bool(true));
+        let Some(Json::Array(sweep)) = v.get("thread_sweep") else {
+            panic!("thread_sweep is an array");
+        };
+        assert_eq!(sweep.len(), 2);
+        assert_eq!(scalar(sweep[1].get("threads")), OwnedValue::U64(4));
+        assert_eq!(scalar(v.get("note")), OwnedValue::Null);
+        // The scalar members alone read as event fields.
+        let fields = v.into_fields();
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["bench", "runs_per_sec_on", "note"]);
+    }
+
+    #[test]
+    fn documents_resolve_escapes_and_reject_garbage() {
+        let v = parse_document(r#"{"s": "a\nbA\\\b\f😀"}"#).unwrap();
+        assert_eq!(
+            v.get("s"),
+            Some(&Json::Scalar(OwnedValue::Str(
+                "a\nbA\\\u{8}\u{c}\u{1F600}".into()
+            )))
+        );
+        assert!(parse_document("{\"a\": 1} extra").is_err());
+        assert!(parse_document("{\"a\": }").is_err());
+        assert!(parse_document("[1, 2").is_err());
+        assert!(parse_document("\"unterminated").is_err());
+        assert!(
+            parse_document("1e999").is_err(),
+            "non-finite numbers rejected"
+        );
+    }
+
+    #[test]
+    fn documents_reject_duplicate_keys_and_lone_surrogates() {
+        for bad in [
+            r#"{"a": 1, "a": 2}"#,
+            r#"[{"k": {"a": 1, "b": 2, "a": 3}}]"#,
+        ] {
+            let err = parse_document(bad).unwrap_err();
+            assert_eq!(err.kind, ParseErrorKind::DuplicateKey, "{bad}: {err}");
+        }
+        for bad in [r#""\ud800""#, r#""\udc00""#, r#""\ud800A""#] {
+            let err = parse_document(bad).unwrap_err();
+            assert_eq!(err.kind, ParseErrorKind::BadEscape, "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn document_integers_guard_fractions_and_negatives() {
+        let u64_of = |text: &str| match parse_document(text).unwrap() {
+            Json::Scalar(v) => v.as_u64(),
+            other => panic!("not a scalar: {other:?}"),
+        };
+        assert_eq!(u64_of("7"), Some(7));
+        assert_eq!(u64_of("7.5"), None);
+        assert_eq!(u64_of("-7"), None);
+    }
+
+    #[test]
+    fn trace_lines_accept_all_json_whitespace() {
+        let parsed = parse_line("{ \"event\" :\t\"x\" ,\r\"k\" : 1 }").unwrap();
+        assert_eq!(parsed.name, "x");
+        assert_eq!(parsed.u64("k"), Some(1));
+        let err = parse_line("[1]").unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::Schema, "{err}");
     }
 }

@@ -25,9 +25,11 @@
 //!   [`TextSink`] (human-readable progress) and [`FanoutSink`].
 //! * [`scope`] — per-thread sink installation ([`install`]) and the
 //!   near-free [`emit`] / [`span`] entry points instrumented code calls.
-//! * [`jsonl`] — a dependency-free parser/validator for traces written
-//!   by [`JsonlSink`] (used by the `trace_check` tool and tests), with
-//!   classified parse errors (truncation, bad escapes, duplicate keys).
+//! * [`jsonl`] — the dependency-free JSON reader: whole documents into a
+//!   value tree (the bench `BENCH_*.json` artifacts), and traces written
+//!   by [`JsonlSink`] as their flat-event schema (used by the
+//!   `trace_check` tool and tests), with classified parse errors
+//!   (truncation, bad escapes, duplicate keys).
 //! * [`export`] — span-tree exporters: Chrome trace-event JSON
 //!   (Perfetto/`chrome://tracing`), collapsed-stack flame summaries and
 //!   the `trace_check --spans` schema validator.

@@ -495,75 +495,6 @@ pub fn warp_perspective_offset_into_level(
     warp_driver(src, h, dst_w, dst_h, origin, dst, mask, remap)
 }
 
-/// [`warp_perspective_offset_into`] with destination rows split across
-/// `bands` scoped threads — the opt-in intra-run parallel mode for HD
-/// frames.
-///
-/// Each thread remaps a disjoint destination row band through the
-/// tap-free vector span kernel, whose bytes are bit-identical to the
-/// single-threaded path at every dispatch level. Inside instrumentation
-/// sessions (where the tap stream must be sequential) or with
-/// `bands <= 1` this falls through to the plain dispatched path.
-///
-/// # Errors
-///
-/// As [`warp_perspective`].
-#[allow(clippy::too_many_arguments)]
-pub fn warp_perspective_offset_into_bands(
-    src: &RgbImage,
-    h: &Mat3,
-    dst_w: usize,
-    dst_h: usize,
-    origin: Vec2,
-    dst: &mut RgbImage,
-    mask: &mut GrayImage,
-    bands: usize,
-) -> Result<(), SimError> {
-    let bands = bands.min(dst_h).max(1);
-    if bands <= 1 || dst_w == 0 || vs_fault::session::active() {
-        return warp_perspective_offset_into(src, h, dst_w, dst_h, origin, dst, mask);
-    }
-    // Telemetry-only span (no taps); near-free without a sink.
-    let _stage = vs_telemetry::span("warp_stage");
-    let t0 = vs_telemetry::enabled().then(std::time::Instant::now);
-    let _f = tap::scope(FuncId::WarpPerspective);
-    tap::work(OpClass::Float, 120)?;
-    tap::work(OpClass::IntAlu, 60)?;
-    let inv = checked_inverse(src, h, dst_w, dst_h)?;
-    dst.try_reset(dst_w, dst_h).ok_or(SimError::Abort)?;
-    mask.try_reset(dst_w, dst_h).ok_or(SimError::Abort)?;
-    let wide = vs_image::dispatch::level() == vs_image::SimdLevel::Avx2;
-    let rows_per = dst_h.div_ceil(bands);
-    let dst_bytes = dst.as_bytes_mut();
-    let mask_bytes = mask.as_bytes_mut();
-    let mut first_err = None;
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(bands);
-        for (b, (dband, mband)) in dst_bytes
-            .chunks_mut(rows_per * dst_w * 3)
-            .zip(mask_bytes.chunks_mut(rows_per * dst_w))
-            .enumerate()
-        {
-            let y0 = b * rows_per;
-            let y1 = (y0 + rows_per).min(dst_h);
-            let inv = &inv;
-            handles.push(s.spawn(move || {
-                simd::remap_span_bytes(src, inv, dband, mband, dst_w, origin, y0, y1, wide)
-            }));
-        }
-        for h in handles {
-            if let Err(e) = h.join().expect("warp band thread panicked") {
-                first_err.get_or_insert(e);
-            }
-        }
-    });
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    emit_warp(dst_w * dst_h, t0);
-    Ok(())
-}
-
 /// Scalar reference oracle for [`warp_perspective_offset_into`]: the
 /// same driver around [`remap_bilinear_scalar`]. Tap stream, outputs
 /// and telemetry shape are identical; only the inner-loop arithmetic
@@ -1033,16 +964,15 @@ mod proptests {
         }
     }
 
-    /// Every available dispatch level — and the band-parallel entry at
-    /// several band counts — produces bit-identical pixels and masks:
-    /// on small canvases across the transform families the oracle test
+    /// Every available dispatch level produces bit-identical pixels and
+    /// masks: on small canvases across the transform families the oracle test
     /// sweeps, and on canvases much larger than their source at the
     /// vector samplers' edge cases: coordinates exactly at -1, `sw` and
     /// `sh`; NaN lanes from a vanishing projective divisor beside valid
     /// lanes; block tails with `n % 4 != 0`; and a 2×2 source, whose
     /// texel pairs span it whole.
     #[test]
-    fn warp_levels_and_bands_match_scalar_oracle() {
+    fn warp_levels_match_scalar_oracle() {
         use vs_image::SimdLevel;
         let mut rng = vs_rng::SplitMix64::new(0x513D_3A12);
         let small = RgbImage::from_fn(40, 32, |x, y| {
@@ -1187,14 +1117,6 @@ mod proptests {
                 .unwrap();
                 assert_eq!(got.0, refr.0, "case {case} level {level}: pixels");
                 assert_eq!(got.1, refr.1, "case {case} level {level}: masks");
-            }
-            for bands in [2usize, 3, 4, 64] {
-                warp_perspective_offset_into_bands(
-                    source, &m, w, h, origin, &mut got.0, &mut got.1, bands,
-                )
-                .unwrap();
-                assert_eq!(got.0, refr.0, "case {case} bands={bands}: pixels");
-                assert_eq!(got.1, refr.1, "case {case} bands={bands}: masks");
             }
         }
     }

@@ -447,8 +447,7 @@ fn sample_pixel(
 
 /// Remap destination rows `y0..y1` into band-local byte slices
 /// (`dst_band`/`mask_band` hold exactly those rows). Bit-identical to
-/// the instrumented kernel's output on the same rows; usable from
-/// multiple threads on disjoint bands.
+/// the instrumented kernel's output on the same rows.
 ///
 /// A pixel whose mask byte is already set keeps its bytes, and a block
 /// whose mask bytes are all set is skipped. On a zeroed mask (every
