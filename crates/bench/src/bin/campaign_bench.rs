@@ -87,6 +87,7 @@ use vs_fault::forensics::Stage;
 use vs_fault::spec::RegClass;
 use vs_fault::stats::{outcome_rates, OutcomeClass, OutcomeRates};
 use vs_image::RgbImage;
+use vs_telemetry::jsonl::Json;
 use vs_telemetry::metrics::{self, MetricsRegistry, WorkerMetrics};
 use vs_telemetry::Value;
 use vs_video::{render_input, InputSpec};
@@ -246,10 +247,6 @@ impl BenchOpts {
     }
 }
 
-fn json_f(x: f64) -> String {
-    format!("{x:.6}")
-}
-
 /// Median of a non-empty sample (the upper one for even counts).
 fn median(times: &[f64]) -> f64 {
     let mut s = times.to_vec();
@@ -305,33 +302,29 @@ fn agreement(
         .collect()
 }
 
-fn agreement_json(rows: &[AgreementRow], widen_pp: f64) -> String {
-    rows.iter()
-        .map(|r| {
-            format!(
-                "    {{\"class\": \"{}\", \"reference\": {}, \"estimate\": {}, \"lo\": {}, \"hi\": {}, \"widen_pp\": {}, \"pass\": {}}}",
-                r.class,
-                json_f(r.reference),
-                json_f(r.estimate),
-                json_f(r.lo),
-                json_f(r.hi),
-                json_f(widen_pp),
-                r.pass
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n")
+fn agreement_json(rows: &[AgreementRow], widen_pp: f64) -> Json {
+    let row = |r: &AgreementRow| {
+        Json::object([
+            ("class", r.class.into()),
+            ("reference", r.reference.into()),
+            ("estimate", r.estimate.into()),
+            ("lo", r.lo.into()),
+            ("hi", r.hi.into()),
+            ("widen_pp", widen_pp.into()),
+            ("pass", r.pass.into()),
+        ])
+    };
+    Json::Array(rows.iter().map(row).collect())
 }
 
-fn rates_json(r: &OutcomeRates) -> String {
-    format!(
-        "{{\"n\": {}, \"masked\": {}, \"sdc\": {}, \"crash\": {}, \"hang\": {}}}",
-        r.n,
-        json_f(r.masked),
-        json_f(r.sdc),
-        json_f(r.crash),
-        json_f(r.hang)
-    )
+fn rates_json(r: &OutcomeRates) -> Json {
+    Json::object([
+        ("n", r.n.into()),
+        ("masked", r.masked.into()),
+        ("sdc", r.sdc.into()),
+        ("crash", r.crash.into()),
+        ("hang", r.hang.into()),
+    ])
 }
 
 /// The adaptive-campaign benchmark (`--adaptive`): one fixed-budget
@@ -492,39 +485,50 @@ fn run_adaptive_bench(
         ],
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"adaptive_campaign\",\n  \"frames\": {},\n  \"frame_size\": [{}, {}],\n  \"threads\": {},\n  \"host_cores\": {},\n  \"seed\": {},\n  \"config_digest\": {},\n  \"compose_digest\": {},\n  \"epsilon_pp\": {},\n  \"fixed_injections\": {},\n  \"fixed_secs\": {},\n  \"adaptive_injections\": {},\n  \"adaptive_secs\": {},\n  \"adaptive_stopped_early\": {},\n  \"adaptive_max_half_width_pp\": {},\n  \"injection_reduction\": {},\n  \"composed_groups\": {},\n  \"cold_groups_injected\": {},\n  \"cold_injections\": {},\n  \"cold_secs\": {},\n  \"warm_groups_injected\": {},\n  \"warm_injections\": {},\n  \"warm_secs\": {},\n  \"rates\": {{\n    \"fixed\": {},\n    \"adaptive\": {},\n    \"composed\": {}\n  }},\n  \"adaptive_agreement\": [\n{}\n  ],\n  \"composed_agreement\": [\n{}\n  ],\n  \"rate_agreement\": {}\n}}\n",
-        o.frames,
-        o.width,
-        o.height,
-        threads,
-        host_cores,
-        o.seed,
-        pipeline_digest,
-        ccfg.digest(),
-        json_f(epsilon_pp),
-        fixed.len(),
-        json_f(fixed_secs),
-        adapted.records.len(),
-        json_f(adaptive_secs),
-        adapted.converged,
-        json_f(adaptive::max_half_width(&adapted.rates)),
-        json_f(reduction),
-        cold.groups.len(),
-        cold_groups_injected,
-        cold.injections_executed,
-        json_f(cold_secs),
-        warm_groups_injected,
-        warm.injections_executed,
-        json_f(warm_secs),
-        rates_json(&fixed_rates),
-        rates_json(&adapted.rates),
-        rates_json(&cold.estimate),
-        agreement_json(&a_rows, epsilon_pp),
-        agreement_json(&c_rows, ccfg.epsilon_pp),
-        agreement_ok
-    );
-    std::fs::write(&o.out, &json).map_err(|e| format!("cannot write {}: {e}", o.out.display()))?;
+    let json = Json::object([
+        ("bench", "adaptive_campaign".into()),
+        ("frames", o.frames.into()),
+        ("frame_size", vec![o.width, o.height].into()),
+        ("threads", threads.into()),
+        ("host_cores", host_cores.into()),
+        ("seed", o.seed.into()),
+        ("config_digest", pipeline_digest.into()),
+        ("compose_digest", ccfg.digest().into()),
+        ("epsilon_pp", epsilon_pp.into()),
+        ("fixed_injections", fixed.len().into()),
+        ("fixed_secs", fixed_secs.into()),
+        ("adaptive_injections", adapted.records.len().into()),
+        ("adaptive_secs", adaptive_secs.into()),
+        ("adaptive_stopped_early", adapted.converged.into()),
+        (
+            "adaptive_max_half_width_pp",
+            adaptive::max_half_width(&adapted.rates).into(),
+        ),
+        ("injection_reduction", reduction.into()),
+        ("composed_groups", cold.groups.len().into()),
+        ("cold_groups_injected", cold_groups_injected.into()),
+        ("cold_injections", cold.injections_executed.into()),
+        ("cold_secs", cold_secs.into()),
+        ("warm_groups_injected", warm_groups_injected.into()),
+        ("warm_injections", warm.injections_executed.into()),
+        ("warm_secs", warm_secs.into()),
+        (
+            "rates",
+            Json::object([
+                ("fixed", rates_json(&fixed_rates)),
+                ("adaptive", rates_json(&adapted.rates)),
+                ("composed", rates_json(&cold.estimate)),
+            ]),
+        ),
+        ("adaptive_agreement", agreement_json(&a_rows, epsilon_pp)),
+        (
+            "composed_agreement",
+            agreement_json(&c_rows, ccfg.epsilon_pp),
+        ),
+        ("rate_agreement", agreement_ok.into()),
+    ]);
+    std::fs::write(&o.out, json.render())
+        .map_err(|e| format!("cannot write {}: {e}", o.out.display()))?;
     let out_path = o.out.display().to_string();
     vs_telemetry::emit("artifact", &[("path", Value::Str(&out_path))]);
     Manifest::new("adaptive_bench")
@@ -628,18 +632,17 @@ impl Overhead {
         median(&self.on) <= median(&self.off) * (1.0 + MAX_OVERHEAD) + OVERHEAD_SLACK_SECS
     }
 
-    fn json(&self) -> String {
+    fn json(&self) -> Json {
         let min = |t: &[f64]| t.iter().copied().fold(f64::INFINITY, f64::min);
-        format!(
-            "{{\"off_secs\": {}, \"on_secs\": {}, \"off_min_secs\": {}, \"on_min_secs\": {}, \"overhead_pct\": {}, \"pairs\": {}, \"within_gate\": {}}}",
-            json_f(median(&self.off)),
-            json_f(median(&self.on)),
-            json_f(min(&self.off)),
-            json_f(min(&self.on)),
-            json_f(self.pct()),
-            self.off.len(),
-            self.within_gate()
-        )
+        Json::object([
+            ("off_secs", median(&self.off).into()),
+            ("on_secs", median(&self.on).into()),
+            ("off_min_secs", min(&self.off).into()),
+            ("on_min_secs", min(&self.on).into()),
+            ("overhead_pct", self.pct().into()),
+            ("pairs", self.off.len().into()),
+            ("within_gate", self.within_gate().into()),
+        ])
     }
 }
 
@@ -829,44 +832,43 @@ fn run_throughput_bench(
         }
     }
 
-    let sweep_json = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"threads\": {}, \"on_secs\": {}, \"runs_per_sec_on\": {}, \"identical\": {}, \"oversubscribed\": {}, \"coverage\": {}}}",
-                r.threads,
-                json_f(r.secs),
-                json_f(o.injections as f64 / r.secs),
-                r.identical,
-                r.threads > host_cores,
-                json_f(r.coverage())
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"bench\": \"campaign_throughput\",\n  \"frames\": {},\n  \"frame_size\": [{}, {}],\n  \"injections\": {},\n  \"threads\": {},\n  \"host_cores\": {},\n  \"checkpoint_every_k\": {},\n  \"checkpoints\": {},\n  \"golden_run_secs\": {},\n  \"golden_capturing_secs\": {},\n  \"campaign_checkpoint_off_secs\": {},\n  \"campaign_checkpoint_on_secs\": {},\n  \"runs_per_sec_off\": {},\n  \"runs_per_sec_on\": {},\n  \"speedup\": {},\n  \"allocs_per_run_scratch\": {},\n  \"allocs_per_run_steady\": {},\n  \"thread_sweep\": [\n{sweep_json}\n  ],\n  \"overhead\": {},\n  \"outcomes_identical\": {}\n}}\n",
-        o.frames,
-        o.width,
-        o.height,
-        o.injections,
-        primary_threads,
-        host_cores,
-        o.every_k,
-        ck.checkpoints.len(),
-        json_f(golden_run_secs),
-        json_f(golden_capturing_secs),
-        json_f(campaign_off_secs),
-        json_f(campaign_on_secs),
-        json_f(runs_off),
-        json_f(runs_on),
-        json_f(speedup),
-        allocs.per_run_scratch,
-        json_f(allocs.per_run_steady),
-        overhead.json(),
-        identical && sweep_identical
-    );
-    std::fs::write(&o.out, &json).map_err(|e| format!("cannot write {}: {e}", o.out.display()))?;
+    let sweep_row = |r: &SweepRow| {
+        Json::object([
+            ("threads", r.threads.into()),
+            ("on_secs", r.secs.into()),
+            ("runs_per_sec_on", (o.injections as f64 / r.secs).into()),
+            ("identical", r.identical.into()),
+            ("oversubscribed", (r.threads > host_cores).into()),
+            ("coverage", r.coverage().into()),
+        ])
+    };
+    let json = Json::object([
+        ("bench", "campaign_throughput".into()),
+        ("frames", o.frames.into()),
+        ("frame_size", vec![o.width, o.height].into()),
+        ("injections", o.injections.into()),
+        ("threads", primary_threads.into()),
+        ("host_cores", host_cores.into()),
+        ("checkpoint_every_k", o.every_k.into()),
+        ("checkpoints", ck.checkpoints.len().into()),
+        ("golden_run_secs", golden_run_secs.into()),
+        ("golden_capturing_secs", golden_capturing_secs.into()),
+        ("campaign_checkpoint_off_secs", campaign_off_secs.into()),
+        ("campaign_checkpoint_on_secs", campaign_on_secs.into()),
+        ("runs_per_sec_off", runs_off.into()),
+        ("runs_per_sec_on", runs_on.into()),
+        ("speedup", speedup.into()),
+        ("allocs_per_run_scratch", allocs.per_run_scratch.into()),
+        ("allocs_per_run_steady", allocs.per_run_steady.into()),
+        (
+            "thread_sweep",
+            Json::Array(rows.iter().map(sweep_row).collect()),
+        ),
+        ("overhead", overhead.json()),
+        ("outcomes_identical", (identical && sweep_identical).into()),
+    ]);
+    std::fs::write(&o.out, json.render())
+        .map_err(|e| format!("cannot write {}: {e}", o.out.display()))?;
     let out_path = o.out.display().to_string();
     vs_telemetry::emit("artifact", &[("path", Value::Str(&out_path))]);
     let mut manifest = Manifest::new("campaign_bench")

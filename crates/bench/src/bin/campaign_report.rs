@@ -41,6 +41,7 @@ use vs_fault::spec::RegClass;
 use vs_fault::stats::{self, OutcomeClass};
 use vs_fault::FuncId;
 use vs_image::RgbImage;
+use vs_telemetry::jsonl::Json;
 use vs_telemetry::Value;
 use vs_video::{render_input, InputSpec};
 
@@ -357,60 +358,59 @@ fn render_csv(reports: &[ClassReport]) -> String {
 }
 
 fn render_json(reports: &[ClassReport], o: &ReportOpts, checkpoints: usize) -> String {
-    let class_json: Vec<String> = reports
-        .iter()
-        .map(|r| {
-            let rows: Vec<String> = PropagationMatrix::row_names()
-                .iter()
-                .zip(r.matrix.rows())
-                .map(|(name, row)| {
-                    format!(
-                        "        {{\"stage\": \"{name}\", \"masked\": {}, \"sdc\": {}, \"crash_segfault\": {}, \"crash_abort\": {}, \"hang\": {}}}",
-                        row.masked, row.sdc, row.crash_segfault, row.crash_abort, row.hang
-                    )
-                })
-                .collect();
-            let depth: Vec<String> = r.depth_hist.iter().map(usize::to_string).collect();
-            let eds: Vec<String> = r
-                .stage_ed
-                .iter()
-                .filter(|e| e.n > 0)
-                .map(|e| {
-                    let graded = e.n - e.egregious;
-                    format!(
-                        "        {{\"stage\": \"{}\", \"sdcs\": {}, \"egregious\": {}, \"mean_rel_l2\": {:.6}}}",
-                        e.stage,
-                        e.n,
-                        e.egregious,
-                        if graded == 0 { 0.0 } else { e.norm_sum / graded as f64 }
-                    )
-                })
-                .collect();
-            format!
+    let class = |r: &ClassReport| {
+        let rows = PropagationMatrix::row_names()
+            .into_iter()
+            .zip(r.matrix.rows())
+            .map(|(name, row)| {
+                Json::object([
+                    ("stage", name.into()),
+                    ("masked", row.masked.into()),
+                    ("sdc", row.sdc.into()),
+                    ("crash_segfault", row.crash_segfault.into()),
+                    ("crash_abort", row.crash_abort.into()),
+                    ("hang", row.hang.into()),
+                ])
+            });
+        let eds = r.stage_ed.iter().filter(|e| e.n > 0).map(|e| {
+            let graded = e.n - e.egregious;
+            Json::object([
+                ("stage", e.stage.into()),
+                ("sdcs", e.n.into()),
+                ("egregious", e.egregious.into()),
                 (
-                "    {{\n      \"class\": \"{}\",\n      \"identical_off_on\": {},\n      \"masked_warp_summary_pct\": {:.4},\n      \"register_cv\": {:.6},\n      \"bit_cv\": {:.6},\n      \"propagation\": [\n{}\n      ],\n      \"depth_hist\": [{}],\n      \"sdc_quality_by_stage\": [\n{}\n      ]\n    }}",
-                class_name(r.class),
-                r.identical,
-                masked_warp_summary_pct(r),
-                r.reg_cv,
-                r.bit_cv,
-                rows.join(",\n"),
-                depth.join(", "),
-                eds.join(",\n")
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"report\": \"fault_forensics\",\n  \"frames\": {},\n  \"frame_size\": [{}, {}],\n  \"injections_per_class\": {},\n  \"seed\": {},\n  \"checkpoint_every_k\": {},\n  \"checkpoints\": {},\n  \"classes\": [\n{}\n  ]\n}}\n",
-        o.frames,
-        o.width,
-        o.height,
-        o.injections,
-        o.seed,
-        o.every_k,
-        checkpoints,
-        class_json.join(",\n")
-    )
+                    "mean_rel_l2",
+                    if graded == 0 {
+                        0.0
+                    } else {
+                        e.norm_sum / graded as f64
+                    }
+                    .into(),
+                ),
+            ])
+        });
+        Json::object([
+            ("class", class_name(r.class).into()),
+            ("identical_off_on", r.identical.into()),
+            ("masked_warp_summary_pct", masked_warp_summary_pct(r).into()),
+            ("register_cv", r.reg_cv.into()),
+            ("bit_cv", r.bit_cv.into()),
+            ("propagation", Json::Array(rows.collect())),
+            ("depth_hist", r.depth_hist.to_vec().into()),
+            ("sdc_quality_by_stage", Json::Array(eds.collect())),
+        ])
+    };
+    Json::object([
+        ("report", "fault_forensics".into()),
+        ("frames", o.frames.into()),
+        ("frame_size", vec![o.width, o.height].into()),
+        ("injections_per_class", o.injections.into()),
+        ("seed", o.seed.into()),
+        ("checkpoint_every_k", o.every_k.into()),
+        ("checkpoints", checkpoints.into()),
+        ("classes", Json::Array(reports.iter().map(class).collect())),
+    ])
+    .render()
 }
 
 fn main() -> ExitCode {

@@ -43,7 +43,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use vs_bench::cli;
 use vs_bench::timing::cv_of;
-use vs_telemetry::jsonl;
+use vs_telemetry::jsonl::{self, Json};
 use vs_telemetry::ledger::Ledger;
 use vs_telemetry::{OwnedEvent, OwnedValue};
 
@@ -398,44 +398,38 @@ fn render_markdown(
     md
 }
 
-fn json_f(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".into()
-    }
-}
-
 fn render_json(summaries: &[GroupSummary], findings: &[Finding]) -> String {
-    let findings_json = findings
-        .iter()
-        .map(|f| {
-            format!(
-                "    {{\"group\": \"{}\", \"metric\": \"{}\", \"kind\": \"{}\", \"baseline\": {}, \"latest\": {}, \"threshold\": {}}}",
-                f.group,
-                f.metric,
-                f.kind,
-                json_f(f.baseline),
-                json_f(f.latest),
-                json_f(f.threshold)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let series_json = summaries
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{\"series\": \"{}\", \"runs\": {}, \"comparisons\": {}, \"flagged\": {}}}",
-                s.group, s.runs, s.compared, s.flagged
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        "{{\n  \"report\": \"obs_report\",\n  \"regressions\": {},\n  \"findings\": [\n{findings_json}\n  ],\n  \"series\": [\n{series_json}\n  ]\n}}\n",
-        findings.len()
-    )
+    let finding = |f: &Finding| {
+        Json::object([
+            ("group", f.group.as_str().into()),
+            ("metric", f.metric.as_str().into()),
+            ("kind", f.kind.into()),
+            ("baseline", f.baseline.into()),
+            ("latest", f.latest.into()),
+            ("threshold", f.threshold.into()),
+        ])
+    };
+    let series = |s: &GroupSummary| {
+        Json::object([
+            ("series", s.group.as_str().into()),
+            ("runs", s.runs.into()),
+            ("comparisons", s.compared.into()),
+            ("flagged", s.flagged.into()),
+        ])
+    };
+    Json::object([
+        ("report", "obs_report".into()),
+        ("regressions", findings.len().into()),
+        (
+            "findings",
+            Json::Array(findings.iter().map(finding).collect()),
+        ),
+        (
+            "series",
+            Json::Array(summaries.iter().map(series).collect()),
+        ),
+    ])
+    .render()
 }
 
 fn main() -> ExitCode {
@@ -603,6 +597,35 @@ mod tests {
         );
         let (_, findings) = analyze_bench_files(&[a, b], 10.0);
         assert!(findings.is_empty());
+    }
+
+    #[test]
+    fn report_json_carries_ledger_strings_verbatim() {
+        // Ledger strings reach the report's series and finding groups;
+        // a quote or backslash in them must not break the document.
+        let tool = r#"a"b\c"#;
+        let named = |unix_ms, runs_per_sec| {
+            let mut m = manifest(unix_ms, runs_per_sec, (5.0, 3.0, 8.0));
+            for (k, v) in &mut m.fields {
+                if k == "tool" {
+                    *v = OwnedValue::Str(tool.into());
+                }
+            }
+            m
+        };
+        let (summaries, findings) =
+            analyze_ledger(&[named(1_000, 100.0), named(2_000, 50.0)], 10.0, 1.0);
+        assert_eq!(findings.len(), 1);
+        let doc = jsonl::parse_document(&render_json(&summaries, &findings)).unwrap();
+        let group = |list: &str, key: &str| match doc.get(list) {
+            Some(jsonl::Json::Array(items)) => match items[0].get(key) {
+                Some(jsonl::Json::Scalar(OwnedValue::Str(s))) => s.clone(),
+                other => panic!("{list}[0].{key}: {other:?}"),
+            },
+            other => panic!("{list}: {other:?}"),
+        };
+        assert!(group("series", "series").starts_with(&format!("{tool}/cfg=")));
+        assert!(group("findings", "group").starts_with(&format!("{tool}/cfg=")));
     }
 
     #[test]

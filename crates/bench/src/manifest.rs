@@ -66,11 +66,6 @@ impl Manifest {
         self.field(key, OwnedValue::F64(v))
     }
 
-    /// Add a string field.
-    pub fn str(self, key: &str, v: &str) -> Manifest {
-        self.field(key, OwnedValue::Str(v.into()))
-    }
-
     /// Add a boolean field.
     pub fn bool(self, key: &str, v: bool) -> Manifest {
         self.field(key, OwnedValue::Bool(v))
@@ -114,18 +109,11 @@ impl Manifest {
         ledger::manifest(self.fields)
     }
 
-    /// Append to the ledger rooted at `out_dir` (the binary's artifact
-    /// root; the ledger lives in its `ledger/` subdirectory). Failures
-    /// are reported on stderr and swallowed — the ledger must never
-    /// fail a bench run.
-    pub fn append_under(self, out_dir: &Path) {
-        self.append_to(&Ledger::in_dir(&out_dir.join("ledger")));
-    }
-
     /// Append to the shared ledger every bench binary writes to:
     /// `$VS_LEDGER_DIR/ledger.jsonl` when the environment variable is
     /// set, else `out/ledger/ledger.jsonl` relative to the working
-    /// directory.
+    /// directory. Failures are reported on stderr and swallowed — the
+    /// ledger must never fail a bench run.
     pub fn append_default(self) {
         let ledger = match std::env::var("VS_LEDGER_DIR") {
             Ok(dir) if !dir.is_empty() => Ledger::in_dir(Path::new(&dir)),
@@ -245,11 +233,12 @@ mod tests {
     }
 
     #[test]
-    fn append_under_round_trips_through_the_ledger() {
+    fn append_round_trips_through_the_ledger() {
         let dir = std::env::temp_dir().join(format!("vs_manifest_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        Manifest::new("t").u64("x", 7).append_under(&dir);
-        let back = Ledger::in_dir(&dir.join("ledger")).read().unwrap();
+        let ledger = Ledger::in_dir(&dir);
+        Manifest::new("t").u64("x", 7).append_to(&ledger);
+        let back = ledger.read().unwrap();
         assert_eq!(back.len(), 1);
         assert!(back[0]
             .fields

@@ -46,15 +46,6 @@ impl Measurement {
             cv: cv_of(batch_times),
         }
     }
-
-    /// Iterations per second.
-    pub fn per_sec(&self) -> f64 {
-        if self.secs_per_iter > 0.0 {
-            1.0 / self.secs_per_iter
-        } else {
-            f64::INFINITY
-        }
-    }
 }
 
 /// Coefficient of variation of a sample (population stddev over mean, 0

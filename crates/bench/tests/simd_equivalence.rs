@@ -12,14 +12,13 @@
 use vs_features::fast::{self, FastConfig, FastScratch};
 use vs_features::{Descriptor, KeyPoint};
 use vs_image::{
-    downsample_half_into_level, downsample_half_into_scalar, gaussian_blur_5x5_into_level,
-    gaussian_blur_5x5_into_scalar, GrayImage, RgbImage, SimdLevel,
+    downsample_half_into_level, gaussian_blur_5x5_into_level, GrayImage, RgbImage, SimdLevel,
 };
 use vs_linalg::{Mat3, Vec2};
 use vs_matching::{Match, RatioMatcher, SimpleMatcher};
 use vs_rng::SplitMix64;
 use vs_video::{render_input, InputSpec};
-use vs_warp::{warp_perspective_offset_into_level, warp_perspective_offset_into_scalar};
+use vs_warp::warp_perspective_offset_into_level;
 
 fn available_levels() -> Vec<SimdLevel> {
     SimdLevel::ALL
@@ -62,7 +61,7 @@ fn gray_inputs() -> Vec<(String, GrayImage)> {
 fn blur_levels_match_scalar_on_golden_and_corrupted() {
     for (name, img) in gray_inputs() {
         let (mut tmp_o, mut out_o) = (GrayImage::new(0, 0), GrayImage::new(0, 0));
-        gaussian_blur_5x5_into_scalar(&img, &mut tmp_o, &mut out_o);
+        gaussian_blur_5x5_into_level(&img, &mut tmp_o, &mut out_o, SimdLevel::Scalar);
         let (mut tmp, mut out) = (GrayImage::new(0, 0), GrayImage::new(0, 0));
         for level in available_levels() {
             gaussian_blur_5x5_into_level(&img, &mut tmp, &mut out, level);
@@ -75,7 +74,7 @@ fn blur_levels_match_scalar_on_golden_and_corrupted() {
 fn downsample_levels_match_scalar_on_golden_and_corrupted() {
     for (name, img) in gray_inputs() {
         let mut out_o = GrayImage::new(0, 0);
-        downsample_half_into_scalar(&img, &mut out_o);
+        downsample_half_into_level(&img, &mut out_o, SimdLevel::Scalar);
         let mut out = GrayImage::new(0, 0);
         for level in available_levels() {
             downsample_half_into_level(&img, &mut out, level);
@@ -90,7 +89,7 @@ fn fast_levels_match_scalar_on_golden_and_corrupted() {
     for (name, img) in gray_inputs() {
         let mut scratch_o = FastScratch::default();
         let mut out_o: Vec<KeyPoint> = Vec::new();
-        fast::detect_into_scalar(&img, &cfg, &mut scratch_o, &mut out_o).unwrap();
+        fast::detect_into_level(&img, &cfg, &mut scratch_o, &mut out_o, SimdLevel::Scalar).unwrap();
         for level in available_levels() {
             let mut scratch = FastScratch::default();
             let mut out: Vec<KeyPoint> = Vec::new();
@@ -118,15 +117,15 @@ fn warp_levels_match_scalar_on_golden_and_corrupted() {
     let origin = Vec2::new(-4.0, 2.5);
     for (name, src) in [("golden", &frame), ("corrupted", &corrupted)] {
         for (ti, h) in transforms.iter().enumerate() {
+            let warp = |level, dst: &mut RgbImage, mask: &mut GrayImage| {
+                warp_perspective_offset_into_level(src, h, 150, 110, origin, dst, mask, level)
+                    .unwrap()
+            };
             let (mut dst_o, mut mask_o) = (RgbImage::new(0, 0), GrayImage::new(0, 0));
-            warp_perspective_offset_into_scalar(src, h, 150, 110, origin, &mut dst_o, &mut mask_o)
-                .unwrap();
+            warp(SimdLevel::Scalar, &mut dst_o, &mut mask_o);
             let (mut dst, mut mask) = (RgbImage::new(0, 0), GrayImage::new(0, 0));
             for level in available_levels() {
-                warp_perspective_offset_into_level(
-                    src, h, 150, 110, origin, &mut dst, &mut mask, level,
-                )
-                .unwrap();
+                warp(level, &mut dst, &mut mask);
                 assert_eq!(dst, dst_o, "warp {name} t{ti} level {level}: pixels");
                 assert_eq!(mask, mask_o, "warp {name} t{ti} level {level}: mask");
             }

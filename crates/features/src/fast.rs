@@ -260,8 +260,8 @@ pub fn detect(img: &GrayImage, config: &FastConfig) -> Result<Vec<KeyPoint>, Sim
 /// saturating-i64 classify loop so corrupted-run outcomes are untouched.
 /// The SWAR path sits strictly between the same taps as the scalar loop
 /// and computes the same corner decision, so the tap stream and results
-/// stay bit-identical — [`detect_into_scalar`] keeps the original path
-/// alive as the proof oracle. The AVX2 level decides 32 centres per
+/// stay bit-identical — the `SimdLevel::Scalar` arm keeps the original
+/// path alive as the proof oracle. The AVX2 level decides 32 centres per
 /// block before their taps and uses a block's verdict only for a centre
 /// whose tapped value equals the loaded pixel; any other tapped value
 /// takes the single-candidate path. Outside a fault session, where
@@ -283,18 +283,6 @@ pub fn detect_into(
     out: &mut Vec<KeyPoint>,
 ) -> Result<(), SimError> {
     detect_into_level(img, config, scratch, out, vs_image::dispatch::level())
-}
-
-/// Scalar reference oracle for [`detect_into`]: the original per-pixel
-/// classify/arc-scan segment test with no SWAR pre-reject. Exposed for
-/// the kernel equivalence harness and `kernel_bench`.
-pub fn detect_into_scalar(
-    img: &GrayImage,
-    config: &FastConfig,
-    scratch: &mut FastScratch,
-    out: &mut Vec<KeyPoint>,
-) -> Result<(), SimError> {
-    detect_into_impl(img, config, scratch, out, Mode::Scalar)
 }
 
 /// [`detect_into`] at an explicit [`vs_image::SimdLevel`]. Keypoints,
@@ -825,7 +813,8 @@ mod tests {
                 ..FastConfig::default()
             };
             detect_into(&img, &cfg, &mut s_swar, &mut kp_swar).unwrap();
-            detect_into_scalar(&img, &cfg, &mut s_ref, &mut kp_ref).unwrap();
+            let scalar = vs_image::SimdLevel::Scalar;
+            detect_into_level(&img, &cfg, &mut s_ref, &mut kp_ref, scalar).unwrap();
             assert_eq!(kp_swar, kp_ref, "trial {trial}: {w}x{h}");
             assert_eq!(s_ref.prereject(), 0, "scalar path must not prereject");
         }
@@ -843,7 +832,7 @@ mod tests {
         let mut kp_ref = Vec::new();
         let mut kp_lvl = Vec::new();
         let mut check = |img: &GrayImage, cfg: &FastConfig, ctx: &str| {
-            detect_into_scalar(img, cfg, &mut s_ref, &mut kp_ref).unwrap();
+            detect_into_level(img, cfg, &mut s_ref, &mut kp_ref, SimdLevel::Scalar).unwrap();
             let mut swar_pre = None;
             for level in SimdLevel::ALL {
                 if !level.available() {
@@ -1084,7 +1073,7 @@ mod tests {
             let mut scratch = FastScratch::default();
             let mut out = Vec::new();
             let res = match level {
-                None => detect_into_scalar(&img, &cfg, &mut scratch, &mut out),
+                None => detect_into_level(&img, &cfg, &mut scratch, &mut out, SimdLevel::Scalar),
                 Some(l) => detect_into_level(&img, &cfg, &mut scratch, &mut out, l),
             };
             let report = session::report();
@@ -1135,7 +1124,7 @@ mod tests {
                 if SWAR {
                     detect_into(&self.0, &cfg, scratch, out)?;
                 } else {
-                    detect_into_scalar(&self.0, &cfg, scratch, out)?;
+                    detect_into_level(&self.0, &cfg, scratch, out, vs_image::SimdLevel::Scalar)?;
                 }
                 Ok(out)
             }

@@ -226,9 +226,9 @@ pub fn gaussian_blur_5x5_into_level(
     }
 }
 
-/// The SWAR/fixed-point pass from PR 4, kept addressable as the
-/// portable proof oracle the vector paths are verified against.
-pub fn gaussian_blur_5x5_into_swar(
+/// The SWAR/fixed-point pass: the `Swar` arm, and the portable proof
+/// oracle the vector paths are verified against.
+pub(crate) fn gaussian_blur_5x5_into_swar(
     img: &GrayImage,
     tmp: &mut GrayImage,
     out: &mut GrayImage,
@@ -236,11 +236,9 @@ pub fn gaussian_blur_5x5_into_swar(
     separable_blur_fixed_into(img, &[1, 4, 6, 4, 1], 4, tmp, out)
 }
 
-/// Float reference oracle for [`gaussian_blur_5x5_into`]: the original
-/// per-pixel `get_clamped` f64 path. Exposed so the kernel equivalence
-/// harness and `kernel_bench` can verify and time the fixed-point pass
-/// against it.
-pub fn gaussian_blur_5x5_into_scalar(
+/// Float reference oracle for [`gaussian_blur_5x5_into`], the `Scalar`
+/// arm: the original per-pixel `get_clamped` f64 path.
+fn gaussian_blur_5x5_into_scalar(
     img: &GrayImage,
     tmp: &mut GrayImage,
     out: &mut GrayImage,

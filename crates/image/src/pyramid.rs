@@ -48,9 +48,9 @@ pub fn downsample_half_into_level(
     }
 }
 
-/// The integer pass from PR 4, kept addressable as the portable proof
-/// oracle the vector paths are verified against.
-pub fn downsample_half_into_swar(img: &GrayImage, out: &mut GrayImage) -> bool {
+/// The integer pass: the `Swar` arm, and the portable proof oracle the
+/// vector paths are verified against.
+pub(crate) fn downsample_half_into_swar(img: &GrayImage, out: &mut GrayImage) -> bool {
     let w = img.width() / 2;
     let h = img.height() / 2;
     let grew = out
@@ -76,11 +76,10 @@ pub fn downsample_half_into_swar(img: &GrayImage, out: &mut GrayImage) -> bool {
     grew
 }
 
-/// Float reference oracle for [`downsample_half_into`]: the original
-/// `u32`-sum / `f64`-average / [`saturate_u8`] arithmetic. Exposed so
-/// the kernel equivalence harness and `kernel_bench` can verify and
-/// time the integer pass against it.
-pub fn downsample_half_into_scalar(img: &GrayImage, out: &mut GrayImage) -> bool {
+/// Float reference oracle for [`downsample_half_into`], the `Scalar`
+/// arm: the original `u32`-sum / `f64`-average / [`saturate_u8`]
+/// arithmetic.
+fn downsample_half_into_scalar(img: &GrayImage, out: &mut GrayImage) -> bool {
     let w = img.width() / 2;
     let h = img.height() / 2;
     let grew = out

@@ -477,7 +477,8 @@ pub(crate) fn luma(src: &[u8], dst: &mut [u8], width: usize, level: crate::dispa
 mod tests {
     use super::*;
     use crate::dispatch::SimdLevel;
-    use crate::{downsample_half_into_swar, gaussian_blur_5x5_into_swar};
+    use crate::filter::gaussian_blur_5x5_into_swar;
+    use crate::pyramid::downsample_half_into_swar;
     use vs_rng::SplitMix64;
 
     fn random_image(rng: &mut SplitMix64, w: usize, h: usize) -> GrayImage {

@@ -1,12 +1,14 @@
-//! The one JSON reader of the workspace, with no external dependency.
+//! The one JSON reader of the workspace, and the writer of its bench
+//! artifacts and reports, with no external dependency.
 //!
 //! [`parse_document`] reads a whole JSON document into a [`Json`] tree
-//! (objects, arrays and scalars); the bench binaries read their nested
-//! `BENCH_*.json` artifacts through it. [`parse_line`] and
-//! [`parse_trace`] read the JSONL traces [`crate::JsonlSink`] writes:
-//! each line must be one flat object whose first key is `"event"`, with
-//! string, number, boolean and `null` values — a schema check on top of
-//! the same grammar.
+//! (objects, arrays and scalars), and [`Json::render`] writes one back
+//! with the trace lines' escaping and number policy; the bench binaries
+//! build and read their nested `BENCH_*.json` artifacts through them.
+//! [`parse_line`] and [`parse_trace`] read the JSONL traces
+//! [`crate::JsonlSink`] writes: each line must be one flat object whose
+//! first key is `"event"`, with string, number, boolean and `null`
+//! values — a schema check on top of the same grammar.
 //!
 //! One policy covers every input: malformed input is rejected loudly
 //! with a classified [`ParseErrorKind`] — a truncated line, a bad escape
@@ -14,7 +16,7 @@
 //! because a trace (or ledger, or artifact) that half-parses is worse
 //! than one that fails.
 
-use crate::event::{OwnedEvent, OwnedValue};
+use crate::event::{write_json_str, write_owned_json_value, OwnedEvent, OwnedValue, Value};
 
 /// What class of malformation a [`ParseError`] reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,6 +100,75 @@ impl Json {
                 .collect(),
             _ => Vec::new(),
         }
+    }
+
+    /// An object with `members` in order.
+    pub fn object<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Object(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// The document as JSON text ending in a newline, which
+    /// [`parse_document`] reads back. An object or array that holds only
+    /// scalars takes one line; any other container puts one member per
+    /// line, indented two spaces per level. Strings are escaped, floats
+    /// take Rust's shortest round-trip form (an integral float reads
+    /// back as an integer) and non-finite floats are written as `null`,
+    /// as in trace lines.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, depth: usize) {
+        let (open, close, members): (char, char, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Scalar(v) => return write_owned_json_value(out, v),
+            Json::Array(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Json::Object(members) => (
+                '{',
+                '}',
+                members.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+            ),
+        };
+        let flat = members.iter().all(|(_, v)| matches!(v, Json::Scalar(_)));
+        let indent = |depth: usize| format!("\n{}", "  ".repeat(depth));
+        let gap = if flat {
+            " ".to_string()
+        } else {
+            indent(depth + 1)
+        };
+        out.push(open);
+        for (i, (key, value)) in members.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            if i > 0 || !flat {
+                out.push_str(&gap);
+            }
+            if let Some(key) = key {
+                write_json_str(out, key);
+                out.push_str(": ");
+            }
+            value.write(out, depth + 1);
+        }
+        if !flat {
+            out.push_str(&indent(depth));
+        }
+        out.push(close);
+    }
+}
+
+/// A scalar from any value a trace field holds.
+impl<'a, T: Into<Value<'a>>> From<T> for Json {
+    fn from(v: T) -> Self {
+        Json::Scalar(OwnedValue::from(v.into()))
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(items: Vec<T>) -> Self {
+        Json::Array(items.into_iter().map(Into::into).collect())
     }
 }
 
@@ -660,6 +731,63 @@ mod tests {
         assert_eq!(u64_of("7"), Some(7));
         assert_eq!(u64_of("7.5"), None);
         assert_eq!(u64_of("-7"), None);
+    }
+
+    #[test]
+    fn rendered_documents_round_trip_through_the_reader() {
+        let doc = Json::object([
+            ("name", "quote\" backslash\\ bell\u{7} λ😀".into()),
+            ("n", 7u64.into()),
+            ("neg", (-3i64).into()),
+            ("x", 0.1f64.into()),
+            ("tiny", 1e-300f64.into()),
+            ("ok", true.into()),
+            ("none", Json::Array(Vec::new())),
+            ("empty", Json::object([])),
+            (
+                "rows",
+                vec![
+                    Json::object([("z", 1u64.into()), ("a", 2.5f64.into())]),
+                    Json::object([("nested", vec![1u64, 2].into())]),
+                ]
+                .into(),
+            ),
+        ]);
+        let text = doc.render();
+        assert!(text.ends_with("}\n"), "{text}");
+        // Members compare in order, so this also pins key order.
+        assert_eq!(parse_document(&text).unwrap(), doc, "{text}");
+    }
+
+    #[test]
+    fn rendered_non_finite_floats_are_null() {
+        let doc = Json::object([
+            ("nan", f64::NAN.into()),
+            ("inf", vec![f64::INFINITY, f64::NEG_INFINITY, 1.5].into()),
+        ]);
+        assert_eq!(
+            doc.render(),
+            "{\n  \"nan\": null,\n  \"inf\": [null, null, 1.5]\n}\n"
+        );
+        assert_eq!(
+            parse_document(&doc.render()).unwrap().get("nan"),
+            Some(&Json::Scalar(OwnedValue::Null))
+        );
+    }
+
+    #[test]
+    fn containers_of_scalars_stay_on_one_line() {
+        let row = Json::object([("k", "v".into()), ("n", 1u64.into())]);
+        let doc = Json::object([
+            ("size", vec![640u64, 360].into()),
+            ("rows", vec![row.clone(), row].into()),
+            ("empty", Json::Array(Vec::new())),
+        ]);
+        assert_eq!(
+            doc.render(),
+            "{\n  \"size\": [640, 360],\n  \"rows\": [\n    {\"k\": \"v\", \"n\": 1},\n    {\"k\": \"v\", \"n\": 1}\n  ],\n  \"empty\": []\n}\n"
+        );
+        assert_eq!(Json::from(3u64).render(), "3\n");
     }
 
     #[test]

@@ -495,36 +495,6 @@ pub fn warp_perspective_offset_into_level(
     warp_driver(src, h, dst_w, dst_h, origin, dst, mask, remap)
 }
 
-/// Scalar reference oracle for [`warp_perspective_offset_into`]: the
-/// same driver around [`remap_bilinear_scalar`]. Tap stream, outputs
-/// and telemetry shape are identical; only the inner-loop arithmetic
-/// differs (and provably not in its results).
-///
-/// # Errors
-///
-/// As [`warp_perspective`].
-#[allow(clippy::too_many_arguments)]
-pub fn warp_perspective_offset_into_scalar(
-    src: &RgbImage,
-    h: &Mat3,
-    dst_w: usize,
-    dst_h: usize,
-    origin: Vec2,
-    dst: &mut RgbImage,
-    mask: &mut GrayImage,
-) -> Result<(), SimError> {
-    warp_driver(
-        src,
-        h,
-        dst_w,
-        dst_h,
-        origin,
-        dst,
-        mask,
-        remap_bilinear_scalar,
-    )
-}
-
 type RemapFn =
     fn(&RgbImage, &Mat3, &mut RgbImage, &mut GrayImage, Vec2, usize, usize) -> Result<(), SimError>;
 
@@ -947,7 +917,7 @@ mod proptests {
             };
             let a =
                 warp_perspective_offset_into(&src, &m, 36, 28, origin, &mut fast.0, &mut fast.1);
-            let b = warp_perspective_offset_into_scalar(
+            let b = warp_perspective_offset_into_level(
                 &src,
                 &m,
                 36,
@@ -955,6 +925,7 @@ mod proptests {
                 origin,
                 &mut refr.0,
                 &mut refr.1,
+                vs_image::SimdLevel::Scalar,
             );
             assert_eq!(a, b, "case {case}: result status diverged");
             if a.is_ok() {
@@ -1092,8 +1063,17 @@ mod proptests {
         let mut refr = (RgbImage::default(), GrayImage::default());
         let mut got = (RgbImage::default(), GrayImage::default());
         for (case, &(source, m, origin, w, h, probes)) in cases.iter().enumerate() {
-            warp_perspective_offset_into_scalar(source, &m, w, h, origin, &mut refr.0, &mut refr.1)
-                .unwrap();
+            warp_perspective_offset_into_level(
+                source,
+                &m,
+                w,
+                h,
+                origin,
+                &mut refr.0,
+                &mut refr.1,
+                SimdLevel::Scalar,
+            )
+            .unwrap();
             // The edge cases are all on the large canvases, and none may
             // be vacuous.
             assert!(
@@ -1142,13 +1122,16 @@ mod proptests {
                 out: &'w mut Self::Workspace,
                 _from: Option<&Self::Checkpoint>,
             ) -> Result<&'w Self::Output, SimError> {
-                let f = if SCALAR {
-                    warp_perspective_offset_into_scalar
+                let level = if SCALAR {
+                    vs_image::SimdLevel::Scalar
                 } else {
-                    warp_perspective_offset_into
+                    vs_image::dispatch::level()
                 };
                 let (dst, mask) = &mut *out;
-                f(&self.src, &self.m, 30, 24, Vec2::new(-2.0, 1.0), dst, mask)?;
+                let origin = Vec2::new(-2.0, 1.0);
+                warp_perspective_offset_into_level(
+                    &self.src, &self.m, 30, 24, origin, dst, mask, level,
+                )?;
                 Ok(out)
             }
         }

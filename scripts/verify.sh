@@ -89,11 +89,14 @@ echo "== bench smoke: campaign_bench --smoke --threads 1,2 --trace + trace_check
 rm -f /tmp/BENCH_smoke.json /tmp/BENCH_smoke.jsonl
 
 echo "== kernel smoke: kernel_bench --smoke --check-speedups =="
-# Every SWAR/fixed-point kernel must reproduce its scalar oracle
-# bit-for-bit on the bench inputs, beat it on wall-clock, and run
-# allocation-free once warmed.
-./target/release/kernel_bench --smoke --check-speedups --out /tmp/BENCH3_smoke.json
-rm -f /tmp/BENCH3_smoke.json
+# Every dispatch level of every kernel, and its SWAR reference, must
+# reproduce the scalar oracle bit-for-bit on each smoke tier and run
+# allocation-free once warmed; the SWAR FAST pre-reject must fire; and
+# SWAR must beat scalar on every kernel with its own SWAR tier. The SIMD
+# speedup gates are reserved for the --full run.
+./target/release/kernel_bench --smoke --check-speedups --out /tmp/BENCH6_smoke.json \
+    >/dev/null
+rm -f /tmp/BENCH6_smoke.json
 
 echo "== simd dispatch smoke: simd_check under VS_SIMD=scalar/swar/sse2/auto =="
 # The record stream of a fault campaign (and the plain panorama output)
@@ -119,14 +122,6 @@ for level in $levels; do
     }
 done
 rm -f /tmp/simd_scalar.txt /tmp/simd_swar.txt /tmp/simd_sse2.txt /tmp/simd_auto.txt
-
-echo "== hd smoke: kernel_bench --hd --smoke =="
-# Every dispatch level must reproduce the scalar oracle bit-for-bit on
-# the HD-mode bench inputs (the binary exits non-zero on divergence;
-# speedup gates are reserved for the --full run where tiers are real).
-./target/release/kernel_bench --hd --smoke --out /tmp/BENCH6_smoke.json \
-    >/dev/null
-rm -f /tmp/BENCH6_smoke.json
 
 echo "== forensics smoke: campaign_report --smoke + trace_check --forensics =="
 # The forensics report runs each campaign twice (forensics off, then
@@ -224,13 +219,11 @@ if [ "${1:-}" = "--full" ]; then
     # widest thread count; on a smaller host the binary prints a note
     # instead of gating on time-slicing.
     ./target/release/campaign_bench --threads 1,2,4 --expect-scaling 1.5 --out BENCH_2.json
-    echo "== bench full: kernel_bench -> BENCH_3.json =="
-    ./target/release/kernel_bench --check-speedups --out BENCH_3.json
-    echo "== bench full: kernel_bench --hd -> BENCH_6.json =="
+    echo "== bench full: kernel_bench -> BENCH_6.json =="
     # The SSE2 speedup gate is always armed on x86-64; the AVX2 gate
     # arms itself only when the CPU has AVX2 (the binary prints a note
     # when it auto-skips).
-    ./target/release/kernel_bench --hd --check-simd --out BENCH_6.json
+    ./target/release/kernel_bench --check-speedups --check-simd --out BENCH_6.json
     echo "== bench full: campaign_bench --adaptive -> BENCH_4.json =="
     # 1000-injection reference vs the adaptive stop at an 8pp Wilson
     # half-width: gate at a 5x injection reduction with rate agreement.
