@@ -50,7 +50,7 @@ use std::time::Duration;
 use vs_bench::alloc::{self, CountingAlloc};
 use vs_bench::cli;
 use vs_bench::manifest::{config_digest, Manifest};
-use vs_bench::timing::{fmt_secs, measure_pair, Measurement};
+use vs_bench::timing::{measure_pair, Measurement};
 use vs_core::experiments::{pipeline_config, Scale};
 use vs_core::Approximation;
 use vs_features::fast::{self, FastConfig, FastScratch};
@@ -63,7 +63,7 @@ use vs_linalg::{Mat3, Vec2};
 use vs_matching::{Match, RatioMatcher};
 use vs_rng::SplitMix64;
 use vs_telemetry::jsonl::Json;
-use vs_telemetry::Value;
+use vs_telemetry::{Event, Value};
 use vs_video::{render_input, InputSpec};
 use vs_warp::warp_perspective_offset_into_level;
 
@@ -183,6 +183,9 @@ struct Sweep {
     budget: Duration,
     levels: Vec<SimdLevel>,
     rows: Vec<Row>,
+    /// The calling thread's observers: each row is reported to their
+    /// sink as it is measured, while the sweep thread stays sink-less.
+    observers: vs_telemetry::Handle,
 }
 
 impl Sweep {
@@ -227,17 +230,22 @@ impl Sweep {
                 identical,
                 steady_allocs,
             };
-            println!(
-                "{:<26} {:<6} swar {:>11}/iter   level {:>11}/iter   {:>6.2}x   identical={} allocs={}{}",
-                format!("{kernel}@{tier}"),
-                level.as_str(),
-                fmt_secs(reference.secs_per_iter),
-                fmt_secs(at_level.secs_per_iter),
-                row.speedup(),
-                identical,
-                steady_allocs,
-                if row.unstable() { "  UNSTABLE" } else { "" }
-            );
+            if let Some(sink) = &self.observers.sink {
+                sink.event(&Event::new(
+                    "kernel_result",
+                    &[
+                        ("kernel", Value::Str(row.kernel)),
+                        ("tier", Value::Str(&row.tier)),
+                        ("level", Value::Str(level.as_str())),
+                        ("ref_ns", Value::F64(reference.secs_per_iter * 1e9)),
+                        ("level_ns", Value::F64(at_level.secs_per_iter * 1e9)),
+                        ("speedup", Value::F64(row.speedup())),
+                        ("unstable", Value::Bool(row.unstable())),
+                        ("identical", Value::Bool(identical)),
+                        ("steady_allocs", Value::U64(steady_allocs)),
+                    ],
+                ));
+            }
             self.rows.push(row);
         }
         ref_s
@@ -262,7 +270,7 @@ fn paper_fast_config() -> FastConfig {
 /// # Errors
 ///
 /// The SWAR FAST pre-reject never fired on a tier.
-fn sweep(o: &Opts) -> Result<Vec<Row>, String> {
+fn sweep(o: &Opts, observers: vs_telemetry::Handle) -> Result<Vec<Row>, String> {
     let mut sweep = Sweep {
         budget: o.budget,
         levels: SimdLevel::ALL
@@ -270,6 +278,7 @@ fn sweep(o: &Opts) -> Result<Vec<Row>, String> {
             .filter(|&l| l != SimdLevel::Swar && l.available())
             .collect(),
         rows: Vec::new(),
+        observers,
     };
     let gray_out = || ((), GrayImage::new(0, 0));
     for &(w, h) in o.tiers {
@@ -366,28 +375,13 @@ fn run(o: &Opts) -> Result<(), String> {
     );
     println!("detected features: {features}; host cores: {host_cores}");
 
+    let observers = vs_telemetry::capture();
     let rows = std::thread::scope(|scope| {
         scope
-            .spawn(|| sweep(o))
+            .spawn(|| sweep(o, observers))
             .join()
             .expect("kernel bench thread panicked")
     })?;
-    for r in &rows {
-        vs_telemetry::emit(
-            "kernel_result",
-            &[
-                ("kernel", Value::Str(r.kernel)),
-                ("tier", Value::Str(&r.tier)),
-                ("level", Value::Str(r.level.as_str())),
-                ("ref_ns", Value::F64(r.reference.secs_per_iter * 1e9)),
-                ("level_ns", Value::F64(r.at_level.secs_per_iter * 1e9)),
-                ("speedup", Value::F64(r.speedup())),
-                ("unstable", Value::Bool(r.unstable())),
-                ("identical", Value::Bool(r.identical)),
-                ("steady_allocs", Value::U64(r.steady_allocs)),
-            ],
-        );
-    }
     let identical = rows.iter().all(|r| r.identical);
     vs_telemetry::emit(
         "bench_result",

@@ -165,7 +165,7 @@ pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> Measurement {
 }
 
 /// Human-readable seconds.
-pub fn fmt_secs(s: f64) -> String {
+fn fmt_secs(s: f64) -> String {
     if s >= 1.0 {
         format!("{s:.3} s")
     } else if s >= 1e-3 {

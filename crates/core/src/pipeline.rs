@@ -12,7 +12,6 @@ use crate::approx::drop_frame;
 use crate::config::{Approximation, PipelineConfig};
 use std::sync::Arc;
 use vs_fault::campaign::Checkpoint;
-use vs_fault::forensics::{self, DigestTrace, Stage};
 use vs_fault::session::{self, TapSnapshot};
 use vs_fault::{tap, FuncId, OpClass, SimError};
 use vs_features::{Descriptor, Feature, Orb, OrbScratch};
@@ -21,6 +20,7 @@ use vs_geometry::transform::{transformed_bounds, Bounds};
 use vs_image::{GrayImage, RgbImage, SimdLevel};
 use vs_linalg::{Mat3, Vec2};
 use vs_matching::{Match, RatioMatcher, SimpleMatcher};
+use vs_telemetry::digest::{self, DigestTrace, Stage};
 use vs_telemetry::Value;
 use vs_warp::{BlendMode, Canvas, CanvasPatch, WarpScratch};
 
@@ -297,7 +297,7 @@ impl VideoSummarizer {
 
     /// Run from the start into `scratch` as
     /// [`VideoSummarizer::run_with`] does — tap-for-tap identical — while
-    /// capturing a resumable [`PipelineCheckpoint`] every `every_k`
+    /// capturing a resumable `PipelineCheckpoint` every `every_k`
     /// frames (at the top of the frame loop, skipping frame 0) and every
     /// `every_k` composites of each segment. Meant to run under golden
     /// profiling so the checkpoints carry meaningful tap counters.
@@ -437,7 +437,7 @@ impl VideoSummarizer {
                         discard_streak,
                         render: None,
                         taps: session::snapshot(),
-                        digests: forensics::current_trace(),
+                        digests: digest::trace(),
                     });
                 }
             }
@@ -459,7 +459,7 @@ impl VideoSummarizer {
             }
 
             decode_into(frame, &mut scratch.gray)?;
-            forensics::record_bytes(Stage::Decode, scratch.gray.as_bytes());
+            digest::record_bytes(Stage::Decode, scratch.gray.as_bytes());
             orb.detect_and_describe_into(&scratch.gray, &mut scratch.orb, &mut scratch.features)?;
             // How this frame fared, for the per-frame telemetry event.
             let action;
@@ -486,15 +486,15 @@ impl VideoSummarizer {
                     &mut scratch.matches,
                     &mut scratch.pairs,
                 )?;
-                if forensics::enabled() {
+                if digest::enabled() {
                     let mut h = 0u64;
                     for (q, t) in &scratch.pairs {
-                        h = forensics::hash_fold(h, q.x.to_bits());
-                        h = forensics::hash_fold(h, q.y.to_bits());
-                        h = forensics::hash_fold(h, t.x.to_bits());
-                        h = forensics::hash_fold(h, t.y.to_bits());
+                        h = digest::hash_fold(h, q.x.to_bits());
+                        h = digest::hash_fold(h, q.y.to_bits());
+                        h = digest::hash_fold(h, t.x.to_bits());
+                        h = digest::hash_fold(h, t.y.to_bits());
                     }
-                    forensics::record(Stage::Match, h);
+                    digest::record(Stage::Match, h);
                 }
                 let model = self.estimate_model_scratch(
                     &scratch.pairs,
@@ -502,19 +502,19 @@ impl VideoSummarizer {
                     &mut stats,
                     &mut scratch.ransac,
                 )?;
-                if forensics::enabled() {
+                if digest::enabled() {
                     let mut h = 0u64;
                     match &model {
                         Some(m) => {
                             for v in m.to_rows() {
-                                h = forensics::hash_fold(h, v.to_bits());
+                                h = digest::hash_fold(h, v.to_bits());
                             }
                         }
                         // Discards digest as a distinct constant so a
                         // fault flipping accept→discard still diverges.
-                        None => h = forensics::hash_fold(h, u64::MAX),
+                        None => h = digest::hash_fold(h, u64::MAX),
                     }
-                    forensics::record(Stage::Ransac, h);
+                    digest::record(Stage::Ransac, h);
                 }
                 match model {
                     Some(h_cur_to_prev) => {
@@ -675,7 +675,7 @@ impl VideoSummarizer {
                                     finished: finished.clone(),
                                 }),
                                 taps: session::snapshot(),
-                                digests: forensics::current_trace(),
+                                digests: digest::trace(),
                             });
                         }
                     }
@@ -695,7 +695,7 @@ impl VideoSummarizer {
                     record_composite(idx, &h);
                 }
             }
-            forensics::record_bytes(Stage::Warp, scratch.canvas.image().as_bytes());
+            digest::record_bytes(Stage::Warp, scratch.canvas.image().as_bytes());
             let origin = scratch
                 .canvas
                 .crop_to_content_into(&mut scratch.summary.panoramas[si])
@@ -705,24 +705,24 @@ impl VideoSummarizer {
         }
         drop(render_span);
         stats.segments = seg_count;
-        if forensics::enabled() {
+        if digest::enabled() {
             // The panoramas are the observable output compared for SDC
             // classification, so any SDC necessarily diverges here even
             // when every upstream digest agreed.
             for pano in &scratch.summary.panoramas {
-                forensics::record_bytes(Stage::Summary, pano.as_bytes());
+                digest::record_bytes(Stage::Summary, pano.as_bytes());
             }
             let mut h = 0u64;
             for o in &scratch.summary.panorama_origins {
-                h = forensics::hash_fold(h, o.x.to_bits());
-                h = forensics::hash_fold(h, o.y.to_bits());
+                h = digest::hash_fold(h, o.x.to_bits());
+                h = digest::hash_fold(h, o.y.to_bits());
             }
-            h = forensics::hash_fold(h, stats.frames_dropped_by_input as u64);
-            h = forensics::hash_fold(h, stats.frames_discarded as u64);
-            h = forensics::hash_fold(h, stats.homographies as u64);
-            h = forensics::hash_fold(h, stats.affine_fallbacks as u64);
-            h = forensics::hash_fold(h, stats.segments as u64);
-            forensics::record(Stage::Summary, h);
+            h = digest::hash_fold(h, stats.frames_dropped_by_input as u64);
+            h = digest::hash_fold(h, stats.frames_discarded as u64);
+            h = digest::hash_fold(h, stats.homographies as u64);
+            h = digest::hash_fold(h, stats.affine_fallbacks as u64);
+            h = digest::hash_fold(h, stats.segments as u64);
+            digest::record(Stage::Summary, h);
         }
         vs_telemetry::emit(
             "summary",
@@ -947,12 +947,12 @@ fn segment_bounds(segment: &[(usize, Mat3)], frames: &[RgbImage]) -> Result<Boun
 /// Fold one composite's frame index and transform into the warp-stage
 /// digest (a no-op when forensics is off).
 fn record_composite(idx: usize, h: &Mat3) {
-    if forensics::enabled() {
-        let mut hd = forensics::hash_fold(0, idx as u64);
+    if digest::enabled() {
+        let mut hd = digest::hash_fold(0, idx as u64);
         for v in h.to_rows() {
-            hd = forensics::hash_fold(hd, v.to_bits());
+            hd = digest::hash_fold(hd, v.to_bits());
         }
-        forensics::record(Stage::Warp, hd);
+        digest::record(Stage::Warp, hd);
     }
 }
 

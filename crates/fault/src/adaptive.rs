@@ -15,12 +15,13 @@
 //! 3. every tracked outcome class's Wilson half-width has dropped below
 //!    [`AdaptiveConfig::epsilon_pp`] percentage points.
 //!
-//! Because [`crate::campaign::draw_spec`] depends only on the seed and
-//! the run index — never on the campaign length — an adaptive campaign's
-//! records are an exact *prefix* of the fixed-budget campaign's records
-//! at the same seed: stopping early discards statistically redundant
-//! runs and nothing else. The workspace `adaptive_equivalence` tests
-//! pin this prefix property record for record.
+//! Because the campaign's fault draw (`campaign::draw_spec`) depends
+//! only on the seed and the run index — never on the campaign length —
+//! an adaptive campaign's records are an exact *prefix* of the
+//! fixed-budget campaign's records at the same seed: stopping early
+//! discards statistically redundant runs and nothing else. The
+//! workspace `adaptive_equivalence` tests pin this prefix property
+//! record for record.
 
 use crate::campaign::{self, CampaignConfig, CheckpointedGolden, Injection, Workload};
 use crate::convergence::{knee, ConvergencePoint};

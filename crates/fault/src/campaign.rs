@@ -19,7 +19,7 @@
 //! workspace reuse, panic handling, classification and metrics.
 
 use crate::error::SimError;
-use crate::forensics::{self, Attribution, DigestTrace, ForensicsRecord, Stage};
+use crate::forensics::{Attribution, ForensicsRecord};
 use crate::func::FuncMask;
 use crate::session::{self, TapSnapshot};
 use crate::spec::{FaultSpec, FiredFault, RegClass, REG_BITS};
@@ -29,6 +29,7 @@ use std::fmt;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Mutex, OnceLock, PoisonError};
+use vs_telemetry::digest::{self, DigestTrace, Stage};
 use vs_telemetry::metrics;
 
 /// Phase vocabulary of the campaign metrics instrumentation: every
@@ -289,7 +290,7 @@ fn profile<W: Workload>(
     every_k: Option<usize>,
     forensic: bool,
 ) -> Result<CheckpointedGolden<W>, SimError> {
-    let recorder = forensic.then(forensics::begin_recording);
+    let recorder = forensic.then(|| digest::record_from(DigestTrace::default()));
     let (output, checkpoints, profile) = {
         // Telemetry-only span bracketing the golden run in driver traces.
         let _stage = vs_telemetry::span("profile_golden");
@@ -319,7 +320,7 @@ fn profile<W: Workload>(
         (output.clone(), checkpoints, profile)
     };
     let digests = recorder.map(|r| {
-        let trace = forensics::current_trace();
+        let trace = digest::trace();
         drop(r);
         // One field per stage digest — `trace_check --forensics`
         // requires this event.
@@ -570,11 +571,15 @@ pub(crate) struct Plan<'a, W: Workload> {
     /// Whether SDC runs keep a clone of their corrupted output.
     pub keep_sdc: bool,
     /// Golden digest trace to attribute every completed run against;
-    /// `Some` arms the forensic recorder, which slows each run.
+    /// `Some` records a digest trace per run, which slows each run.
     pub digests: Option<DigestTrace>,
     /// One workspace per worker, kept across [`Plan::drive`] calls so a
     /// batch starts warm (grown to the thread count on first use).
     pub workspaces: Mutex<Vec<W::Workspace>>,
+    /// The calling thread's observers, captured once
+    /// ([`vs_telemetry::capture`]): every worker arms its metrics from
+    /// them, and the campaign monitor reports to their sink.
+    pub observers: vs_telemetry::Handle,
 }
 
 impl<W: Workload> Plan<'_, W> {
@@ -585,13 +590,13 @@ impl<W: Workload> Plan<'_, W> {
     /// depend on the thread count. `monitor`, if any, records every
     /// classified run.
     ///
-    /// When a [`metrics::MetricsRegistry`] is installed on the calling
-    /// thread, every worker is armed for lock-free metrics collection
-    /// ([`metrics::arm`]) and deposits its stripe's phase histograms
-    /// into the registry under its worker id once, at stripe end; the
-    /// driver itself deposits the scatter time under id `threads`. With
-    /// no registry installed the arming (and every timer inside the
-    /// runs) is skipped entirely.
+    /// Every worker arms itself from the plan's captured observers
+    /// ([`vs_telemetry::Handle::arm`]): with a metrics registry
+    /// captured, it collects lock-free and deposits its stripe's phase
+    /// histograms into the registry under its worker id once, at stripe
+    /// end, and the driver itself deposits the scatter time under id
+    /// `threads`. With no registry captured the arming (and every timer
+    /// inside the runs) is skipped entirely.
     pub(crate) fn drive(
         &self,
         runs: Range<usize>,
@@ -607,8 +612,6 @@ impl<W: Workload> Plan<'_, W> {
             .saturating_mul(self.hang_factor.max(2))
             .saturating_add(1_000_000);
         let threads = self.threads.clamp(1, runs.len().max(1));
-        let registry = metrics::registry();
-        let registry = registry.as_deref();
         let draw = &draw;
         let mut workspaces = self
             .workspaces
@@ -624,7 +627,7 @@ impl<W: Workload> Plan<'_, W> {
                 .map(|(t, ws)| {
                     let stripe = (runs.start + t..runs.end).step_by(threads);
                     scope.spawn(move || {
-                        let armed = registry.map(|_| metrics::arm());
+                        let _armed = self.observers.arm(t);
                         let wall = metrics::start();
                         let records = stripe
                             .map(|i| {
@@ -640,9 +643,6 @@ impl<W: Workload> Plan<'_, W> {
                             })
                             .collect();
                         metrics::stop(phase::WORKER_WALL, wall);
-                        if let (Some(reg), Some(g)) = (registry, armed) {
-                            reg.absorb(t, g.finish());
-                        }
                         records
                     })
                 })
@@ -655,6 +655,7 @@ impl<W: Workload> Plan<'_, W> {
         drop(workspaces);
         // Interleave the stripes back into index order: run `j` is the
         // next record of stripe `j % threads`.
+        let registry = self.observers.registry.as_deref();
         let scatter_start = registry.map(|_| std::time::Instant::now());
         let mut stripes: Vec<_> = stripes.into_iter().map(Vec::into_iter).collect();
         let records = (0..runs.len())
@@ -705,9 +706,8 @@ impl<W: Workload> Plan<'_, W> {
             1,
         );
         let t_setup = metrics::start();
-        let recorder = self.digests.map(|_| match from {
-            Some(c) => forensics::begin_recording_at(c.digest_trace()),
-            None => forensics::begin_recording(),
+        let recorder = self.digests.map(|_| {
+            digest::record_from(from.map_or_else(DigestTrace::default, |c| c.digest_trace()))
         });
         let mask = self.golden.mask;
         let guard = match from {
@@ -729,7 +729,7 @@ impl<W: Workload> Plan<'_, W> {
         let fired = session::report().fired;
         drop(guard);
         let trace = recorder.map(|r| {
-            let t = forensics::current_trace();
+            let t = digest::trace();
             drop(r);
             t
         });
@@ -791,7 +791,6 @@ pub(crate) fn run_batches<W: Workload>(
     );
     // Telemetry-only span on the driver thread; workers run sink-free.
     let _stage = vs_telemetry::span("campaign");
-    let monitor = CampaignMonitor::new(cfg, sites, checkpoints.len(), golden.digests.is_some());
     let plan = Plan {
         workload,
         golden,
@@ -801,7 +800,15 @@ pub(crate) fn run_batches<W: Workload>(
         keep_sdc: cfg.keep_sdc_outputs,
         digests: golden.digests,
         workspaces: Mutex::default(),
+        observers: vs_telemetry::capture(),
     };
+    let monitor = CampaignMonitor::new(
+        cfg,
+        sites,
+        checkpoints.len(),
+        golden.digests.is_some(),
+        plan.observers.sink.as_ref(),
+    );
     let mut records = Vec::new();
     while records.len() < cfg.injections {
         let start = records.len();
@@ -913,7 +920,7 @@ mod tests {
                             bound,
                             acc,
                             taps: session::snapshot(),
-                            trace: forensics::current_trace(),
+                            trace: digest::trace(),
                         });
                     }
                 }
@@ -926,7 +933,7 @@ mod tests {
                 let _scratch = tap::gpr(v.wrapping_mul(3));
                 // Forensic digest of the live integer state (two toy
                 // "stages" so attribution has an order to resolve).
-                forensics::record(Stage::Match, acc);
+                digest::record(Stage::Match, acc);
                 i += 1;
             }
             let mut facc = 0.0f64;
@@ -936,7 +943,7 @@ mod tests {
                 // Saturating narrow, as the pipeline's float->u8 step does.
                 facc += x.clamp(0.0, 255.0).floor();
             }
-            forensics::record(Stage::Summary, facc.to_bits());
+            digest::record(Stage::Summary, facc.to_bits());
             Ok((acc, facc as u64))
         }
     }
@@ -1105,6 +1112,7 @@ mod tests {
             keep_sdc: false,
             digests: None,
             workspaces: Mutex::default(),
+            observers: vs_telemetry::capture(),
         };
         let fingerprint = |recs: &[Injection<(u64, u64)>]| -> Vec<_> {
             recs.iter().map(|r| (r.spec, r.fired, r.outcome)).collect()
@@ -1170,133 +1178,96 @@ mod tests {
         }
     }
 
-    /// Zero-perturbation at the Toy layer: installing a telemetry sink
-    /// must leave golden profiles, fault draws, fired faults and
-    /// outcomes bit-for-bit identical, while the sink observes exactly
-    /// one `injection` event per run.
+    /// Zero perturbation at the Toy layer: every subset of the
+    /// observation capabilities — a trace sink, a metrics registry,
+    /// forensic digests — leaves the golden profile and the (spec,
+    /// outcome, fired) records of scratch and checkpointed campaigns
+    /// bit-identical to the unobserved campaign, while each capability
+    /// observes exactly its share: the sink one `injection` event per
+    /// run with the unobserved outcome and a final rates snapshot whose
+    /// Wilson bounds bracket the rates, the registry one `exec` sample
+    /// per run, and forensics a payload on every completed run only.
+    /// Scratch campaigns run on 2 threads, checkpointed ones on 4.
     #[test]
-    fn telemetry_sink_does_not_perturb_campaigns() {
-        let quiet_golden = profile_golden(&Toy).unwrap();
-        let cfg = CampaignConfig::new(RegClass::Gpr, 80).seed(13).threads(2);
-        let quiet = run_campaign(&Toy, &quiet_golden, &cfg);
-
-        let sink = std::sync::Arc::new(vs_telemetry::MemorySink::new());
-        let observed = {
-            let _g = vs_telemetry::install(sink.clone());
-            let golden = profile_golden(&Toy).unwrap();
-            assert_eq!(golden.profile, quiet_golden.profile);
-            assert_eq!(golden.output, quiet_golden.output);
-            run_campaign(&Toy, &golden, &cfg)
+    fn observation_does_not_perturb_campaigns() {
+        use crate::stats::{outcome_rates, OutcomeClass};
+        use std::sync::Arc;
+        let policy = CheckpointPolicy::EveryKFrames(9);
+        let plain = profile(&Toy, FuncMask::all(), policy.interval(), false).unwrap();
+        let fingerprint = |recs: &[Injection<(u64, u64)>]| -> Vec<_> {
+            recs.iter().map(|r| (r.spec, r.outcome, r.fired)).collect()
         };
-
-        let a: Vec<_> = quiet.iter().map(|r| (r.spec, r.outcome, r.fired)).collect();
-        let b: Vec<_> = observed
-            .iter()
-            .map(|r| (r.spec, r.outcome, r.fired))
-            .collect();
-        assert_eq!(a, b, "telemetry must not change campaign results");
-
-        assert_eq!(sink.count("golden_profile"), 1);
-        assert_eq!(sink.count("campaign_start"), 1);
-        assert_eq!(sink.count("injection"), cfg.injections());
-        assert_eq!(sink.count("campaign_done"), 1);
-        assert!(sink.count("campaign_progress") >= 1);
-        // The injection events report the same outcomes, in index order
-        // once sorted (workers interleave arbitrarily).
-        let mut seen: Vec<(u64, String)> = sink
-            .events()
-            .iter()
-            .filter(|e| e.name == "injection")
-            .map(|e| {
-                (
-                    e.u64("index").unwrap(),
-                    e.str("outcome").unwrap().to_string(),
-                )
-            })
-            .collect();
-        seen.sort();
-        for (i, (idx, outcome)) in seen.iter().enumerate() {
-            assert_eq!(*idx, i as u64);
-            assert_eq!(outcome, quiet[i].outcome.name());
-        }
-    }
-
-    /// Same invariant for the checkpointed driver, including the final
-    /// rates snapshot carrying Wilson bounds that bracket the rates.
-    #[test]
-    fn telemetry_sink_does_not_perturb_checkpointed_campaigns() {
-        let quiet_ck =
-            profile_golden_checkpointed(&Toy, CheckpointPolicy::EveryKFrames(9)).unwrap();
-        let cfg = CampaignConfig::new(RegClass::Gpr, 60)
-            .seed(29)
-            .threads(4)
-            .checkpoint_policy(CheckpointPolicy::EveryKFrames(9));
-        let quiet = run_campaign_checkpointed(&Toy, &quiet_ck, &cfg);
-
-        let sink = std::sync::Arc::new(vs_telemetry::MemorySink::new());
-        let observed = {
-            let _g = vs_telemetry::install(sink.clone());
-            let ck = profile_golden_checkpointed(&Toy, CheckpointPolicy::EveryKFrames(9)).unwrap();
-            assert_eq!(ck.golden.profile, quiet_ck.golden.profile);
-            run_campaign_checkpointed(&Toy, &ck, &cfg)
-        };
-
-        let a: Vec<_> = quiet.iter().map(|r| (r.spec, r.outcome, r.fired)).collect();
-        let b: Vec<_> = observed
-            .iter()
-            .map(|r| (r.spec, r.outcome, r.fired))
-            .collect();
-        assert_eq!(a, b);
-
-        assert_eq!(sink.count("injection"), cfg.injections());
-        let events = sink.events();
-        let start = events
-            .iter()
-            .find(|e| e.name == "campaign_start")
-            .expect("campaign_start emitted");
-        assert_eq!(start.u64("checkpoints"), Some(7), "64 iterations / 9");
-        assert_eq!(start.u64("ckpt_interval"), Some(9));
-        let done = events
-            .iter()
-            .find(|e| e.name == "campaign_done")
-            .expect("campaign_done emitted");
-        assert_eq!(done.u64("done"), Some(60));
-        let rates = crate::stats::outcome_rates(&quiet);
-        assert_eq!(done.f64("masked"), Some(rates.masked));
-        let (lo, hi) = rates.wilson_interval(crate::stats::OutcomeClass::Masked);
-        assert_eq!(done.f64("masked_lo"), Some(lo));
-        assert_eq!(done.f64("masked_hi"), Some(hi));
-        assert!(lo <= rates.masked && rates.masked <= hi);
-    }
-
-    /// Forensics must be zero-perturbation: campaigns against a
-    /// forensic golden classify every injection exactly like plain
-    /// campaigns, and only completed runs carry forensic payloads.
-    #[test]
-    fn forensics_does_not_perturb_campaigns() {
-        let plain = profile_golden(&Toy).unwrap();
-        let forensic = profile_golden_forensic(&Toy).unwrap();
-        assert_eq!(plain.profile, forensic.profile);
-        assert_eq!(plain.output, forensic.output);
-        let trace = forensic.digests.expect("forensic profile records digests");
-        assert_eq!(trace.count(Stage::Match), 64);
-        assert_eq!(trace.count(Stage::Summary), 1);
-
         for class in [RegClass::Gpr, RegClass::Fpr] {
-            let cfg = CampaignConfig::new(class, 120).seed(17).threads(2);
-            let quiet = run_campaign(&Toy, &plain, &cfg);
-            let traced = run_campaign(&Toy, &forensic, &cfg);
-            let a: Vec<_> = quiet.iter().map(|r| (r.spec, r.outcome, r.fired)).collect();
-            let b: Vec<_> = traced
-                .iter()
-                .map(|r| (r.spec, r.outcome, r.fired))
-                .collect();
-            assert_eq!(a, b, "forensics perturbed a {class} campaign");
-            assert!(quiet.iter().all(|r| r.forensics.is_none()));
-            for r in &traced {
-                match r.outcome {
-                    Outcome::Masked | Outcome::Sdc => assert!(r.forensics.is_some()),
-                    _ => assert!(r.forensics.is_none()),
+            let scratch = CampaignConfig::new(class, 120).seed(17).threads(2);
+            let quiet = run_campaign(&Toy, &plain.golden, &scratch);
+            let rates = outcome_rates(&quiet);
+            // Every subset of {trace, metrics, forensics}.
+            for caps in 0..8 {
+                let (trace, metered, forensic) = (caps & 1 != 0, caps & 2 != 0, caps & 4 != 0);
+                for checkpointed in [false, true] {
+                    let cell = format!("{class} {trace}/{metered}/{forensic}/{checkpointed}");
+                    let cfg = if checkpointed {
+                        scratch.clone().threads(4).checkpoint_policy(policy)
+                    } else {
+                        scratch.clone()
+                    };
+                    let sink = Arc::new(vs_telemetry::MemorySink::new());
+                    let reg = Arc::new(metrics::MetricsRegistry::new());
+                    let recs = {
+                        let _s = trace.then(|| vs_telemetry::install(sink.clone()));
+                        let _m = metered.then(|| metrics::install(reg.clone()));
+                        let ck =
+                            profile(&Toy, FuncMask::all(), policy.interval(), forensic).unwrap();
+                        assert_eq!(ck.golden.profile, plain.golden.profile, "{cell}");
+                        assert_eq!(ck.golden.output, plain.golden.output, "{cell}");
+                        let counts = ck
+                            .golden
+                            .digests
+                            .map(|t| (t.count(Stage::Match), t.count(Stage::Summary)));
+                        assert_eq!(counts, forensic.then_some((64, 1)), "{cell}");
+                        if checkpointed {
+                            run_campaign_checkpointed(&Toy, &ck, &cfg)
+                        } else {
+                            run_campaign(&Toy, &ck.golden, &cfg)
+                        }
+                    };
+                    assert_eq!(fingerprint(&quiet), fingerprint(&recs), "{cell}");
+                    for r in &recs {
+                        let completed = matches!(r.outcome, Outcome::Masked | Outcome::Sdc);
+                        assert_eq!(r.forensics.is_some(), forensic && completed, "{cell}");
+                    }
+                    let exec = reg.merged().histogram(phase::EXEC).map_or(0, |h| h.count());
+                    assert_eq!(exec, if metered { 120 } else { 0 }, "{cell}");
+                    if !trace {
+                        assert!(sink.is_empty(), "{cell}");
+                        continue;
+                    }
+                    assert_eq!(sink.count("golden_profile"), 1, "{cell}");
+                    assert_eq!(sink.count("forensics_golden"), usize::from(forensic));
+                    assert!(sink.count("campaign_progress") >= 1, "{cell}");
+                    let events = sink.events();
+                    let named = |name: &'static str| events.iter().filter(move |e| e.name == name);
+                    let starts: Vec<_> = named("campaign_start").collect();
+                    // 64 iterations, a checkpoint every 9.
+                    let (checkpoints, every) = if checkpointed { (7, 9) } else { (0, 0) };
+                    assert_eq!(starts.len(), 1, "{cell}");
+                    assert_eq!(starts[0].u64("checkpoints"), Some(checkpoints), "{cell}");
+                    assert_eq!(starts[0].u64("ckpt_interval"), Some(every), "{cell}");
+                    let mut seen: Vec<(u64, &str)> = named("injection")
+                        .map(|e| (e.u64("index").unwrap(), e.str("outcome").unwrap()))
+                        .collect();
+                    seen.sort_unstable();
+                    let outcomes = quiet.iter().map(|r| r.outcome.name());
+                    let expected: Vec<(u64, &str)> = (0u64..).zip(outcomes).collect();
+                    assert_eq!(seen, expected, "{cell}");
+                    let done: Vec<_> = named("campaign_done").collect();
+                    assert_eq!(done.len(), 1, "{cell}");
+                    assert_eq!(done[0].u64("done"), Some(120), "{cell}");
+                    assert_eq!(done[0].f64("masked"), Some(rates.masked), "{cell}");
+                    let (lo, hi) = rates.wilson_interval(OutcomeClass::Masked);
+                    assert_eq!(done[0].f64("masked_lo"), Some(lo), "{cell}");
+                    assert_eq!(done[0].f64("masked_hi"), Some(hi), "{cell}");
+                    assert!(lo <= rates.masked && rates.masked <= hi);
                 }
             }
         }
@@ -1334,7 +1305,7 @@ mod tests {
             }
         }
         assert!(sdcs > 0, "campaign produced no SDCs to attribute");
-        let matrix = forensics::PropagationMatrix::from_records(&recs);
+        let matrix = crate::forensics::PropagationMatrix::from_records(&recs);
         assert_eq!(matrix.n(), recs.len());
     }
 
@@ -1397,30 +1368,6 @@ mod tests {
                 assert!(e.u64("depth").unwrap() >= 1);
             }
         }
-    }
-
-    /// Zero-perturbation for the metrics layer, mirroring the telemetry
-    /// and forensics invariants: an installed registry must leave
-    /// golden profiles, draws, fired faults and outcomes bit-identical.
-    #[test]
-    fn metrics_registry_does_not_perturb_campaigns() {
-        let ck = profile_golden_checkpointed(&Toy, CheckpointPolicy::EveryKFrames(9)).unwrap();
-        let cfg = CampaignConfig::new(RegClass::Gpr, 80)
-            .seed(41)
-            .threads(2)
-            .checkpoint_policy(CheckpointPolicy::EveryKFrames(9));
-        let quiet = run_campaign_checkpointed(&Toy, &ck, &cfg);
-        let reg = std::sync::Arc::new(metrics::MetricsRegistry::new());
-        let profiled = {
-            let _g = metrics::install(reg.clone());
-            run_campaign_checkpointed(&Toy, &ck, &cfg)
-        };
-        let a: Vec<_> = quiet.iter().map(|r| (r.spec, r.outcome, r.fired)).collect();
-        let b: Vec<_> = profiled
-            .iter()
-            .map(|r| (r.spec, r.outcome, r.fired))
-            .collect();
-        assert_eq!(a, b, "metrics must not change campaign results");
     }
 
     /// The phase histograms fully attribute the campaign: one `exec`
@@ -1490,6 +1437,7 @@ mod tests {
             keep_sdc: true,
             digests: None,
             workspaces: Mutex::default(),
+            observers: vs_telemetry::capture(),
         };
         // Flip a high bit of the single control tap: guaranteed huge bound.
         let recs = plan.drive(0..1, |_| FaultSpec::new(RegClass::Gpr, 0, 40), None);

@@ -4,7 +4,7 @@
 //! FastFlip's observation is that error-injection results compose
 //! per-section and survive code changes that leave a section's inputs
 //! and behaviour untouched. Our sections are the pipeline stages of
-//! [`crate::forensics::Stage`]; our injection unit is the
+//! [`vs_telemetry::digest::Stage`]; our injection unit is the
 //! `(function, op-class)` site group of [`crate::pruning`]. Each group's
 //! measured [`OutcomeCounts`] are stored in a JSONL cache keyed by
 //!
@@ -32,7 +32,6 @@
 //! campaign.
 
 use crate::campaign::{self, GoldenRun, Injection, Plan, Workload};
-use crate::forensics::{DigestTrace, Stage};
 use crate::func::{FuncId, OpClass};
 use crate::pruning::{self, SiteGroup};
 use crate::spec::FaultSpec;
@@ -41,6 +40,7 @@ use crate::{adaptive, mix64};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Mutex;
+use vs_telemetry::digest::{DigestTrace, Stage};
 
 /// Sampling parameters for the injected (cache-miss) groups of a
 /// composed campaign.
@@ -104,7 +104,7 @@ impl ComposeConfig {
 /// digest, the golden digest *and* fold count of every stage upstream
 /// of (and including) the group's stage, and the group identity.
 pub fn group_key(config_digest: u64, golden: &DigestTrace, group: &SiteGroup) -> u64 {
-    let stage = Stage::of_func(group.func);
+    let stage = group.func.stage();
     let mut k = mix64(config_digest ^ 0x5e1f_c0de_4b05u64);
     for s in &Stage::ALL[..=stage.index()] {
         k = mix64(k ^ golden.digest(*s));
@@ -401,6 +401,7 @@ pub fn run_composed_campaign<W: Workload>(
         keep_sdc: false,
         digests: None,
         workspaces: Mutex::new(vec![ws]),
+        observers: vs_telemetry::capture(),
     };
 
     let mut group_outcomes = Vec::with_capacity(groups.len());
@@ -520,9 +521,9 @@ fn inject_group<W: Workload>(
 mod tests {
     use super::*;
     use crate::campaign::{profile_golden_forensic, NoCheckpoint, Workload};
-    use crate::forensics;
     use crate::tap;
     use crate::SimError;
+    use vs_telemetry::digest::{self, Stage};
 
     /// A two-stage workload whose later stage can be "re-tuned" (as an
     /// approximation knob or kernel edit would) without touching the
@@ -549,7 +550,7 @@ mod tests {
                     tap::work(crate::OpClass::IntAlu, 1)?;
                     acc = acc.wrapping_add(tap::gpr(i * 7));
                 }
-                forensics::record(forensics::Stage::Match, acc);
+                digest::record(Stage::Match, acc);
             }
             let mut warped = 0u64;
             {
@@ -558,7 +559,7 @@ mod tests {
                     tap::work(crate::OpClass::IntAlu, 1)?;
                     warped = warped.wrapping_add(tap::gpr(acc ^ (i * self.warp_knob)));
                 }
-                forensics::record(forensics::Stage::Warp, warped);
+                digest::record(Stage::Warp, warped);
             }
             Ok(ws.insert((acc, warped)))
         }
@@ -670,22 +671,16 @@ mod tests {
         let golden2 = profile_golden_forensic(&tuned).unwrap();
         let d1 = golden.digests.as_ref().unwrap();
         let d2 = golden2.digests.as_ref().unwrap();
-        assert_eq!(
-            d1.digest(forensics::Stage::Match),
-            d2.digest(forensics::Stage::Match)
-        );
-        assert_ne!(
-            d1.digest(forensics::Stage::Warp),
-            d2.digest(forensics::Stage::Warp)
-        );
+        assert_eq!(d1.digest(Stage::Match), d2.digest(Stage::Match));
+        assert_ne!(d1.digest(Stage::Warp), d2.digest(Stage::Warp));
 
         let res = run_composed_campaign(&tuned, &golden2, &cfg, &mut cache);
         assert_eq!(res.groups.len(), 2);
         for g in &res.groups {
-            let stage = forensics::Stage::of_func(g.group.func);
+            let stage = g.group.func.stage();
             assert_eq!(
                 g.reused,
-                stage < forensics::Stage::Warp,
+                stage < Stage::Warp,
                 "group {:?}/{:?} at stage {:?}: reuse must follow the diff",
                 g.group.func,
                 g.group.op,

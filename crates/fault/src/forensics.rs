@@ -1,19 +1,19 @@
-//! Fault forensics: stage-level digest traces and divergence attribution.
+//! Fault forensics: divergence attribution of stage-level digest traces.
 //!
 //! A campaign outcome (Masked/SDC/Crash/Hang) says *what* a fault did to
 //! the final output but not *where* the corruption entered the pipeline
-//! or *where* it was absorbed. This module adds that layer:
+//! or *where* it was absorbed. This module adds that layer on top of the
+//! per-stage [`DigestTrace`] instrumented pipeline stages fold into the
+//! observation context (`vs_telemetry::digest`):
 //!
-//! * instrumented pipeline stages fold cheap splitmix64 digests of their
-//!   outputs into a thread-local [`DigestTrace`] (one rolling hash per
-//!   [`Stage`]), gated exactly like telemetry — when no recorder is
-//!   installed every record call is a no-op, so campaigns without
-//!   forensics are provably unperturbed;
 //! * the campaign driver records the golden trace once, has every
-//!   non-crash injected run carry its own trace, and attributes each
-//!   injection by comparing the two ([`Attribution`]): the
-//!   first-divergence stage, the stage where digests re-converge
-//!   (masking stage) and the propagation depth;
+//!   non-crash injected run of a forensic campaign carry its own trace,
+//!   and attributes each injection by comparing the two
+//!   ([`Attribution`]): the first-divergence stage, the stage where
+//!   digests re-converge (masking stage) and the propagation depth;
+//! * [`attributed_stage`] falls back to the fired fault's stage
+//!   ([`FuncId::stage`](crate::FuncId::stage)) when a run's trace never
+//!   diverged or never completed;
 //! * [`PropagationMatrix`] aggregates attributed records into the
 //!   stage×outcome table the `campaign_report` binary renders, reusing
 //!   [`OutcomeCounts`]/`OutcomeRates` so rates come with Wilson
@@ -21,225 +21,16 @@
 //!
 //! Digests live *outside* the simulated machine — recording never touches
 //! the tap stream, instruction counts or fault-draw arithmetic. The
-//! zero-perturbation proof (`tests/forensics_equivalence.rs` and the Toy
-//! campaigns in `campaign.rs`) checks record-list equality with forensics
-//! off and on, across thread counts and checkpoint policies.
+//! workspace observation-equivalence tests and the Toy campaign test in
+//! `campaign.rs` check record-list equality with forensics off and on,
+//! across thread counts and checkpoint policies.
 
 use crate::campaign::{Injection, Outcome};
-use crate::func::FuncId;
 use crate::spec::FiredFault;
 use crate::stats::OutcomeCounts;
-use std::cell::Cell;
-pub use vs_rng::{hash_bytes, hash_fold};
-
-/// Number of instrumented pipeline stages.
-pub const NUM_STAGES: usize = 8;
-
-/// One instrumented stage of the summarization pipeline, in dataflow
-/// order. Digest comparison walks this order, so "first divergence"
-/// means "earliest point in the dataflow where injected state differs
-/// from golden".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[repr(u8)]
-pub enum Stage {
-    /// Frame decode / grayscale conversion.
-    Decode = 0,
-    /// Image pyramid construction.
-    Pyramid = 1,
-    /// FAST-9 corner detection.
-    Fast = 2,
-    /// ORB orientation + descriptor extraction.
-    Orb = 3,
-    /// Brute-force descriptor matching.
-    Match = 4,
-    /// RANSAC/affine model estimation.
-    Ransac = 5,
-    /// Perspective warp and canvas compositing.
-    Warp = 6,
-    /// Summary assembly (panoramas, origins, run statistics).
-    Summary = 7,
-}
-
-impl Stage {
-    /// All stages, in dataflow order.
-    pub const ALL: [Stage; NUM_STAGES] = [
-        Stage::Decode,
-        Stage::Pyramid,
-        Stage::Fast,
-        Stage::Orb,
-        Stage::Match,
-        Stage::Ransac,
-        Stage::Warp,
-        Stage::Summary,
-    ];
-
-    /// Stable index of this stage in per-stage arrays.
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Short lowercase name used in reports and telemetry fields.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Decode => "decode",
-            Stage::Pyramid => "pyramid",
-            Stage::Fast => "fast",
-            Stage::Orb => "orb",
-            Stage::Match => "match",
-            Stage::Ransac => "ransac",
-            Stage::Warp => "warp",
-            Stage::Summary => "summary",
-        }
-    }
-
-    /// The stage a fired fault's function belongs to — the fallback
-    /// attribution for runs whose digest trace never diverged (the fault
-    /// was absorbed before any stage boundary) or never completed
-    /// (crash/hang).
-    pub fn of_func(func: FuncId) -> Stage {
-        match func {
-            FuncId::Decode => Stage::Decode,
-            FuncId::FastDetect => Stage::Fast,
-            FuncId::OrbOrientation | FuncId::OrbDescribe => Stage::Orb,
-            FuncId::MatchKeypoints => Stage::Match,
-            FuncId::RansacHomography | FuncId::EstimateAffine => Stage::Ransac,
-            FuncId::WarpPerspective | FuncId::RemapBilinear | FuncId::Blend => Stage::Warp,
-            // Application control flow, the quality checker and the
-            // event-summarization helpers all run at the summary level;
-            // Terrain only executes during input synthesis (never inside
-            // a campaign) and Other is the unattributed bucket.
-            FuncId::StitchControl
-            | FuncId::Quality
-            | FuncId::Terrain
-            | FuncId::DetectMotion
-            | FuncId::TrackObjects
-            | FuncId::Other => Stage::Summary,
-        }
-    }
-}
-
-impl std::fmt::Display for Stage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Per-stage rolling digests of one pipeline run.
-///
-/// Every record folds order-sensitively into its stage's slot
-/// (`digest = mix64(digest ^ value)`), and `counts` tracks how many
-/// records each stage folded — two traces are equal only if every stage
-/// saw the same values in the same order, the same number of times.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DigestTrace {
-    digests: [u64; NUM_STAGES],
-    counts: [u64; NUM_STAGES],
-}
-
-impl DigestTrace {
-    /// Fold one digest into a stage's rolling hash.
-    #[inline]
-    pub fn fold(&mut self, stage: Stage, digest: u64) {
-        let i = stage.index();
-        self.digests[i] = hash_fold(self.digests[i], digest);
-        self.counts[i] = self.counts[i].wrapping_add(1);
-    }
-
-    /// The rolling digest of one stage.
-    #[inline]
-    pub fn digest(&self, stage: Stage) -> u64 {
-        self.digests[stage.index()]
-    }
-
-    /// How many records one stage folded.
-    #[inline]
-    pub fn count(&self, stage: Stage) -> u64 {
-        self.counts[stage.index()]
-    }
-
-    /// Whether a stage's digest (or record count) differs from `golden`'s.
-    #[inline]
-    fn diverges_at(&self, golden: &DigestTrace, stage: Stage) -> bool {
-        let i = stage.index();
-        self.digests[i] != golden.digests[i] || self.counts[i] != golden.counts[i]
-    }
-}
-
-thread_local! {
-    /// The calling thread's active digest trace, if forensics is
-    /// recording. `Cell<Option<..>>` suffices: `DigestTrace` is `Copy`
-    /// and recording is a get-modify-set on one thread.
-    static TRACE: Cell<Option<DigestTrace>> = const { Cell::new(None) };
-}
-
-/// RAII guard for a recording scope; restores the previous recorder
-/// state (usually "off") on drop. Not `Send` — recording is per-thread,
-/// like telemetry sinks and fault sessions.
-pub struct RecorderGuard {
-    prev: Option<DigestTrace>,
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-impl Drop for RecorderGuard {
-    fn drop(&mut self) {
-        TRACE.with(|t| t.set(self.prev.take()));
-    }
-}
-
-/// Start recording on this thread with an empty trace.
-#[must_use = "recording stops when the guard drops"]
-pub fn begin_recording() -> RecorderGuard {
-    begin_recording_at(DigestTrace::default())
-}
-
-/// Start recording on this thread, seeded with `base` — the trace a
-/// golden-prefix checkpoint accumulated before its capture point, so a
-/// fast-forwarded run's fold over the replayed suffix lands on the same
-/// digests a from-scratch run would produce.
-#[must_use = "recording stops when the guard drops"]
-pub fn begin_recording_at(base: DigestTrace) -> RecorderGuard {
-    RecorderGuard {
-        prev: TRACE.with(|t| t.replace(Some(base))),
-        _not_send: std::marker::PhantomData,
-    }
-}
-
-/// Whether a recorder is installed on this thread. Instrumentation sites
-/// whose digest input needs assembling (serializing keypoints, model
-/// matrices) gate on this so disabled forensics costs one thread-local
-/// read.
-#[inline]
-pub fn enabled() -> bool {
-    TRACE.with(|t| t.get().is_some())
-}
-
-/// Fold one pre-computed digest into this thread's trace (no-op when
-/// recording is off).
-#[inline]
-pub fn record(stage: Stage, digest: u64) {
-    TRACE.with(|t| {
-        if let Some(mut trace) = t.get() {
-            trace.fold(stage, digest);
-            t.set(Some(trace));
-        }
-    });
-}
-
-/// Hash a byte slice and fold it into this thread's trace. The hash is
-/// only computed when recording is on.
-pub fn record_bytes(stage: Stage, bytes: &[u8]) {
-    if enabled() {
-        record(stage, hash_bytes(stage.index() as u64, bytes));
-    }
-}
-
-/// The trace recorded so far on this thread (empty when recording is
-/// off). Checkpoint capture uses this to snapshot the prefix trace.
-#[inline]
-pub fn current_trace() -> DigestTrace {
-    TRACE.with(|t| t.get().unwrap_or_default())
-}
+// The digest types attribution compares, defined next to the
+// observation context that records them.
+pub use vs_telemetry::digest::{DigestTrace, Stage, NUM_STAGES};
 
 /// Where an injected run's digest trace diverged from golden, and where
 /// it re-converged.
@@ -301,7 +92,7 @@ pub fn attributed_stage(
 ) -> Option<Stage> {
     forensics
         .and_then(|f| f.attribution.first_divergence)
-        .or_else(|| fired.map(|f| Stage::of_func(f.func)))
+        .or_else(|| fired.map(|f| f.func.stage()))
 }
 
 /// Stage×outcome propagation matrix: outcome tallies per attributed
@@ -360,79 +151,7 @@ impl PropagationMatrix {
 mod tests {
     use super::*;
     use crate::spec::{FaultSpec, RegClass};
-    use crate::OpClass;
-
-    #[test]
-    fn fold_is_order_sensitive_per_stage() {
-        let mut a = DigestTrace::default();
-        a.fold(Stage::Fast, 1);
-        a.fold(Stage::Fast, 2);
-        let mut b = DigestTrace::default();
-        b.fold(Stage::Fast, 2);
-        b.fold(Stage::Fast, 1);
-        assert_ne!(a, b);
-        assert_eq!(a.count(Stage::Fast), 2);
-        assert_eq!(a.digest(Stage::Warp), 0, "other stages untouched");
-    }
-
-    #[test]
-    fn recording_is_gated_and_scoped() {
-        assert!(!enabled());
-        record(Stage::Decode, 42); // must be a silent no-op
-        assert_eq!(current_trace(), DigestTrace::default());
-        {
-            let _g = begin_recording();
-            assert!(enabled());
-            record(Stage::Decode, 42);
-            record_bytes(Stage::Warp, b"canvas");
-            let t = current_trace();
-            assert_eq!(t.count(Stage::Decode), 1);
-            assert_eq!(t.count(Stage::Warp), 1);
-        }
-        assert!(!enabled(), "guard drop must stop recording");
-        assert_eq!(current_trace(), DigestTrace::default());
-    }
-
-    #[test]
-    fn seeded_recording_matches_full_fold() {
-        // A run recorded in one piece…
-        let full = {
-            let _g = begin_recording();
-            for v in [3u64, 5, 7] {
-                record(Stage::Match, v);
-            }
-            record(Stage::Summary, 11);
-            current_trace()
-        };
-        // …equals a prefix snapshot + seeded suffix replay.
-        let prefix = {
-            let _g = begin_recording();
-            record(Stage::Match, 3);
-            current_trace()
-        };
-        let resumed = {
-            let _g = begin_recording_at(prefix);
-            for v in [5u64, 7] {
-                record(Stage::Match, v);
-            }
-            record(Stage::Summary, 11);
-            current_trace()
-        };
-        assert_eq!(full, resumed);
-    }
-
-    #[test]
-    fn nested_guards_restore_outer_trace() {
-        let _outer = begin_recording();
-        record(Stage::Orb, 1);
-        let outer_trace = current_trace();
-        {
-            let _inner = begin_recording();
-            record(Stage::Orb, 999);
-            assert_ne!(current_trace(), outer_trace);
-        }
-        assert_eq!(current_trace(), outer_trace);
-    }
+    use crate::{FuncId, OpClass};
 
     #[test]
     fn attribution_finds_first_divergence_and_masking() {
@@ -471,18 +190,6 @@ mod tests {
         assert_eq!(a.depth, 1);
     }
 
-    #[test]
-    fn count_only_divergence_is_detected() {
-        // Same rolling digest values but a different record count must
-        // still count as divergence (guards against fold-count slips).
-        let mut golden = DigestTrace::default();
-        golden.fold(Stage::Ransac, 9);
-        let mut injected = golden;
-        injected.counts[Stage::Ransac.index()] += 1;
-        let a = Attribution::between(&golden, &injected);
-        assert_eq!(a.first_divergence, Some(Stage::Ransac));
-    }
-
     fn fired(func: FuncId) -> FiredFault {
         FiredFault {
             func,
@@ -517,16 +224,6 @@ mod tests {
             Some(Stage::Warp)
         );
         assert_eq!(attributed_stage(None, None), None);
-    }
-
-    #[test]
-    fn of_func_covers_every_func() {
-        // Exhaustiveness is enforced by the match; spot-check the
-        // dataflow mapping.
-        assert_eq!(Stage::of_func(FuncId::Decode), Stage::Decode);
-        assert_eq!(Stage::of_func(FuncId::OrbDescribe), Stage::Orb);
-        assert_eq!(Stage::of_func(FuncId::Blend), Stage::Warp);
-        assert_eq!(Stage::of_func(FuncId::StitchControl), Stage::Summary);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //!   the warp functions via a [`FuncMask`].
 
 use std::fmt;
+use vs_telemetry::digest::Stage;
 
 /// Identity of an instrumented pipeline function.
 ///
@@ -119,6 +120,31 @@ impl FuncId {
                 | FuncId::RemapBilinear
                 | FuncId::Blend
         )
+    }
+
+    /// The pipeline stage this function belongs to — the fallback
+    /// forensic attribution for runs whose digest trace never diverged
+    /// (the fault was absorbed before any stage boundary) or never
+    /// completed (crash/hang).
+    pub fn stage(self) -> Stage {
+        match self {
+            FuncId::Decode => Stage::Decode,
+            FuncId::FastDetect => Stage::Fast,
+            FuncId::OrbOrientation | FuncId::OrbDescribe => Stage::Orb,
+            FuncId::MatchKeypoints => Stage::Match,
+            FuncId::RansacHomography | FuncId::EstimateAffine => Stage::Ransac,
+            FuncId::WarpPerspective | FuncId::RemapBilinear | FuncId::Blend => Stage::Warp,
+            // Application control flow, the quality checker and the
+            // event-summarization helpers all run at the summary level;
+            // Terrain only executes during input synthesis (never inside
+            // a campaign) and Other is the unattributed bucket.
+            FuncId::StitchControl
+            | FuncId::Quality
+            | FuncId::Terrain
+            | FuncId::DetectMotion
+            | FuncId::TrackObjects
+            | FuncId::Other => Stage::Summary,
+        }
     }
 }
 
@@ -238,6 +264,16 @@ impl Default for FuncMask {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stages_follow_the_dataflow() {
+        // Exhaustiveness is enforced by the match; spot-check the
+        // dataflow mapping.
+        assert_eq!(FuncId::Decode.stage(), Stage::Decode);
+        assert_eq!(FuncId::OrbDescribe.stage(), Stage::Orb);
+        assert_eq!(FuncId::Blend.stage(), Stage::Warp);
+        assert_eq!(FuncId::StitchControl.stage(), Stage::Summary);
+    }
 
     #[test]
     fn func_indices_are_dense_and_unique() {

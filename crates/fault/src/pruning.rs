@@ -147,6 +147,7 @@ pub fn run_pruned_campaign<W: Workload>(
         keep_sdc: false,
         digests: None,
         workspaces: Mutex::new(vec![ws]),
+        observers: vs_telemetry::capture(),
     };
 
     let mut per_group = Vec::with_capacity(groups.len());

@@ -2,23 +2,25 @@
 //! rate snapshots with Wilson error bars, throughput and ETA.
 //!
 //! Campaign injections execute on plain worker threads that have **no
-//! thread-local telemetry sink of their own** — deliberately, so the
-//! millions of stage events an instrumented pipeline run could produce
-//! are never even generated inside injected runs. Instead a
-//! [`CampaignMonitor`] captures the *calling* thread's sink once, at
-//! campaign start, and routes the low-rate campaign events (one
+//! telemetry sink of their own** — deliberately, so the millions of
+//! stage events an instrumented pipeline run could produce are never
+//! even generated inside injected runs. Instead the campaign driver
+//! captures the *calling* thread's observation context once
+//! ([`vs_telemetry::capture`]) and hands its sink to a
+//! [`CampaignMonitor`], which routes the low-rate campaign events (one
 //! `injection` per run, a `campaign_progress` snapshot every few
-//! percent, one `campaign_done`) through that handle directly.
+//! percent, one `campaign_done`) through it directly.
 //!
 //! Zero-perturbation: nothing in this module touches the tap or
 //! instruction counters in [`crate::tap`]/[`crate::state`] — a record
 //! is taken only *after* an injection's session guard has been dropped
 //! and its outcome classified, so golden profiles, fault draws and
 //! classifications are bit-for-bit identical with telemetry on or off
-//! (proven by the equivalence tests in `campaign.rs` and the workspace
-//! `telemetry_equivalence` suite).
+//! (proven by the observation test in `campaign.rs` and the workspace
+//! observation-equivalence tests).
 
 use crate::campaign::{CampaignConfig, Injection, Outcome};
+use crate::forensics::{attributed_stage, Stage};
 use crate::spec::RegClass;
 use crate::stats::{OutcomeClass, OutcomeCounts, OutcomeRates};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,15 +37,15 @@ fn class_name(class: RegClass) -> &'static str {
 }
 
 /// Observer attached to one campaign run. Created on the campaign's
-/// calling thread (where it captures the installed sink, if any) and
+/// calling thread with the sink the driver captured there, if any, and
 /// shared by reference with the worker threads, which call [`record`]
 /// once per classified injection.
 ///
-/// When no sink is installed on the calling thread the monitor is
-/// entirely inert: `record` is a single branch, with no locking. With a
-/// sink installed the per-record path is lock-free — per-outcome atomic
-/// counters plus a completion counter, the last cross-thread lock that
-/// used to sit on the campaign hot path.
+/// When no sink was captured the monitor is entirely inert: `record` is
+/// a single branch, with no locking. With a sink installed the
+/// per-record path is lock-free — per-outcome atomic counters plus a
+/// completion counter, the last cross-thread lock that used to sit on
+/// the campaign hot path.
 ///
 /// [`record`]: CampaignMonitor::record
 pub(crate) struct CampaignMonitor {
@@ -103,7 +105,8 @@ impl AtomicOutcomeCounts {
 }
 
 impl CampaignMonitor {
-    /// Capture the calling thread's sink and announce the campaign.
+    /// Announce the campaign to `sink`, the calling thread's captured
+    /// sink.
     ///
     /// `sites` is the eligible-tap population faults are drawn from;
     /// `checkpoints` the number of resumable checkpoints available (0
@@ -114,8 +117,9 @@ impl CampaignMonitor {
         sites: u64,
         checkpoints: usize,
         forensic: bool,
+        sink: Option<&Arc<dyn Sink>>,
     ) -> Self {
-        let sink = vs_telemetry::current();
+        let sink = sink.cloned();
         let total = cfg.injections();
         if let Some(s) = &sink {
             let ckpt_interval = cfg.checkpointing().interval().unwrap_or(0) as u64;
@@ -164,14 +168,13 @@ impl CampaignMonitor {
             ("fired_func", Value::Str(fired_func)),
         ];
         if self.forensic {
-            let attr = crate::forensics::attributed_stage(rec.forensics.as_ref(), rec.fired);
+            let attr = attributed_stage(rec.forensics.as_ref(), rec.fired);
             fields.push((
                 "attr_stage",
                 Value::Str(attr.map_or("unknown", |s| s.name())),
             ));
             if let Some(f) = &rec.forensics {
-                let stage_name =
-                    |s: Option<crate::forensics::Stage>| Value::Str(s.map_or("none", |s| s.name()));
+                let stage_name = |s: Option<Stage>| Value::Str(s.map_or("none", |s| s.name()));
                 fields.push(("div_stage", stage_name(f.attribution.first_divergence)));
                 fields.push(("mask_stage", stage_name(f.attribution.masked_at)));
                 fields.push(("depth", Value::U64(u64::from(f.attribution.depth))));

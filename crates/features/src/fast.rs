@@ -255,7 +255,7 @@ pub fn detect(img: &GrayImage, config: &FastConfig) -> Result<Vec<KeyPoint>, Sim
 /// walk returns exactly what the clamped per-coordinate reads did.
 ///
 /// The segment test runs as a SWAR mask computation
-/// ([`swar_segment_test`]) whenever the tapped centre register holds an
+/// (`swar_segment_test`) whenever the tapped centre register holds an
 /// in-range u8 value; a fault-widened centre falls back to the original
 /// saturating-i64 classify loop so corrupted-run outcomes are untouched.
 /// The SWAR path sits strictly between the same taps as the scalar loop

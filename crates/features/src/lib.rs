@@ -41,9 +41,9 @@ mod simd;
 pub use brief::Descriptor;
 pub use keypoint::KeyPoint;
 
-use vs_fault::forensics::{self, Stage};
 use vs_fault::SimError;
 use vs_image::{gaussian_blur_5x5_into, GrayImage};
+use vs_telemetry::digest::{self, Stage};
 
 /// A keypoint together with its descriptor.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,7 +159,7 @@ impl Orb {
         // One digest per *built* pyramid level (level 0 is the caller's
         // image, already covered by the decode-stage digest).
         for level in &scratch.levels[..n_levels - 1] {
-            forensics::record_bytes(Stage::Pyramid, level.as_bytes());
+            digest::record_bytes(Stage::Pyramid, level.as_bytes());
         }
 
         let per_level = self.config.max_features / n_levels;
@@ -192,14 +192,14 @@ impl Orb {
                 fast_ns += t0.elapsed().as_nanos() as u64;
             }
             fast_prereject += scratch.fast.prereject();
-            if forensics::enabled() {
+            if digest::enabled() {
                 let mut h = 0u64;
                 for kp in &scratch.kps {
-                    h = forensics::hash_fold(h, kp.x.to_bits());
-                    h = forensics::hash_fold(h, kp.y.to_bits());
-                    h = forensics::hash_fold(h, kp.response.to_bits());
+                    h = digest::hash_fold(h, kp.x.to_bits());
+                    h = digest::hash_fold(h, kp.y.to_bits());
+                    h = digest::hash_fold(h, kp.response.to_bits());
                 }
-                forensics::record(Stage::Fast, h);
+                digest::record(Stage::Fast, h);
             }
             orientation::assign_orientations_mut(level_img, &mut scratch.kps)?;
             let t1 = timing.then(std::time::Instant::now);
@@ -208,15 +208,15 @@ impl Orb {
                 blur_ns += t1.elapsed().as_nanos() as u64;
             }
             brief::describe_into(&scratch.smoothed, &scratch.kps, &mut scratch.descs)?;
-            if forensics::enabled() {
+            if digest::enabled() {
                 let mut h = 0u64;
                 for (kp, desc) in scratch.kps.iter().zip(&scratch.descs) {
-                    h = forensics::hash_fold(h, kp.angle.to_bits());
+                    h = digest::hash_fold(h, kp.angle.to_bits());
                     for w in desc.0 {
-                        h = forensics::hash_fold(h, w);
+                        h = digest::hash_fold(h, w);
                     }
                 }
-                forensics::record(Stage::Orb, h);
+                digest::record(Stage::Orb, h);
             }
             let scale = (1u64 << level) as f64;
             for (kp, desc) in scratch.kps.iter().zip(&scratch.descs) {

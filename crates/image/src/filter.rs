@@ -208,7 +208,8 @@ pub fn gaussian_blur_5x5_into(img: &GrayImage, tmp: &mut GrayImage, out: &mut Gr
     gaussian_blur_5x5_into_level(img, tmp, out, crate::dispatch::level())
 }
 
-/// [`gaussian_blur_5x5_into`] at an explicit [`SimdLevel`]. All levels
+/// [`gaussian_blur_5x5_into`] at an explicit
+/// [`SimdLevel`](crate::SimdLevel). All levels
 /// produce bit-identical `tmp` and `out` planes.
 pub fn gaussian_blur_5x5_into_level(
     img: &GrayImage,

@@ -22,7 +22,7 @@ pub fn downsample_half(img: &GrayImage) -> GrayImage {
 /// `saturate_u8(S as f64 / 4.0)` (exact division, round half away from
 /// zero, max 255) is exactly `(S + 2) >> 2` — proven exhaustively over
 /// every reachable sum in the tests and kept honest by the float oracle
-/// [`downsample_half_into_scalar`]. Returns whether the destination
+/// `downsample_half_into_scalar`. Returns whether the destination
 /// buffer grew.
 ///
 /// Dispatches to the widest proven-bit-exact implementation for the
@@ -32,7 +32,8 @@ pub fn downsample_half_into(img: &GrayImage, out: &mut GrayImage) -> bool {
     downsample_half_into_level(img, out, crate::dispatch::level())
 }
 
-/// [`downsample_half_into`] at an explicit [`SimdLevel`]. All levels
+/// [`downsample_half_into`] at an explicit
+/// [`SimdLevel`](crate::SimdLevel). All levels
 /// produce bit-identical output.
 pub fn downsample_half_into_level(
     img: &GrayImage,

@@ -50,8 +50,8 @@ pub fn mix64(mut x: u64) -> u64 {
 /// Sequential splitmix64 generator.
 ///
 /// Each call to [`SplitMix64::next_u64`] advances a Weyl sequence by
-/// [`GOLDEN_GAMMA`] and finalizes it with [`mix64`], so the stream from
-/// seed `s` is `mix64(s), mix64(s + γ), mix64(s + 2γ), …`.
+/// the golden-ratio increment γ and finalizes it with [`mix64`], so the
+/// stream from seed `s` is `mix64(s), mix64(s + γ), mix64(s + 2γ), …`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
@@ -99,38 +99,6 @@ impl SplitMix64 {
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
-}
-
-/// Fold one 64-bit value into a running splitmix64 hash.
-///
-/// The fold is order-sensitive (`hash_fold(hash_fold(h, a), b)` differs
-/// from `hash_fold(hash_fold(h, b), a)` except on collisions), which is
-/// what a state digest needs: the same values recorded in a different
-/// order must produce a different digest.
-#[inline]
-pub fn hash_fold(h: u64, v: u64) -> u64 {
-    mix64(h ^ v)
-}
-
-/// Hash a byte slice into a 64-bit digest seeded at `seed`.
-///
-/// Folds 8-byte little-endian chunks through [`hash_fold`], then the
-/// zero-padded tail, then the length (so `[0]` and `[0, 0]` differ and
-/// a trailing zero byte is never silently absorbed).
-#[must_use]
-pub fn hash_bytes(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        h = hash_fold(h, u64::from_le_bytes(c.try_into().unwrap()));
-    }
-    let tail = chunks.remainder();
-    if !tail.is_empty() {
-        let mut buf = [0u8; 8];
-        buf[..tail.len()].copy_from_slice(tail);
-        h = hash_fold(h, u64::from_le_bytes(buf));
-    }
-    hash_fold(h, bytes.len() as u64)
 }
 
 /// A range that [`SplitMix64::gen_range`] can sample from.
@@ -244,24 +212,6 @@ mod tests {
     fn empty_range_panics() {
         let mut r = SplitMix64::new(0);
         let _: u32 = r.gen_range(5..5);
-    }
-
-    #[test]
-    fn hash_fold_is_order_sensitive() {
-        let a = hash_fold(hash_fold(0, 1), 2);
-        let b = hash_fold(hash_fold(0, 2), 1);
-        assert_ne!(a, b);
-        assert_eq!(a, hash_fold(hash_fold(0, 1), 2));
-    }
-
-    #[test]
-    fn hash_bytes_separates_length_and_padding() {
-        assert_eq!(hash_bytes(7, b"abc"), hash_bytes(7, b"abc"));
-        assert_ne!(hash_bytes(7, b"abc"), hash_bytes(8, b"abc"));
-        assert_ne!(hash_bytes(0, &[0]), hash_bytes(0, &[0, 0]));
-        assert_ne!(hash_bytes(0, &[]), hash_bytes(0, &[0]));
-        // Chunk boundary: 8 and 9 bytes exercise the exact and tail paths.
-        assert_ne!(hash_bytes(0, &[1; 8]), hash_bytes(0, &[1; 9]));
     }
 
     #[test]

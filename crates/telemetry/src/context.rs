@@ -1,0 +1,335 @@
+//! The one per-thread observation context, its guard and the handle
+//! campaign drivers arm their workers from.
+//!
+//! Everything a thread can have installed to watch a run lives in one
+//! thread-local: the trace sink and its span state ([`crate::scope`]),
+//! the installed [`MetricsRegistry`] and a worker's armed
+//! [`WorkerMetrics`] ([`crate::metrics`]), and the forensic digest trace
+//! ([`crate::digest`]). With nothing installed — the default on every
+//! thread, campaign workers included — each check an instrumented site
+//! makes is one thread-local read and a branch, and a run without
+//! metrics never reads the clock.
+//!
+//! Every entry point that installs something — [`crate::install`],
+//! [`crate::metrics::install`], [`Handle::arm`],
+//! [`crate::digest::record_from`] — returns a [`Guard`] that restores, on
+//! drop, only the part of the context it replaced, so scopes of
+//! different capabilities nest in any order. Campaign drivers
+//! [`capture`] the calling thread's context once and arm every worker
+//! from that one [`Handle`]; workers never get a sink of their own,
+//! which would flood the trace with the stage events of every injected
+//! run.
+
+use crate::digest::DigestTrace;
+use crate::metrics::{MetricsRegistry, WorkerMetrics};
+use crate::scope::SpanState;
+use crate::sink::Sink;
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
+use std::sync::Arc;
+
+/// Everything installed on one thread. Each part has its own cell, so a
+/// sink's `event` call and a metrics sample never contend for a borrow.
+pub(crate) struct Context {
+    /// The trace sink, if any.
+    pub(crate) sink: RefCell<Option<Arc<dyn Sink>>>,
+    /// The span-id space of the installed sink's trace.
+    pub(crate) spans: RefCell<SpanState>,
+    /// Open spans on this thread, traced or not.
+    pub(crate) depth: Cell<u32>,
+    /// Trace thread id, `u32::MAX` until first use.
+    pub(crate) tid: Cell<u32>,
+    /// The registry campaign drivers arm their workers from.
+    pub(crate) registry: RefCell<Option<Arc<MetricsRegistry>>>,
+    /// A campaign worker's phase metrics, while armed.
+    pub(crate) armed: RefCell<Option<WorkerMetrics>>,
+    /// The forensic digest trace, while recording.
+    pub(crate) digests: RefCell<Option<DigestTrace>>,
+}
+
+thread_local! {
+    static CONTEXT: Context = const {
+        Context {
+            sink: RefCell::new(None),
+            spans: RefCell::new(SpanState::new()),
+            depth: Cell::new(0),
+            tid: Cell::new(u32::MAX),
+            registry: RefCell::new(None),
+            armed: RefCell::new(None),
+            digests: RefCell::new(None),
+        }
+    };
+}
+
+/// Run `f` on this thread's context.
+#[inline]
+pub(crate) fn with<R>(f: impl FnOnce(&Context) -> R) -> R {
+    CONTEXT.with(f)
+}
+
+/// The one part of a context a [`Guard`] replaced, holding the value to
+/// put back.
+#[derive(Debug)]
+pub(crate) enum Saved {
+    /// The sink and its span-id space (boxed: the span stack is far
+    /// larger than every other part).
+    Sink(Option<Arc<dyn Sink>>, Box<SpanState>),
+    Registry(Option<Arc<MetricsRegistry>>),
+    /// The previous arming, and the registry and worker id the armed
+    /// metrics are deposited under.
+    Armed(Option<WorkerMetrics>, Arc<MetricsRegistry>, usize),
+    Digests(Option<DigestTrace>),
+    /// Nothing was replaced.
+    Nothing,
+}
+
+/// The one guard of the observation context: restores, when dropped,
+/// exactly the part of this thread's context its constructor replaced.
+/// Dropping a sink's guard flushes that sink; dropping an armed
+/// worker's guard deposits its metrics into the registry it was armed
+/// from.
+#[must_use = "the context is restored when the guard drops"]
+#[derive(Debug)]
+pub struct Guard {
+    saved: Saved,
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Guard {
+    pub(crate) fn restoring(saved: Saved) -> Guard {
+        Guard {
+            saved,
+            _not_send: PhantomData,
+        }
+    }
+}
+
+impl Drop for Guard {
+    fn drop(&mut self) {
+        let saved = std::mem::replace(&mut self.saved, Saved::Nothing);
+        with(|cx| match saved {
+            Saved::Sink(sink, spans) => {
+                let mut slot = cx.sink.borrow_mut();
+                if let Some(current) = slot.as_ref() {
+                    current.flush();
+                }
+                *slot = sink;
+                *cx.spans.borrow_mut() = *spans;
+            }
+            Saved::Registry(registry) => *cx.registry.borrow_mut() = registry,
+            Saved::Armed(prev, registry, worker) => {
+                if let Some(metrics) = cx.armed.replace(prev) {
+                    registry.absorb(worker, metrics);
+                }
+            }
+            Saved::Digests(digests) => *cx.digests.borrow_mut() = digests,
+            Saved::Nothing => {}
+        });
+    }
+}
+
+/// The calling thread's sink and metrics registry, captured once by a
+/// campaign driver and shared with its workers.
+#[derive(Debug, Clone, Default)]
+pub struct Handle {
+    /// The captured sink: campaign-level events from any thread go here
+    /// directly, never through a worker's own (absent) sink.
+    pub sink: Option<Arc<dyn Sink>>,
+    /// The captured metrics registry.
+    pub registry: Option<Arc<MetricsRegistry>>,
+}
+
+/// Capture what this thread has installed for its workers to report to.
+pub fn capture() -> Handle {
+    with(|cx| Handle {
+        sink: cx.sink.borrow().clone(),
+        registry: cx.registry.borrow().clone(),
+    })
+}
+
+impl Handle {
+    /// Arm this thread's phase metrics as campaign worker `worker`, if a
+    /// registry was captured: until the guard drops, samples collect
+    /// into a private [`WorkerMetrics`], lock-free; the drop deposits
+    /// them into the registry under `worker`. Without a registry the
+    /// guard restores nothing and every metrics call stays a no-op.
+    pub fn arm(&self, worker: usize) -> Guard {
+        Guard::restoring(match &self.registry {
+            Some(registry) => {
+                let prev = with(|cx| cx.armed.replace(Some(WorkerMetrics::default())));
+                Saved::Armed(prev, Arc::clone(registry), worker)
+            }
+            None => Saved::Nothing,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::digest::{self, hash_fold, Stage};
+    use crate::{emit, install, metrics, MemorySink};
+
+    /// The capabilities a scope can open, one guard each.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Cap {
+        Trace,
+        Registry,
+        Metrics,
+        Digests,
+    }
+
+    const CAPS: [Cap; 4] = [Cap::Trace, Cap::Registry, Cap::Metrics, Cap::Digests];
+
+    /// What one open scope installed, for probing it after the guard
+    /// is gone too.
+    #[derive(Debug)]
+    struct Probe {
+        cap: Cap,
+        tag: u64,
+        sink: Arc<MemorySink>,
+        registry: Arc<MetricsRegistry>,
+    }
+
+    /// Open a scope of `cap`, marked with `tag`, and act once in it.
+    fn open(cap: Cap, tag: u64) -> (Guard, Probe) {
+        let sink = Arc::new(MemorySink::new());
+        let registry = Arc::new(MetricsRegistry::new());
+        let guard = match cap {
+            Cap::Trace => install(sink.clone()),
+            Cap::Registry => metrics::install(registry.clone()),
+            Cap::Metrics => {
+                let registry = Some(registry.clone());
+                let g = Handle {
+                    sink: None,
+                    registry,
+                }
+                .arm(tag as usize);
+                metrics::add("tag", tag);
+                g
+            }
+            Cap::Digests => {
+                let g = digest::record_from(DigestTrace::default());
+                digest::record(Stage::Match, tag);
+                digest::record_bytes(Stage::Warp, b"canvas");
+                g
+            }
+        };
+        (
+            guard,
+            Probe {
+                cap,
+                tag,
+                sink,
+                registry,
+            },
+        )
+    }
+
+    /// The scope `p` opened is the one in effect for its capability.
+    fn assert_in_effect(p: &Probe) {
+        let cx = capture();
+        match p.cap {
+            Cap::Trace => {
+                let before = p.sink.count("probe");
+                emit("probe", &[("tag", p.tag.into())]);
+                assert_eq!(p.sink.count("probe"), before + 1, "{p:?} lost its sink");
+                assert!(cx.sink.is_some());
+            }
+            Cap::Registry => {
+                let seen = cx.registry.expect("registry installed");
+                assert!(Arc::ptr_eq(&seen, &p.registry), "{p:?} lost its registry");
+            }
+            Cap::Metrics => {
+                let tag = with(|cx| cx.armed.borrow().as_ref().map(|m| m.counter("tag")));
+                assert_eq!(tag, Some(p.tag), "{p:?} lost its armed metrics");
+                assert!(metrics::start().is_some());
+            }
+            Cap::Digests => {
+                let t = digest::trace();
+                assert_eq!(t.digest(Stage::Match), hash_fold(0, p.tag), "{p:?}");
+                assert_eq!((t.count(Stage::Match), t.count(Stage::Warp)), (1, 1));
+                assert!(digest::enabled());
+            }
+        }
+    }
+
+    /// Nothing is installed: every gate is one failed check, and every
+    /// recording call is a no-op.
+    fn assert_all_off() {
+        assert!(!crate::enabled());
+        emit("dropped", &[]);
+        assert_eq!(metrics::start(), None, "a disarmed thread reads no clock");
+        metrics::add("never", 1);
+        metrics::record_ns("never", 1);
+        assert!(with(|cx| cx.armed.borrow().is_none()));
+        assert!(!digest::enabled());
+        digest::record(Stage::Decode, 42);
+        digest::record_bytes(Stage::Warp, b"canvas");
+        assert_eq!(digest::trace(), DigestTrace::default());
+        let cx = capture();
+        assert!(cx.sink.is_none() && cx.registry.is_none());
+    }
+
+    /// Every capability's scope opened and closed inside every other's
+    /// (its own included) leaves the outer scope in effect, and closing
+    /// both leaves nothing installed. Each sink holds exactly the probe
+    /// events emitted while it was the installed sink, and nothing else;
+    /// an armed worker deposits exactly what it collected, under its
+    /// worker id, when its guard drops; installed observers stay on the
+    /// installing thread.
+    #[test]
+    fn scopes_nest_and_restore_only_what_they_replaced() {
+        for outer in CAPS {
+            for inner in CAPS {
+                assert_all_off();
+                let (outer_guard, o) = open(outer, 1);
+                assert_in_effect(&o);
+                let (inner_guard, i) = open(inner, 2);
+                assert_in_effect(&i);
+                if inner != outer {
+                    assert_in_effect(&o);
+                }
+                let other = std::thread::scope(|s| s.spawn(capture).join().unwrap());
+                assert!(other.sink.is_none() && other.registry.is_none());
+                drop(inner_guard);
+                assert_in_effect(&o);
+                drop(outer_guard);
+                assert_all_off();
+                // The outer scope was probed once before, during (unless
+                // shadowed by its own kind) and after the inner one.
+                let outer_probes = if inner == outer { 2 } else { 3 };
+                for (p, probes) in [(&o, outer_probes), (&i, 1)] {
+                    let events = if p.cap == Cap::Trace { probes } else { 0 };
+                    assert_eq!(p.sink.len(), events, "{outer:?}/{inner:?}");
+                    let deposits = p.registry.per_worker();
+                    if p.cap == Cap::Metrics {
+                        assert_eq!(deposits.len(), 1, "{p:?}");
+                        assert_eq!(deposits[0].0, p.tag as usize);
+                        assert_eq!(deposits[0].1.counter("tag"), p.tag, "{p:?}");
+                    } else {
+                        assert!(deposits.is_empty(), "{p:?}");
+                    }
+                }
+            }
+        }
+        // A trace seeded with a prefix snapshot folds the suffix to the
+        // trace of the whole run.
+        let prefix = {
+            let _g = digest::record_from(DigestTrace::default());
+            digest::record(Stage::Match, 3);
+            digest::trace()
+        };
+        let resumed = {
+            let _g = digest::record_from(prefix);
+            digest::record(Stage::Match, 5);
+            digest::record(Stage::Summary, 11);
+            digest::trace()
+        };
+        let mut full = DigestTrace::default();
+        for (stage, v) in [(Stage::Match, 3), (Stage::Match, 5), (Stage::Summary, 11)] {
+            full.fold(stage, v);
+        }
+        assert_eq!(resumed, full);
+    }
+}

@@ -1,6 +1,7 @@
 //! Zero-perturbation observability for the video-summarization
-//! resiliency study: structured spans, per-stage counters and live
-//! fault-campaign telemetry.
+//! resiliency study: structured spans, per-stage counters, campaign
+//! phase metrics, forensic stage digests and live fault-campaign
+//! telemetry.
 //!
 //! # The zero-perturbation invariant
 //!
@@ -10,21 +11,35 @@
 //! stream would silently change which faults are drawn and how they are
 //! classified, invalidating every campaign. This crate therefore has
 //! **no dependency on the fault layer** (or anything else): emitting an
-//! event never executes a tap, and installing or removing a sink leaves
-//! golden profiles, fault draws and classifications bit-for-bit
-//! identical. The equivalence tests in `vs-fault` and the workspace
-//! `tests/telemetry_equivalence.rs` prove this at the Toy-workload and
-//! `VsWorkload` layers.
+//! event, timing a phase or folding a digest never executes a tap, and
+//! installing or removing any observer leaves golden profiles, fault
+//! draws and classifications bit-for-bit identical. The workspace
+//! observation-equivalence cells (`tests/observation/mod.rs`) and the
+//! Toy campaign test in `vs-fault` prove this for every observer alone
+//! and for all of them together.
 //!
 //! # Architecture
 //!
+//! * [`context`] — the one per-thread observation context: one
+//!   thread-local holding the sink and span state, the metrics
+//!   registry and a worker's armed metrics, and the digest trace; the
+//!   [`Guard`] that restores only what it replaced; and the [`Handle`]
+//!   campaign drivers [`capture`] once and arm their workers from.
+//! * [`scope`] — sink installation ([`install`]) and the near-free
+//!   [`emit`] / [`span`] entry points instrumented code calls.
+//! * [`metrics`] — per-worker counters and log2-bucketed latency
+//!   histograms for phase/contention attribution: lock-free on the hot
+//!   path (a worker's armed metrics live in its context; one registry
+//!   deposit per worker), with `metrics_phase`/`metrics_counter`
+//!   snapshot events through the sink machinery.
+//! * [`digest`] — the forensic pipeline [`digest::Stage`]s, the
+//!   per-stage [`digest::DigestTrace`] instrumented stages fold into
+//!   while a trace is recording, and the splitmix64 fold itself.
 //! * [`event`] — the borrowed [`Event`]/[`Value`] emission model and its
 //!   owned mirror for retention and trace parsing.
-//! * [`sink`] — the pluggable [`Sink`] trait with [`NullSink`],
-//!   [`MemorySink`], [`JsonlSink`] (one JSON object per line),
-//!   [`TextSink`] (human-readable progress) and [`FanoutSink`].
-//! * [`scope`] — per-thread sink installation ([`install`]) and the
-//!   near-free [`emit`] / [`span`] entry points instrumented code calls.
+//! * [`sink`] — the pluggable [`Sink`] trait with [`MemorySink`],
+//!   [`JsonlSink`] (one JSON object per line), [`TextSink`]
+//!   (human-readable progress) and [`FanoutSink`].
 //! * [`jsonl`] — the dependency-free JSON reader: whole documents into a
 //!   value tree (the bench `BENCH_*.json` artifacts), and traces written
 //!   by [`JsonlSink`] as their flat-event schema (used by the
@@ -36,11 +51,6 @@
 //! * [`ledger`] — the append-only `run_manifest` JSONL store under
 //!   `out/ledger/` that bench binaries append a per-invocation manifest
 //!   to, feeding the `obs_report` regression sentinel.
-//! * [`metrics`] — per-worker counters and log2-bucketed latency
-//!   histograms for phase/contention attribution: lock-free on the hot
-//!   path (thread-local arming, one registry deposit per worker), with
-//!   `metrics_phase`/`metrics_counter` snapshot events through the sink
-//!   machinery.
 //!
 //! # Example
 //!
@@ -57,6 +67,8 @@
 //! assert_eq!(sink.events()[0].u64("features"), Some(117));
 //! ```
 
+pub mod context;
+pub mod digest;
 pub mod event;
 pub mod export;
 pub mod jsonl;
@@ -65,12 +77,10 @@ pub mod metrics;
 pub mod scope;
 pub mod sink;
 
+pub use context::{capture, Guard, Handle};
 pub use event::{owned_to_jsonl, to_jsonl, Event, OwnedEvent, OwnedValue, Value};
-pub use scope::{
-    current, emit, enabled, install, set_trace_seed, span, span_with, trace_seed, trace_tid,
-    SinkGuard, Span,
-};
-pub use sink::{FanoutSink, JsonlSink, MemorySink, NullSink, Sink, TextSink, DETAIL_EVENTS};
+pub use scope::{emit, enabled, install, set_trace_seed, span, span_with, Span};
+pub use sink::{FanoutSink, JsonlSink, MemorySink, Sink, TextSink};
 
 #[cfg(test)]
 mod tests {

@@ -15,24 +15,22 @@
 //! once, when its stripe ends. The registry's single mutex is therefore
 //! touched `O(workers)` times per campaign, never per run.
 //!
-//! Gating follows the same discipline as event telemetry
-//! ([`crate::scope`]) and the fault layer's forensics recorder:
+//! The gating lives in the observation context ([`crate::context`]):
 //!
-//! * [`install`] puts an [`MetricsRegistry`] handle in the *calling*
-//!   thread's slot (RAII guard restores the previous handle on drop);
-//!   campaign drivers pick it up with [`registry`] and arm their
-//!   workers.
-//! * [`arm`] switches on a worker thread's local collection (RAII guard
-//!   again); [`enabled`] is a thread-local flag read, and every
-//!   recording entry point — [`add`], [`record_ns`], [`start`]/[`stop`]
-//!   — is a no-op branch when disarmed. In particular [`start`] returns
-//!   `None` without reading the clock, so a metrics-off campaign
-//!   executes zero timer syscalls.
+//! * [`install`] puts a [`MetricsRegistry`] in the *calling* thread's
+//!   context; campaign drivers capture it ([`crate::capture`]) and arm
+//!   each worker from the captured handle ([`crate::Handle::arm`]),
+//!   whose guard deposits the worker's metrics into the registry when
+//!   it drops.
+//! * Every recording entry point — [`add`], [`record_ns`],
+//!   [`start`]/[`stop`] — is one thread-local read and a branch when
+//!   the thread is not armed. In particular [`start`] returns `None`
+//!   without reading the clock, so a metrics-off campaign executes zero
+//!   timer syscalls.
 //!
 //! Nothing in this module touches the tap stream: arming metrics leaves
 //! golden profiles, fault draws and outcome classifications bit-for-bit
-//! identical (proven by the workspace `metrics_equivalence` tests, the
-//! same way `telemetry_equivalence` pins the event layer).
+//! identical (proven by the workspace observation-equivalence tests).
 //!
 //! # Histograms
 //!
@@ -45,8 +43,8 @@
 //! max. Buckets are plain `u64`s, so merging across workers is
 //! elementwise addition (associative and commutative).
 
+use crate::context::{self, Guard, Saved};
 use crate::Value;
-use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -304,120 +302,42 @@ impl MetricsRegistry {
     }
 }
 
-thread_local! {
-    /// The registry handle campaign drivers arm their workers from
-    /// (installed on the *calling* thread, like the telemetry sink).
-    static REGISTRY: RefCell<Option<Arc<MetricsRegistry>>> = const { RefCell::new(None) };
-    /// This thread's armed collection buffers, if any.
-    static ACTIVE: RefCell<Option<WorkerMetrics>> = const { RefCell::new(None) };
+/// Install a metrics registry on the current thread until the guard
+/// drops. Campaign drivers called on this thread capture it
+/// ([`crate::capture`]) and arm their workers from it; with no registry
+/// installed, campaigns run with metrics fully off.
+pub fn install(reg: Arc<MetricsRegistry>) -> Guard {
+    Guard::restoring(Saved::Registry(context::with(|cx| {
+        cx.registry.replace(Some(reg))
+    })))
 }
 
-/// RAII guard of [`install`]: restores the previously installed
-/// registry handle (usually none) when dropped.
-#[must_use = "dropping the guard immediately uninstalls the registry"]
-pub struct RegistryGuard {
-    prev: Option<Arc<MetricsRegistry>>,
-    /// Keep the guard thread-bound, mirroring [`crate::SinkGuard`].
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-/// Install a metrics registry on the current thread. Campaign drivers
-/// called on this thread pick it up via [`registry`] and arm their
-/// workers; with no registry installed, campaigns run with metrics
-/// fully off.
-pub fn install(reg: Arc<MetricsRegistry>) -> RegistryGuard {
-    let prev = REGISTRY.with(|r| r.replace(Some(reg)));
-    RegistryGuard {
-        prev,
-        _not_send: std::marker::PhantomData,
-    }
-}
-
-impl Drop for RegistryGuard {
-    fn drop(&mut self) {
-        REGISTRY.with(|r| {
-            *r.borrow_mut() = self.prev.take();
-        });
-    }
-}
-
-/// The registry installed on the current thread, if any.
-pub fn registry() -> Option<Arc<MetricsRegistry>> {
-    REGISTRY.with(|r| r.borrow().clone())
-}
-
-/// RAII guard of [`arm`]: call [`finish`](ArmGuard::finish) to take the
-/// collected metrics; plain drop discards them and restores the
-/// previous arming state either way.
-#[must_use = "dropping the guard immediately disarms collection"]
-pub struct ArmGuard {
-    /// `Some` until `finish` or drop consumes the restore obligation.
-    prev: Option<Option<WorkerMetrics>>,
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-/// Arm metrics collection on the current thread with a fresh
-/// [`WorkerMetrics`]. Until the guard is finished or dropped,
-/// [`enabled`] is true and samples accumulate locally, lock-free.
-pub fn arm() -> ArmGuard {
-    let prev = ACTIVE.with(|a| a.replace(Some(WorkerMetrics::default())));
-    ArmGuard {
-        prev: Some(prev),
-        _not_send: std::marker::PhantomData,
-    }
-}
-
-impl ArmGuard {
-    /// Disarm and hand back everything collected since [`arm`].
-    pub fn finish(mut self) -> WorkerMetrics {
-        let prev = self.prev.take().unwrap_or(None);
-        ACTIVE.with(|a| a.replace(prev)).unwrap_or_default()
-    }
-}
-
-impl Drop for ArmGuard {
-    fn drop(&mut self) {
-        if let Some(prev) = self.prev.take() {
-            ACTIVE.with(|a| {
-                *a.borrow_mut() = prev;
-            });
+/// Run `f` on this thread's armed metrics; a no-op when disarmed.
+#[inline]
+fn with_armed(f: impl FnOnce(&mut WorkerMetrics)) {
+    context::with(|cx| {
+        if let Some(m) = cx.armed.borrow_mut().as_mut() {
+            f(m);
         }
-    }
-}
-
-/// Whether the current thread is armed for metrics collection.
-pub fn enabled() -> bool {
-    ACTIVE.with(|a| a.borrow().is_some())
+    });
 }
 
 /// Add `n` to the named counter. No-op when disarmed.
 pub fn add(name: &'static str, n: u64) {
-    ACTIVE.with(|a| {
-        if let Some(m) = a.borrow_mut().as_mut() {
-            m.add(name, n);
-        }
-    });
+    with_armed(|m| m.add(name, n));
 }
 
 /// Record a nanosecond sample into the named histogram. No-op when
 /// disarmed.
 pub fn record_ns(name: &'static str, ns: u64) {
-    ACTIVE.with(|a| {
-        if let Some(m) = a.borrow_mut().as_mut() {
-            m.record_ns(name, ns);
-        }
-    });
+    with_armed(|m| m.record_ns(name, ns));
 }
 
 /// Start a phase timer: `Some(now)` when armed, `None` (no clock read
 /// at all) when disarmed. Pair with [`stop`].
 #[inline]
 pub fn start() -> Option<Instant> {
-    if enabled() {
-        Some(Instant::now())
-    } else {
-        None
-    }
+    context::with(|cx| cx.armed.borrow().is_some()).then(Instant::now)
 }
 
 /// Stop a phase timer started by [`start`], attributing the elapsed
@@ -611,56 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn arming_gates_every_entry_point() {
-        assert!(!enabled());
-        assert_eq!(start(), None);
-        add("never", 1);
-        record_ns("never", 1);
-        let collected = {
-            let g = arm();
-            assert!(enabled());
-            add("runs", 2);
-            let t = start();
-            assert!(t.is_some());
-            stop("phase", t);
-            g.finish()
-        };
-        assert!(!enabled());
-        assert_eq!(collected.counter("runs"), 2);
-        assert_eq!(collected.histogram("phase").unwrap().count(), 1);
-        assert_eq!(collected.counter("never"), 0);
-    }
-
-    #[test]
-    fn arm_guards_nest_and_restore() {
-        let outer = arm();
-        add("outer", 1);
-        {
-            let inner = arm();
-            add("inner", 1);
-            let m = inner.finish();
-            assert_eq!(m.counter("inner"), 1);
-            assert_eq!(m.counter("outer"), 0);
-        }
-        // Outer buffers survive the inner guard untouched.
-        let m = outer.finish();
-        assert_eq!(m.counter("outer"), 1);
-        assert_eq!(m.counter("inner"), 0);
-        assert!(!enabled());
-    }
-
-    #[test]
-    fn dropped_arm_guard_discards_and_disarms() {
-        {
-            let _g = arm();
-            add("lost", 9);
-        }
-        assert!(!enabled());
-        let g = arm();
-        assert_eq!(g.finish().counter("lost"), 0);
-    }
-
-    #[test]
     fn registry_merges_across_workers() {
         let reg = MetricsRegistry::new();
         for worker in 0..3usize {
@@ -682,19 +552,6 @@ mod tests {
         assert_eq!(per[1].1.counter("runs"), 2 + 10);
         reg.reset();
         assert_eq!(reg.merged(), WorkerMetrics::default());
-    }
-
-    #[test]
-    fn install_exposes_registry_to_same_thread_only() {
-        assert!(registry().is_none());
-        let reg = Arc::new(MetricsRegistry::new());
-        {
-            let _g = install(reg.clone());
-            assert!(registry().is_some());
-            let seen = std::thread::scope(|s| s.spawn(|| registry().is_some()).join().unwrap());
-            assert!(!seen, "registry handles are per-thread, like sinks");
-        }
-        assert!(registry().is_none());
     }
 
     #[test]

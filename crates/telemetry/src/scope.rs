@@ -1,19 +1,12 @@
-//! Thread-local sink installation, the zero-cost disabled path, and the
-//! deterministic span-tree context.
+//! Trace sinks, the zero-cost disabled path, and the deterministic
+//! span-tree context — the tracing part of the observation context
+//! ([`crate::context`]).
 //!
-//! Telemetry mirrors the session discipline of `vs-fault`: a sink is
-//! installed on a thread with an RAII guard ([`install`]); instrumented
-//! code calls [`emit`] unconditionally. With no sink installed — the
-//! default everywhere, including campaign worker threads — `emit` is one
+//! A sink is installed on a thread with [`install`]; instrumented code
+//! calls [`emit`] unconditionally. With no sink installed — the default
+//! everywhere, including campaign worker threads — `emit` is one
 //! thread-local load and a branch, which is what makes instrumentation
 //! safe to leave in hot pipeline code.
-//!
-//! Installation is deliberately per-thread, not global: fault-injection
-//! campaigns run the workload thousands of times on worker threads, and
-//! a process-global sink would flood the trace with per-stage events
-//! from every injected run (and cross-contaminate parallel tests).
-//! Campaign-level telemetry instead flows through an explicit handle
-//! captured by the campaign driver (see `vs-fault`).
 //!
 //! # Span identities
 //!
@@ -22,16 +15,17 @@
 //! per-thread counter)` — a bijection, so ids are unique within a trace
 //! and *deterministic*: the same binary with the same seed produces the
 //! same id sequence. [`install`] starts a fresh span context (counter 0,
-//! empty stack) and the guard restores the previous context on drop, so
+//! empty stack) and its guard restores the previous context on drop, so
 //! each trace file gets a self-contained id space. Plain [`emit`] calls
 //! made inside a span carry the enclosing `span_id`, which is what lets
 //! the exporter ([`crate::export`]) attach instant events to the tree.
 //! Span state only advances while a sink is installed: untraced runs
 //! leave the id stream untouched, keeping traced runs reproducible.
 
+use crate::context::{self, Context, Guard, Saved};
+use crate::digest::mix64;
 use crate::event::{Event, Value};
 use crate::sink::Sink;
-use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -43,15 +37,15 @@ const MAX_SPAN_DEPTH: usize = 64;
 /// Per-thread span context: the open-span id stack and the id counter.
 /// Fixed-capacity so span bookkeeping never allocates — instrumented
 /// code runs inside allocation-gated benchmark loops.
-#[derive(Clone, Copy)]
-struct SpanState {
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SpanState {
     stack: [u64; MAX_SPAN_DEPTH],
     len: usize,
     counter: u64,
 }
 
 impl SpanState {
-    const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         SpanState {
             stack: [0; MAX_SPAN_DEPTH],
             len: 0,
@@ -64,13 +58,6 @@ impl SpanState {
     }
 }
 
-thread_local! {
-    static SINK: RefCell<Option<Arc<dyn Sink>>> = const { RefCell::new(None) };
-    static SPAN_DEPTH: Cell<u32> = const { Cell::new(0) };
-    static SPANS: RefCell<SpanState> = const { RefCell::new(SpanState::new()) };
-    static TID: Cell<u32> = const { Cell::new(u32::MAX) };
-}
-
 /// Seed mixed into every span id; set once per process by traced
 /// binaries (usually to the workload seed) so traces are reproducible.
 static TRACE_SEED: AtomicU64 = AtomicU64::new(0);
@@ -81,58 +68,28 @@ static NEXT_TID: AtomicU32 = AtomicU32::new(0);
 /// Process epoch for span timestamps.
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-/// Splitmix64 finalizer — a bijection on `u64`, mirroring `vs_rng::mix64`
-/// (inlined here because this crate is deliberately dependency-free).
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Set the process-wide trace seed span ids are derived from. Call once
 /// before installing a sink; the default seed is 0.
 pub fn set_trace_seed(seed: u64) {
     TRACE_SEED.store(seed, Ordering::Relaxed);
 }
 
-/// The current trace seed.
-pub fn trace_seed() -> u64 {
-    TRACE_SEED.load(Ordering::Relaxed)
-}
-
-/// This thread's trace thread id (assigned on first use, dense from 0).
-pub fn trace_tid() -> u32 {
-    TID.with(|t| {
-        let cur = t.get();
+impl Context {
+    /// This thread's trace thread id (assigned on first use, dense from 0).
+    fn trace_tid(&self) -> u32 {
+        let cur = self.tid.get();
         if cur != u32::MAX {
             return cur;
         }
         let id = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-        t.set(id);
+        self.tid.set(id);
         id
-    })
+    }
 }
 
 /// Nanoseconds since the process telemetry epoch (first use).
 fn now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
-/// RAII guard returned by [`install`]; restores the previously installed
-/// sink (if any) and the previous span context on drop. Not `Send`: the
-/// sink is installed on the current thread only.
-pub struct SinkGuard {
-    prev: Option<Arc<dyn Sink>>,
-    prev_spans: SpanState,
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-impl std::fmt::Debug for SinkGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SinkGuard")
-    }
 }
 
 impl std::fmt::Debug for dyn Sink {
@@ -144,36 +101,11 @@ impl std::fmt::Debug for dyn Sink {
 /// Install `sink` as the current thread's telemetry sink until the guard
 /// drops. Nests: the previous sink (and its span context) is restored.
 /// Each installation starts a fresh, deterministic span-id space.
-#[must_use = "telemetry is uninstalled when the guard is dropped"]
-pub fn install(sink: Arc<dyn Sink>) -> SinkGuard {
-    let prev = SINK.with(|s| s.borrow_mut().replace(sink));
-    let prev_spans = SPANS.with(|s| std::mem::replace(&mut *s.borrow_mut(), SpanState::new()));
-    SinkGuard {
-        prev,
-        prev_spans,
-        _not_send: std::marker::PhantomData,
-    }
-}
-
-impl Drop for SinkGuard {
-    fn drop(&mut self) {
-        let prev = self.prev.take();
-        SINK.with(|s| {
-            let mut slot = s.borrow_mut();
-            if let Some(sink) = slot.as_ref() {
-                sink.flush();
-            }
-            *slot = prev;
-        });
-        SPANS.with(|s| *s.borrow_mut() = self.prev_spans);
-    }
-}
-
-/// The sink installed on this thread, if any. Campaign drivers capture
-/// this once on the calling thread and fan campaign events out to it
-/// from workers.
-pub fn current() -> Option<Arc<dyn Sink>> {
-    SINK.with(|s| s.borrow().clone())
+pub fn install(sink: Arc<dyn Sink>) -> Guard {
+    Guard::restoring(context::with(|cx| {
+        let spans = Box::new(cx.spans.replace(SpanState::new()));
+        Saved::Sink(cx.sink.replace(Some(sink)), spans)
+    }))
 }
 
 /// Whether a sink is installed on this thread. Instrumentation that
@@ -181,7 +113,7 @@ pub fn current() -> Option<Arc<dyn Sink>> {
 /// don't need to.
 #[inline]
 pub fn enabled() -> bool {
-    SINK.with(|s| s.borrow().is_some())
+    context::with(|cx| cx.sink.borrow().is_some())
 }
 
 /// Stack-buffered field concatenation: events stay allocation-free up to
@@ -220,9 +152,9 @@ fn emit_with_extra(
 /// exporters can place it in the span tree.
 #[inline]
 pub fn emit(name: &str, fields: &[(&str, Value<'_>)]) {
-    SINK.with(|s| {
-        if let Some(sink) = s.borrow().as_ref() {
-            let top = SPANS.with(|sp| sp.borrow().top());
+    context::with(|cx| {
+        if let Some(sink) = cx.sink.borrow().as_ref() {
+            let top = cx.spans.borrow().top();
             match top {
                 Some(id) => emit_with_extra(
                     sink,
@@ -230,7 +162,7 @@ pub fn emit(name: &str, fields: &[(&str, Value<'_>)]) {
                     fields,
                     &[
                         ("span_id", Value::U64(id)),
-                        ("tid", Value::U64(u64::from(trace_tid()))),
+                        ("tid", Value::U64(u64::from(cx.trace_tid()))),
                         ("ts_ns", Value::U64(now_ns())),
                     ],
                 ),
@@ -255,46 +187,50 @@ pub struct Span {
 
 /// Open a span named `name` with extra identifying fields.
 pub fn span_with(name: &'static str, fields: &[(&str, Value<'_>)]) -> Span {
-    let depth = SPAN_DEPTH.with(|d| {
-        let depth = d.get();
-        d.set(depth + 1);
-        depth
+    // The untraced path stays a depth bump and one branch: the traced
+    // half runs in a second access, so this closure inlines.
+    let (depth, traced) = context::with(|cx| {
+        let depth = cx.depth.get();
+        cx.depth.set(depth + 1);
+        (depth, cx.sink.borrow().is_some())
     });
-    let mut id = None;
-    SINK.with(|s| {
-        if let Some(sink) = s.borrow().as_ref() {
-            let (span_id, parent_id, tid) = SPANS.with(|sp| {
-                let mut st = sp.borrow_mut();
-                let tid = trace_tid();
-                let span_id =
-                    mix64(trace_seed() ^ ((u64::from(tid) << 32).wrapping_add(st.counter)));
-                st.counter = st.counter.wrapping_add(1);
-                let parent_id = st.top().unwrap_or(0);
-                if st.len < MAX_SPAN_DEPTH {
-                    let len = st.len;
-                    st.stack[len] = span_id;
-                    st.len = len + 1;
-                }
-                (span_id, parent_id, tid)
-            });
-            id = Some(span_id);
-            let header = [
-                ("span", Value::Str(name)),
-                ("depth", Value::U64(u64::from(depth))),
-                ("span_id", Value::U64(span_id)),
-                ("parent_id", Value::U64(parent_id)),
-                ("tid", Value::U64(u64::from(tid))),
-                ("ts_ns", Value::U64(now_ns())),
-            ];
-            emit_with_extra(sink, "span_enter", &header, fields);
-        }
-    });
+    let id = traced.then(|| context::with(|cx| enter(cx, name, depth, fields)));
     Span {
         name,
         depth,
         id,
         _not_send: std::marker::PhantomData,
     }
+}
+
+/// Assign a traced span its id, push it and emit `span_enter`.
+fn enter(cx: &Context, name: &'static str, depth: u32, fields: &[(&str, Value<'_>)]) -> u64 {
+    let tid = cx.trace_tid();
+    let (span_id, parent_id) = {
+        let mut st = cx.spans.borrow_mut();
+        let key = (u64::from(tid) << 32).wrapping_add(st.counter);
+        let span_id = mix64(TRACE_SEED.load(Ordering::Relaxed) ^ key);
+        st.counter = st.counter.wrapping_add(1);
+        let parent_id = st.top().unwrap_or(0);
+        if st.len < MAX_SPAN_DEPTH {
+            let len = st.len;
+            st.stack[len] = span_id;
+            st.len = len + 1;
+        }
+        (span_id, parent_id)
+    };
+    let header = [
+        ("span", Value::Str(name)),
+        ("depth", Value::U64(u64::from(depth))),
+        ("span_id", Value::U64(span_id)),
+        ("parent_id", Value::U64(parent_id)),
+        ("tid", Value::U64(u64::from(tid))),
+        ("ts_ns", Value::U64(now_ns())),
+    ];
+    if let Some(sink) = cx.sink.borrow().as_ref() {
+        emit_with_extra(sink, "span_enter", &header, fields);
+    }
+    span_id
 }
 
 /// Open a span named `name`.
@@ -304,25 +240,25 @@ pub fn span(name: &'static str) -> Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        SPAN_DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
+        context::with(|cx| cx.depth.set(cx.depth.get().saturating_sub(1)));
         let Some(id) = self.id else {
             return;
         };
-        SPANS.with(|sp| {
-            let mut st = sp.borrow_mut();
-            if st.top() == Some(id) {
-                st.len -= 1;
+        context::with(|cx| {
+            {
+                let mut st = cx.spans.borrow_mut();
+                if st.top() == Some(id) {
+                    st.len -= 1;
+                }
             }
-        });
-        SINK.with(|s| {
-            if let Some(sink) = s.borrow().as_ref() {
+            if let Some(sink) = cx.sink.borrow().as_ref() {
                 sink.event(&Event {
                     name: "span_exit",
                     fields: &[
                         ("span", Value::Str(self.name)),
                         ("depth", Value::U64(u64::from(self.depth))),
                         ("span_id", Value::U64(id)),
-                        ("tid", Value::U64(u64::from(trace_tid()))),
+                        ("tid", Value::U64(u64::from(cx.trace_tid()))),
                         ("ts_ns", Value::U64(now_ns())),
                     ],
                 });
@@ -335,43 +271,6 @@ impl Drop for Span {
 mod tests {
     use super::*;
     use crate::sink::MemorySink;
-
-    #[test]
-    fn emit_without_sink_is_a_no_op() {
-        assert!(!enabled());
-        emit("dropped", &[("x", Value::U64(1))]);
-    }
-
-    #[test]
-    fn install_scopes_and_nests() {
-        let outer = Arc::new(MemorySink::new());
-        let inner = Arc::new(MemorySink::new());
-        {
-            let _a = install(outer.clone());
-            emit("one", &[]);
-            {
-                let _b = install(inner.clone());
-                emit("two", &[]);
-                assert!(enabled());
-            }
-            emit("three", &[]);
-        }
-        assert!(!enabled());
-        let outer_names: Vec<String> = outer.events().into_iter().map(|e| e.name).collect();
-        assert_eq!(outer_names, ["one", "three"]);
-        assert_eq!(inner.count("two"), 1);
-        assert_eq!(inner.len(), 1);
-    }
-
-    #[test]
-    fn current_clones_the_installed_sink() {
-        assert!(current().is_none());
-        let sink = Arc::new(MemorySink::new());
-        let _g = install(sink.clone());
-        let cur = current().expect("sink installed");
-        cur.event(&Event::new("via_handle", &[]));
-        assert_eq!(sink.count("via_handle"), 1);
-    }
 
     #[test]
     fn spans_track_depth_and_pair_up() {

@@ -21,15 +21,6 @@ pub trait Sink: Send + Sync {
     fn flush(&self) {}
 }
 
-/// Discards everything. The explicit form of "telemetry off" for code
-/// that wants to pass a sink unconditionally.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn event(&self, _event: &Event<'_>) {}
-}
-
 /// Retains every event in memory; the assertion surface for tests and
 /// for overhead measurements.
 #[derive(Debug, Default)]
@@ -131,7 +122,7 @@ pub struct TextSink<W: Write + Send> {
 /// High-frequency detail events suppressed by [`TextSink::progress`]:
 /// per-frame/per-stage counters and per-injection records that would
 /// swamp a terminal but belong in a JSONL trace.
-pub const DETAIL_EVENTS: &[&str] = &[
+const DETAIL_EVENTS: &[&str] = &[
     "frame",
     "match",
     "orb",
@@ -151,8 +142,9 @@ impl<W: Write + Send> TextSink<W> {
         }
     }
 
-    /// Print milestone and progress events only, suppressing
-    /// [`DETAIL_EVENTS`] — the terminal-friendly default.
+    /// Print milestone and progress events only, suppressing the
+    /// per-frame, per-stage, span and per-injection detail events — the
+    /// terminal-friendly default.
     pub fn progress(writer: W) -> Self {
         TextSink {
             writer: Mutex::new(writer),
@@ -296,10 +288,5 @@ mod tests {
         fan.event(&Event::new("e", &[]));
         assert_eq!(a.len(), 1);
         assert_eq!(b.len(), 1);
-    }
-
-    #[test]
-    fn null_sink_drops_everything() {
-        NullSink.event(&Event::new("ignored", &[("x", Value::Bool(false))]));
     }
 }

@@ -45,8 +45,15 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "== tier-1: cargo test -q (workspace) =="
 cargo test -q --workspace --release --offline
 
-echo "== lint: cargo clippy --workspace -D warnings =="
-cargo clippy --workspace --release --offline -- -D warnings
+echo "== lint: cargo clippy --workspace --all-targets -D warnings =="
+# --all-targets: tests, benches and examples are linted too, not only
+# the library and binary targets.
+cargo clippy --workspace --all-targets --release --offline -- -D warnings
+
+echo "== docs: cargo doc --workspace -D warnings =="
+# Broken intra-doc links and public docs linking private items fail the
+# gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Smoke runs append run manifests to a scratch ledger, never the repo's
 # out/ledger trajectory; the ledger smoke below reads it back through

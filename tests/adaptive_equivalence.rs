@@ -145,7 +145,7 @@ fn approximation_change_invalidates_exactly_diverged_stage_groups() {
     let res = compose::run_composed_campaign(&kds, &golden_kds, &cfg, &mut cache);
     let mut reused = 0usize;
     for g in &res.groups {
-        let stage = Stage::of_func(g.group.func);
+        let stage = g.group.func.stage();
         let same_group_upstream = upstream_identical(stage) && base_groups.contains(&g.group);
         assert_eq!(
             g.reused, same_group_upstream,

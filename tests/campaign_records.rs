@@ -15,6 +15,7 @@ use vs_core::workloads::VsWorkload;
 use vs_fault::adaptive::{self, AdaptiveConfig};
 use vs_fault::campaign::{phase, CheckpointPolicy, Injection};
 use vs_fault::compose::{self, CampaignCache, ComposeConfig};
+use vs_fault::forensics::Stage;
 use vs_fault::mix64;
 use vs_fault::pruning::{self, PrunedConfig};
 use vs_telemetry::metrics::{self, MetricsRegistry};
@@ -193,4 +194,23 @@ fn stratified_pruned_campaign_is_pinned() {
     assert_eq!(res.groups.len(), 14, "populated site groups");
     assert_eq!(res.records.len(), 202, "pilots");
     assert_digest("stratified pruned", &res.records, 0xf0b3_ef25_71fc_c2db);
+}
+
+/// The forensic golden run's per-stage digests and fold counts, in
+/// `Stage::ALL` order. They key every entry of the persisted
+/// compositional cache, so a changed digest fold, stage order or
+/// instrumentation site would silently cold-start every cache.
+#[test]
+fn forensic_golden_digests_are_pinned() {
+    let golden = campaign::profile_golden_forensic(&workload()).unwrap();
+    let trace = golden.digests.expect("forensic golden carries digests");
+    let mut h = mix64(Stage::ALL.len() as u64);
+    for s in Stage::ALL {
+        h = mix64(h ^ trace.digest(s));
+        h = mix64(h ^ trace.count(s));
+    }
+    assert_eq!(
+        h, 0x766b_1e44_99bb_83c8,
+        "forensic golden digests changed: {h:#018x}"
+    );
 }

@@ -1,35 +1,22 @@
-//! Zero-perturbation proof for fault forensics: per-stage digest
-//! recording must never change what the fault simulator computes.
-//! Campaigns run against a forensic golden (digest recorder armed on
-//! every non-crash run) must produce (spec, outcome, fired) record
-//! lists bit-identical to campaigns against a plain golden — across
-//! register classes, thread counts and both checkpoint policies. The
-//! digests live outside the simulated machine; any divergence here
-//! means a digest computation leaked into the tap stream.
+//! Zero-perturbation proof for fault forensics: a forensic golden run
+//! against a plain one, and the forensics cells of the observation
+//! matrix (see `observation/mod.rs`). Campaigns against a forensic
+//! golden, with per-run digest recording, must produce (spec, outcome,
+//! fired) records bit-identical to campaigns against a plain golden —
+//! across register classes, thread counts and campaign flavours — and
+//! resumed runs must fold the digest traces of scratch runs; any
+//! divergence means a digest computation leaked into the tap stream.
 
+mod observation;
+
+use observation::{check, workload, Caps, Flavour};
 use video_summarization::prelude::*;
-use vs_core::workloads::VsWorkload;
-use vs_fault::campaign::{CheckpointPolicy, Injection};
-use vs_fault::forensics::attributed_stage;
-
-fn workload() -> VsWorkload {
-    experiments::vs_workload(InputId::Input2, Scale::Quick, Approximation::Baseline)
-}
-
-/// (spec, outcome, fired) fingerprint of a campaign — everything the
-/// resiliency statistics are built from.
-fn fingerprint(recs: &[Injection<Vec<RgbImage>>]) -> Vec<String> {
-    recs.iter()
-        .map(|r| format!("{} {:?} {:?}", r.spec, r.outcome, r.fired))
-        .collect()
-}
 
 #[test]
 fn forensic_golden_matches_plain_golden() {
     let w = workload();
     let plain = campaign::profile_golden(&w).unwrap();
     let forensic = campaign::profile_golden_forensic(&w).unwrap();
-
     assert_eq!(plain.profile, forensic.profile, "tap profile perturbed");
     assert_eq!(plain.output, forensic.output, "golden output perturbed");
     assert!(
@@ -40,84 +27,15 @@ fn forensic_golden_matches_plain_golden() {
 
 #[test]
 fn campaigns_match_with_forensics_on_across_classes_and_threads() {
-    let w = workload();
-    let plain = campaign::profile_golden(&w).unwrap();
-    let forensic = campaign::profile_golden_forensic(&w).unwrap();
-    const N: usize = 16;
-
-    for class in [RegClass::Gpr, RegClass::Fpr] {
-        for threads in [1usize, 4] {
-            let cfg = CampaignConfig::new(class, N).seed(0xF0E2).threads(threads);
-            let off = campaign::run_campaign(&w, &plain, &cfg);
-            let on = campaign::run_campaign(&w, &forensic, &cfg);
-            assert_eq!(
-                fingerprint(&off),
-                fingerprint(&on),
-                "forensics perturbed {class:?} campaign at threads({threads})"
-            );
-            // Forensics-off campaigns must not grow records; forensics-on
-            // campaigns attribute every non-crash run.
-            assert!(off.iter().all(|r| r.forensics.is_none()));
-            for r in &on {
-                match r.outcome {
-                    Outcome::Masked | Outcome::Sdc => {
-                        assert!(
-                            attributed_stage(r.forensics.as_ref(), r.fired).is_some()
-                                || r.fired.is_none(),
-                            "unattributed non-crash injection {}",
-                            r.spec
-                        );
-                    }
-                    _ => assert!(
-                        r.forensics.is_none(),
-                        "crash/hang run {} carries a digest trace",
-                        r.spec
-                    ),
-                }
-            }
-        }
-    }
+    check(Caps::Forensics, Flavour::Scratch);
 }
 
 #[test]
 fn checkpointed_forensic_campaigns_match_scratch() {
-    let w = workload();
-    let plain = campaign::profile_golden(&w).unwrap();
-    let ck = campaign::profile_golden_checkpointed_forensic(&w, CheckpointPolicy::EveryKFrames(2))
-        .unwrap();
-    assert_eq!(plain.profile, ck.golden.profile);
-    assert!(ck.golden.digests.is_some());
-    const N: usize = 16;
+    check(Caps::Forensics, Flavour::Checkpointed);
+}
 
-    for threads in [1usize, 4] {
-        let scratch_cfg = CampaignConfig::new(RegClass::Gpr, N)
-            .seed(0xF0E2)
-            .threads(threads);
-        let ck_cfg = scratch_cfg
-            .clone()
-            .checkpoint_policy(CheckpointPolicy::EveryKFrames(2));
-
-        let off = campaign::run_campaign(&w, &plain, &scratch_cfg);
-        let scratch = campaign::run_campaign(&w, &ck.golden, &scratch_cfg);
-        let fast = campaign::run_campaign_checkpointed(&w, &ck, &ck_cfg);
-
-        // Outcomes identical forensics off vs on, scratch vs resumed.
-        assert_eq!(
-            fingerprint(&off),
-            fingerprint(&fast),
-            "checkpointed forensic campaign perturbed at threads({threads})"
-        );
-        assert_eq!(fingerprint(&scratch), fingerprint(&fast));
-
-        // Checkpoint fast-forward must reproduce the exact digest
-        // traces of from-scratch runs: attribution cannot depend on
-        // where a run resumed.
-        for (s, f) in scratch.iter().zip(&fast) {
-            assert_eq!(
-                s.forensics, f.forensics,
-                "digest trace diverged between scratch and resumed run {}",
-                s.spec
-            );
-        }
-    }
+#[test]
+fn composed_pilots_are_identical_with_forensics_recording() {
+    check(Caps::Forensics, Flavour::Composed);
 }
