@@ -11,10 +11,10 @@
 //! validates the zero-allocation steady state from the trace alone: the
 //! last `scratch_reuse` counter (one per pipeline run, emitted by the
 //! run workspace) must report `grown=0` — every buffer group reused,
-//! none regrown. `--kernels` validates the per-kernel instrumentation:
-//! every `warp` and `match` event must carry an `ns` timer, every `orb`
-//! event the `fast_prereject`/`fast_ns`/`blur_ns` counters, and at
-//! least one traced detection must have exercised the SWAR pre-reject
+//! none regrown. `--kernels` validates the per-stage instrumentation:
+//! at least one span of every pipeline `Stage` (span durations carry
+//! stage time), the `fast_prereject` counter on every `orb` event, and
+//! at least one traced detection that exercised the SWAR pre-reject
 //! (`fast_prereject > 0`). `--metrics` validates the metrics snapshots
 //! of `campaign_bench`'s thread sweep: at least one `metrics_phase`
 //! event, each carrying the full quantile schema (`count`/`sum_ns`/
@@ -40,6 +40,7 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use vs_bench::cli;
+use vs_telemetry::digest::Stage;
 
 const USAGE: &str = "usage: trace_check FILE [--expect NAME=COUNT]... [--require NAME]... [--scratch-steady] [--kernels] [--metrics] [--forensics] [--spans] [--export-chrome FILE] [--export-flame FILE] [--quiet]";
 
@@ -146,28 +147,28 @@ fn main() -> ExitCode {
         }
     }
     if o.kernels {
-        // Per-kernel instrumentation: timer and counter fields the
-        // SWAR/fixed-point pass added to the hot-kernel events.
-        let field_checks: &[(&str, &[&str])] = &[
-            ("warp", &["ns"]),
-            ("match", &["ns"]),
-            ("orb", &["fast_prereject", "fast_ns", "blur_ns"]),
-        ];
-        for &(name, fields) in field_checks {
-            for ev in events.iter().filter(|e| e.name == name) {
-                for field in fields {
-                    if ev.u64(field).is_none() {
-                        eprintln!("error: --kernels: '{name}' event lacks u64 field '{field}'");
-                        failed = true;
-                    }
+        // Stage time lives in the stage spans; the FAST pre-reject
+        // counter rides on the `orb` event.
+        for stage in Stage::ALL {
+            let opened = events
+                .iter()
+                .any(|e| e.name == "span_enter" && e.str("span") == Some(stage.name()));
+            if !opened {
+                eprintln!("error: --kernels: no '{stage}' stage span in trace");
+                failed = true;
+            }
+        }
+        let mut prerejects = 0;
+        for ev in events.iter().filter(|e| e.name == "orb") {
+            match ev.u64("fast_prereject") {
+                Some(n) => prerejects += n,
+                None => {
+                    eprintln!("error: --kernels: 'orb' event lacks u64 field 'fast_prereject'");
+                    failed = true;
                 }
             }
         }
-        let prerejects = events
-            .iter()
-            .filter(|e| e.name == "orb")
-            .filter_map(|e| e.u64("fast_prereject"));
-        if prerejects.clone().count() > 0 && prerejects.sum::<u64>() == 0 {
+        if prerejects == 0 {
             eprintln!("error: --kernels: no traced detection exercised the SWAR pre-reject");
             failed = true;
         }
@@ -247,9 +248,7 @@ fn main() -> ExitCode {
     }
     if o.forensics {
         // Fault-forensics digest events from a forensic campaign run.
-        let stages = [
-            "decode", "pyramid", "fast", "orb", "match", "ransac", "warp", "summary",
-        ];
+        let stages = Stage::ALL.map(Stage::name);
         let goldens: Vec<_> = events
             .iter()
             .filter(|e| e.name == "forensics_golden")

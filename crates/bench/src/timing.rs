@@ -1,10 +1,10 @@
-//! Minimal wall-clock measurement used by the `benches/` harnesses and
-//! the campaign-throughput benchmark.
+//! Minimal wall-clock measurement for `kernel_bench`, and the one CV
+//! definition the bench binaries share.
 //!
 //! The external `criterion` harness was dropped to keep the workspace
 //! buildable offline; this module provides the small subset the repo
-//! needs: adaptive repetition until a time floor, and a median-of-batches
-//! estimate that is robust to scheduler noise.
+//! needs: interleaved A/B batches repeated until a time floor, and a
+//! median-of-batches estimate that is robust to scheduler noise.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -67,45 +67,14 @@ pub fn cv_of(samples: &[f64]) -> f64 {
     var.sqrt() / mean
 }
 
-/// Time `f`, adapting the iteration count so the whole measurement takes
-/// roughly `budget`. Returns the median per-iteration time over batches.
-pub fn measure<R>(budget: Duration, mut f: impl FnMut() -> R) -> Measurement {
-    // Calibrate: one untimed warmup, then estimate a batch size aiming
-    // for ~budget/8 per batch.
-    black_box(f());
-    let t0 = Instant::now();
-    black_box(f());
-    let once = t0.elapsed().max(Duration::from_nanos(50));
-    let per_batch = budget.div_f64(8.0).max(Duration::from_micros(200));
-    let batch_iters = (per_batch.as_secs_f64() / once.as_secs_f64()).clamp(1.0, 1e7) as u64;
-
-    let mut batch_times = Vec::new();
-    let mut total_iters = 0u64;
-    let deadline = Instant::now() + budget;
-    while batch_times.len() < 3 || Instant::now() < deadline {
-        let t = Instant::now();
-        for _ in 0..batch_iters {
-            black_box(f());
-        }
-        batch_times.push(t.elapsed().as_secs_f64() / batch_iters as f64);
-        total_iters += batch_iters;
-        if batch_times.len() >= 64 {
-            break;
-        }
-    }
-    batch_times.sort_by(f64::total_cmp);
-    Measurement::from_sorted_batches(&batch_times, total_iters)
-}
-
 /// Time two closures with interleaved batches: A, B, A, B, … until the
 /// shared budget runs out, then take each side's median batch time.
 ///
-/// Use this (not two sequential [`measure`] calls) when the quantity of
-/// interest is the *ratio* of the two times: machine-wide drift between
-/// two sequential measurement windows — frequency scaling, a noisy
-/// neighbour — lands on one side only and swamps modest speedups,
-/// whereas interleaved batches see the same conditions within every
-/// A/B pair.
+/// Interleaving is what makes the *ratio* of the two times meaningful:
+/// machine-wide drift between two sequential measurement windows —
+/// frequency scaling, a noisy neighbour — lands on one side only and
+/// swamps modest speedups, whereas interleaved batches see the same
+/// conditions within every A/B pair.
 pub fn measure_pair<RA, RB>(
     budget: Duration,
     mut a: impl FnMut() -> RA,
@@ -153,64 +122,24 @@ pub fn measure_pair<RA, RB>(
     )
 }
 
-/// Measure `f` and print one `name: time/iter` line, criterion-style.
-pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> Measurement {
-    let m = measure(Duration::from_millis(600), &mut f);
-    println!(
-        "{name:<44} {:>12}/iter ({} iters)",
-        fmt_secs(m.secs_per_iter),
-        m.iters
-    );
-    m
-}
-
-/// Human-readable seconds.
-fn fmt_secs(s: f64) -> String {
-    if s >= 1.0 {
-        format!("{s:.3} s")
-    } else if s >= 1e-3 {
-        format!("{:.3} ms", s * 1e3)
-    } else if s >= 1e-6 {
-        format!("{:.3} µs", s * 1e6)
-    } else {
-        format!("{:.1} ns", s * 1e9)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn measure_reports_sane_times() {
-        let m = measure(Duration::from_millis(20), || {
-            std::hint::black_box((0..100u64).sum::<u64>())
-        });
-        assert!(m.secs_per_iter > 0.0);
-        assert!(m.secs_per_iter < 0.1, "100-element sum can't take 100ms");
-        assert!(m.iters >= 3);
-    }
-
-    #[test]
-    fn measure_reports_consistent_spread() {
-        let m = measure(Duration::from_millis(20), || {
-            std::hint::black_box((0..100u64).sum::<u64>())
-        });
-        assert!(m.batches >= 3);
-        assert!(m.min_secs_per_iter > 0.0);
-        // min <= median, and the mean lies within the batch range.
-        assert!(m.min_secs_per_iter <= m.secs_per_iter);
-        assert!(m.mean_secs_per_iter >= m.min_secs_per_iter);
-        // CV is a finite non-negative ratio; equal batches would give 0.
-        assert!(m.cv.is_finite() && m.cv >= 0.0, "cv = {}", m.cv);
-        let (a, b) = measure_pair(
-            Duration::from_millis(10),
-            || std::hint::black_box((0..100u64).sum::<u64>()),
-            || std::hint::black_box((0..100u64).sum::<u64>()),
-        );
+    fn measure_pair_reports_sane_times_and_consistent_spread() {
+        let sum = || std::hint::black_box((0..100u64).sum::<u64>());
+        let (a, b) = measure_pair(Duration::from_millis(20), sum, sum);
         for m in [a, b] {
+            assert!(m.secs_per_iter > 0.0);
+            assert!(m.secs_per_iter < 0.1, "100-element sum can't take 100ms");
+            assert!(m.batches >= 3 && m.iters >= 3);
+            // min <= median, and the mean lies within the batch range.
+            assert!(m.min_secs_per_iter > 0.0);
             assert!(m.min_secs_per_iter <= m.secs_per_iter);
-            assert!(m.batches >= 3);
+            assert!(m.mean_secs_per_iter >= m.min_secs_per_iter);
+            // CV is a finite non-negative ratio; equal batches would give 0.
+            assert!(m.cv.is_finite() && m.cv >= 0.0, "cv = {}", m.cv);
         }
     }
 
@@ -232,13 +161,5 @@ mod tests {
             light.secs_per_iter,
             heavy.secs_per_iter
         );
-    }
-
-    #[test]
-    fn fmt_secs_picks_units() {
-        assert!(fmt_secs(2.0).ends_with(" s"));
-        assert!(fmt_secs(2e-3).ends_with(" ms"));
-        assert!(fmt_secs(2e-6).ends_with(" µs"));
-        assert!(fmt_secs(2e-9).ends_with(" ns"));
     }
 }

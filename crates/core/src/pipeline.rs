@@ -441,8 +441,7 @@ impl VideoSummarizer {
                     });
                 }
             }
-            let _frame_span =
-                vs_telemetry::span_with("frame_stage", &[("frame", Value::U64(i as u64))]);
+            let _frame_span = vs_telemetry::span_with("frame", &[("frame", Value::U64(i as u64))]);
             tap::work(OpClass::Control, 12)?;
             tap::work(OpClass::IntAlu, 40)?;
             // The frame pointer is address arithmetic: tap it.
@@ -459,7 +458,6 @@ impl VideoSummarizer {
             }
 
             decode_into(frame, &mut scratch.gray)?;
-            digest::record_bytes(Stage::Decode, scratch.gray.as_bytes());
             orb.detect_and_describe_into(&scratch.gray, &mut scratch.orb, &mut scratch.features)?;
             // How this frame fared, for the per-frame telemetry event.
             let action;
@@ -609,10 +607,8 @@ impl VideoSummarizer {
             && opts.blend == BlendMode::Overwrite
             && !opts.gain_compensation
             && matches!(level, SimdLevel::Sse2 | SimdLevel::Avx2);
-        let render_span = vs_telemetry::span_with(
-            "render_stage",
-            &[("segments", Value::U64(seg_count as u64))],
-        );
+        let render_span =
+            vs_telemetry::span_with("render", &[("segments", Value::U64(seg_count as u64))]);
         for si in 0..seg_count {
             if let Some(rc) = render_resume {
                 if si < rc.segment {
@@ -696,6 +692,7 @@ impl VideoSummarizer {
                 }
             }
             digest::record_bytes(Stage::Warp, scratch.canvas.image().as_bytes());
+            let _summary = vs_telemetry::span(Stage::Summary.name());
             let origin = scratch
                 .canvas
                 .crop_to_content_into(&mut scratch.summary.panoramas[si])
@@ -704,6 +701,7 @@ impl VideoSummarizer {
             push_alignments(&mut scratch.summary.alignments, &scratch.segments[si], si);
         }
         drop(render_span);
+        let summary = vs_telemetry::span(Stage::Summary.name());
         stats.segments = seg_count;
         if digest::enabled() {
             // The panoramas are the observable output compared for SDC
@@ -741,6 +739,7 @@ impl VideoSummarizer {
                 ("segments", Value::U64(stats.segments as u64)),
             ],
         );
+        drop(summary);
         scratch.summary.stats = stats;
         let fp1 = scratch.footprints();
         let grown = fp0.iter().zip(fp1.iter()).filter(|(a, b)| b > a).count();
@@ -907,13 +906,15 @@ fn downsample_query<T>(items: &[T], keep: usize) -> impl Iterator<Item = &T> {
 }
 
 /// Decode a frame: RGB → grayscale with instruction accounting, into a
-/// recycled gray plane.
+/// recycled gray plane, folding the plane into the decode digest.
 fn decode_into(frame: &RgbImage, out: &mut GrayImage) -> Result<(), SimError> {
+    let _stage = vs_telemetry::span(Stage::Decode.name());
     let _f = tap::scope(FuncId::Decode);
     let px = (frame.width() * frame.height()) as u64;
     tap::work(OpClass::Mem, 4 * px)?;
     tap::work(OpClass::IntAlu, 5 * px)?;
     frame.to_gray_into(out);
+    digest::record_bytes(Stage::Decode, out.as_bytes());
     Ok(())
 }
 

@@ -126,11 +126,12 @@ impl Orb {
         scratch: &mut OrbScratch,
         features: &mut Vec<Feature>,
     ) -> Result<(), SimError> {
-        // Telemetry-only span (no taps); near-free without a sink.
-        let _stage = vs_telemetry::span("orb_stage");
         features.clear();
-        // Mirror Pyramid::new without cloning the base: scratch.levels[i]
-        // holds pyramid level i+1, level 0 is `img` itself.
+        // Telemetry-only stage spans (no taps; near-free without a sink),
+        // each around the code whose output its stage's digest folds.
+        let pyramid = vs_telemetry::span(Stage::Pyramid.name());
+        // scratch.levels[i] holds pyramid level i+1, level 0 is `img`
+        // itself.
         let max_levels = self.config.levels.max(1);
         let min_size = self.config.min_level_size;
         let mut n_levels = 1usize;
@@ -161,15 +162,9 @@ impl Orb {
         for level in &scratch.levels[..n_levels - 1] {
             digest::record_bytes(Stage::Pyramid, level.as_bytes());
         }
+        drop(pyramid);
 
         let per_level = self.config.max_features / n_levels;
-        // Per-kernel wall-clock counters, gathered only when a telemetry
-        // sink is installed: campaign workers run sink-less and skip the
-        // clock reads entirely. The timers sit outside all tap calls, so
-        // they cannot perturb the fault stream either way.
-        let timing = vs_telemetry::enabled();
-        let mut fast_ns = 0u64;
-        let mut blur_ns = 0u64;
         let mut fast_prereject = 0u64;
         for level in 0..n_levels {
             let level_img: &GrayImage = if level == 0 {
@@ -177,7 +172,7 @@ impl Orb {
             } else {
                 &scratch.levels[level - 1]
             };
-            let t0 = timing.then(std::time::Instant::now);
+            let fast_span = vs_telemetry::span(Stage::Fast.name());
             fast::detect_into(
                 level_img,
                 &fast::FastConfig {
@@ -188,9 +183,6 @@ impl Orb {
                 &mut scratch.fast,
                 &mut scratch.kps,
             )?;
-            if let Some(t0) = t0 {
-                fast_ns += t0.elapsed().as_nanos() as u64;
-            }
             fast_prereject += scratch.fast.prereject();
             if digest::enabled() {
                 let mut h = 0u64;
@@ -201,12 +193,10 @@ impl Orb {
                 }
                 digest::record(Stage::Fast, h);
             }
+            drop(fast_span);
+            let _orb = vs_telemetry::span(Stage::Orb.name());
             orientation::assign_orientations_mut(level_img, &mut scratch.kps)?;
-            let t1 = timing.then(std::time::Instant::now);
             gaussian_blur_5x5_into(level_img, &mut scratch.blur_tmp, &mut scratch.smoothed);
-            if let Some(t1) = t1 {
-                blur_ns += t1.elapsed().as_nanos() as u64;
-            }
             brief::describe_into(&scratch.smoothed, &scratch.kps, &mut scratch.descs)?;
             if digest::enabled() {
                 let mut h = 0u64;
@@ -237,8 +227,6 @@ impl Orb {
                 ("keypoints", vs_telemetry::Value::U64(features.len() as u64)),
                 ("levels", vs_telemetry::Value::U64(n_levels as u64)),
                 ("fast_prereject", vs_telemetry::Value::U64(fast_prereject)),
-                ("fast_ns", vs_telemetry::Value::U64(fast_ns)),
-                ("blur_ns", vs_telemetry::Value::U64(blur_ns)),
             ],
         );
         Ok(())
@@ -363,6 +351,33 @@ mod tests {
             .unwrap();
         let has_level_gt0 = feats.iter().any(|f| f.keypoint.level > 0);
         assert!(has_level_gt0, "expected features from coarser levels");
+    }
+
+    /// The levels ORB builds: each halves the previous one, odd trailing
+    /// rows and columns dropped, until `levels` exist (the base counts)
+    /// or the next would fall below `min_level_size` on a side.
+    #[test]
+    fn pyramid_stops_at_min_size_and_max_levels() {
+        let build = |(w, h), levels, min_level_size| {
+            let img = GrayImage::from_fn(w, h, |x, y| (x * 7 + y * 13) as u8);
+            let orb = Orb::new(OrbConfig {
+                levels,
+                min_level_size,
+                ..OrbConfig::default()
+            });
+            let mut scratch = OrbScratch::default();
+            orb.detect_and_describe_into(&img, &mut scratch, &mut Vec::new())
+                .unwrap();
+            let sizes = scratch.levels.iter().map(|l| (l.width(), l.height()));
+            (img, sizes.collect::<Vec<_>>(), scratch.levels)
+        };
+        // 64 -> 32 -> 16, then 16 / 2 = 8 < 16 stops.
+        assert_eq!(build((64, 64), 10, 16).1, [(32, 32), (16, 16)]);
+        assert_eq!(build((1024, 1024), 3, 4).1, [(512, 512), (256, 256)]);
+        assert!(build((64, 64), 0, 2).1.is_empty(), "the base alone");
+        let (hd, sizes, levels) = build((1919, 1079), 4, 8);
+        assert_eq!(sizes, [(959, 539), (479, 269), (239, 134)]);
+        assert_eq!(levels[0], vs_image::downsample_half(&hd), "level 1");
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::{affine, homography};
 use vs_fault::{tap, FuncId, OpClass, SimError};
 use vs_linalg::{Mat3, Vec2};
 use vs_rng::SplitMix64;
+use vs_telemetry::digest::Stage;
 
 /// RANSAC parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,9 +125,11 @@ fn estimate_scratch(
     mut refit: impl FnMut(&[Vec2], &[Vec2], &mut homography::NormScratch) -> Option<Mat3>,
     s: &mut RansacScratch,
 ) -> Result<Option<Mat3>, SimError> {
-    // Telemetry-only span (no taps); near-free without a sink.
-    let _stage =
-        vs_telemetry::span_with("ransac_stage", &[("kind", vs_telemetry::Value::Str(kind))]);
+    // Telemetry-only stage span (no taps); near-free without a sink.
+    let _stage = vs_telemetry::span_with(
+        Stage::Ransac.name(),
+        &[("kind", vs_telemetry::Value::Str(kind))],
+    );
     let RansacScratch {
         sample,
         inliers,

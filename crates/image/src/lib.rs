@@ -4,7 +4,7 @@
 //! This crate replaces the subset of OpenCV's `core` and `imgproc` the
 //! paper's application relies on: 8-bit grayscale and RGB images with
 //! checked accessors, PPM/PGM I/O, drawing primitives, separable blurs,
-//! integral images and pyramids.
+//! integral images and pyramid downsampling.
 //!
 //! All pixel accessors are *checked*: `get`-style methods return `Option`
 //! so callers in the fault-injected pipeline can translate out-of-bounds
@@ -43,7 +43,7 @@ pub use filter::{
 pub use gray::GrayImage;
 pub use integral::IntegralImage;
 pub use ppm::{read_pgm, read_ppm, write_pgm, write_ppm, PnmError};
-pub use pyramid::{downsample_half, downsample_half_into, downsample_half_into_level, Pyramid};
+pub use pyramid::{downsample_half, downsample_half_into, downsample_half_into_level};
 pub use rgb::RgbImage;
 
 /// Hard cap on pixels per image (256 Mpx).

@@ -1,7 +1,7 @@
-//! Image pyramids.
+//! Pyramid downsampling.
 //!
-//! ORB detects FAST corners at several scales; the pyramid here halves
-//! resolution per level with 2×2 box averaging.
+//! ORB detects FAST corners at several scales; each pyramid level it
+//! builds halves the previous one with 2×2 box averaging.
 
 use crate::{saturate_u8, GrayImage};
 
@@ -106,59 +106,6 @@ fn downsample_half_into_scalar(img: &GrayImage, out: &mut GrayImage) -> bool {
     grew
 }
 
-/// A multi-scale pyramid: level 0 is the source image, each further level
-/// halves the resolution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Pyramid {
-    levels: Vec<GrayImage>,
-}
-
-impl Pyramid {
-    /// Build a pyramid with at most `max_levels` levels, stopping early
-    /// when a level would fall below `min_size` pixels on a side.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_levels` is zero.
-    pub fn new(base: &GrayImage, max_levels: usize, min_size: usize) -> Self {
-        assert!(max_levels > 0, "pyramid needs at least one level");
-        let mut levels = vec![base.clone()];
-        while levels.len() < max_levels {
-            let prev = levels.last().expect("non-empty by construction");
-            if prev.width() / 2 < min_size || prev.height() / 2 < min_size {
-                break;
-            }
-            levels.push(downsample_half(prev));
-        }
-        Pyramid { levels }
-    }
-
-    /// Number of levels actually built.
-    pub fn len(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Whether the pyramid has no levels (never true after `new`).
-    pub fn is_empty(&self) -> bool {
-        self.levels.is_empty()
-    }
-
-    /// Image at `level` (0 = full resolution).
-    pub fn level(&self, level: usize) -> Option<&GrayImage> {
-        self.levels.get(level)
-    }
-
-    /// The scale factor mapping level-`level` coordinates back to level 0.
-    pub fn scale(&self, level: usize) -> f64 {
-        (1u64 << level) as f64
-    }
-
-    /// Iterate over `(level_index, image)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &GrayImage)> {
-        self.levels.iter().enumerate()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,8 +164,9 @@ mod tests {
     }
 
     /// HD odd-dimension halving: 1919×1079-class frames drop the odd
-    /// trailing row/column at every level and stay bit-identical to the
-    /// float oracle (the dispatched path may be a vector level here).
+    /// trailing row/column and stay bit-identical to the float oracle
+    /// (the dispatched path may be a vector level here). The levels ORB
+    /// builds from such a frame are pinned in `vs-features`.
     #[test]
     fn hd_odd_dimensions_match_oracle() {
         let mut rng = vs_rng::SplitMix64::new(0x1919_1079);
@@ -229,50 +177,5 @@ mod tests {
         downsample_half_into_scalar(&img, &mut b);
         assert_eq!((a.width(), a.height()), (959, 539));
         assert_eq!(a, b, "dispatched HD downsample vs float oracle");
-        let p = Pyramid::new(&img, 4, 8);
-        let sizes: Vec<_> = p.iter().map(|(_, im)| (im.width(), im.height())).collect();
-        assert_eq!(
-            sizes,
-            vec![(1919, 1079), (959, 539), (479, 269), (239, 134)]
-        );
-        assert_eq!(
-            p.level(1).unwrap(),
-            &a,
-            "pyramid level 1 is the halved frame"
-        );
-    }
-
-    #[test]
-    fn pyramid_respects_min_size() {
-        let img = GrayImage::new(64, 64);
-        let p = Pyramid::new(&img, 10, 16);
-        // 64 -> 32 -> 16, then 16/2=8 < 16 stops.
-        assert_eq!(p.len(), 3);
-        assert_eq!(p.level(2).unwrap().width(), 16);
-        assert!(p.level(3).is_none());
-        assert!(!p.is_empty());
-    }
-
-    #[test]
-    fn pyramid_respects_max_levels() {
-        let img = GrayImage::new(1024, 1024);
-        let p = Pyramid::new(&img, 3, 4);
-        assert_eq!(p.len(), 3);
-        assert_eq!(p.scale(0), 1.0);
-        assert_eq!(p.scale(2), 4.0);
-    }
-
-    #[test]
-    fn iter_yields_all_levels() {
-        let img = GrayImage::new(32, 32);
-        let p = Pyramid::new(&img, 4, 2);
-        let sizes: Vec<_> = p.iter().map(|(i, im)| (i, im.width())).collect();
-        assert_eq!(sizes, vec![(0, 32), (1, 16), (2, 8), (3, 4)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one level")]
-    fn zero_levels_rejected() {
-        let _ = Pyramid::new(&GrayImage::new(8, 8), 0, 2);
     }
 }

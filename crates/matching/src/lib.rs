@@ -35,6 +35,7 @@
 use vs_fault::{tap, FuncId, OpClass, SimError};
 use vs_features::Descriptor;
 use vs_image::SimdLevel;
+use vs_telemetry::digest::Stage;
 use vs_telemetry::Value;
 
 mod simd;
@@ -173,9 +174,8 @@ impl RatioMatcher {
         level: SimdLevel,
     ) -> Result<(), SimError> {
         let dist = bounded_dist_for(level);
-        // Telemetry-only span (no taps); near-free without a sink.
-        let _stage = vs_telemetry::span("match_stage");
-        let t0 = vs_telemetry::enabled().then(std::time::Instant::now);
+        // Telemetry-only stage span (no taps); near-free without a sink.
+        let _stage = vs_telemetry::span(Stage::Match.name());
         let _f = tap::scope(FuncId::MatchKeypoints);
         out.clear();
         let mut early_exits = 0u64;
@@ -206,29 +206,14 @@ impl RatioMatcher {
                 });
             }
         }
-        emit_match_event(
-            "ratio",
-            query.len(),
-            train.len(),
-            out.len(),
-            early_exits,
-            t0,
-        );
+        emit_match_event("ratio", query.len(), train.len(), out.len(), early_exits);
         Ok(())
     }
 }
 
 /// One per-call `match` telemetry event (no-op without an installed
-/// sink). `t0` is the matcher's start instant, captured only when a
-/// sink is installed (the timer never runs inside campaign workers).
-fn emit_match_event(
-    matcher: &str,
-    queries: usize,
-    train: usize,
-    matches: usize,
-    early_exits: u64,
-    t0: Option<std::time::Instant>,
-) {
+/// sink); the enclosing `match` span carries the call's duration.
+fn emit_match_event(matcher: &str, queries: usize, train: usize, matches: usize, early_exits: u64) {
     vs_telemetry::emit(
         "match",
         &[
@@ -237,10 +222,6 @@ fn emit_match_event(
             ("train", Value::U64(train as u64)),
             ("matches", Value::U64(matches as u64)),
             ("hamming_early_exits", Value::U64(early_exits)),
-            (
-                "ns",
-                Value::U64(t0.map_or(0, |t| t.elapsed().as_nanos() as u64)),
-            ),
         ],
     );
 }
@@ -311,9 +292,8 @@ impl SimpleMatcher {
         level: SimdLevel,
     ) -> Result<(), SimError> {
         let dist = bounded_dist_for(level);
-        // Telemetry-only span (no taps); near-free without a sink.
-        let _stage = vs_telemetry::span("match_stage");
-        let t0 = vs_telemetry::enabled().then(std::time::Instant::now);
+        // Telemetry-only stage span (no taps); near-free without a sink.
+        let _stage = vs_telemetry::span(Stage::Match.name());
         let _f = tap::scope(FuncId::MatchKeypoints);
         out.clear();
         let mut early_exits = 0u64;
@@ -350,14 +330,7 @@ impl SimpleMatcher {
                 });
             }
         }
-        emit_match_event(
-            "simple",
-            query.len(),
-            train.len(),
-            out.len(),
-            early_exits,
-            t0,
-        );
+        emit_match_event("simple", query.len(), train.len(), out.len(), early_exits);
         Ok(())
     }
 }
@@ -500,8 +473,9 @@ mod tests {
         // 20×20 candidate scans are abandoned early.
         let exits = ev.u64("hamming_early_exits").unwrap();
         assert!(exits > 0 && exits < 400, "exits = {exits}");
-        // Kernel wall-clock counter: present whenever a sink is installed.
-        assert!(ev.u64("ns").is_some(), "match event must carry ns");
+        // The call's duration is its `match` stage span.
+        let spans = events.iter().filter(|e| e.str("span") == Some("match"));
+        assert_eq!(spans.count(), 2, "one match span, entered and exited");
     }
 
     #[test]

@@ -327,11 +327,11 @@ mod tests {
             let _g = install(sink.clone());
             let _run = span("run");
             {
-                let _frame = span_with("frame_stage", &[("frame", Value::U64(0))]);
+                let _frame = span_with("frame", &[("frame", Value::U64(0))]);
                 emit("orb", &[("keypoints", Value::U64(12))]);
             }
             {
-                let _frame = span_with("frame_stage", &[("frame", Value::U64(1))]);
+                let _frame = span_with("frame", &[("frame", Value::U64(1))]);
                 emit("orb", &[("keypoints", Value::U64(9))]);
             }
         }
@@ -409,6 +409,6 @@ mod tests {
         let lines: Vec<&str> = folded.lines().collect();
         assert_eq!(lines.len(), 2, "{folded}");
         assert!(lines[0].starts_with("run "));
-        assert!(lines[1].starts_with("run;frame_stage "));
+        assert!(lines[1].starts_with("run;frame "));
     }
 }

@@ -17,6 +17,7 @@ use vs_fault::{tap, FuncId, OpClass, SimError};
 use vs_geometry::transform::{transformed_bounds, Bounds};
 use vs_image::{GrayImage, RgbImage};
 use vs_linalg::{Mat3, Vec2};
+use vs_telemetry::digest::Stage;
 
 /// How overlapping frames are combined on the canvas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -236,6 +237,9 @@ impl Canvas {
         opts: &CompositeOptions,
         warp: &mut WarpScratch,
     ) -> Result<(), SimError> {
+        // Telemetry-only stage span (no taps) around warp and blend;
+        // near-free without a sink.
+        let _stage = vs_telemetry::span(Stage::Warp.name());
         // Degenerate-transform check (the native library asserts here).
         let _ = transformed_bounds(h, src.width(), src.height()).ok_or(SimError::Abort)?;
         // Paper-faithful cost structure: like OpenCV's `warpPerspective`
@@ -319,8 +323,8 @@ impl Canvas {
     /// is never touched), apart from the canvas mask, so content already
     /// on the canvas — a segment rebuilt from its
     /// [`CanvasPatch`] chain — is overwritten wherever a frame covers it.
-    /// Each composite is one `warp_stage` span and one `warp` event, in
-    /// paint order.
+    /// Each composite is one `warp` stage span and one `warp` event, in
+    /// paint order, as on the sequential path.
     ///
     /// The pixels are bit-identical at every `level`: AVX2 samples
     /// through the four-lane sampler, any other level through the SSE2
@@ -356,13 +360,12 @@ impl Canvas {
         warp.mask.try_reset(w, h).ok_or(SimError::Abort)?;
         let wide = level == vs_image::SimdLevel::Avx2;
         for item in items.iter().rev() {
-            let _stage = vs_telemetry::span("warp_stage");
-            let t0 = vs_telemetry::enabled().then(std::time::Instant::now);
+            let _stage = vs_telemetry::span(Stage::Warp.name());
             let (src, inv) = checked(item)?;
             let dst = self.image.as_bytes_mut();
             let painted = warp.mask.as_bytes_mut();
             remap_span_bytes(src, &inv, dst, painted, w, self.origin, 0, h, wide)?;
-            crate::emit_warp(w * h, t0);
+            crate::emit_warp(w * h);
         }
         for (k, &p) in self
             .mask

@@ -498,18 +498,12 @@ pub fn warp_perspective_offset_into_level(
 type RemapFn =
     fn(&RgbImage, &Mat3, &mut RgbImage, &mut GrayImage, Vec2, usize, usize) -> Result<(), SimError>;
 
-/// The `warp` kernel event: destination `pixels` and the nanoseconds
-/// since `t0` (0 when no telemetry sink was installed at the start).
-pub(crate) fn emit_warp(pixels: usize, t0: Option<std::time::Instant>) {
+/// The `warp` kernel event: destination `pixels`. A composite's
+/// duration is its enclosing `warp` stage span.
+pub(crate) fn emit_warp(pixels: usize) {
     vs_telemetry::emit(
         "warp",
-        &[
-            ("pixels", vs_telemetry::Value::U64(pixels as u64)),
-            (
-                "ns",
-                vs_telemetry::Value::U64(t0.map_or(0, |t| t.elapsed().as_nanos() as u64)),
-            ),
-        ],
+        &[("pixels", vs_telemetry::Value::U64(pixels as u64))],
     );
 }
 
@@ -549,12 +543,6 @@ fn warp_driver(
     mask: &mut GrayImage,
     remap: RemapFn,
 ) -> Result<(), SimError> {
-    // Telemetry-only span (no taps); near-free without a sink.
-    let _stage = vs_telemetry::span("warp_stage");
-    // Wall-clock kernel counter, read only when a telemetry sink is
-    // installed (campaign workers run sink-less and skip the clock);
-    // the timer sits outside all taps so it cannot perturb the stream.
-    let t0 = vs_telemetry::enabled().then(std::time::Instant::now);
     let _f = tap::scope(FuncId::WarpPerspective);
     tap::work(OpClass::Float, 120)?;
     tap::work(OpClass::IntAlu, 60)?;
@@ -562,7 +550,7 @@ fn warp_driver(
     dst.try_reset(dst_w, dst_h).ok_or(SimError::Abort)?;
     mask.try_reset(dst_w, dst_h).ok_or(SimError::Abort)?;
     remap(src, &inv, dst, mask, origin, 0, dst_h)?;
-    emit_warp(dst_w * dst_h, t0);
+    emit_warp(dst_w * dst_h);
     Ok(())
 }
 

@@ -79,10 +79,10 @@ echo "== bench smoke: campaign_bench --smoke --threads 1,2 --trace + trace_check
 # profile for each of the plain and the capturing golden run, and one
 # sweep row per thread count. --scratch-steady validates from the trace
 # alone that the last traced run reused every workspace buffer group
-# (zero-allocation steady state); --kernels that the hot-kernel events
-# carry their timer/pre-reject instrumentation; --metrics the snapshot
-# schema (complete monotone quantiles on every metrics_phase event and a
-# [0, 1] attribution coverage).
+# (zero-allocation steady state); --kernels that every pipeline stage
+# opened a span and a traced detection fired the FAST pre-reject;
+# --metrics the snapshot schema (complete monotone quantiles on every
+# metrics_phase event and a [0, 1] attribution coverage).
 ./target/release/trace_check /tmp/BENCH_smoke.jsonl --quiet \
     --expect injection=240 \
     --expect campaign_start=10 \
@@ -166,8 +166,9 @@ echo "== span export smoke: repro --trace + trace_check --spans --export-chrome 
 # per-thread nesting, monotone timestamps, nothing left open), and the
 # Chrome exporter emits exactly one trace event per input event — so
 # the exported event count must equal the JSONL line count. The flame
-# summary must fold at least one nested stack (pipeline stages nest
-# under the run spans).
+# summary must fold a stack ending in each pipeline stage, named as
+# `vs_telemetry::digest::Stage::name` names it (stage spans nest under
+# the run and frame spans).
 ./target/release/repro fig9a --scale quick --inj 6 --threads 2 \
     --out /tmp/span_smoke_out --trace /tmp/span_smoke.jsonl >/dev/null
 ./target/release/trace_check /tmp/span_smoke.jsonl --quiet --spans \
@@ -181,10 +182,19 @@ if [ "$TRACE_EVENTS" -ne "$CHROME_EVENTS" ]; then
     echo "error: chrome export has $CHROME_EVENTS events, trace has $TRACE_EVENTS" >&2
     exit 1
 fi
-grep -q ';' /tmp/span_smoke.folded || {
-    echo "error: flame summary folded no nested stacks" >&2
+DIGEST_RS=crates/telemetry/src/digest.rs
+STAGES=$(sed -n 's/^ *Stage::[A-Za-z]* => "\([a-z]*\)",$/\1/p' $DIGEST_RS)
+NUM_STAGES=$(sed -n 's/^pub const NUM_STAGES: usize = \([0-9]*\);$/\1/p' $DIGEST_RS)
+if [ -z "$NUM_STAGES" ] || [ "$(echo $STAGES | wc -w)" -ne "$NUM_STAGES" ]; then
+    echo "error: read stage names '$STAGES' from $DIGEST_RS, expected NUM_STAGES=$NUM_STAGES" >&2
     exit 1
-}
+fi
+for stage in $STAGES; do
+    grep -Eq ";$stage [0-9]+\$" /tmp/span_smoke.folded || {
+        echo "error: flame summary folded no stack ending in stage '$stage'" >&2
+        exit 1
+    }
+done
 rm -rf /tmp/span_smoke_out /tmp/span_smoke.jsonl /tmp/span_smoke_chrome.json \
     /tmp/span_smoke.folded
 

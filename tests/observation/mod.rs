@@ -23,11 +23,12 @@
 //! * forensics — a forensic golden run and a digest trace recording on
 //!   the calling thread: every completed run carries the attribution an
 //!   unobserved forensic scratch campaign gives it (so resumed runs fold
-//!   the digests of scratch runs), and a scratch or checkpointed
-//!   campaign leaves the caller's trace empty. A composed campaign is
-//!   not held to that: it re-runs the golden run on the calling thread
-//!   to capture its checkpoint chain, which also folds into the
-//!   caller's trace, and that re-run should not be observed at all.
+//!   the digests of scratch runs), and the campaign leaves the caller's
+//!   trace empty.
+//!
+//! No flavour observes more than its one golden run: the trace holds one
+//! `frame` event per input frame, and a composed campaign's re-run of
+//! the golden run, which captures its checkpoint chain, is unobserved.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
@@ -121,7 +122,7 @@ pub fn check(caps: Caps, flavour: Flavour) {
             }
 
             if caps.has(Caps::Trace) {
-                check_trace(&seen, flavour, &cell);
+                check_trace(&seen, flavour, w.frames().len(), &cell);
             }
             if caps.has(Caps::Metrics) {
                 check_metrics(&seen, flavour, threads, &cell);
@@ -186,9 +187,7 @@ fn observe(
                 (golden, records, runs)
             }
         };
-        if flavour != Flavour::Composed {
-            assert_eq!(digest::trace(), DigestTrace::default(), "caller's trace");
-        }
+        assert_eq!(digest::trace(), DigestTrace::default(), "caller's trace");
         seen
     });
     Seen {
@@ -214,12 +213,13 @@ pub fn traced<T>(on: bool, f: impl FnOnce() -> T) -> (T, Vec<OwnedEvent>) {
     (out, trace)
 }
 
-fn check_trace(seen: &Seen, flavour: Flavour, cell: &str) {
+fn check_trace(seen: &Seen, flavour: Flavour, frames: usize, cell: &str) {
     let named = |name: &'static str| seen.trace.iter().filter(move |e| e.name == name);
     assert_eq!(named("golden_profile").count(), 1, "{cell}");
-    assert!(
-        named("frame").count() > 0,
-        "{cell}: the golden run traces stages"
+    assert_eq!(
+        named("frame").count(),
+        frames,
+        "{cell}: one golden run's frames"
     );
     let forensic = usize::from(seen.golden.digests.is_some());
     assert_eq!(named("forensics_golden").count(), forensic, "{cell}");

@@ -6,7 +6,9 @@
 //! golden tap profiles, fault draws, fired faults and outcome
 //! classifications bit-for-bit identical, across thread counts and
 //! campaign flavours; any divergence means an event emission leaked
-//! into the tap stream.
+//! into the tap stream. Two checks pin what a trace says: spans name
+//! pipeline stages by the forensic `Stage`s, and an untapped summary
+//! traces one warp per composite.
 
 mod observation;
 
@@ -14,8 +16,9 @@ use observation::{check, fingerprint, traced, workload, Caps, Flavour};
 use std::sync::Arc;
 use video_summarization::prelude::*;
 use vs_fault::campaign::CheckpointPolicy;
+use vs_telemetry::digest::Stage;
 use vs_telemetry::ledger::{self, Ledger};
-use vs_telemetry::{MemorySink, OwnedValue};
+use vs_telemetry::{MemorySink, OwnedEvent, OwnedValue};
 
 #[test]
 fn golden_profile_is_identical_with_jsonl_sink_installed() {
@@ -103,31 +106,71 @@ fn spans_and_ledger_do_not_perturb_campaigns() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Run `f` under a memory sink: its result and the names of the spans
+/// it opened, in order.
+fn spans_of<T>(f: impl FnOnce() -> T) -> (T, Vec<OwnedEvent>, Vec<String>) {
+    let sink = Arc::new(MemorySink::new());
+    let out = {
+        let _g = vs_telemetry::install(sink.clone());
+        f()
+    };
+    let events = sink.events();
+    let names = events
+        .iter()
+        .filter(|e| e.name == "span_enter")
+        .filter_map(|e| e.str("span").map(str::to_string))
+        .collect();
+    (out, events, names)
+}
+
+/// The stages, in dataflow order, with at least one span in `names`.
+fn spanned(names: &[String]) -> Vec<Stage> {
+    let named = |s: &Stage| names.iter().any(|n| n == s.name());
+    Stage::ALL.into_iter().filter(named).collect()
+}
+
+/// Spans and forensic digests name pipeline stages with one vocabulary:
+/// a forensic golden run opens spans of exactly the stages whose digest
+/// folded a record, its other spans are structural, and an untapped
+/// summary opens spans of the same stages.
+#[test]
+fn spans_and_digests_share_the_stage_vocabulary() {
+    let w = workload();
+    let (golden, _, names) = spans_of(|| campaign::profile_golden_forensic(&w).unwrap());
+    let structural = ["profile_golden", "pipeline_run", "frame", "render"];
+    for name in &names {
+        assert!(
+            Stage::ALL.iter().any(|s| s.name() == name) || structural.contains(&name.as_str()),
+            "span '{name}' is neither a stage nor structural"
+        );
+    }
+    let digests = golden.digests.expect("forensic golden run");
+    let digested: Vec<Stage> = Stage::ALL
+        .into_iter()
+        .filter(|&s| digests.count(s) > 0)
+        .collect();
+    assert_eq!(digested, Stage::ALL, "every stage folds a digest");
+    assert_eq!(spanned(&names), digested, "tapped golden run");
+    let (_, _, untapped) = spans_of(|| w.summarize().unwrap());
+    assert_eq!(spanned(&untapped), digested, "untapped summary");
+}
+
 /// Untapped summaries paint each segment last frame first, but still
-/// trace one `warp_stage` span and one timed `warp` event per composite,
-/// in a well-formed span tree.
+/// trace one `warp` stage span and one `warp` event per composite, in a
+/// well-formed span tree.
 #[test]
 fn untapped_summary_traces_one_warp_per_composite() {
     let w = workload();
-    let sink = Arc::new(MemorySink::new());
-    let summary = {
-        let _g = vs_telemetry::install(sink.clone());
-        w.summarize().unwrap()
-    };
-    let events = sink.events();
+    let (summary, events, names) = spans_of(|| w.summarize().unwrap());
     let composites = summary.alignments.len();
     assert!(composites > 1);
     let warps: Vec<_> = events.iter().filter(|e| e.name == "warp").collect();
     assert_eq!(warps.len(), composites, "one warp event per composite");
     for e in &warps {
-        assert!(e.u64("ns").is_some_and(|ns| ns > 0), "untimed warp: {e:?}");
         assert!(e.u64("pixels").is_some_and(|px| px > 0), "{e:?}");
     }
-    let stages = events
-        .iter()
-        .filter(|e| e.name == "span_enter" && e.str("span") == Some("warp_stage"))
-        .count();
-    assert_eq!(stages, composites, "one warp_stage span per composite");
+    let spans = names.iter().filter(|n| *n == Stage::Warp.name()).count();
+    assert_eq!(spans, composites, "one warp span per composite");
     vs_telemetry::export::validate_spans(&events).expect("span tree must validate");
 }
 
