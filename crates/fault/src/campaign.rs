@@ -355,33 +355,29 @@ fn begin_golden(mask: FuncMask) -> session::SessionGuard {
 /// `ws` under `golden.mask`, capturing a checkpoint at every unit (k =
 /// 1). The chain is kept only if the re-run reproduces `golden.output`
 /// and `golden.profile` exactly, so it cannot move a record; otherwise it
-/// is empty and every run starts from scratch. The re-run runs on a
-/// scoped thread of its own, as every injected run does, so none of the
-/// caller's observers sees it: a traced campaign streams the golden
-/// run's stage events once, and the caller's digest trace folds nothing.
-/// The grouped drivers attribute nothing, so the checkpoints' digest
-/// traces go unused.
+/// is empty and every run starts from scratch. The re-run runs on the
+/// calling thread, which, as for [`profile_golden`], must have no tap
+/// session, with its observation context detached
+/// ([`vs_telemetry::detach`]), so none of the caller's observers sees
+/// it: a traced campaign streams the golden run's stage events once, and
+/// the caller's digest trace folds nothing. Its buffers come from the
+/// caller's heap, as the golden run's did. The grouped drivers attribute
+/// nothing, so the checkpoints' digest traces go unused.
 pub(crate) fn capture_chain<W: Workload>(
     workload: &W,
     golden: &GoldenRun<W::Output>,
     ws: &mut W::Workspace,
 ) -> Vec<W::Checkpoint> {
-    std::thread::scope(|scope| {
-        scope
-            .spawn(|| {
-                let _guard = begin_golden(golden.mask);
-                match workload.run_capturing(ws, 1) {
-                    Ok((output, chain))
-                        if *output == golden.output && session::snapshot() == golden.profile =>
-                    {
-                        chain
-                    }
-                    _ => Vec::new(),
-                }
-            })
-            .join()
-            .expect("golden capture panicked")
-    })
+    let _detached = vs_telemetry::detach();
+    let _guard = begin_golden(golden.mask);
+    match workload.run_capturing(ws, 1) {
+        Ok((output, chain))
+            if *output == golden.output && session::snapshot() == golden.profile =>
+        {
+            chain
+        }
+        _ => Vec::new(),
+    }
 }
 
 /// Outcome of one injected run — the paper's four classes, with crashes

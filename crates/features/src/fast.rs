@@ -13,10 +13,11 @@
 //! Scores are integers (a SAD of at most 16 · 255 = 4080), kept in a
 //! `u16` plane for the non-maximum suppression; the `f64` keypoint
 //! response carries the same value. At the AVX2 dispatch level the scan
-//! runs the block segment test of `simd::block32` over 32 centres at a
-//! time. Inside a fault session it taps each surviving centre exactly as
-//! the other levels do; outside one every tap returns its input, so the
-//! walk records the block's corners directly and visits no other centre.
+//! runs the block segment test of `simd::RowBlocks::block` over 32
+//! centres at a time. Inside a fault session it taps each surviving
+//! centre exactly as the other levels do; outside one every tap returns
+//! its input, so the walk records the block's corners directly and
+//! visits no other centre.
 //!
 //! Selection is lazy: candidates are visited strongest first (response
 //! descending, then raster position), in rounds that partition and sort
@@ -417,8 +418,10 @@ fn detect_into_impl(
     // Linear offsets of the 16-pixel ring; in-bounds for every interior
     // (3-pixel-margin) centre, where the clamped reads never clamped.
     let ring = simd::ring_offsets(w);
-    // Checked once per call, as the render loop gates its painter.
-    let untapped = mode == Mode::Avx2 && !vs_fault::session::active();
+    // Set up once per call: the block kernel's ring offsets and AVX2
+    // check, and the session check, as the render loop gates its painter.
+    let blocks = (mode == Mode::Avx2).then(|| simd::Blocks::new(w, t));
+    let untapped = blocks.is_some() && !vs_fault::session::active();
     let mut walk = Walk {
         img,
         ring,
@@ -444,45 +447,48 @@ fn detect_into_impl(
             // deciding it for a block of centres and visiting survivors
             // in ascending x reproduces the tap stream byte-for-byte.
             let mut x = 3usize;
-            if untapped {
-                // Off-session taps return their input and charge
-                // nothing, so the tapped walk below would trust every
-                // block verdict: it would count exactly the block's
-                // pre-rejects and record exactly its corners.
-                while x + simd::BLOCK + 3 <= w {
-                    let block = simd::block32(data, w, y, x, t);
-                    walk.prereject += u64::from(block.prereject.count_ones());
-                    let mut mask = block.corner;
-                    while mask != 0 {
-                        let j = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        walk.record(x + j, y, block.response[j]);
-                    }
-                    x += simd::BLOCK;
-                }
-            } else if mode == Mode::Avx2 {
-                // The block also decides each survivor's segment test,
-                // pre-reject and response for its loaded centre value,
-                // which a fault in the centre's tap may change.
-                while x + simd::BLOCK + 3 <= w {
-                    let block = simd::block32(data, w, y, x, t);
-                    let mut mask = block.pass;
-                    while mask != 0 {
-                        let j = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        let center = r[x + j];
-                        let center_reg = tap::gpr(center as u64) as i64;
-                        tap::work(OpClass::IntAlu, 32)?;
-                        if center_reg != i64::from(center) {
-                            walk.test(x + j, y, center_reg);
-                            continue;
-                        }
-                        walk.prereject += u64::from(block.prereject >> j & 1);
-                        if block.corner >> j & 1 == 1 {
+            if let Some(blocks) = &blocks {
+                let row_blocks = blocks.row(data, y);
+                if untapped {
+                    // Off-session taps return their input and charge
+                    // nothing, so the tapped walk below would trust every
+                    // block verdict: it would count exactly the block's
+                    // pre-rejects and record exactly its corners.
+                    while x + simd::BLOCK + 3 <= w {
+                        let block = row_blocks.block(x);
+                        walk.prereject += u64::from(block.prereject.count_ones());
+                        let mut mask = block.corner;
+                        while mask != 0 {
+                            let j = mask.trailing_zeros() as usize;
+                            mask &= mask - 1;
                             walk.record(x + j, y, block.response[j]);
                         }
+                        x += simd::BLOCK;
                     }
-                    x += simd::BLOCK;
+                } else {
+                    // The block also decides each survivor's segment test,
+                    // pre-reject and response for its loaded centre value,
+                    // which a fault in the centre's tap may change.
+                    while x + simd::BLOCK + 3 <= w {
+                        let block = row_blocks.block(x);
+                        let mut mask = block.pass;
+                        while mask != 0 {
+                            let j = mask.trailing_zeros() as usize;
+                            mask &= mask - 1;
+                            let center = r[x + j];
+                            let center_reg = tap::gpr(center as u64) as i64;
+                            tap::work(OpClass::IntAlu, 32)?;
+                            if center_reg != i64::from(center) {
+                                walk.test(x + j, y, center_reg);
+                                continue;
+                            }
+                            walk.prereject += u64::from(block.prereject >> j & 1);
+                            if block.corner >> j & 1 == 1 {
+                                walk.record(x + j, y, block.response[j]);
+                            }
+                        }
+                        x += simd::BLOCK;
+                    }
                 }
             } else {
                 while x + simd::QUICK_LANES + 3 <= w {

@@ -12,6 +12,22 @@ use vs_image::GrayImage;
 /// Radius of the circular orientation patch.
 pub const PATCH_RADIUS: isize = 8;
 
+/// Half-width of each row of the circular patch: row `dy` holds the
+/// pixels `dx ∈ [−h, h]` with `dx² + dy² ≤ PATCH_RADIUS²`, where `h` is
+/// entry `dy + PATCH_RADIUS`.
+const HALF_WIDTHS: [isize; 2 * PATCH_RADIUS as usize + 1] = {
+    let mut half = [0; 2 * PATCH_RADIUS as usize + 1];
+    let mut i = 0;
+    while i < half.len() {
+        let dy = i as isize - PATCH_RADIUS;
+        while (half[i] + 1) * (half[i] + 1) + dy * dy <= PATCH_RADIUS * PATCH_RADIUS {
+            half[i] += 1;
+        }
+        i += 1;
+    }
+    half
+};
+
 /// Compute the intensity-centroid orientation of the patch centred on
 /// `(cx, cy)`, in radians.
 ///
@@ -74,31 +90,83 @@ pub fn assign_orientations_mut(
         tap::work(OpClass::Float, 8)?;
         let xi = kp.x.round() as isize;
         let yi = kp.y.round() as isize;
-        let r2 = r.saturating_mul(r);
-        // Row width 2r + 1, wrapping as the native loop-bound arithmetic
-        // does: a corrupted radius near 2^62 charges the same (huge)
-        // count in every build profile instead of panicking in debug.
-        let width = r.max(0).wrapping_mul(2).wrapping_add(1) as u64;
-        let mut m01 = 0.0f64;
-        let mut m10 = 0.0f64;
-        let mut dy = -r;
-        while dy <= r {
-            tap::work(OpClass::IntAlu, width)?;
-            tap::work(OpClass::Mem, width)?;
-            let mut dx = -r;
-            while dx <= r {
-                if dx.saturating_mul(dx).saturating_add(dy.saturating_mul(dy)) <= r2 {
-                    let v = img.get_clamped(xi + dx, yi + dy) as f64;
-                    m10 += dx as f64 * v;
-                    m01 += dy as f64 * v;
-                }
-                dx += 1;
-            }
-            dy += 1;
-        }
+        let (m01, m10) = if r == PATCH_RADIUS && patch_inside(img, xi, yi) {
+            interior_moments(img, xi, yi)?
+        } else {
+            clamped_moments(img, xi, yi, r)?
+        };
         kp.angle = tap::fpr(m01.atan2(m10));
     }
     Ok(())
+}
+
+/// Whether the whole `PATCH_RADIUS` patch around `(xi, yi)` lies inside
+/// `img`, so that no read clamps.
+fn patch_inside(img: &GrayImage, xi: isize, yi: isize) -> bool {
+    let r = PATCH_RADIUS;
+    xi >= r && yi >= r && xi < img.width() as isize - r && yi < img.height() as isize - r
+}
+
+/// The moments `(m01, m10)` of a patch of radius `r` at `(xi, yi)`, read
+/// with replicate padding, with the row taps of a radius-`r` loop.
+fn clamped_moments(
+    img: &GrayImage,
+    xi: isize,
+    yi: isize,
+    r: isize,
+) -> Result<(f64, f64), SimError> {
+    let r2 = r.saturating_mul(r);
+    // Row width 2r + 1, wrapping as the native loop-bound arithmetic
+    // does: a corrupted radius near 2^62 charges the same (huge) count
+    // in every build profile instead of panicking in debug.
+    let width = r.max(0).wrapping_mul(2).wrapping_add(1) as u64;
+    let mut m01 = 0.0f64;
+    let mut m10 = 0.0f64;
+    let mut dy = -r;
+    while dy <= r {
+        tap::work(OpClass::IntAlu, width)?;
+        tap::work(OpClass::Mem, width)?;
+        let mut dx = -r;
+        while dx <= r {
+            if dx.saturating_mul(dx).saturating_add(dy.saturating_mul(dy)) <= r2 {
+                let v = img.get_clamped(xi + dx, yi + dy) as f64;
+                m10 += dx as f64 * v;
+                m01 += dy as f64 * v;
+            }
+            dx += 1;
+        }
+        dy += 1;
+    }
+    Ok((m01, m10))
+}
+
+/// [`clamped_moments`] at radius `PATCH_RADIUS` for a patch inside the
+/// image, summed in integers over the precomputed row half-widths, with
+/// the same row taps (each sum stays below 197 · 8 · 255 < 2^19).
+/// Bit-identical: every term and partial sum of the f64 loop is an
+/// integer far below 2^53, so each of its additions is
+/// exact and its sums equal these; and its accumulators, starting at
+/// +0.0, never turn −0.0 (adding −0.0 keeps +0.0, and an exact
+/// cancellation rounds to +0.0), as the converted integers never are.
+fn interior_moments(img: &GrayImage, xi: isize, yi: isize) -> Result<(f64, f64), SimError> {
+    let width = 2 * PATCH_RADIUS as u64 + 1;
+    let w = img.width();
+    let data = img.as_bytes();
+    let (mut m01, mut m10) = (0i32, 0i32);
+    for (dy, &half) in (-PATCH_RADIUS..=PATCH_RADIUS).zip(&HALF_WIDTHS) {
+        tap::work(OpClass::IntAlu, width)?;
+        tap::work(OpClass::Mem, width)?;
+        let start = (yi + dy) as usize * w + (xi - half) as usize;
+        let row = &data[start..=start + 2 * half as usize];
+        let (mut sum, mut moment) = (0i32, 0i32);
+        for (dx, &v) in (-half as i32..).zip(row) {
+            sum += i32::from(v);
+            moment += dx * i32::from(v);
+        }
+        m10 += moment;
+        m01 += dy as i32 * sum;
+    }
+    Ok((m01 as f64, m10 as f64))
 }
 
 #[cfg(test)]
@@ -195,6 +263,54 @@ mod tests {
             let result = result.unwrap_or_else(|_| panic!("bit {bit} panicked"));
             if bit == 62 {
                 assert_eq!(result, Err(SimError::Hang));
+            }
+        }
+    }
+
+    /// Every angle equals [`intensity_centroid`]'s bit for bit, at every
+    /// pixel of random, two-level and flat images — interior patches
+    /// (the integer sums) and border ones (the clamped loop) — and at
+    /// half-pixel positions, which round onto either side of the border.
+    #[test]
+    fn angles_match_intensity_centroid_bit_for_bit() {
+        let mut rng = vs_rng::SplitMix64::new(0x0C3A_7E55);
+        let images = [
+            GrayImage::from_fn(40, 31, |_, _| rng.gen_range(0u32..256) as u8),
+            GrayImage::from_fn(
+                25,
+                19,
+                |_, _| if rng.gen_range(0u32..2) == 0 { 0 } else { 255 },
+            ),
+            GrayImage::from_fn(20, 18, |_, _| 0),
+            GrayImage::from_fn(17, 17, |x, y| (x * 13 + y * 7) as u8),
+        ];
+        for img in &images {
+            let (w, h) = (img.width(), img.height());
+            let mut kps: Vec<KeyPoint> = (0..h)
+                .flat_map(|y| (0..w).map(move |x| KeyPoint::new(x, y, 1.0)))
+                .collect();
+            for k in [7.5, 8.5, w as f64 - 8.5] {
+                kps.push(KeyPoint {
+                    x: k,
+                    y: k,
+                    ..KeyPoint::new(0, 0, 1.0)
+                });
+            }
+            let interior = kps
+                .iter()
+                .filter(|k| patch_inside(img, k.x.round() as isize, k.y.round() as isize))
+                .count();
+            assert!(interior > 0 && interior < kps.len(), "{w}x{h}");
+            assign_orientations_mut(img, &mut kps).unwrap();
+            for k in &kps {
+                let want = intensity_centroid(img, k.x, k.y);
+                assert_eq!(
+                    k.angle.to_bits(),
+                    want.to_bits(),
+                    "{w}x{h} at ({}, {})",
+                    k.x,
+                    k.y
+                );
             }
         }
     }

@@ -17,13 +17,17 @@
 //!   128-bit comparison pair instead of four 4-lane SWAR words; the
 //!   resulting bright/dark masks feed the same popcount pre-reject and
 //!   [`crate::fast`] `has_arc16` scan.
-//! * the AVX2 **block segment test** ([`block32`]): one pass over the 16
-//!   ring rows of 32 consecutive centres returns the compass pass mask,
-//!   the corner mask (an AND ladder over the 16 bright and the 16 dark
-//!   masks finds every 9-arc, wrap-around included), the popcount
-//!   pre-reject mask and 32 SAD responses in u16 lanes. The detector
-//!   still taps every passing centre in ascending x, and trusts the
-//!   block only when the tapped centre equals the loaded one.
+//! * the AVX2 **block segment test** ([`RowBlocks::block`]): one pass
+//!   over the 16 ring rows of 32 consecutive centres returns the compass
+//!   pass mask, the corner mask, the popcount pre-reject mask and 32 SAD
+//!   responses in u16 lanes. Each row's bright and dark masks are
+//!   movemasked into one `u64` word as soon as they are classified and
+//!   counted into two running i8 sums, so no mask array outlives its
+//!   row; an AND ladder across the 16 words finds every 9-arc of both
+//!   polarities, wrap-around included. The walk sets the kernel up once
+//!   per call ([`Blocks`]) and checks row bounds once per row. The
+//!   detector still taps every passing centre in ascending x, and
+//!   trusts the block only when the tapped centre equals the loaded one.
 //! * the AVX2 **rBRIEF sampler** ([`brief_words`]): four pattern pairs
 //!   per step in f64 lanes, in the scalar loop's expression order with
 //!   separate multiplies and adds (no FMA). It rounds half away from
@@ -138,50 +142,35 @@ mod x86 {
         _mm256_cmpgt_epi8(_mm256_set1_epi8(-1), sum)
     }
 
-    /// Lanes where 9 contiguous masks of the 16-entry ring are set,
-    /// counting wrap-around: `has_arc16`'s AND ladder (offsets 1, 2, 4,
-    /// then the ninth entry) run across masks instead of across bits.
+    /// One ring row's bright and dark masks as one word: the bright
+    /// movemask in the low 32 bits, the dark one in the high 32.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn arc9_256(m: &[__m256i; 16]) -> __m256i {
-        let mut r2 = [_mm256_setzero_si256(); 16];
-        for (i, r) in r2.iter_mut().enumerate() {
-            *r = _mm256_and_si256(m[i], m[(i + 1) % 16]);
-        }
-        let mut r4 = [_mm256_setzero_si256(); 16];
-        for (i, r) in r4.iter_mut().enumerate() {
-            *r = _mm256_and_si256(r2[i], r2[(i + 2) % 16]);
-        }
-        let mut any = _mm256_setzero_si256();
-        for (i, r) in r4.iter().enumerate() {
-            let r8 = _mm256_and_si256(*r, r4[(i + 4) % 16]);
-            any = _mm256_or_si256(any, _mm256_and_si256(r8, m[(i + 8) % 16]));
-        }
-        any
-    }
-
-    /// Lanes where at least `ARC_LENGTH` (9) of the 16 masks are set:
-    /// each set mask is −1 as i8, so the sum lies in [−16, 0] and
-    /// `< −8` means 9 or more.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn at_least9_256(m: &[__m256i; 16]) -> __m256i {
-        let mut sum = _mm256_setzero_si256();
-        for v in m {
-            sum = _mm256_add_epi8(sum, *v);
-        }
-        _mm256_cmpgt_epi8(_mm256_set1_epi8(-8), sum)
+    fn row_word(bright: __m256i, dark: __m256i) -> u64 {
+        let b = _mm256_movemask_epi8(bright) as u32;
+        let d = _mm256_movemask_epi8(dark) as u32;
+        u64::from(b) | u64::from(d) << 32
     }
 
     /// Block segment test for the 32 centres at `data[base..base + 32]`
     /// (movemask bit order is ascending byte order — ascending x).
     ///
+    /// The four compass rows decide the quick rejection (≥ 2 of 4)
+    /// first. A block with a survivor then classifies all sixteen rows,
+    /// and each row's masks leave the vector registers at once: they are
+    /// movemasked into one [`row_word`] and added into two running i8
+    /// counts, bright and dark, whose ≥ 9-of-16 test is the popcount
+    /// pre-reject. The arc test runs on the sixteen scalar words. Only
+    /// the centre row, the two counts and the two SAD accumulators stay
+    /// live across rows. The compass rows are classified again rather
+    /// than kept: every form that reused their masks compiled to
+    /// byte-by-byte mask rebuilds from movemask bits, at twice the cost.
+    ///
     /// # Safety
     ///
     /// The CPU supports AVX2, and every ring row lies in `data`:
     /// `base + ring[i] ≥ 0` and `base + ring[i] + 32 ≤ data.len()` for
-    /// all `i`, as does `base + 32 ≤ data.len()` — asserted in the safe
-    /// wrapper.
+    /// all `i`, as does `base + 32 ≤ data.len()`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn block32(
         data: &[u8],
@@ -200,35 +189,39 @@ mod x86 {
             unsafe { _mm256_loadu_si256(p.offset(base as isize + off).cast()) }
         };
         let c = row(0);
-        let mut bright = [zero; 16];
-        let mut dark = [zero; 16];
         // Compass entries first: a block none of whose centres survives
         // the quick rejection needs nothing else.
-        for i in [0, 4, 8, 12] {
-            (bright[i], dark[i]) = classify32(row(ring[i]), c, tv, t_zero);
-        }
-        let pass = _mm256_or_si256(
-            at_least2_256(bright[0], bright[4], bright[8], bright[12]),
-            at_least2_256(dark[0], dark[4], dark[8], dark[12]),
-        );
+        let (b0, d0) = classify32(row(ring[0]), c, tv, t_zero);
+        let (b1, d1) = classify32(row(ring[4]), c, tv, t_zero);
+        let (b2, d2) = classify32(row(ring[8]), c, tv, t_zero);
+        let (b3, d3) = classify32(row(ring[12]), c, tv, t_zero);
+        let pass = _mm256_or_si256(at_least2_256(b0, b1, b2, b3), at_least2_256(d0, d1, d2, d3));
         let pass = _mm256_movemask_epi8(pass) as u32;
         if pass == 0 {
             return super::Block32::default();
         }
+        let mut words = [0u64; 16];
+        let (mut bright, mut dark) = (zero, zero);
         let (mut sad_lo, mut sad_hi) = (zero, zero);
-        for (i, &off) in ring.iter().enumerate() {
+        for (word, &off) in words.iter_mut().zip(ring) {
             let v = row(off);
-            if i % 4 != 0 {
-                (bright[i], dark[i]) = classify32(v, c, tv, t_zero);
-            }
+            let (b, d) = classify32(v, c, tv, t_zero);
+            bright = _mm256_add_epi8(bright, b);
+            dark = _mm256_add_epi8(dark, d);
+            *word = row_word(b, d);
             // The SAD response adds |v − c| where it exceeds t.
             let diff = _mm256_or_si256(_mm256_subs_epu8(v, c), _mm256_subs_epu8(c, v));
             let kept = _mm256_andnot_si256(ge_u8_256(tv, diff), diff);
             sad_lo = _mm256_add_epi16(sad_lo, _mm256_unpacklo_epi8(kept, zero));
             sad_hi = _mm256_add_epi16(sad_hi, _mm256_unpackhi_epi8(kept, zero));
         }
-        let corner = _mm256_or_si256(arc9_256(&bright), arc9_256(&dark));
-        let survive = _mm256_or_si256(at_least9_256(&bright), at_least9_256(&dark));
+        let arcs = super::arc9_words(&words);
+        // Each set mask added −1, so a count below −8 means 9 or more.
+        let nine = _mm256_set1_epi8(-8);
+        let survive = _mm256_or_si256(
+            _mm256_cmpgt_epi8(nine, bright),
+            _mm256_cmpgt_epi8(nine, dark),
+        );
         // The unpacks interleave within 128-bit lanes: `sad_lo` holds
         // centres 0..8 and 16..24, `sad_hi` 8..16 and 24..32.
         let mut response = [0u16; 32];
@@ -241,7 +234,7 @@ mod x86 {
         }
         super::Block32 {
             pass,
-            corner: _mm256_movemask_epi8(corner) as u32 & pass,
+            corner: (arcs as u32 | (arcs >> 32) as u32) & pass,
             prereject: !(_mm256_movemask_epi8(survive) as u32) & pass,
             response,
         }
@@ -402,12 +395,13 @@ pub(crate) fn quick_pass_mask(data: &[u8], w: usize, y: usize, x0: usize, t: u8)
     }
 }
 
-/// How many centres one [`block32`] call covers.
+/// How many centres one [`RowBlocks::block`] call covers.
 pub(crate) const BLOCK: usize = 32;
 
-/// What [`block32`] computes for 32 consecutive centres; bit (or lane)
-/// `j` describes centre `x0 + j`. `corner` and `prereject` bits are set
-/// only where `pass` is, and `response[j]` is meaningful only there.
+/// What [`RowBlocks::block`] computes for 32 consecutive centres; bit
+/// (or lane) `j` describes centre `x0 + j`. `corner` and `prereject`
+/// bits are set only where `pass` is, and `response[j]` is meaningful
+/// only there.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Block32 {
     /// The compass quick-rejection passes.
@@ -427,34 +421,92 @@ pub(crate) fn ring_offsets(w: usize) -> [isize; 16] {
     CIRCLE.map(|(dx, dy)| dy as isize * w as isize + dx as isize)
 }
 
-/// Block segment test for the [`BLOCK`] centres `x0..x0 + 32` of row
-/// `y`, with the scalar detector's classify, arc, pre-reject and
-/// response semantics for a centre equal to its loaded pixel. Requires
-/// an interior span: `3 ≤ y < h-3`, `x0 ≥ 3`, `x0 + 35 ≤ w`.
-pub(crate) fn block32(data: &[u8], w: usize, y: usize, x0: usize, t: u8) -> Block32 {
-    assert!(
-        y >= 3 && x0 >= 3 && x0 + BLOCK + 3 <= w,
-        "block span out of bounds"
-    );
-    assert!(
-        (y + 3) * w + x0 + BLOCK + 3 <= data.len(),
-        "block rows out of bounds"
-    );
-    let ring = ring_offsets(w);
-    let base = y * w + x0;
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 was just detected. Every ring row lies in `data`:
-        // the lowest, `base − 3w − 3`, is ≥ 0 since y ≥ 3 and x0 ≥ 3, and
-        // the highest ends at `base + 3w + 3 + 32 ≤ data.len()`.
-        return unsafe { x86::block32(data, &ring, base, t) };
-    }
-    block32_lanes(data, &ring, base, t)
+/// Lanes holding 9 contiguous set masks of the 16-entry ring, counting
+/// wrap-around, for every lane of the 16 words at once: `has_arc16`'s
+/// AND ladder (offsets 1, 2, 4, then the ninth entry) run across words
+/// instead of across bits. A bright and a dark lane of the same centre
+/// sit in different bits, so one pass finds both polarities.
+fn arc9_words(m: &[u64; 16]) -> u64 {
+    let r2: [u64; 16] = std::array::from_fn(|i| m[i] & m[(i + 1) % 16]);
+    let r4: [u64; 16] = std::array::from_fn(|i| r2[i] & r2[(i + 2) % 16]);
+    (0..16).fold(0, |any, i| any | r4[i] & r4[(i + 4) % 16] & m[(i + 8) % 16])
 }
 
-/// Per-centre form of [`block32`]: the scalar compass predicate, the
-/// SWAR segment test and a scalar SAD, lane by lane. The block's body
-/// without AVX2, and the oracle the vector block is tested against.
+/// The block segment test of one detector call at threshold `t` on
+/// rows of width `w`: the ring offsets are computed and AVX2 detected
+/// once, when the walk starts.
+pub(crate) struct Blocks {
+    ring: [isize; 16],
+    w: usize,
+    t: u8,
+    avx2: bool,
+}
+
+/// One row's blocks: its bounds were asserted once, in [`Blocks::row`].
+pub(crate) struct RowBlocks<'a> {
+    blocks: &'a Blocks,
+    data: &'a [u8],
+    row: usize,
+}
+
+impl Blocks {
+    pub(crate) fn new(w: usize, t: u8) -> Blocks {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        Blocks {
+            ring: ring_offsets(w),
+            w,
+            t,
+            avx2,
+        }
+    }
+
+    /// The blocks of row `y` of `data`. Requires `3 ≤ y` and rows
+    /// `y − 3 ..= y + 3` in `data`: `(y + 4) · w ≤ data.len()`.
+    pub(crate) fn row<'a>(&'a self, data: &'a [u8], y: usize) -> RowBlocks<'a> {
+        assert!(
+            y >= 3
+                && (y + 4)
+                    .checked_mul(self.w)
+                    .is_some_and(|end| end <= data.len()),
+            "block rows out of bounds"
+        );
+        RowBlocks {
+            blocks: self,
+            data,
+            row: y * self.w,
+        }
+    }
+}
+
+impl RowBlocks<'_> {
+    /// Block segment test for the [`BLOCK`] centres `x0..x0 + 32` of
+    /// this row, with the scalar detector's classify, arc, pre-reject and
+    /// response semantics for a centre equal to its loaded pixel.
+    /// Requires an interior span: `x0 ≥ 3`, `x0 + 35 ≤ w`.
+    #[inline]
+    pub(crate) fn block(&self, x0: usize) -> Block32 {
+        let b = self.blocks;
+        assert!(x0 >= 3 && x0 + BLOCK + 3 <= b.w, "block span out of bounds");
+        let base = self.row + x0;
+        #[cfg(target_arch = "x86_64")]
+        if b.avx2 {
+            // SAFETY: AVX2 was detected in `Blocks::new`. Every ring row
+            // lies in `data`: the lowest, `base − 3w − 3`, is ≥ 0 since
+            // y ≥ 3 and x0 ≥ 3, and the highest ends at `base + 3w + 35
+            // ≤ (y + 4)·w ≤ data.len()` since x0 + 35 ≤ w (both asserted).
+            return unsafe { x86::block32(self.data, &b.ring, base, b.t) };
+        }
+        block32_lanes(self.data, &b.ring, base, b.t)
+    }
+}
+
+/// Per-centre form of [`RowBlocks::block`]: the scalar compass
+/// predicate, the SWAR segment test and a scalar SAD, lane by lane. The
+/// block's body without AVX2, and the oracle the vector block is tested
+/// against.
 fn block32_lanes(data: &[u8], ring: &[isize; 16], base: usize, t: u8) -> Block32 {
     let mut b = Block32::default();
     for j in 0..BLOCK {
@@ -644,8 +696,10 @@ mod tests {
 
     /// The AVX2 block segment test equals its per-centre form — pass,
     /// corner and pre-reject masks exactly, responses on every passing
-    /// lane — at every block offset of random, two-level, plateau and
-    /// saturated images, across thresholds including 0, 1 and 255.
+    /// lane — at every block offset of random, two-level (bright and
+    /// dark runs abut, so a ladder that mixed polarities would find
+    /// false arcs), plateau and saturated images, across thresholds
+    /// including 0, 1 and 255.
     #[test]
     fn block32_matches_per_centre_lanes() {
         if !vs_image::SimdLevel::Avx2.available() {
@@ -673,9 +727,11 @@ mod tests {
                 _ => rng.gen_range(0u32..64) as u8,
             };
             let ring = ring_offsets(w);
+            let blocks = Blocks::new(w, t);
             for y in 3..h - 3 {
+                let row = blocks.row(&data, y);
                 for x0 in 3..=w - BLOCK - 3 {
-                    let got = block32(&data, w, y, x0, t);
+                    let got = row.block(x0);
                     let want = block32_lanes(&data, &ring, y * w + x0, t);
                     let ctx = format!("trial {trial} t={t} y={y} x0={x0}");
                     assert_eq!(got.pass, want.pass, "pass: {ctx}");

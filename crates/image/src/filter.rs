@@ -50,10 +50,10 @@ fn separable_blur_into_scalar(
 ) -> bool {
     let (w, h) = (img.width(), img.height());
     let mut grew = tmp
-        .try_reset(w, h)
+        .reset_for_overwrite(w, h)
         .expect("image dimensions exceed MAX_PIXELS");
     grew |= out
-        .try_reset(w, h)
+        .reset_for_overwrite(w, h)
         .expect("image dimensions exceed MAX_PIXELS");
     if img.is_empty() {
         return grew;
@@ -101,10 +101,10 @@ fn separable_blur_fixed_into<const N: usize>(
 ) -> bool {
     let (w, h) = (img.width(), img.height());
     let mut grew = tmp
-        .try_reset(w, h)
+        .reset_for_overwrite(w, h)
         .expect("image dimensions exceed MAX_PIXELS");
     grew |= out
-        .try_reset(w, h)
+        .reset_for_overwrite(w, h)
         .expect("image dimensions exceed MAX_PIXELS");
     if img.is_empty() {
         return grew;

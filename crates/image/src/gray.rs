@@ -43,12 +43,24 @@ impl GrayImage {
     /// the returned flag is `true` when the buffer had to grow (the
     /// scratch-workspace steady-state counter feeds on it).
     pub fn try_reset(&mut self, width: usize, height: usize) -> Option<bool> {
+        let kept = self.data.len();
+        let grew = self.reset_for_overwrite(width, height)?;
+        // Bytes past the kept prefix were zeroed as the buffer resized.
+        let kept = kept.min(self.data.len());
+        self.data[..kept].fill(0);
+        Some(grew)
+    }
+
+    /// [`GrayImage::try_reset`] for a producer that writes every pixel:
+    /// the bytes the buffer already holds are left as they are, so a
+    /// warm buffer is written once, by the producer, not zero-filled
+    /// first. Each caller's level tests start from a dirty buffer.
+    pub(crate) fn reset_for_overwrite(&mut self, width: usize, height: usize) -> Option<bool> {
         let pixels = width.checked_mul(height)?;
         if pixels > MAX_PIXELS {
             return None;
         }
         let grew = pixels > self.data.capacity();
-        self.data.clear();
         self.data.resize(pixels, 0);
         self.width = width;
         self.height = height;
@@ -258,7 +270,13 @@ mod tests {
         assert!(!grew, "shrinking must reuse the buffer");
         assert_eq!((g.width(), g.height()), (4, 4));
         assert!(g.as_bytes().iter().all(|&v| v == 0));
+        // Dirty bytes are zeroed whether the buffer keeps or outgrows them.
+        g.as_bytes_mut().fill(9);
+        assert!(!g.try_reset(6, 4).unwrap());
+        assert!(g.as_bytes().iter().all(|&v| v == 0));
+        g.as_bytes_mut().fill(9);
         assert!(g.try_reset(16, 16).unwrap(), "growth must be reported");
+        assert!(g.as_bytes().iter().all(|&v| v == 0));
         assert!(g.try_reset(usize::MAX, 2).is_none());
         // A failed reset leaves the previous geometry untouched.
         assert_eq!((g.width(), g.height()), (16, 16));

@@ -55,7 +55,7 @@ pub(crate) fn downsample_half_into_swar(img: &GrayImage, out: &mut GrayImage) ->
     let w = img.width() / 2;
     let h = img.height() / 2;
     let grew = out
-        .try_reset(w, h)
+        .reset_for_overwrite(w, h)
         .expect("image dimensions exceed MAX_PIXELS");
     if w == 0 || h == 0 {
         return grew;
@@ -84,7 +84,7 @@ fn downsample_half_into_scalar(img: &GrayImage, out: &mut GrayImage) -> bool {
     let w = img.width() / 2;
     let h = img.height() / 2;
     let grew = out
-        .try_reset(w, h)
+        .reset_for_overwrite(w, h)
         .expect("image dimensions exceed MAX_PIXELS");
     if w == 0 || h == 0 {
         return grew;

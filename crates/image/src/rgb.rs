@@ -194,7 +194,7 @@ impl RgbImage {
     pub fn to_gray_into_level(&self, out: &mut GrayImage, level: crate::SimdLevel) -> bool {
         // `self` exists, so width*height already respects MAX_PIXELS.
         let grew = out
-            .try_reset(self.width, self.height)
+            .reset_for_overwrite(self.width, self.height)
             .expect("image dimensions exceed MAX_PIXELS");
         if self.width == 0 || self.height == 0 {
             return grew;

@@ -356,10 +356,10 @@ pub fn blur5x5_avx2(img: &GrayImage, tmp: &mut GrayImage, out: &mut GrayImage) -
     );
     let (w, h) = (img.width(), img.height());
     let mut grew = tmp
-        .try_reset(w, h)
+        .reset_for_overwrite(w, h)
         .expect("image dimensions exceed MAX_PIXELS");
     grew |= out
-        .try_reset(w, h)
+        .reset_for_overwrite(w, h)
         .expect("image dimensions exceed MAX_PIXELS");
     if img.is_empty() {
         return grew;
@@ -396,7 +396,7 @@ fn downsample_width(img: &GrayImage, out: &mut GrayImage, width: Width) -> bool 
     let w = img.width() / 2;
     let h = img.height() / 2;
     let grew = out
-        .try_reset(w, h)
+        .reset_for_overwrite(w, h)
         .expect("image dimensions exceed MAX_PIXELS");
     if w == 0 || h == 0 {
         return grew;
@@ -546,6 +546,47 @@ mod tests {
             if SimdLevel::Avx2.available() {
                 downsample_half_avx2(&img, &mut b);
                 assert_eq!(a, b, "avx2 downsample {w}x{h}");
+            }
+        }
+    }
+
+    /// The producers that reuse a buffer without zero-filling it — the
+    /// grayscale decode, the half downsample and both 5×5 blur planes —
+    /// write every byte at every level: into buffers left dirty by a
+    /// same-size image and by a larger one, filled with either of two
+    /// values, each equals its output into fresh buffers.
+    #[test]
+    fn overwriting_producers_write_every_byte_at_every_level() {
+        use crate::{downsample_half_into_level, gaussian_blur_5x5_into_level, RgbImage};
+        let mut rng = SplitMix64::new(0xD1_27_B0);
+        for (w, h) in [(1, 1), (2, 3), (17, 9), (33, 34), (64, 48), (131, 67)] {
+            let rgb = RgbImage::from_fn(w, h, |_, _| {
+                std::array::from_fn(|_| rng.gen_range(0u32..256) as u8)
+            });
+            let gray = random_image(&mut rng, w, h);
+            for level in SimdLevel::ALL.into_iter().filter(|l| l.available()) {
+                let (mut gray_want, mut half_want) = (GrayImage::default(), GrayImage::default());
+                let (mut tmp_want, mut blur_want) = (GrayImage::default(), GrayImage::default());
+                rgb.to_gray_into_level(&mut gray_want, level);
+                downsample_half_into_level(&gray, &mut half_want, level);
+                gaussian_blur_5x5_into_level(&gray, &mut tmp_want, &mut blur_want, level);
+                for (dw, dh, fill) in [(w, h, 0xA5), (w, h, 0x5A), (w + 5, h + 3, 0xA5)] {
+                    let dirty = || GrayImage::from_fn(dw, dh, |_, _| fill);
+                    let ctx = format!("{w}x{h} level {level} over {dw}x{dh} of {fill:#x}");
+                    let mut out = dirty();
+                    rgb.to_gray_into_level(&mut out, level);
+                    assert_eq!(out, gray_want, "decode {ctx}");
+                    let mut out = dirty();
+                    downsample_half_into_level(&gray, &mut out, level);
+                    assert_eq!(out, half_want, "downsample {ctx}");
+                    let (mut tmp, mut out) = (dirty(), dirty());
+                    gaussian_blur_5x5_into_level(&gray, &mut tmp, &mut out, level);
+                    assert_eq!(
+                        (tmp, out),
+                        (tmp_want.clone(), blur_want.clone()),
+                        "blur {ctx}"
+                    );
+                }
             }
         }
     }

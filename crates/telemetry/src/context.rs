@@ -14,7 +14,8 @@
 //! [`crate::metrics::install`], [`Handle::arm`],
 //! [`crate::digest::record_from`] — returns a [`Guard`] that restores, on
 //! drop, only the part of the context it replaced, so scopes of
-//! different capabilities nest in any order. Campaign drivers
+//! different capabilities nest in any order; [`detach`] replaces every
+//! part at once, with nothing. Campaign drivers
 //! [`capture`] the calling thread's context once and arm every worker
 //! from that one [`Handle`]; workers never get a sink of their own,
 //! which would flood the trace with the stage events of every injected
@@ -79,8 +80,20 @@ pub(crate) enum Saved {
     /// metrics are deposited under.
     Armed(Option<WorkerMetrics>, Arc<MetricsRegistry>, usize),
     Digests(Option<DigestTrace>),
+    /// Every part, replaced by [`detach`].
+    All(Box<Detached>),
     /// Nothing was replaced.
     Nothing,
+}
+
+/// Every part of a context, as [`detach`] took it.
+#[derive(Debug)]
+pub(crate) struct Detached {
+    sink: Option<Arc<dyn Sink>>,
+    spans: SpanState,
+    registry: Option<Arc<MetricsRegistry>>,
+    armed: Option<WorkerMetrics>,
+    digests: Option<DigestTrace>,
 }
 
 /// The one guard of the observation context: restores, when dropped,
@@ -123,9 +136,41 @@ impl Drop for Guard {
                 }
             }
             Saved::Digests(digests) => *cx.digests.borrow_mut() = digests,
+            Saved::All(parts) => {
+                let Detached {
+                    sink,
+                    spans,
+                    registry,
+                    armed,
+                    digests,
+                } = *parts;
+                *cx.sink.borrow_mut() = sink;
+                *cx.spans.borrow_mut() = spans;
+                *cx.registry.borrow_mut() = registry;
+                *cx.armed.borrow_mut() = armed;
+                *cx.digests.borrow_mut() = digests;
+            }
             Saved::Nothing => {}
         });
     }
+}
+
+/// Detach this thread's whole context until the guard drops: its sink
+/// and span state, metrics registry, armed metrics and digest trace.
+/// Code run under the guard is observed by nothing, as on a thread of
+/// its own, and the drop puts every part back as it was. Campaign
+/// drivers re-run a golden run this way, so the caller's trace and
+/// digest trace see the golden run once.
+pub fn detach() -> Guard {
+    Guard::restoring(with(|cx| {
+        Saved::All(Box::new(Detached {
+            sink: cx.sink.take(),
+            spans: cx.spans.replace(SpanState::new()),
+            registry: cx.registry.take(),
+            armed: cx.armed.take(),
+            digests: cx.digests.take(),
+        }))
+    }))
 }
 
 /// The calling thread's sink and metrics registry, captured once by a
@@ -313,6 +358,28 @@ mod tests {
                 }
             }
         }
+        // Detaching hides every capability at once, and restores each.
+        let opened: Vec<_> = CAPS.iter().zip(1..).map(|(&c, t)| open(c, t)).collect();
+        let other_trace = digest::trace();
+        {
+            let _detached = detach();
+            assert_all_off();
+            // A scope opened inside the detached one restores to nothing.
+            let (inner, probe) = open(Cap::Digests, 9);
+            assert_in_effect(&probe);
+            drop(inner);
+            assert_all_off();
+        }
+        for (_, p) in &opened {
+            assert_in_effect(p);
+        }
+        assert_eq!(
+            digest::trace(),
+            other_trace,
+            "the detached scope folded nothing"
+        );
+        drop(opened.into_iter().rev().map(|(g, _)| g).collect::<Vec<_>>());
+        assert_all_off();
         // A trace seeded with a prefix snapshot folds the suffix to the
         // trace of the whole run.
         let prefix = {

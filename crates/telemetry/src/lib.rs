@@ -77,7 +77,7 @@ pub mod metrics;
 pub mod scope;
 pub mod sink;
 
-pub use context::{capture, Guard, Handle};
+pub use context::{capture, detach, Guard, Handle};
 pub use event::{owned_to_jsonl, to_jsonl, Event, OwnedEvent, OwnedValue, Value};
 pub use scope::{emit, enabled, install, set_trace_seed, span, span_with, Span};
 pub use sink::{FanoutSink, JsonlSink, MemorySink, Sink, TextSink};

@@ -13,11 +13,16 @@
 
 use crate::simd::remap_span_bytes;
 use crate::{checked_inverse, warp_perspective_offset_into, WarpScratch, MAX_WARP_PIXELS};
+use std::ops::Range;
 use vs_fault::{tap, FuncId, OpClass, SimError};
 use vs_geometry::transform::{transformed_bounds, Bounds};
 use vs_image::{GrayImage, RgbImage};
 use vs_linalg::{Mat3, Vec2};
 use vs_telemetry::digest::Stage;
+
+/// Pixels [`Canvas::paint_overwrites`] widens each frame's footprint
+/// window by on every side, against rounding in the corner projection.
+const WINDOW_MARGIN: f64 = 2.0;
 
 /// How overlapping frames are combined on the canvas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -362,9 +367,12 @@ impl Canvas {
         for item in items.iter().rev() {
             let _stage = vs_telemetry::span(Stage::Warp.name());
             let (src, inv) = checked(item)?;
-            let dst = self.image.as_bytes_mut();
-            let painted = warp.mask.as_bytes_mut();
-            remap_span_bytes(src, &inv, dst, painted, w, self.origin, 0, h, wide)?;
+            let (cols, rows) = self.footprint_window(&item.1, src);
+            if !cols.is_empty() && !rows.is_empty() {
+                let dst = &mut self.image.as_bytes_mut()[3 * rows.start * w..3 * rows.end * w];
+                let painted = &mut warp.mask.as_bytes_mut()[rows.start * w..rows.end * w];
+                remap_span_bytes(src, &inv, dst, painted, w, self.origin, rows, cols, wide)?;
+            }
             crate::emit_warp(w * h);
         }
         for (k, &p) in self
@@ -376,6 +384,54 @@ impl Canvas {
             *k |= p;
         }
         Ok(())
+    }
+
+    /// The canvas window `(columns, rows)` outside which no pixel of
+    /// `src` warped by `h` can land: the bounding box of `h` applied to
+    /// the corners of the source rectangle the remap accepts,
+    /// [−1, sw] × [−1, sh], widened by [`WINDOW_MARGIN`] pixels against
+    /// rounding and clamped to the canvas. A pixel outside it fails the
+    /// remap's own range test, so walking only the window writes the
+    /// same bytes.
+    ///
+    /// The box bounds the footprint when `h`'s divisor keeps one sign
+    /// over that rectangle, which its four corners decide, since the
+    /// divisor is affine in x and y: the image of any of its points is
+    /// then a convex combination of the corners' images, and a canvas
+    /// pixel the remap accepts is the image of the source point it
+    /// samples. That holds for every affine item. Any other item gets
+    /// the whole canvas.
+    fn footprint_window(&self, h: &Mat3, src: &RgbImage) -> (Range<usize>, Range<usize>) {
+        let (w, ht) = (self.image.width(), self.image.height());
+        let whole = (0..w, 0..ht);
+        let (sw, sh) = (src.width() as f64, src.height() as f64);
+        let [.., h6, h7, h8] = h.to_rows();
+        let rect = [(-1.0, -1.0), (sw, -1.0), (sw, sh), (-1.0, sh)];
+        let divisors = rect.map(|(x, y)| h6 * x + h7 * y + h8);
+        if !(divisors.iter().all(|&v| v > 0.0) || divisors.iter().all(|&v| v < 0.0)) {
+            return whole;
+        }
+        let (x0, y0) = (self.origin.x, self.origin.y);
+        let mut projected = [Vec2::ZERO; 4];
+        for (p, (x, y)) in projected.iter_mut().zip(rect) {
+            match h.apply(Vec2::new(x, y)) {
+                Some(q) => *p = q,
+                None => return whole,
+            }
+        }
+        let Some(b) = Bounds::of_points(&projected) else {
+            return whole;
+        };
+        // Pixel i sits at world x0 + i; clamp in f64, then cast.
+        let span = |lo: f64, hi: f64, n: usize| {
+            let first = (lo - WINDOW_MARGIN).floor().clamp(0.0, n as f64) as usize;
+            let end = (hi + WINDOW_MARGIN).ceil().clamp(-1.0, n as f64 - 1.0) + 1.0;
+            first..(end as usize).max(first)
+        };
+        (
+            span(b.min.x - x0, b.max.x - x0, w),
+            span(b.min.y - y0, b.max.y - y0, ht),
+        )
     }
 
     /// Mean-luma gain matching the incoming patch to the canvas content
@@ -936,6 +992,66 @@ mod tests {
             assert_eq!(alone.coverage() > 0.0, i == 2, "item ({i}, {h:?})");
         }
         assert_ne!(painted, all, "the projective item changed nothing");
+
+        // Footprint windows. Frame 5 is 2×2 and frame 6 a thin 40×2
+        // strip; the canvas spans world [−3, 45] × [−3, 32].
+        let mut frames = frames;
+        frames.push(RgbImage::from_fn(2, 2, |x, y| {
+            [200, 60 + 90 * x as u8, 30 + 110 * y as u8]
+        }));
+        frames.push(RgbImage::from_fn(40, 2, |x, y| {
+            [(6 * x) as u8, 90, 250 - 80 * y as u8]
+        }));
+        // Footprints ([−1, sw] × [−1, sh] after the shift) within a pixel
+        // of the left, right, top and bottom edges, and of two corners.
+        let edges = [
+            (0, Mat3::translation(-2.5, 9.0)),
+            (1, Mat3::translation(27.5, 9.0)),
+            (2, Mat3::translation(12.0, -2.5)),
+            (3, Mat3::translation(12.0, 18.5)),
+            (4, Mat3::translation(-1.75, -1.75)),
+            (0, Mat3::translation(26.75, 17.75)),
+        ];
+        let magnified = (5, Mat3::translation(8.3, 6.7) * Mat3::scaling(7.5));
+        let strip = (6, Mat3::translation(2.0, 1.0) * Mat3::rotation(0.75));
+        // The remap's divisor 1 − x/20 changes sign at world x = 20;
+        // no canvas pixel past it samples the frame.
+        let canvas_horizon = (
+            0,
+            Mat3::from_rows([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.05, 0.0, 1.0]),
+        );
+        // The frame's own horizon, x = 10: its corners' box misses every
+        // pixel it paints, all right of world x ≈ −0.9.
+        let frame_horizon = (
+            1,
+            Mat3::from_rows([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, -0.1, 0.0, 1.0]),
+        );
+        let whole = (0..fresh.image.width(), 0..fresh.image.height());
+        let window = |&(i, h): &(usize, Mat3)| fresh.footprint_window(&h, &frames[i]);
+        let mut windowed = edges.to_vec();
+        windowed.extend([magnified, strip]);
+        for item in &windowed {
+            let (cols, rows) = window(item);
+            assert!(
+                cols.len() < whole.0.len() || rows.len() < whole.1.len(),
+                "{item:?}"
+            );
+        }
+        let (cols, rows) = window(&strip);
+        assert!(
+            cols.len() * rows.len() > 5 * 40 * 2,
+            "strip window {cols:?} × {rows:?}"
+        );
+        assert_eq!(window(&frame_horizon), whole, "a frame across its horizon");
+        windowed.extend([canvas_horizon, frame_horizon]);
+        for item in &windowed {
+            let alone = assert_paints_like_sequential(&fresh, &frames, &[*item]);
+            assert!(alone.coverage() > 0.0, "{item:?} painted nothing");
+        }
+        let mut list = items.clone();
+        list.extend(&windowed);
+        list.swap(2, 9);
+        assert_paints_like_sequential(&fresh, &frames, &list);
     }
 
     /// A resumed segment: the canvas is rebuilt from its patch chain, so

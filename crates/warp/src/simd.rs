@@ -31,6 +31,7 @@
 //! nothing but the cycle count.
 #![deny(unsafe_op_in_unsafe_fn)]
 
+use std::ops::Range;
 use vs_fault::SimError;
 use vs_image::{GrayImage, RgbImage};
 use vs_linalg::{Mat3, Vec2};
@@ -445,15 +446,27 @@ fn sample_pixel(
     mask_band[idx] = 255;
 }
 
-/// Remap destination rows `y0..y1` into band-local byte slices
-/// (`dst_band`/`mask_band` hold exactly those rows). Bit-identical to
-/// the instrumented kernel's output on the same rows.
+/// Whether all 16 mask bytes are set, read as two `u64` words. The
+/// masks hold 0 or 255, so a word of 255s is a fully painted half; a
+/// half holding other non-zero bytes is not skipped, and its pixels
+/// skip themselves.
+#[inline]
+fn painted16(mask: &[u8; BLOCK]) -> bool {
+    let (lo, hi) = mask.split_at(8);
+    let word = |half: &[u8]| u64::from_ne_bytes(half.try_into().expect("8 bytes"));
+    word(lo) == u64::MAX && word(hi) == u64::MAX
+}
+
+/// Remap the canvas window `cols` × `rows` into band-local byte slices
+/// (`dst_band`/`mask_band` hold rows `rows` in full, `w` pixels each).
+/// Bit-identical to the instrumented kernel's output on the same
+/// pixels.
 ///
 /// A pixel whose mask byte is already set keeps its bytes, and a block
 /// whose mask bytes are all set is skipped. On a zeroed mask (every
 /// whole-image warp) that changes nothing; [`crate::Canvas`]'s
 /// last-frame-first painter passes the set of pixels later frames have
-/// painted.
+/// painted, and walks only the window its frame can reach.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn remap_span_bytes(
     src: &RgbImage,
@@ -462,8 +475,8 @@ pub(crate) fn remap_span_bytes(
     mask_band: &mut [u8],
     w: usize,
     origin: Vec2,
-    y0: usize,
-    y1: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
     wide: bool,
 ) -> Result<(), SimError> {
     let sw = src.width();
@@ -489,18 +502,24 @@ pub(crate) fn remap_span_bytes(
         src_bytes.len() == row_stride * sh && src_bytes.len() <= i32::MAX as usize,
         "source bytes disagree with the source dimensions"
     );
+    assert!(cols.end <= w, "window wider than the rows");
     let mut sxs = [0f64; BLOCK];
     let mut sys = [0f64; BLOCK];
-    for y in y0..y1 {
-        let local_base = (y - y0) * w;
+    for y in rows.clone() {
+        let local_base = (y - rows.start) * w;
         let dy = y as f64 + origin.y;
         let r1dy = inv_rows[1] * dy;
         let r4dy = inv_rows[4] * dy;
-        let mut x = 0usize;
-        while x < w {
-            let n = BLOCK.min(w - x);
+        let mut x = cols.start;
+        while x < cols.end {
+            let n = BLOCK.min(cols.end - x);
             let at = local_base + x;
-            if mask_band[at..at + n].iter().all(|&m| m != 0) {
+            let done = if let Ok(block) = mask_band[at..at + n].try_into() {
+                painted16(block)
+            } else {
+                mask_band[at..at + n].iter().all(|&m| m != 0)
+            };
+            if done {
                 x += n;
                 continue;
             }
@@ -555,7 +574,17 @@ pub(crate) fn remap_sse2(
     let w = dst.width();
     let dst_band = &mut dst.as_bytes_mut()[y0 * w * 3..y1 * w * 3];
     let mask_band = &mut mask.as_bytes_mut()[y0 * w..y1 * w];
-    remap_span_bytes(src, inv, dst_band, mask_band, w, origin, y0, y1, false)
+    remap_span_bytes(
+        src,
+        inv,
+        dst_band,
+        mask_band,
+        w,
+        origin,
+        y0..y1,
+        0..w,
+        false,
+    )
 }
 
 /// `RemapFn`-shaped AVX2 entry (dispatch guarantees availability).
@@ -571,5 +600,5 @@ pub(crate) fn remap_avx2(
     let w = dst.width();
     let dst_band = &mut dst.as_bytes_mut()[y0 * w * 3..y1 * w * 3];
     let mask_band = &mut mask.as_bytes_mut()[y0 * w..y1 * w];
-    remap_span_bytes(src, inv, dst_band, mask_band, w, origin, y0, y1, true)
+    remap_span_bytes(src, inv, dst_band, mask_band, w, origin, y0..y1, 0..w, true)
 }
