@@ -75,7 +75,8 @@ use std::sync::Arc;
 use std::time::Instant;
 use vs_bench::alloc::{self, CountingAlloc};
 use vs_bench::cli;
-use vs_bench::manifest::{config_digest, Manifest};
+use vs_bench::manifest::{self, config_digest, phase_members, rate_members};
+use vs_bench::timing::median;
 use vs_core::workloads::VsWorkload;
 use vs_core::{PipelineConfig, RunScratch};
 use vs_fault::adaptive::{self, AdaptiveConfig};
@@ -245,13 +246,6 @@ impl BenchOpts {
             .threads(threads)
             .checkpoint_policy(CheckpointPolicy::EveryKFrames(self.every_k))
     }
-}
-
-/// Median of a non-empty sample (the upper one for even counts).
-fn median(times: &[f64]) -> f64 {
-    let mut s = times.to_vec();
-    s.sort_by(f64::total_cmp);
-    s[s.len() / 2]
 }
 
 /// Outcome identity: same faults drawn, same firing, same
@@ -487,16 +481,21 @@ fn run_adaptive_bench(
 
     let json = Json::object([
         ("bench", "adaptive_campaign".into()),
+        ("config_digest", o.config_digest(pipeline_digest).into()),
         ("frames", o.frames.into()),
         ("frame_size", vec![o.width, o.height].into()),
         ("threads", threads.into()),
         ("host_cores", host_cores.into()),
         ("seed", o.seed.into()),
-        ("config_digest", pipeline_digest.into()),
+        ("pipeline_digest", pipeline_digest.into()),
         ("compose_digest", ccfg.digest().into()),
         ("epsilon_pp", epsilon_pp.into()),
         ("fixed_injections", fixed.len().into()),
         ("fixed_secs", fixed_secs.into()),
+        (
+            "fixed_runs_per_sec",
+            (fixed.len() as f64 / fixed_secs.max(1e-9)).into(),
+        ),
         ("adaptive_injections", adapted.records.len().into()),
         ("adaptive_secs", adaptive_secs.into()),
         ("adaptive_stopped_early", adapted.converged.into()),
@@ -527,24 +526,12 @@ fn run_adaptive_bench(
         ),
         ("rate_agreement", agreement_ok.into()),
     ]);
+    let json = manifest::with_members(json, rate_members("", &fixed_rates));
     std::fs::write(&o.out, json.render())
         .map_err(|e| format!("cannot write {}: {e}", o.out.display()))?;
     let out_path = o.out.display().to_string();
     vs_telemetry::emit("artifact", &[("path", Value::Str(&out_path))]);
-    Manifest::new("adaptive_bench")
-        .u64("config_digest", o.config_digest(pipeline_digest))
-        .u64("pipeline_digest", pipeline_digest)
-        .u64("injections", o.injections as u64)
-        .u64("threads", threads as u64)
-        .u64("seed", o.seed)
-        .f64("injection_reduction", reduction)
-        .f64(
-            "fixed_runs_per_sec",
-            fixed.len() as f64 / fixed_secs.max(1e-9),
-        )
-        .bool("identical", agreement_ok)
-        .rates(&fixed_rates)
-        .append_default();
+    manifest::append("adaptive_bench", &json);
 
     if warm_groups_injected != 0 {
         return Err(format!(
@@ -639,7 +626,6 @@ impl Overhead {
             ("on_secs", median(&self.on).into()),
             ("off_min_secs", min(&self.off).into()),
             ("on_min_secs", min(&self.on).into()),
-            ("overhead_pct", self.pct().into()),
             ("pairs", self.off.len().into()),
             ("within_gate", self.within_gate().into()),
         ])
@@ -760,8 +746,7 @@ fn run_throughput_bench(
     pipeline_digest: u64,
 ) -> Result<(), String> {
     // Steady-state allocation count of the workspace path (quiet
-    // thread), then a short traced demo on this thread so the JSONL
-    // trace carries per-run `scratch_reuse` counters reaching grown=0.
+    // thread): no buffer can grow without a heap call.
     let allocs = measure_allocs(w);
     vs_telemetry::emit(
         "bench_alloc",
@@ -822,16 +807,6 @@ fn run_throughput_bench(
         ],
     );
 
-    // Traced steady-state demo: a few golden runs on this thread (where
-    // the sink lives) so the trace ends with `scratch_reuse` counters at
-    // grown=0 — what `trace_check --scratch-steady` validates.
-    {
-        let mut demo = RunScratch::default();
-        for _ in 0..4 {
-            w.run(&mut demo, None).expect("golden run failed");
-        }
-    }
-
     let sweep_row = |r: &SweepRow| {
         Json::object([
             ("threads", r.threads.into()),
@@ -844,11 +819,14 @@ fn run_throughput_bench(
     };
     let json = Json::object([
         ("bench", "campaign_throughput".into()),
+        ("config_digest", o.config_digest(pipeline_digest).into()),
         ("frames", o.frames.into()),
         ("frame_size", vec![o.width, o.height].into()),
         ("injections", o.injections.into()),
         ("threads", primary_threads.into()),
         ("host_cores", host_cores.into()),
+        ("seed", o.seed.into()),
+        ("pipeline_digest", pipeline_digest.into()),
         ("checkpoint_every_k", o.every_k.into()),
         ("checkpoints", ck.checkpoints.len().into()),
         ("golden_run_secs", golden_run_secs.into()),
@@ -865,31 +843,28 @@ fn run_throughput_bench(
             Json::Array(rows.iter().map(sweep_row).collect()),
         ),
         ("overhead", overhead.json()),
+        ("overhead_pct", overhead.pct().into()),
         ("outcomes_identical", (identical && sweep_identical).into()),
     ]);
+    // The campaign-phase layer of the record: the first sweep row's
+    // phase quantiles.
+    let phases = phase::TOP.iter().flat_map(|&name| {
+        rows[0]
+            .metrics
+            .histogram(name)
+            .map_or_else(Vec::new, |h| phase_members(name, h))
+    });
+    let json = manifest::with_members(
+        json,
+        rate_members("", &outcome_rates(&fast))
+            .into_iter()
+            .chain(phases),
+    );
     std::fs::write(&o.out, json.render())
         .map_err(|e| format!("cannot write {}: {e}", o.out.display()))?;
     let out_path = o.out.display().to_string();
     vs_telemetry::emit("artifact", &[("path", Value::Str(&out_path))]);
-    let mut manifest = Manifest::new("campaign_bench")
-        .u64("config_digest", o.config_digest(pipeline_digest))
-        .u64("pipeline_digest", pipeline_digest)
-        .u64("injections", o.injections as u64)
-        .u64("threads", primary_threads as u64)
-        .u64("seed", o.seed)
-        .f64("runs_per_sec_off", runs_off)
-        .f64("runs_per_sec_on", runs_on)
-        .f64("speedup", speedup)
-        .f64("allocs_per_run_steady", allocs.per_run_steady)
-        .f64("overhead_pct", overhead.pct())
-        .bool("identical", identical && sweep_identical)
-        .rates(&outcome_rates(&fast));
-    for name in phase::TOP {
-        if let Some(h) = rows[0].metrics.histogram(name) {
-            manifest = manifest.phase(name, h);
-        }
-    }
-    manifest.append_default();
+    manifest::append("campaign_bench", &json);
 
     if !identical {
         return Err("checkpointed campaign diverged from scratch campaign".into());

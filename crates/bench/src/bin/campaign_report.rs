@@ -32,6 +32,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use vs_bench::cli;
+use vs_bench::manifest::{self, config_digest, rate_members};
 use vs_core::quality::{self, SdcQuality};
 use vs_core::workloads::VsWorkload;
 use vs_core::PipelineConfig;
@@ -357,7 +358,8 @@ fn render_csv(reports: &[ClassReport]) -> String {
     csv
 }
 
-fn render_json(reports: &[ClassReport], o: &ReportOpts, checkpoints: usize) -> String {
+/// The `report.json` document, which is also the run's ledger record.
+fn report_json(reports: &[ClassReport], o: &ReportOpts, checkpoints: usize) -> Json {
     let class = |r: &ClassReport| {
         let rows = PropagationMatrix::row_names()
             .into_iter()
@@ -400,17 +402,32 @@ fn render_json(reports: &[ClassReport], o: &ReportOpts, checkpoints: usize) -> S
             ("sdc_quality_by_stage", Json::Array(eds.collect())),
         ])
     };
-    Json::object([
+    let digest = config_digest(&[
+        o.frames as u64,
+        o.width as u64,
+        o.height as u64,
+        o.injections as u64,
+        o.every_k as u64,
+        o.seed,
+    ]);
+    let doc = Json::object([
         ("report", "fault_forensics".into()),
+        ("config_digest", digest.into()),
         ("frames", o.frames.into()),
         ("frame_size", vec![o.width, o.height].into()),
         ("injections_per_class", o.injections.into()),
+        ("threads", o.threads.into()),
         ("seed", o.seed.into()),
         ("checkpoint_every_k", o.every_k.into()),
         ("checkpoints", checkpoints.into()),
+        ("identical", reports.iter().all(|r| r.identical).into()),
         ("classes", Json::Array(reports.iter().map(class).collect())),
-    ])
-    .render()
+    ]);
+    let rates = reports.iter().flat_map(|r| {
+        let prefix = format!("{}_", class_name(r.class));
+        rate_members(&prefix, &stats::outcome_rates(&r.records))
+    });
+    manifest::with_members(doc, rates)
 }
 
 fn main() -> ExitCode {
@@ -461,16 +478,14 @@ fn main() -> ExitCode {
     if let Err(e) = std::fs::create_dir_all(&o.out_dir) {
         return cli::fail(format!("cannot create {}: {e}", o.out_dir.display()));
     }
+    let json = report_json(&reports, &o, ck.checkpoints.len());
     let artifacts = [
         (
             "report.md",
             render_markdown(&reports, &o, ck.checkpoints.len()),
         ),
         ("propagation.csv", render_csv(&reports)),
-        (
-            "report.json",
-            render_json(&reports, &o, ck.checkpoints.len()),
-        ),
+        ("report.json", json.render()),
     ];
     for (name, contents) in &artifacts {
         let path = o.out_dir.join(name);
@@ -480,27 +495,7 @@ fn main() -> ExitCode {
         let shown = path.display().to_string();
         vs_telemetry::emit("artifact", &[("path", Value::Str(&shown))]);
     }
-    let mut manifest = vs_bench::manifest::Manifest::new("campaign_report")
-        .u64(
-            "config_digest",
-            vs_bench::manifest::config_digest(&[
-                o.frames as u64,
-                o.width as u64,
-                o.height as u64,
-                o.injections as u64,
-                o.every_k as u64,
-                o.seed,
-            ]),
-        )
-        .u64("injections", o.injections as u64)
-        .u64("threads", o.threads as u64)
-        .u64("seed", o.seed)
-        .bool("identical", reports.iter().all(|r| r.identical));
-    for r in &reports {
-        let prefix = format!("{}_", class_name(r.class));
-        manifest = manifest.rates_prefixed(&prefix, &stats::outcome_rates(&r.records));
-    }
-    manifest.append_default();
+    manifest::append("campaign_report", &json);
 
     // Acceptance gates (see module docs).
     let mut failed = false;

@@ -49,7 +49,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 use vs_bench::alloc::{self, CountingAlloc};
 use vs_bench::cli;
-use vs_bench::manifest::{config_digest, Manifest};
+use vs_bench::manifest::{self, config_digest};
 use vs_bench::timing::{measure_pair, Measurement};
 use vs_core::experiments::{pipeline_config, Scale};
 use vs_core::Approximation;
@@ -422,11 +422,25 @@ fn run(o: &Opts) -> Result<(), String> {
         ]
     });
 
+    let (w, h) = o.tiers[0];
     let doc = Json::object([
         ("bench", "kernel_simd_hd".into()),
+        (
+            "config_digest",
+            config_digest(&[w as u64, h as u64, o.seed]).into(),
+        ),
         ("detected_features", features.as_str().into()),
         ("host_cores", host_cores.into()),
         ("seed", o.seed.into()),
+        ("kernels", rows.len().into()),
+        (
+            "kernel_speedup_min",
+            rows.iter()
+                .filter_map(Row::swar_gain)
+                .fold(f64::INFINITY, f64::min)
+                .into(),
+        ),
+        ("identical", identical.into()),
         ("rows", Json::Array(rows.iter().map(Row::json).collect())),
         ("gates", Json::Object(gates_json.collect())),
     ]);
@@ -434,22 +448,7 @@ fn run(o: &Opts) -> Result<(), String> {
         .map_err(|e| format!("cannot write {}: {e}", o.out.display()))?;
     let out_path = o.out.display().to_string();
     vs_telemetry::emit("artifact", &[("path", Value::Str(&out_path))]);
-    let (w, h) = o.tiers[0];
-    Manifest::new("kernel_bench")
-        .u64(
-            "config_digest",
-            config_digest(&[w as u64, h as u64, o.seed]),
-        )
-        .u64("seed", o.seed)
-        .u64("kernels", rows.len() as u64)
-        .f64(
-            "kernel_speedup_min",
-            rows.iter()
-                .filter_map(Row::swar_gain)
-                .fold(f64::INFINITY, f64::min),
-        )
-        .bool("identical", identical)
-        .append_default();
+    manifest::append("kernel_bench", &doc);
 
     let at = |r: &Row| format!("{}@{} at level {}", r.kernel, r.tier, r.level.as_str());
     if let Some(r) = rows.iter().find(|r| !r.identical) {

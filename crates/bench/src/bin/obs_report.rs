@@ -1,13 +1,13 @@
-//! Cross-run regression sentinel over the persistent run ledger and
-//! the committed `BENCH_*.json` trajectory.
+//! Cross-run regression sentinel over the persistent run ledger.
 //!
 //! ```text
-//! obs_report [--ledger DIR] [--bench-dir DIR] [--out-dir DIR]
-//!            [--threshold-pct P] [--widen-pp W] [--quiet]
+//! obs_report [--ledger DIR] [--out-dir DIR] [--threshold-pct P]
+//!            [--widen-pp W] [--quiet]
 //! ```
 //!
 //! Every bench binary appends one `run_manifest` line per run to the
-//! ledger (`out/ledger/ledger.jsonl`, see `vs_telemetry::ledger`).
+//! ledger (`out/ledger/ledger.jsonl`, see `vs_telemetry::ledger`): the
+//! top-level scalars of the artifact it wrote (`vs_bench::manifest`).
 //! This binary groups those manifests into comparable series — same
 //! tool, config digest, `VS_SIMD` level, host cores and thread count —
 //! and compares each series' latest run against the median of its
@@ -27,27 +27,22 @@
 //!   field is flagged only when they fail to overlap — a statistically
 //!   resolvable shift in campaign outcomes, not sampling noise.
 //!
-//! The committed `BENCH_*.json` files get the same treatment as a
-//! second, coarser trajectory: files are grouped by their `bench` name
-//! (matching host shape only), ordered by file name, and the latest
-//! file's headline metrics are compared against the median of its
-//! predecessors.
-//!
 //! Writes `obs_report.md` and `obs_report.json` under `--out-dir`
 //! (default `out/observatory`). Exit code: 0 clean, 2 when any
-//! regression is flagged, 1 on unreadable inputs — `scripts/verify.sh
-//! --full` runs this as an advisory gate.
+//! regression is flagged, 1 on an unreadable ledger or an unwritable
+//! report — `scripts/verify.sh --full` runs this as an advisory gate.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use vs_bench::cli;
-use vs_bench::timing::cv_of;
-use vs_telemetry::jsonl::{self, Json};
+use vs_bench::timing::{cv_of, median};
+use vs_telemetry::jsonl::Json;
 use vs_telemetry::ledger::Ledger;
 use vs_telemetry::{OwnedEvent, OwnedValue};
 
-const USAGE: &str = "usage: obs_report [--ledger DIR] [--bench-dir DIR] [--out-dir DIR] [--threshold-pct P] [--widen-pp W] [--quiet]";
+const USAGE: &str =
+    "usage: obs_report [--ledger DIR] [--out-dir DIR] [--threshold-pct P] [--widen-pp W] [--quiet]";
 
 /// Headline higher-is-better metrics compared across runs.
 const THROUGHPUT_KEYS: &[&str] = &[
@@ -63,7 +58,6 @@ const THROUGHPUT_KEYS: &[&str] = &[
 
 struct Opts {
     ledger_dir: PathBuf,
-    bench_dir: PathBuf,
     out_dir: PathBuf,
     threshold_pct: f64,
     widen_pp: f64,
@@ -77,7 +71,6 @@ fn parse(a: &mut cli::Args) -> Result<Opts, String> {
     };
     Ok(Opts {
         ledger_dir: a.value("--ledger")?.unwrap_or(ledger_dir),
-        bench_dir: a.value("--bench-dir")?.unwrap_or_else(|| ".".into()),
         out_dir: a
             .value("--out-dir")?
             .unwrap_or_else(|| "out/observatory".into()),
@@ -90,7 +83,7 @@ fn parse(a: &mut cli::Args) -> Result<Opts, String> {
 /// One flagged regression.
 #[derive(Debug, Clone, PartialEq)]
 struct Finding {
-    /// Comparable-series key (or BENCH group name).
+    /// Comparable-series key.
     group: String,
     /// Metric or rate-field name.
     metric: String,
@@ -136,13 +129,6 @@ fn group_key(ev: &OwnedEvent) -> String {
         display_field(ev, "host_cores"),
         display_field(ev, "threads"),
     )
-}
-
-/// Median of an unsorted non-empty sample.
-fn median(values: &[f64]) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
 }
 
 /// Compare `latest` against `priors` for one higher-is-better metric.
@@ -273,97 +259,10 @@ fn analyze_ledger(
     (summaries, findings)
 }
 
-/// Analyze the committed `BENCH_*.json` trajectory: group by `bench`
-/// name and host shape, order by file name, compare the latest file's
-/// headline metrics against the median of its predecessors. Each file
-/// is an event named after the file, carrying its top-level scalars.
-fn analyze_bench_files(
-    files: &[OwnedEvent],
-    threshold_pct: f64,
-) -> (Vec<GroupSummary>, Vec<Finding>) {
-    let mut groups: BTreeMap<String, Vec<&OwnedEvent>> = BTreeMap::new();
-    for file in files {
-        let bench = file.str("bench").unwrap_or("?");
-        let cores = file.u64("host_cores").unwrap_or(0);
-        groups
-            .entry(format!("BENCH:{bench}/cores={cores}"))
-            .or_default()
-            .push(file);
-    }
-    let mut summaries = Vec::new();
-    let mut findings = Vec::new();
-    for (group, mut members) in groups {
-        members.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut compared = 0usize;
-        let mut flagged = 0usize;
-        if let Some((latest, priors)) = members.split_last() {
-            if !priors.is_empty() {
-                for metric in THROUGHPUT_KEYS {
-                    let Some(l) = latest.f64(metric) else {
-                        continue;
-                    };
-                    let history: Vec<f64> = priors.iter().filter_map(|p| p.f64(metric)).collect();
-                    if history.is_empty() {
-                        continue;
-                    }
-                    compared += 1;
-                    if let Some(f) = throughput_finding(&group, metric, &history, l, threshold_pct)
-                    {
-                        flagged += 1;
-                        findings.push(f);
-                    }
-                }
-            }
-        }
-        summaries.push(GroupSummary {
-            group,
-            runs: members.len(),
-            compared,
-            flagged,
-        });
-    }
-    (summaries, findings)
-}
-
-/// Read one `BENCH_*.json` document as an event named `name`.
-fn bench_event(name: String, text: &str) -> Result<OwnedEvent, jsonl::ParseError> {
-    Ok(OwnedEvent {
-        name,
-        fields: jsonl::parse_document(text)?.into_fields(),
-    })
-}
-
-/// Load every `BENCH_*.json` in `dir`, name-sorted.
-fn load_bench_files(dir: &Path) -> Result<Vec<OwnedEvent>, String> {
-    let mut files = Vec::new();
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(_) => return Ok(files),
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if !name.starts_with("BENCH_") || !name.ends_with(".json") {
-            continue;
-        }
-        let text = std::fs::read_to_string(entry.path())
-            .map_err(|e| format!("cannot read {}: {e}", entry.path().display()))?;
-        files.push(
-            bench_event(name, &text).map_err(|e| format!("{}: {e}", entry.path().display()))?,
-        );
-    }
-    files.sort_by(|a, b| a.name.cmp(&b.name));
-    Ok(files)
-}
-
-fn render_markdown(
-    summaries: &[GroupSummary],
-    findings: &[Finding],
-    ledger_path: &Path,
-    bench_count: usize,
-) -> String {
+fn render_markdown(summaries: &[GroupSummary], findings: &[Finding], ledger_path: &Path) -> String {
     let mut md = String::from("# Observability report: cross-run regression sentinel\n\n");
     md.push_str(&format!(
-        "Ledger: `{}`. BENCH trajectory files: {bench_count}.\n\n## Verdict\n\n",
+        "Ledger: `{}`.\n\n## Verdict\n\n",
         ledger_path.display()
     ));
     if findings.is_empty() {
@@ -448,22 +347,15 @@ fn main() -> ExitCode {
             ))
         }
     };
-    let bench_files = match load_bench_files(&o.bench_dir) {
-        Ok(f) => f,
-        Err(e) => return cli::fail(e),
-    };
 
-    let (mut summaries, mut findings) = analyze_ledger(&entries, o.threshold_pct, o.widen_pp);
-    let (bench_summaries, bench_findings) = analyze_bench_files(&bench_files, o.threshold_pct);
-    summaries.extend(bench_summaries);
-    findings.extend(bench_findings);
+    let (summaries, mut findings) = analyze_ledger(&entries, o.threshold_pct, o.widen_pp);
     // Most interesting first: biggest relative drop.
     findings.sort_by(|a, b| {
         let drop = |f: &Finding| (f.baseline - f.latest) / f.baseline.abs().max(1e-12);
         drop(b).total_cmp(&drop(a))
     });
 
-    let md = render_markdown(&summaries, &findings, ledger.path(), bench_files.len());
+    let md = render_markdown(&summaries, &findings, ledger.path());
     let json = render_json(&summaries, &findings);
     if let Err(e) = std::fs::create_dir_all(&o.out_dir) {
         return cli::fail(format!("cannot create {}: {e}", o.out_dir.display()));
@@ -488,7 +380,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vs_telemetry::ledger;
+    use vs_telemetry::{jsonl, ledger};
 
     /// A synthetic campaign_bench manifest.
     fn manifest(unix_ms: u64, runs_per_sec: f64, sdc: (f64, f64, f64)) -> OwnedEvent {
@@ -573,33 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_trajectory_flags_latest_file_regression() {
-        let file = |name: &str, text: &str| bench_event(name.into(), text).unwrap();
-        let old = file(
-            "BENCH_1.json",
-            r#"{"bench": "campaign_throughput", "host_cores": 1, "runs_per_sec_on": 100.0}"#,
-        );
-        let new = file(
-            "BENCH_2.json",
-            r#"{"bench": "campaign_throughput", "host_cores": 1, "runs_per_sec_on": 50.0}"#,
-        );
-        let (_, findings) = analyze_bench_files(&[old, new], 10.0);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].metric, "runs_per_sec_on");
-        // Different host shapes never compare.
-        let a = file(
-            "BENCH_1.json",
-            r#"{"bench": "x", "host_cores": 1, "runs_per_sec_on": 100.0}"#,
-        );
-        let b = file(
-            "BENCH_2.json",
-            r#"{"bench": "x", "host_cores": 8, "runs_per_sec_on": 10.0}"#,
-        );
-        let (_, findings) = analyze_bench_files(&[a, b], 10.0);
-        assert!(findings.is_empty());
-    }
-
-    #[test]
     fn report_json_carries_ledger_strings_verbatim() {
         // Ledger strings reach the report's series and finding groups;
         // a quote or backslash in them must not break the document.
@@ -618,20 +483,13 @@ mod tests {
         assert_eq!(findings.len(), 1);
         let doc = jsonl::parse_document(&render_json(&summaries, &findings)).unwrap();
         let group = |list: &str, key: &str| match doc.get(list) {
-            Some(jsonl::Json::Array(items)) => match items[0].get(key) {
-                Some(jsonl::Json::Scalar(OwnedValue::Str(s))) => s.clone(),
+            Some(Json::Array(items)) => match items[0].get(key) {
+                Some(Json::Scalar(OwnedValue::Str(s))) => s.clone(),
                 other => panic!("{list}[0].{key}: {other:?}"),
             },
             other => panic!("{list}: {other:?}"),
         };
         assert!(group("series", "series").starts_with(&format!("{tool}/cfg=")));
         assert!(group("findings", "group").starts_with(&format!("{tool}/cfg=")));
-    }
-
-    #[test]
-    fn bench_files_with_duplicate_keys_are_unreadable() {
-        let err =
-            bench_event("BENCH_1.json".into(), r#"{"bench": "x", "bench": "y"}"#).unwrap_err();
-        assert_eq!(err.kind, jsonl::ParseErrorKind::DuplicateKey);
     }
 }

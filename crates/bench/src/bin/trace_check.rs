@@ -2,18 +2,15 @@
 //!
 //! ```text
 //! trace_check FILE [--expect NAME=COUNT]... [--require NAME]...
-//!             [--scratch-steady] [--kernels] [--forensics] [--quiet]
+//!             [--kernels] [--forensics] [--quiet]
 //! ```
 //!
 //! Every line must parse against the trace schema (flat JSON object,
 //! first key `"event"`); `--expect` pins the exact count of an event
-//! name, `--require` just demands at least one. `--scratch-steady`
-//! validates the zero-allocation steady state from the trace alone: the
-//! last `scratch_reuse` counter (one per pipeline run, emitted by the
-//! run workspace) must report `grown=0` — every buffer group reused,
-//! none regrown. `--kernels` validates the per-stage instrumentation:
-//! at least one span of every pipeline `Stage` (span durations carry
-//! stage time), the `fast_prereject` counter on every `orb` event, and
+//! name, `--require` just demands at least one. `--kernels` validates
+//! the per-stage instrumentation: at least one span of every pipeline
+//! `Stage` (span durations carry stage time), the `fast_prereject`
+//! counter on every `orb` event, and
 //! at least one traced detection that exercised the SWAR pre-reject
 //! (`fast_prereject > 0`). `--metrics` validates the metrics snapshots
 //! of `campaign_bench`'s thread sweep: at least one `metrics_phase`
@@ -42,13 +39,12 @@ use std::process::ExitCode;
 use vs_bench::cli;
 use vs_telemetry::digest::Stage;
 
-const USAGE: &str = "usage: trace_check FILE [--expect NAME=COUNT]... [--require NAME]... [--scratch-steady] [--kernels] [--metrics] [--forensics] [--spans] [--export-chrome FILE] [--export-flame FILE] [--quiet]";
+const USAGE: &str = "usage: trace_check FILE [--expect NAME=COUNT]... [--require NAME]... [--kernels] [--metrics] [--forensics] [--spans] [--export-chrome FILE] [--export-flame FILE] [--quiet]";
 
 struct CheckOpts {
     file: std::path::PathBuf,
     expect: Vec<(String, usize)>,
     require: Vec<String>,
-    scratch_steady: bool,
     kernels: bool,
     metrics: bool,
     forensics: bool,
@@ -65,7 +61,6 @@ fn parse(a: &mut cli::Args) -> Result<CheckOpts, String> {
             Some((name.to_string(), count.parse().ok()?))
         })?,
         require: a.values("--require")?,
-        scratch_steady: a.flag("--scratch-steady"),
         kernels: a.flag("--kernels"),
         metrics: a.flag("--metrics"),
         forensics: a.flag("--forensics"),
@@ -123,27 +118,6 @@ fn main() -> ExitCode {
         if !census.contains_key(name.as_str()) {
             eprintln!("error: required event '{name}' missing from trace");
             failed = true;
-        }
-    }
-    if o.scratch_steady {
-        match events.iter().rev().find(|e| e.name == "scratch_reuse") {
-            None => {
-                eprintln!("error: --scratch-steady: no scratch_reuse events in trace");
-                failed = true;
-            }
-            Some(ev) => match ev.u64("grown") {
-                Some(0) => {}
-                Some(g) => {
-                    eprintln!(
-                        "error: --scratch-steady: last scratch_reuse still grew {g} buffer group(s)"
-                    );
-                    failed = true;
-                }
-                None => {
-                    eprintln!("error: --scratch-steady: scratch_reuse event lacks 'grown' field");
-                    failed = true;
-                }
-            },
         }
     }
     if o.kernels {

@@ -88,6 +88,24 @@ mod tests {
     }
 
     #[test]
+    fn committed_bench_artifacts_parse() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut parsed = 0;
+        for entry in std::fs::read_dir(&root).expect("repository root") {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
+            if name.is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json")) {
+                let text = std::fs::read_to_string(&path).expect("readable artifact");
+                if let Err(e) = vs_telemetry::jsonl::parse_document(&text) {
+                    panic!("{}: {e}", path.display());
+                }
+                parsed += 1;
+            }
+        }
+        assert!(parsed > 0, "no BENCH_*.json under {}", root.display());
+    }
+
+    #[test]
     fn artifact_dir_is_created() {
         let o = Opts {
             out_dir: std::env::temp_dir().join(format!("vs_bench_test_{}", std::process::id())),

@@ -1,5 +1,5 @@
 //! Minimal wall-clock measurement for `kernel_bench`, and the one CV
-//! definition the bench binaries share.
+//! and median definitions the bench binaries share.
 //!
 //! The external `criterion` harness was dropped to keep the workspace
 //! buildable offline; this module provides the small subset the repo
@@ -65,6 +65,19 @@ pub fn cv_of(samples: &[f64]) -> f64 {
     }
     let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
     var.sqrt() / mean
+}
+
+/// Median of a non-empty sample (the upper one for even counts): the
+/// headline of a repeated measurement, and the baseline the `obs_report`
+/// sentinel compares a series' latest run against.
+///
+/// # Panics
+///
+/// Panics on an empty sample.
+pub fn median(samples: &[f64]) -> f64 {
+    let mut s = samples.to_vec();
+    s.sort_by(f64::total_cmp);
+    s[s.len() / 2]
 }
 
 /// Time two closures with interleaved batches: A, B, A, B, … until the

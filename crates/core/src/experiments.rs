@@ -109,8 +109,9 @@ pub fn vs_workload(input: InputId, scale: Scale, approx: Approximation) -> VsWor
     VsWorkload::new(frames, pipeline_config(scale, approx))
 }
 
-/// Build a VS workload with an explicit frame-count override (for
-/// `repro --frames N` fidelity sweeps).
+/// Build a VS workload with an explicit frame-count override, for
+/// flight lengths the [`Scale`] presets do not cover (`repro` has no
+/// frame-count flag).
 pub fn vs_workload_with_frames(
     input: InputId,
     scale: Scale,

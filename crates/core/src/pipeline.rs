@@ -115,10 +115,6 @@ pub struct RunScratch {
     warp: WarpScratch,
 }
 
-/// Number of buffer groups [`RunScratch::footprints`] tracks (the
-/// resolution of the `scratch_reuse` telemetry counter).
-const SCRATCH_GROUPS: usize = 8;
-
 impl RunScratch {
     /// The output of the last successful `run_with` call.
     /// Contents are unspecified after a run that returned an error.
@@ -128,37 +124,32 @@ impl RunScratch {
 
     /// Total heap footprint (element counts) of all owned buffers.
     pub fn footprint(&self) -> usize {
-        self.footprints().iter().sum()
-    }
-
-    /// Per-group heap footprints, compared across a run to count which
-    /// buffer groups were reused versus grown (`scratch_reuse` event).
-    fn footprints(&self) -> [usize; SCRATCH_GROUPS] {
-        [
-            self.gray.capacity(),
-            self.orb.footprint(),
-            self.features.capacity()
-                + self.descriptors.capacity()
-                + self.prev_features.capacity()
-                + self.prev_descriptors.capacity(),
-            self.downsampled.capacity() + self.matches.capacity() + self.pairs.capacity(),
-            self.ransac.footprint(),
-            self.segments.capacity()
-                + self.segments.iter().map(|s| s.capacity()).sum::<usize>()
-                + self.current.capacity()
-                + self.pool.capacity()
-                + self.pool.iter().map(|s| s.capacity()).sum::<usize>(),
-            self.canvas.footprint() + self.warp.footprint(),
-            self.summary.panoramas.capacity()
-                + self
-                    .summary
-                    .panoramas
-                    .iter()
-                    .map(|p| p.capacity())
-                    .sum::<usize>()
-                + self.summary.panorama_origins.capacity()
-                + self.summary.alignments.capacity(),
-        ]
+        self.gray.capacity()
+            + self.orb.footprint()
+            + self.features.capacity()
+            + self.descriptors.capacity()
+            + self.prev_features.capacity()
+            + self.prev_descriptors.capacity()
+            + self.downsampled.capacity()
+            + self.matches.capacity()
+            + self.pairs.capacity()
+            + self.ransac.footprint()
+            + self.segments.capacity()
+            + self.segments.iter().map(|s| s.capacity()).sum::<usize>()
+            + self.current.capacity()
+            + self.pool.capacity()
+            + self.pool.iter().map(|s| s.capacity()).sum::<usize>()
+            + self.canvas.footprint()
+            + self.warp.footprint()
+            + self.summary.panoramas.capacity()
+            + self
+                .summary
+                .panoramas
+                .iter()
+                .map(|p| p.capacity())
+                .sum::<usize>()
+            + self.summary.panorama_origins.capacity()
+            + self.summary.alignments.capacity()
     }
 }
 
@@ -335,7 +326,6 @@ impl VideoSummarizer {
             "pipeline_run",
             &[("resumed", Value::Bool(resume.is_some()))],
         );
-        let fp0 = scratch.footprints();
         let mut stats;
         let mut discard_streak;
         let n;
@@ -741,15 +731,6 @@ impl VideoSummarizer {
         );
         drop(summary);
         scratch.summary.stats = stats;
-        let fp1 = scratch.footprints();
-        let grown = fp0.iter().zip(fp1.iter()).filter(|(a, b)| b > a).count();
-        vs_telemetry::emit(
-            "scratch_reuse",
-            &[
-                ("reused", Value::U64((SCRATCH_GROUPS - grown) as u64)),
-                ("grown", Value::U64(grown as u64)),
-            ],
-        );
         Ok(())
     }
 

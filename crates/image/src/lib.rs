@@ -3,8 +3,8 @@
 //!
 //! This crate replaces the subset of OpenCV's `core` and `imgproc` the
 //! paper's application relies on: 8-bit grayscale and RGB images with
-//! checked accessors, PPM/PGM I/O, drawing primitives, separable blurs,
-//! integral images and pyramid downsampling.
+//! checked accessors, PPM/PGM I/O, drawing primitives, separable blurs
+//! and pyramid downsampling.
 //!
 //! All pixel accessors are *checked*: `get`-style methods return `Option`
 //! so callers in the fault-injected pipeline can translate out-of-bounds
@@ -28,7 +28,6 @@ pub mod dispatch;
 mod draw;
 mod filter;
 mod gray;
-mod integral;
 mod ppm;
 mod pyramid;
 mod rgb;
@@ -41,7 +40,6 @@ pub use filter::{
     gaussian_blur_5x5_into_level,
 };
 pub use gray::GrayImage;
-pub use integral::IntegralImage;
 pub use ppm::{read_pgm, read_ppm, write_pgm, write_ppm, PnmError};
 pub use pyramid::{downsample_half, downsample_half_into, downsample_half_into_level};
 pub use rgb::RgbImage;

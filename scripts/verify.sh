@@ -77,10 +77,8 @@ echo "== bench smoke: campaign_bench --smoke --threads 1,2 --trace + trace_check
 # campaigns (the scratch and checkpointed primaries, 3 metrics off/on
 # pairs at 1 thread, 2 metrics-armed repeats at 2 threads), a golden
 # profile for each of the plain and the capturing golden run, and one
-# sweep row per thread count. --scratch-steady validates from the trace
-# alone that the last traced run reused every workspace buffer group
-# (zero-allocation steady state); --kernels that every pipeline stage
-# opened a span and a traced detection fired the FAST pre-reject;
+# sweep row per thread count. --kernels validates that every pipeline
+# stage opened a span and a traced detection fired the FAST pre-reject;
 # --metrics the snapshot schema (complete monotone quantiles on every
 # metrics_phase event and a [0, 1] attribution coverage).
 ./target/release/trace_check /tmp/BENCH_smoke.jsonl --quiet \
@@ -92,7 +90,7 @@ echo "== bench smoke: campaign_bench --smoke --threads 1,2 --trace + trace_check
     --expect thread_sweep=2 \
     --require frame --require match --require ransac --require warp \
     --require orb --require metrics_overhead \
-    --scratch-steady --kernels --metrics
+    --kernels --metrics
 rm -f /tmp/BENCH_smoke.json /tmp/BENCH_smoke.jsonl
 
 echo "== kernel smoke: kernel_bench --smoke --check-speedups =="
@@ -202,9 +200,8 @@ echo "== ledger smoke: run manifests round-trip through obs_report =="
 # The bench smokes above appended one run manifest each to the scratch
 # ledger (the adaptive campaign_bench twice with the same config, so at
 # least one series has a real baseline-vs-latest comparison). obs_report must
-# parse the ledger and the committed BENCH trajectory and render its
-# report; findings (exit 2) are advisory at smoke scale, exit 1 means
-# unreadable inputs.
+# parse the ledger and render its report; findings (exit 2) are advisory
+# at smoke scale, exit 1 means an unreadable ledger.
 LEDGER_LINES=$(wc -l < "$VS_LEDGER_DIR/ledger.jsonl")
 if [ "$LEDGER_LINES" -lt 2 ]; then
     echo "error: bench smokes appended $LEDGER_LINES manifests, expected >= 2" >&2
@@ -214,7 +211,7 @@ OBS_STATUS=0
 ./target/release/obs_report --quiet --ledger "$VS_LEDGER_DIR" \
     --out-dir /tmp/obs_smoke || OBS_STATUS=$?
 if [ "$OBS_STATUS" -eq 1 ]; then
-    echo "error: obs_report could not read the ledger or BENCH files" >&2
+    echo "error: obs_report could not read the ledger" >&2
     exit 1
 fi
 if [ "$OBS_STATUS" -eq 2 ]; then
@@ -248,14 +245,13 @@ if [ "${1:-}" = "--full" ]; then
         --inj 1000 --min-reduction 5 --out BENCH_4.json
     echo "== regression sentinel: obs_report (advisory) =="
     # Compares the runs just appended to out/ledger against their own
-    # history plus the committed BENCH trajectory. Flagged regressions
-    # warn rather than fail — the ledger accumulates across checkouts
-    # and machines, so a red verdict needs a human eye, not a CI gate;
-    # exit 1 (unreadable ledger) still fails.
+    # history. Flagged regressions warn rather than fail — the ledger
+    # accumulates across checkouts and machines, so a red verdict needs a
+    # human eye, not a CI gate; exit 1 (unreadable ledger) still fails.
     FULL_OBS=0
     ./target/release/obs_report --out-dir out/observatory || FULL_OBS=$?
     if [ "$FULL_OBS" -eq 1 ]; then
-        echo "error: obs_report could not read the ledger or BENCH files" >&2
+        echo "error: obs_report could not read the ledger" >&2
         exit 1
     fi
     if [ "$FULL_OBS" -eq 2 ]; then
