@@ -24,14 +24,18 @@
 //! `--threads` count (a comma list, `--threads 1,2,4`) with a
 //! `MetricsRegistry` installed, so each worker's wall time decomposes
 //! into the named campaign phases (`draw`, `setup`, `exec`, `teardown`,
-//! `classify`, `record`). At the first count the campaign runs in
-//! interleaved metrics-off/metrics-on pairs, an A/B of what arming the
-//! metrics costs; each further count runs the preset's repeat count. The
+//! `classify`, `record`), and `exec` into the pipeline stages, each
+//! timed by the span that names it. At the first count the campaign
+//! runs in interleaved metrics-off/metrics-on pairs, an A/B of what
+//! arming the metrics costs; each further count runs the preset's
+//! repeat count. The
 //! sweep lands in the JSON as `thread_sweep` rows (median wall time,
 //! phase-attribution coverage, and whether the count oversubscribes the
-//! recorded `host_cores`) plus an `overhead` object, and in the trace as
-//! `metrics_phase`/`metrics_counter` snapshots, `metrics_coverage` and
-//! `metrics_overhead` events.
+//! recorded `host_cores`) plus an `overhead` object; the first row's
+//! phase and stage quantiles become `phase_<name>_{p50,p90,p99}_ns`
+//! members and `stage_share` (the stages' summed time over `exec`). The
+//! trace carries `metrics_phase`/`metrics_counter` snapshots,
+//! `metrics_coverage` and `metrics_overhead` events.
 //!
 //! The binary fails when
 //! - the checkpointed campaign, or any sweep campaign, classifies an
@@ -602,6 +606,16 @@ impl SweepRow {
             attributed as f64 / wall as f64
         }
     }
+
+    /// Share of summed `exec` time the pipeline stages' spans cover.
+    fn stage_share(&self) -> f64 {
+        let sum = |name: &str| self.metrics.histogram(name).map_or(0, |h| h.sum());
+        let stages: u64 = Stage::ALL.iter().map(|s| sum(s.name())).sum();
+        match sum(phase::EXEC) {
+            0 => 0.0,
+            exec => stages as f64 / exec as f64,
+        }
+    }
 }
 
 /// The metrics-overhead A/B at the first thread count.
@@ -844,11 +858,13 @@ fn run_throughput_bench(
         ),
         ("overhead", overhead.json()),
         ("overhead_pct", overhead.pct().into()),
+        ("stage_share", rows[0].stage_share().into()),
         ("outcomes_identical", (identical && sweep_identical).into()),
     ]);
-    // The campaign-phase layer of the record: the first sweep row's
-    // phase quantiles.
-    let phases = phase::TOP.iter().flat_map(|&name| {
+    // The campaign-phase and pipeline-stage layers of the record: the
+    // first sweep row's phase and stage quantiles.
+    let stages = Stage::ALL.map(Stage::name);
+    let phases = phase::TOP.iter().chain(&stages).flat_map(|&name| {
         rows[0]
             .metrics
             .histogram(name)

@@ -14,8 +14,9 @@
 //! at least one traced detection that exercised the SWAR pre-reject
 //! (`fast_prereject > 0`). `--metrics` validates the metrics snapshots
 //! of `campaign_bench`'s thread sweep: at least one `metrics_phase`
-//! event, each carrying the full quantile schema (`count`/`sum_ns`/
-//! `mean_ns`/`p50_ns`/`p90_ns`/`p99_ns`/`max_ns` as u64) with monotone
+//! event, one for every pipeline `Stage` among them, each carrying the
+//! full quantile schema (`count`/`sum_ns`/`mean_ns`/`p50_ns`/`p90_ns`/
+//! `p99_ns`/`max_ns` as u64) with monotone
 //! quantiles (p50 <= p90 <= p99 <= max), every `metrics_counter`
 //! carrying a u64 `value`, and at least one `metrics_coverage` event
 //! whose `coverage` lies in [0, 1]. `--forensics` validates the fault-forensics
@@ -158,6 +159,14 @@ fn main() -> ExitCode {
         if phases.is_empty() {
             eprintln!("error: --metrics: no metrics_phase event in trace");
             failed = true;
+        }
+        // Injected runs are timed stage by stage: every pipeline stage's
+        // spans fed a histogram.
+        for stage in Stage::ALL.map(Stage::name) {
+            if !phases.iter().any(|e| e.str("phase") == Some(stage)) {
+                eprintln!("error: --metrics: no metrics_phase snapshot of stage '{stage}'");
+                failed = true;
+            }
         }
         for ev in &phases {
             if ev.str("phase").is_none() {

@@ -109,19 +109,6 @@ pub fn vs_workload(input: InputId, scale: Scale, approx: Approximation) -> VsWor
     VsWorkload::new(frames, pipeline_config(scale, approx))
 }
 
-/// Build a VS workload with an explicit frame-count override, for
-/// flight lengths the [`Scale`] presets do not cover (`repro` has no
-/// frame-count flag).
-pub fn vs_workload_with_frames(
-    input: InputId,
-    scale: Scale,
-    approx: Approximation,
-    frames: usize,
-) -> VsWorkload {
-    let spec = input_spec(input, scale).with_frames(frames);
-    VsWorkload::new(render_input(&spec), pipeline_config(scale, approx))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,12 +129,6 @@ mod tests {
         let s = w.summarize().unwrap();
         assert!(!s.panoramas.is_empty());
         assert_eq!(s.stats.frames_in, 10);
-    }
-
-    #[test]
-    fn frame_override_is_applied() {
-        let w = vs_workload_with_frames(InputId::Input2, Scale::Quick, Approximation::Baseline, 5);
-        assert_eq!(w.frames().len(), 5);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::approx::drop_frame;
 use crate::config::{Approximation, PipelineConfig};
 use std::sync::Arc;
-use vs_fault::campaign::Checkpoint;
+use vs_fault::campaign::{phase::RESTORE, Checkpoint};
 use vs_fault::session::{self, TapSnapshot};
 use vs_fault::{tap, FuncId, OpClass, SimError};
 use vs_features::{Descriptor, Feature, Orb, OrbScratch};
@@ -334,10 +334,9 @@ impl VideoSummarizer {
         // that was faulted or aborted leaves arbitrary state behind.
         match resume {
             Some(ck) => {
-                // Attributed to the `restore` sub-phase of `exec` when
-                // the campaign worker is armed for metrics (a no-op,
-                // clock untouched, otherwise).
-                let t_restore = vs_telemetry::metrics::start();
+                // The `restore` sub-phase of `exec`, timed when the
+                // campaign worker is armed for metrics.
+                let _restore = vs_telemetry::span(RESTORE);
                 vs_telemetry::emit(
                     "checkpoint_restore",
                     &[
@@ -390,7 +389,6 @@ impl VideoSummarizer {
                 // checkpoint), so the plain length is exact.
                 n = frames.len();
                 i = ck.next_frame;
-                vs_telemetry::metrics::stop(vs_fault::campaign::phase::RESTORE, t_restore);
             }
             None => {
                 stats = SummaryStats {
@@ -602,17 +600,16 @@ impl VideoSummarizer {
         for si in 0..seg_count {
             if let Some(rc) = render_resume {
                 if si < rc.segment {
-                    let t_restore = vs_telemetry::metrics::start();
+                    let _restore = vs_telemetry::span(RESTORE);
                     let (pano, origin) = &rc.finished[si];
                     scratch.summary.panoramas[si].copy_from(pano);
                     scratch.summary.panorama_origins.push(*origin);
                     push_alignments(&mut scratch.summary.alignments, &scratch.segments[si], si);
-                    vs_telemetry::metrics::stop(vs_fault::campaign::phase::RESTORE, t_restore);
                     continue;
                 }
             }
             let resumed = render_resume.filter(|rc| rc.segment == si);
-            let t_restore = resumed.and_then(|_| vs_telemetry::metrics::start());
+            let restore = resumed.map(|_| vs_telemetry::span(RESTORE));
             let bounds = segment_bounds(&scratch.segments[si], frames)?;
             scratch.canvas.reset(&bounds)?;
             let start = match resumed {
@@ -620,11 +617,11 @@ impl VideoSummarizer {
                     for patch in &rc.patches {
                         scratch.canvas.apply(patch);
                     }
-                    vs_telemetry::metrics::stop(vs_fault::campaign::phase::RESTORE, t_restore);
                     rc.pos
                 }
                 None => 0,
             };
+            drop(restore);
             if paint {
                 let items = &scratch.segments[si][start..];
                 scratch
@@ -1163,7 +1160,7 @@ mod tests {
             let _g = session::begin_profile();
             let mut scratch = RunScratch::default();
             let c = vs.run_capturing(&frames, 3, &mut scratch).unwrap();
-            (scratch.summary().clone(), c, session::report())
+            (scratch.summary().clone(), c, session::snapshot())
         };
         assert!(
             !ckpts.is_empty(),
@@ -1182,7 +1179,7 @@ mod tests {
                 ck.next_frame()
             );
             assert_eq!(
-                session::report(),
+                session::snapshot(),
                 final_taps,
                 "tap counters diverged resuming at frame {}",
                 ck.next_frame()

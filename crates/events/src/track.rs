@@ -149,11 +149,6 @@ impl Tracker {
         Ok(())
     }
 
-    /// Number of currently active tracks.
-    pub fn active_len(&self) -> usize {
-        self.active.len()
-    }
-
     /// Finish tracking: close all active tracks and return every track
     /// meeting the minimum length, ordered by id.
     pub fn into_tracks(mut self) -> Vec<Track> {

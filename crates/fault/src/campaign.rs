@@ -30,13 +30,18 @@ use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use vs_telemetry::digest::{self, DigestTrace, Stage};
-use vs_telemetry::metrics;
+use vs_telemetry::{metrics, span};
 
-/// Phase vocabulary of the campaign metrics instrumentation: every
-/// nanosecond of a worker's stripe is attributed to one of these named
-/// histograms when a [`metrics::MetricsRegistry`] is installed on the
-/// campaign's calling thread (see [`metrics::install`]). With no
-/// registry installed the timers never read the clock.
+/// Phase vocabulary of the campaign metrics: every campaign phase is a
+/// span named by one of these constants ([`vs_telemetry::span`]), and a
+/// span on a metrics-armed worker records its duration into the
+/// worker's histogram of that name. Workers are armed when a
+/// [`metrics::MetricsRegistry`] is installed on the campaign's calling
+/// thread (see [`metrics::install`]); every nanosecond of a worker's
+/// stripe is then attributed to one of the [`TOP`](phase::TOP) phases,
+/// and the pipeline's stage spans inside [`EXEC`](phase::EXEC) yield
+/// one histogram per [`Stage`] name. With no registry installed the
+/// spans never read the clock.
 pub mod phase {
     /// Fault-spec draw plus checkpoint selection, per run.
     pub const DRAW: &str = "draw";
@@ -57,7 +62,8 @@ pub mod phase {
     pub const RECORD: &str = "record";
     /// Driver-side scatter of worker stripes into index order, one
     /// sample per driven batch (runs on the calling thread, so it is
-    /// *not* worker time).
+    /// *not* worker time, and is deposited directly rather than timed
+    /// by a span, which would trace into a traced campaign).
     pub const COLLECT: &str = "collect";
     /// Whole stripe wall time, one sample per worker — the attribution
     /// denominator.
@@ -598,11 +604,11 @@ impl<W: Workload> Plan<'_, W> {
     ///
     /// Every worker arms itself from the plan's captured observers
     /// ([`vs_telemetry::Handle::arm`]): with a metrics registry
-    /// captured, it collects lock-free and deposits its stripe's phase
-    /// histograms into the registry under its worker id once, at stripe
-    /// end, and the driver itself deposits the scatter time under id
-    /// `threads`. With no registry captured the arming (and every timer
-    /// inside the runs) is skipped entirely.
+    /// captured, every phase and stage span it closes records lock-free,
+    /// and it deposits its stripe's histograms into the registry under
+    /// its worker id once, at stripe end; the driver itself deposits the
+    /// scatter time under id `threads`. With no registry captured the
+    /// arming is skipped and no span inside the runs reads the clock.
     pub(crate) fn drive(
         &self,
         runs: Range<usize>,
@@ -634,22 +640,22 @@ impl<W: Workload> Plan<'_, W> {
                     let stripe = (runs.start + t..runs.end).step_by(threads);
                     scope.spawn(move || {
                         let _armed = self.observers.arm(t);
-                        let wall = metrics::start();
-                        let records = stripe
+                        // Declared after the arming, so it closes, and
+                        // records, before the deposit.
+                        let _wall = span(phase::WORKER_WALL);
+                        stripe
                             .map(|i| {
-                                let t_draw = metrics::start();
+                                let draw_span = span(phase::DRAW);
                                 let spec = draw(i);
                                 let from = self.resume_point(&spec);
-                                metrics::stop(phase::DRAW, t_draw);
+                                drop(draw_span);
                                 let rec = self.execute(from, spec, budget, i, ws);
                                 if let Some(m) = monitor {
                                     m.record(&rec);
                                 }
                                 rec
                             })
-                            .collect();
-                        metrics::stop(phase::WORKER_WALL, wall);
-                        records
+                            .collect()
                     })
                 })
                 .collect();
@@ -711,7 +717,7 @@ impl<W: Workload> Plan<'_, W> {
             },
             1,
         );
-        let t_setup = metrics::start();
+        let setup = span(phase::SETUP);
         let recorder = self.digests.map(|_| {
             digest::record_from(from.map_or_else(DigestTrace::default, |c| c.digest_trace()))
         });
@@ -720,8 +726,8 @@ impl<W: Workload> Plan<'_, W> {
             Some(c) => session::begin_injection_at(spec, mask, budget, c.tap_snapshot()),
             None => session::begin_injection(spec, mask, budget),
         };
-        metrics::stop(phase::SETUP, t_setup);
-        let t_exec = metrics::start();
+        drop(setup);
+        let exec = span(phase::EXEC);
         state::with(|s| s.in_injection.set(true));
         let result = panic::catch_unwind(AssertUnwindSafe(move || {
             // Moving the workspace borrow out of the closure lets the
@@ -730,17 +736,17 @@ impl<W: Workload> Plan<'_, W> {
             self.workload.run(ws, from)
         }));
         state::with(|s| s.in_injection.set(false));
-        metrics::stop(phase::EXEC, t_exec);
-        let t_teardown = metrics::start();
-        let fired = session::report().fired;
+        drop(exec);
+        let teardown = span(phase::TEARDOWN);
+        let fired = session::fired();
         drop(guard);
         let trace = recorder.map(|r| {
             let t = digest::trace();
             drop(r);
             t
         });
-        metrics::stop(phase::TEARDOWN, t_teardown);
-        let t_classify = metrics::start();
+        drop(teardown);
+        let _classify = span(phase::CLASSIFY);
         let (outcome, sdc_output) = match result {
             Err(_) | Ok(Err(SimError::Segfault)) => (Outcome::CrashSegfault, None),
             Ok(Err(SimError::Abort)) => (Outcome::CrashAbort, None),
@@ -758,7 +764,6 @@ impl<W: Workload> Plan<'_, W> {
             }
             _ => None,
         };
-        metrics::stop(phase::CLASSIFY, t_classify);
         Injection {
             index,
             spec,

@@ -41,6 +41,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Mutex;
 use vs_telemetry::digest::{DigestTrace, Stage};
+use vs_telemetry::OwnedEvent;
 
 /// Sampling parameters for the injected (cache-miss) groups of a
 /// composed campaign.
@@ -206,13 +207,14 @@ impl CampaignCache {
 
     /// Parse a cache back from its JSONL serialization: exactly one
     /// `cache_header` line, first, whose `entries` count matches the
-    /// `cache_entry` lines that follow it.
+    /// `cache_entry` lines that follow it. Every field is required: a
+    /// line that lacks one is rejected, never read as 0.
     ///
     /// # Errors
     ///
     /// Returns a description of the first malformed line, missing or
-    /// misplaced header, version or entry-count mismatch, or unknown
-    /// function/op name.
+    /// misplaced header, missing field (named), version or entry-count
+    /// mismatch, or unknown function/op name.
     pub fn from_jsonl(text: &str) -> Result<Self, String> {
         let events = vs_telemetry::jsonl::parse_trace(text)
             .map_err(|(line, e)| format!("cache line {line}: {e}"))?;
@@ -222,13 +224,15 @@ impl CampaignCache {
         else {
             return Err("cache does not start with a cache_header line".into());
         };
-        let version = header.u64("version").unwrap_or(0);
+        let missing = |ev: &OwnedEvent, k: &str| format!("{} missing field {k}", ev.name);
+        let field = |ev: &OwnedEvent, k: &str| ev.u64(k).ok_or_else(|| missing(ev, k));
+        let version = field(header, "version")?;
         if version != CACHE_VERSION {
             return Err(format!(
                 "cache version {version} (expected {CACHE_VERSION})"
             ));
         }
-        let declared = header.u64("entries").unwrap_or(0);
+        let declared = field(header, "entries")?;
         if declared != entries.len() as u64 {
             return Err(format!(
                 "cache header declares {declared} entries, file holds {}",
@@ -236,22 +240,20 @@ impl CampaignCache {
             ));
         }
         let mut cache = CampaignCache::new();
-        cache.workload_digest = header.u64("workload").unwrap_or(0);
+        cache.workload_digest = field(header, "workload")?;
         for ev in entries {
             if ev.name != "cache_entry" {
                 return Err(format!("unexpected cache event {:?}", ev.name));
             }
-            let field = |k: &str| {
-                ev.u64(k)
-                    .ok_or_else(|| format!("cache_entry missing field {k}"))
-            };
-            let func_name = ev.str("func").unwrap_or("");
+            let field = |k: &str| field(ev, k);
+            let name = |k: &str| ev.str(k).ok_or_else(|| missing(ev, k));
+            let func_name = name("func")?;
             let func = FuncId::ALL
                 .iter()
                 .copied()
                 .find(|f| f.name() == func_name)
                 .ok_or_else(|| format!("unknown cache function {func_name:?}"))?;
-            let op_name = ev.str("op").unwrap_or("");
+            let op_name = name("op")?;
             let op = OpClass::ALL
                 .iter()
                 .copied()
@@ -628,7 +630,7 @@ mod tests {
         assert!(parse(&["not json"]).is_err());
         assert!(parse(&["{\"event\":\"cache_header\",\"version\":99,\"entries\":0}"]).is_err());
         assert!(parse(&[
-            "{\"event\":\"cache_header\",\"version\":1,\"entries\":1}",
+            "{\"event\":\"cache_header\",\"version\":1,\"workload\":0,\"entries\":1}",
             "{\"event\":\"cache_entry\",\"key\":1,\"func\":\"nope\",\"op\":\"data\"}",
         ])
         .is_err());
@@ -654,6 +656,42 @@ mod tests {
         assert!(parse(&[lines[0], lines[1], lines[0]]).is_err());
         // A cache cut at a line boundary is not a smaller cache.
         assert!(parse(&lines[..2]).is_err());
+    }
+
+    /// A header that lacks `field` is rejected with an error naming it,
+    /// instead of reading the field as 0.
+    fn header_without(field: &str) {
+        let header = |skip: &str| {
+            let fields = [("version", CACHE_VERSION), ("workload", 7), ("entries", 0)];
+            let kept: String = fields
+                .iter()
+                .filter(|(k, _)| *k != skip)
+                .map(|(k, v)| format!(",\"{k}\":{v}"))
+                .collect();
+            format!("{{\"event\":\"cache_header\"{kept}}}\n")
+        };
+        let mut cache = CampaignCache::new();
+        cache.workload_digest = 7;
+        assert_eq!(cache.to_jsonl(), header(""), "the header the writer emits");
+        assert_eq!(
+            CampaignCache::from_jsonl(&header(field)).map(|c| c.len()),
+            Err(format!("cache_header missing field {field}"))
+        );
+    }
+
+    #[test]
+    fn header_without_version_is_rejected() {
+        header_without("version");
+    }
+
+    #[test]
+    fn header_without_entries_is_rejected() {
+        header_without("entries");
+    }
+
+    #[test]
+    fn header_without_workload_is_rejected() {
+        header_without("workload");
     }
 
     #[test]

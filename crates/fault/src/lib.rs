@@ -68,7 +68,6 @@ pub mod campaign;
 pub mod compose;
 pub mod convergence;
 pub mod error;
-pub mod export;
 pub mod forensics;
 pub mod func;
 pub mod pruning;
@@ -81,7 +80,7 @@ mod telemetry;
 
 pub use error::{CrashKind, SimError};
 pub use func::{FuncId, FuncMask, OpClass, NUM_CLASSES, NUM_FUNCS};
-pub use session::{InstrCounts, SessionReport};
+pub use session::InstrCounts;
 pub use spec::{FaultSpec, FiredFault, RegClass, NUM_REGS};
 
 /// Deterministic 64-bit mixer (splitmix64 finalizer).

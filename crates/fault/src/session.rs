@@ -22,28 +22,8 @@ pub struct InstrCounts {
     pub by_func: [u64; NUM_FUNCS],
 }
 
-/// Snapshot of a finished (or in-flight) session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionReport {
-    /// Total integer taps ("GPR writes") observed.
-    pub gpr_taps: u64,
-    /// Total float taps ("FPR writes") observed.
-    pub fpr_taps: u64,
-    /// Integer taps inside the eligible-function mask.
-    pub eligible_gpr: u64,
-    /// Float taps inside the eligible-function mask.
-    pub eligible_fpr: u64,
-    /// Instruction accounting.
-    pub instr: InstrCounts,
-    /// Eligible GPR taps per `(function, op-class)` site group, indexed
-    /// by `func.index() * NUM_CLASSES + op.index()`.
-    pub gpr_groups: [u64; NUM_FUNCS * NUM_CLASSES],
-    /// The fault that fired, if a fault was armed and reached.
-    pub fired: Option<FiredFault>,
-}
-
 /// Index of a `(function, op-class)` site group in
-/// [`SessionReport::gpr_groups`].
+/// [`TapSnapshot::gpr_groups`].
 pub fn group_index(func: FuncId, op: OpClass) -> usize {
     func.index() * NUM_CLASSES + op.index()
 }
@@ -108,17 +88,40 @@ pub fn active() -> bool {
     state::with(|s| s.mode.get() != Mode::Off)
 }
 
-/// Snapshot the current session's counters mid-run (any mode).
+/// Snapshot the current thread's session counters, mid-run or at its
+/// end (any mode); all zero outside a session.
 pub fn snapshot() -> TapSnapshot {
-    let r = report();
-    TapSnapshot {
-        gpr_taps: r.gpr_taps,
-        fpr_taps: r.fpr_taps,
-        eligible_gpr: r.eligible_gpr,
-        eligible_fpr: r.eligible_fpr,
-        gpr_groups: r.gpr_groups,
-        instr: r.instr,
-    }
+    state::with(|s| {
+        let mut by_class = [0u64; NUM_CLASSES];
+        for (dst, src) in by_class.iter_mut().zip(&s.by_class) {
+            *dst = src.get();
+        }
+        let mut by_func = [0u64; NUM_FUNCS];
+        for (dst, src) in by_func.iter_mut().zip(&s.by_func) {
+            *dst = src.get();
+        }
+        let mut gpr_groups = [0u64; NUM_GROUPS];
+        for (dst, src) in gpr_groups.iter_mut().zip(&s.gpr_groups) {
+            *dst = src.get();
+        }
+        TapSnapshot {
+            gpr_taps: s.gpr_taps.get(),
+            fpr_taps: s.fpr_taps.get(),
+            eligible_gpr: s.elig_gpr.get(),
+            eligible_fpr: s.elig_fpr.get(),
+            gpr_groups,
+            instr: InstrCounts {
+                total: s.instr_total.get(),
+                by_class,
+                by_func,
+            },
+        }
+    })
+}
+
+/// The fault the current injection session fired, if it was reached.
+pub fn fired() -> Option<FiredFault> {
+    state::with(|s| s.fired.get())
 }
 
 /// Pre-advance the current session's counters to `base`, as if the
@@ -244,37 +247,6 @@ pub fn begin_injection_at(
     guard
 }
 
-/// Snapshot the current thread's session counters.
-pub fn report() -> SessionReport {
-    state::with(|s| {
-        let mut by_class = [0u64; NUM_CLASSES];
-        for (dst, src) in by_class.iter_mut().zip(&s.by_class) {
-            *dst = src.get();
-        }
-        let mut by_func = [0u64; NUM_FUNCS];
-        for (dst, src) in by_func.iter_mut().zip(&s.by_func) {
-            *dst = src.get();
-        }
-        let mut gpr_groups = [0u64; NUM_GROUPS];
-        for (dst, src) in gpr_groups.iter_mut().zip(&s.gpr_groups) {
-            *dst = src.get();
-        }
-        SessionReport {
-            gpr_taps: s.gpr_taps.get(),
-            fpr_taps: s.fpr_taps.get(),
-            eligible_gpr: s.elig_gpr.get(),
-            eligible_fpr: s.elig_fpr.get(),
-            instr: InstrCounts {
-                total: s.instr_total.get(),
-                by_class,
-                by_func,
-            },
-            gpr_groups,
-            fired: s.fired.get(),
-        }
-    })
-}
-
 impl Drop for SessionGuard {
     fn drop(&mut self) {
         state::with(|s| {
@@ -295,9 +267,9 @@ mod tests {
         {
             let _g = begin_profile();
             let _ = tap::gpr(1);
-            assert_eq!(report().gpr_taps, 1);
+            assert_eq!(snapshot().gpr_taps, 1);
         }
-        assert_eq!(report().gpr_taps, 0);
+        assert_eq!(snapshot().gpr_taps, 0);
         assert_eq!(tap::gpr(5), 5);
     }
 
@@ -314,8 +286,7 @@ mod tests {
         let _g = begin_injection(spec, FuncMask::all(), 1_000);
         let _f = tap::scope(FuncId::Other);
         assert_eq!(tap::gpr(0), 4);
-        let r = report();
-        assert_eq!(r.fired.unwrap().reg, spec.register());
+        assert_eq!(fired().unwrap().reg, spec.register());
     }
 
     #[test]
@@ -332,7 +303,7 @@ mod tests {
         let _g = begin_profile_at(&base);
         let _f = tap::scope(FuncId::Other);
         let _ = tap::gpr(0);
-        let r = report();
+        let r = snapshot();
         assert_eq!(r.gpr_taps, 8);
         assert_eq!(r.fpr_taps, 1);
         assert_eq!(r.eligible_gpr, 8);
@@ -355,7 +326,7 @@ mod tests {
         let _f = tap::scope(FuncId::Other);
         assert_eq!(tap::gpr(8), 8, "tap 5 must pass through");
         assert_eq!(tap::gpr(8), 9, "tap 6 must corrupt bit 0");
-        assert!(report().fired.is_some());
+        assert!(fired().is_some());
     }
 
     #[test]
@@ -401,7 +372,7 @@ mod tests {
         let _f = tap::scope(FuncId::Other);
         assert_eq!(tap::gpr(8), 8, "data taps are outside the group");
         assert_eq!(tap::addr(8), 9, "the group's tap 3 must corrupt bit 0");
-        assert!(report().fired.is_some());
+        assert!(fired().is_some());
     }
 
     #[test]
@@ -416,7 +387,7 @@ mod tests {
     }
 
     #[test]
-    fn report_counts_eligible_separately() {
+    fn snapshot_counts_eligible_separately() {
         let spec = FaultSpec::new(RegClass::Fpr, 100, 1);
         let mask = FuncMask::only(&[FuncId::Quality]);
         let _g = begin_injection(spec, mask, u64::MAX);
@@ -428,7 +399,7 @@ mod tests {
             let _f = tap::scope(FuncId::Quality);
             let _ = tap::fpr(1.0);
         }
-        let r = report();
+        let r = snapshot();
         assert_eq!(r.fpr_taps, 2);
         assert_eq!(r.eligible_fpr, 1);
     }

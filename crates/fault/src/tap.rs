@@ -15,7 +15,7 @@
 //!   drives a checked access out of bounds → simulated segfault.
 //! * [`ctl`] — loop bounds and trip counts. Corruption can skip work
 //!   (masked/SDC) or inflate a loop until the hang budget trips.
-//! * [`gpr`] / [`gpr_i64`] — data values. Corruption usually yields SDCs
+//! * [`gpr`] — data values. Corruption usually yields SDCs
 //!   or is masked by later saturation.
 //!
 //! [`fpr`] taps `f64` values; the pipeline's float results funnel through a
@@ -79,12 +79,6 @@ fn int_tap(v: u64, op: OpClass) -> u64 {
 #[inline]
 pub fn gpr(v: u64) -> u64 {
     int_tap(v, OpClass::IntAlu)
-}
-
-/// Tap a signed integer data value (GPR model, ALU class).
-#[inline]
-pub fn gpr_i64(v: i64) -> i64 {
-    int_tap(v as u64, OpClass::IntAlu) as i64
 }
 
 /// Tap an index/address computation (GPR model, address class).
@@ -238,12 +232,12 @@ mod tests {
         }
         let _ = fpr(2.0);
         work(OpClass::Mem, 5).unwrap();
-        let r = session::report();
+        let r = session::snapshot();
         assert_eq!(r.gpr_taps, 10);
         assert_eq!(r.fpr_taps, 1);
         assert_eq!(r.instr.total, 10 + 1 + 5);
         assert_eq!(r.instr.by_func[FuncId::FastDetect.index()], 16);
-        assert!(r.fired.is_none());
+        assert!(session::fired().is_none());
     }
 
     #[test]
@@ -259,7 +253,7 @@ mod tests {
         assert_eq!(corrupted.len(), 1);
         assert_eq!(corrupted[0].0, 3);
         assert_eq!(*corrupted[0].1, 1u64 << 5);
-        let fired = session::report().fired.expect("fault must fire");
+        let fired = session::fired().expect("fault must fire");
         assert_eq!(fired.func, FuncId::MatchKeypoints);
         assert_eq!(fired.bit, 5);
         assert_eq!(fired.before, 0);
@@ -297,7 +291,7 @@ mod tests {
         for _ in 0..=dead {
             assert_eq!(fpr(2.5), 2.5, "dead-register flip must not corrupt");
         }
-        assert!(session::report().fired.is_some(), "the fault still fired");
+        assert!(session::fired().is_some(), "the fault still fired");
     }
 
     #[test]
@@ -313,7 +307,7 @@ mod tests {
             let _f = scope(FuncId::WarpPerspective);
             assert_eq!(gpr(9), 9 ^ 1, "first eligible tap must be corrupted");
         }
-        let r = session::report();
+        let r = session::snapshot();
         assert_eq!(r.gpr_taps, 2);
         assert_eq!(r.eligible_gpr, 1);
     }

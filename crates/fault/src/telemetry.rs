@@ -146,16 +146,10 @@ impl CampaignMonitor {
     }
 
     /// Record one classified injection. Called from worker threads; the
-    /// time spent here (event assembly plus sink fan-out) is attributed
-    /// to the `record` phase histogram when the worker is armed for
-    /// metrics.
+    /// time spent here (event assembly plus sink fan-out) is a span named
+    /// by the `record` phase, timed when the worker is armed for metrics.
     pub(crate) fn record<O>(&self, rec: &Injection<O>) {
-        let t_record = vs_telemetry::metrics::start();
-        self.record_inner(rec);
-        vs_telemetry::metrics::stop(crate::campaign::phase::RECORD, t_record);
-    }
-
-    fn record_inner<O>(&self, rec: &Injection<O>) {
+        let _span = vs_telemetry::span(crate::campaign::phase::RECORD);
         let Some(sink) = &self.sink else { return };
         let done = self.counts.add(rec.outcome);
         let fired_func = rec.fired.map_or("", |f| f.func.name());

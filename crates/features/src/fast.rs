@@ -1071,7 +1071,7 @@ mod tests {
         let taps = {
             let _s = session::begin_profile();
             detect(&img, &cfg).unwrap();
-            session::report().gpr_groups[session::group_index(group.0, group.1)]
+            session::snapshot().gpr_groups[session::group_index(group.0, group.1)]
         };
         assert!(taps > 300, "only {taps} candidate taps");
         let run = |level: Option<SimdLevel>, spec: FaultSpec| {
@@ -1082,8 +1082,11 @@ mod tests {
                 None => detect_into_level(&img, &cfg, &mut scratch, &mut out, SimdLevel::Scalar),
                 Some(l) => detect_into_level(&img, &cfg, &mut scratch, &mut out, l),
             };
-            let report = session::report();
-            (res.map(|()| out), report.fired, report.instr)
+            (
+                res.map(|()| out),
+                session::fired(),
+                session::snapshot().instr,
+            )
         };
         let levels: Vec<_> = SimdLevel::ALL
             .into_iter()

@@ -259,7 +259,7 @@ mod tests {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 assign_orientations_mut(&img, &mut kps)
             }));
-            assert!(session::report().fired.is_some(), "bit {bit}: never fired");
+            assert!(session::fired().is_some(), "bit {bit}: never fired");
             let result = result.unwrap_or_else(|_| panic!("bit {bit} panicked"));
             if bit == 62 {
                 assert_eq!(result, Err(SimError::Hang));

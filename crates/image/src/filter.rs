@@ -1,9 +1,8 @@
 //! Separable smoothing filters.
 //!
-//! ORB smooths the image before sampling BRIEF point pairs; the synthetic
-//! terrain generator uses blurs to soften painted structure.
+//! ORB smooths the image before sampling BRIEF point pairs.
 //!
-//! The binomial Gaussian blurs run as fixed-point u16 row/column passes.
+//! The binomial Gaussian blur runs as fixed-point u16 row/column passes.
 //! Their weights are dyadic rationals (k/2^s), so the historical float
 //! path computes every partial sum exactly in `f64`; the integer passes
 //! reproduce it bit-for-bit (see [`separable_blur_fixed_into`]) and the
@@ -11,33 +10,6 @@
 //! ([`gaussian_blur_5x5_into_scalar`]).
 
 use crate::{saturate_u8, GrayImage};
-
-/// Box blur with a `(2*radius+1)`² kernel, replicate borders.
-///
-/// Radius 0 returns a copy.
-pub fn box_blur(img: &GrayImage, radius: usize) -> GrayImage {
-    if radius == 0 || img.is_empty() {
-        return img.clone();
-    }
-    let r = radius as isize;
-    let norm = (2 * radius + 1) as f64;
-    // Horizontal pass.
-    let horiz = GrayImage::from_fn(img.width(), img.height(), |x, y| {
-        let mut acc = 0.0;
-        for dx in -r..=r {
-            acc += img.get_clamped(x as isize + dx, y as isize) as f64;
-        }
-        saturate_u8(acc / norm)
-    });
-    // Vertical pass.
-    GrayImage::from_fn(img.width(), img.height(), |x, y| {
-        let mut acc = 0.0;
-        for dy in -r..=r {
-            acc += horiz.get_clamped(x as isize, y as isize + dy) as f64;
-        }
-        saturate_u8(acc / norm)
-    })
-}
 
 /// Float reference for the separable blurs: per-pixel `get_clamped`
 /// accumulation in `f64`, then [`saturate_u8`]. Kept as the oracle the
@@ -181,14 +153,6 @@ fn separable_blur_fixed_into<const N: usize>(
     grew
 }
 
-/// 3×3 Gaussian blur (binomial [1 2 1]/4 kernel), replicate borders.
-pub fn gaussian_blur_3x3(img: &GrayImage) -> GrayImage {
-    let mut tmp = GrayImage::new(0, 0);
-    let mut out = GrayImage::new(0, 0);
-    separable_blur_fixed_into(img, &[1, 2, 1], 2, &mut tmp, &mut out);
-    out
-}
-
 /// 5×5 Gaussian blur (binomial [1 4 6 4 1]/16 kernel), replicate borders.
 pub fn gaussian_blur_5x5(img: &GrayImage) -> GrayImage {
     let mut tmp = GrayImage::new(0, 0);
@@ -260,8 +224,6 @@ mod tests {
     #[test]
     fn blur_preserves_constant_images() {
         let img = GrayImage::from_fn(10, 10, |_, _| 128);
-        assert_eq!(box_blur(&img, 2), img);
-        assert_eq!(gaussian_blur_3x3(&img), img);
         assert_eq!(gaussian_blur_5x5(&img), img);
     }
 
@@ -269,13 +231,13 @@ mod tests {
     fn blur_smooths_an_impulse() {
         let mut img = GrayImage::new(7, 7);
         img.set(3, 3, 255);
-        let b = gaussian_blur_3x3(&img);
+        let b = gaussian_blur_5x5(&img);
         let center = b.get(3, 3).unwrap();
         let neighbor = b.get(3, 2).unwrap();
         let corner = b.get(2, 2).unwrap();
         assert!(center > neighbor, "centre must dominate");
         assert!(neighbor > corner, "cross neighbours exceed corners");
-        assert!(corner > 0, "energy spreads to the 3x3 ring");
+        assert!(corner > 0, "energy spreads to the 5x5 window");
         assert_eq!(b.get(0, 0), Some(0), "energy stays local");
     }
 
@@ -290,46 +252,19 @@ mod tests {
     }
 
     #[test]
-    fn radius_zero_box_is_identity() {
-        let img = GrayImage::from_fn(5, 5, |x, y| (x * y * 9) as u8);
-        assert_eq!(box_blur(&img, 0), img);
-    }
-
-    #[test]
-    fn blur_reduces_variance() {
-        let img = GrayImage::from_fn(16, 16, |x, y| if (x + y) % 2 == 0 { 0 } else { 255 });
-        let b = box_blur(&img, 1);
-        let var = |im: &GrayImage| {
-            let m = im.mean();
-            im.as_bytes()
-                .iter()
-                .map(|&v| (v as f64 - m).powi(2))
-                .sum::<f64>()
-                / im.as_bytes().len() as f64
-        };
-        assert!(var(&b) < var(&img) / 2.0);
-    }
-
-    #[test]
     fn blur_handles_empty_images() {
         let img = GrayImage::new(0, 0);
-        assert!(box_blur(&img, 3).is_empty());
         assert!(gaussian_blur_5x5(&img).is_empty());
     }
 
     /// Every reachable integer sum rounds identically through the float
-    /// funnel and the fixed-point shift, for both blur kernels.
+    /// funnel and the fixed-point shift.
     #[test]
     fn fixed_rounding_matches_float_for_all_sums() {
         for s in 0u32..=4080 {
             let float = saturate_u8(s as f64 / 16.0);
             let fixed = ((s + 8) >> 4) as u8;
             assert_eq!(fixed, float, "5x5 kernel sum {s}");
-        }
-        for s in 0u32..=1020 {
-            let float = saturate_u8(s as f64 / 4.0);
-            let fixed = ((s + 2) >> 2) as u8;
-            assert_eq!(fixed, float, "3x3 kernel sum {s}");
         }
     }
 
@@ -369,11 +304,6 @@ mod tests {
             gaussian_blur_5x5_into(&img, &mut tmp_a, &mut out_a);
             gaussian_blur_5x5_into_scalar(&img, &mut tmp_b, &mut out_b);
             assert_eq!(out_a, out_b, "trial {trial}: {w}x{h}");
-            let fixed3 = gaussian_blur_3x3(&img);
-            let mut t = GrayImage::new(0, 0);
-            let mut o = GrayImage::new(0, 0);
-            separable_blur_into_scalar(&img, &[0.25, 0.5, 0.25], &mut t, &mut o);
-            assert_eq!(fixed3, o, "trial {trial} 3x3: {w}x{h}");
         }
     }
 }

@@ -35,10 +35,7 @@ mod simd;
 
 pub use dispatch::SimdLevel;
 pub use draw::{draw_disc_gray, draw_line_gray, fill_rect_gray, fill_rect_rgb};
-pub use filter::{
-    box_blur, gaussian_blur_3x3, gaussian_blur_5x5, gaussian_blur_5x5_into,
-    gaussian_blur_5x5_into_level,
-};
+pub use filter::{gaussian_blur_5x5, gaussian_blur_5x5_into, gaussian_blur_5x5_into_level};
 pub use gray::GrayImage;
 pub use ppm::{read_pgm, read_ppm, write_pgm, write_ppm, PnmError};
 pub use pyramid::{downsample_half, downsample_half_into, downsample_half_into_level};

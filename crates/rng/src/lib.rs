@@ -64,12 +64,6 @@ impl SplitMix64 {
         SplitMix64 { state: seed }
     }
 
-    /// Drop-in for the former `StdRng::seed_from_u64` call sites.
-    #[inline]
-    pub fn seed_from_u64(seed: u64) -> Self {
-        SplitMix64::new(seed)
-    }
-
     /// Next 64 uniformly random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {

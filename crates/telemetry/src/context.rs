@@ -8,7 +8,10 @@
 //! ([`crate::digest`]). With nothing installed — the default on every
 //! thread, campaign workers included — each check an instrumented site
 //! makes is one thread-local read and a branch, and a run without
-//! metrics never reads the clock.
+//! metrics never reads the clock. A span reads the sink and the armed
+//! metrics in that one access: on an armed worker it times itself into
+//! the worker's histogram named after it, so the spans that name the
+//! campaign phases and pipeline stages are the only timers.
 //!
 //! Every entry point that installs something — [`crate::install`],
 //! [`crate::metrics::install`], [`Handle::arm`],
@@ -42,7 +45,7 @@ pub(crate) struct Context {
     pub(crate) tid: Cell<u32>,
     /// The registry campaign drivers arm their workers from.
     pub(crate) registry: RefCell<Option<Arc<MetricsRegistry>>>,
-    /// A campaign worker's phase metrics, while armed.
+    /// A campaign worker's span timings and counters, while armed.
     pub(crate) armed: RefCell<Option<WorkerMetrics>>,
     /// The forensic digest trace, while recording.
     pub(crate) digests: RefCell<Option<DigestTrace>>,
@@ -193,11 +196,13 @@ pub fn capture() -> Handle {
 }
 
 impl Handle {
-    /// Arm this thread's phase metrics as campaign worker `worker`, if a
-    /// registry was captured: until the guard drops, samples collect
-    /// into a private [`WorkerMetrics`], lock-free; the drop deposits
-    /// them into the registry under `worker`. Without a registry the
-    /// guard restores nothing and every metrics call stays a no-op.
+    /// Arm this thread's metrics as campaign worker `worker`, if a
+    /// registry was captured: until the guard drops, every closed span's
+    /// duration and every counter collect into a private
+    /// [`WorkerMetrics`], lock-free; the drop deposits them into the
+    /// registry under `worker`. Without a registry the guard restores
+    /// nothing, spans read no clock and every metrics call stays a
+    /// no-op.
     pub fn arm(&self, worker: usize) -> Guard {
         Guard::restoring(match &self.registry {
             Some(registry) => {
@@ -213,7 +218,7 @@ impl Handle {
 mod tests {
     use super::*;
     use crate::digest::{self, hash_fold, Stage};
-    use crate::{emit, install, metrics, MemorySink};
+    use crate::{emit, install, metrics, span, MemorySink};
 
     /// The capabilities a scope can open, one guard each.
     #[derive(Clone, Copy, Debug, PartialEq)]
@@ -288,7 +293,10 @@ mod tests {
             Cap::Metrics => {
                 let tag = with(|cx| cx.armed.borrow().as_ref().map(|m| m.counter("tag")));
                 assert_eq!(tag, Some(p.tag), "{p:?} lost its armed metrics");
-                assert!(metrics::start().is_some());
+                assert!(
+                    span("probe").start.is_some(),
+                    "an armed span reads the clock"
+                );
             }
             Cap::Digests => {
                 let t = digest::trace();
@@ -304,9 +312,10 @@ mod tests {
     fn assert_all_off() {
         assert!(!crate::enabled());
         emit("dropped", &[]);
-        assert_eq!(metrics::start(), None, "a disarmed thread reads no clock");
+        let quiet = span("probe");
+        assert!(quiet.start.is_none(), "a disarmed span reads no clock");
+        drop(quiet);
         metrics::add("never", 1);
-        metrics::record_ns("never", 1);
         assert!(with(|cx| cx.armed.borrow().is_none()));
         assert!(!digest::enabled());
         digest::record(Stage::Decode, 42);
@@ -319,8 +328,9 @@ mod tests {
     /// Every capability's scope opened and closed inside every other's
     /// (its own included) leaves the outer scope in effect, and closing
     /// both leaves nothing installed. Each sink holds exactly the probe
-    /// events emitted while it was the installed sink, and nothing else;
-    /// an armed worker deposits exactly what it collected, under its
+    /// events emitted while it was the installed sink, and the span of a
+    /// metrics probe made meanwhile; an armed worker deposits exactly
+    /// what it collected, one sample per probe span included, under its
     /// worker id, when its guard drops; installed observers stay on the
     /// installing thread.
     #[test]
@@ -344,14 +354,24 @@ mod tests {
                 // The outer scope was probed once before, during (unless
                 // shadowed by its own kind) and after the inner one.
                 let outer_probes = if inner == outer { 2 } else { 3 };
-                for (p, probes) in [(&o, outer_probes), (&i, 1)] {
-                    let events = if p.cap == Cap::Trace { probes } else { 0 };
-                    assert_eq!(p.sink.len(), events, "{outer:?}/{inner:?}");
+                // The metrics probe made while both a sink and armed
+                // metrics were in effect traced its span too.
+                let pairs = usize::from([outer, inner].contains(&Cap::Metrics));
+                for (p, n) in [(&o, outer_probes), (&i, 1)] {
+                    let traced = usize::from(p.cap == Cap::Trace);
+                    assert_eq!(p.sink.count("probe"), traced * n, "{outer:?}/{inner:?}");
+                    assert_eq!(
+                        p.sink.len(),
+                        traced * (n + 2 * pairs),
+                        "{outer:?}/{inner:?}"
+                    );
                     let deposits = p.registry.per_worker();
                     if p.cap == Cap::Metrics {
                         assert_eq!(deposits.len(), 1, "{p:?}");
                         assert_eq!(deposits[0].0, p.tag as usize);
                         assert_eq!(deposits[0].1.counter("tag"), p.tag, "{p:?}");
+                        let spans = deposits[0].1.histogram("probe").map(|h| h.count());
+                        assert_eq!(spans, Some(n as u64), "{p:?}: one sample per span");
                     } else {
                         assert!(deposits.is_empty(), "{p:?}");
                     }

@@ -26,11 +26,13 @@
 //!   [`Guard`] that restores only what it replaced; and the [`Handle`]
 //!   campaign drivers [`capture`] once and arm their workers from.
 //! * [`scope`] — sink installation ([`install`]) and the near-free
-//!   [`emit`] / [`span`] entry points instrumented code calls.
+//!   [`emit`] / [`span`] entry points instrumented code calls; the span
+//!   is the one timer, traced through the sink and, on a metrics-armed
+//!   worker, recorded into the histogram named after it.
 //! * [`metrics`] — per-worker counters and log2-bucketed latency
-//!   histograms for phase/contention attribution: lock-free on the hot
-//!   path (a worker's armed metrics live in its context; one registry
-//!   deposit per worker), with `metrics_phase`/`metrics_counter`
+//!   histograms for phase, stage and contention attribution: lock-free
+//!   on the hot path (a worker's armed metrics live in its context; one
+//!   registry deposit per worker), with `metrics_phase`/`metrics_counter`
 //!   snapshot events through the sink machinery.
 //! * [`digest`] — the forensic pipeline [`digest::Stage`]s, the
 //!   per-stage [`digest::DigestTrace`] instrumented stages fold into

@@ -1,6 +1,6 @@
 //! Low-overhead metrics: per-worker counters and log2-bucketed latency
-//! histograms, mergeable across workers, for phase and contention
-//! attribution inside fault campaigns.
+//! histograms, mergeable across workers, for phase, stage and
+//! contention attribution inside fault campaigns.
 //!
 //! # Design
 //!
@@ -9,10 +9,10 @@
 //! would perturb the very scaling behaviour it exists to diagnose. So
 //! the hot path is **thread-local and lock-free**: each worker thread is
 //! *armed* with its own private [`WorkerMetrics`] (a handful of named
-//! counters and [`Histogram`]s, linear-scanned — the phase vocabulary is
-//! tiny), samples go straight into that worker's buffers, and the worker
-//! hands its finished buffers to the shared [`MetricsRegistry`] exactly
-//! once, when its stripe ends. The registry's single mutex is therefore
+//! counters and [`Histogram`]s, linear-scanned — the phase and stage
+//! vocabulary is tiny), samples go straight into that worker's buffers,
+//! and the worker hands its finished buffers to the shared
+//! [`MetricsRegistry`] exactly once, when its stripe ends. The registry's single mutex is therefore
 //! touched `O(workers)` times per campaign, never per run.
 //!
 //! The gating lives in the observation context ([`crate::context`]):
@@ -22,11 +22,14 @@
 //!   each worker from the captured handle ([`crate::Handle::arm`]),
 //!   whose guard deposits the worker's metrics into the registry when
 //!   it drops.
-//! * Every recording entry point — [`add`], [`record_ns`],
-//!   [`start`]/[`stop`] — is one thread-local read and a branch when
-//!   the thread is not armed. In particular [`start`] returns `None`
-//!   without reading the clock, so a metrics-off campaign executes zero
-//!   timer syscalls.
+//! * Histograms are fed by spans, the one timer ([`crate::span`]): a
+//!   span opened on an armed thread records its duration under its own
+//!   name when it closes, so every campaign phase and every pipeline
+//!   stage an injected run passes through gets a histogram. Counters
+//!   are fed by [`add`].
+//! * On a thread that is not armed, [`add`] and every span's timing
+//!   half are one thread-local read and a branch: a span reads no
+//!   clock, so a metrics-off campaign executes zero timer calls.
 //!
 //! Nothing in this module touches the tap stream: arming metrics leaves
 //! golden profiles, fault draws and outcome classifications bit-for-bit
@@ -46,14 +49,13 @@
 use crate::context::{self, Guard, Saved};
 use crate::Value;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Number of log2 buckets: one per possible `u64` bit length, plus a
 /// zero bucket.
 pub const BUCKETS: usize = 64;
 
 /// A fixed-point log2-bucketed histogram of `u64` samples (nanoseconds,
-/// for the campaign phase timers). Mergeable across workers; quantile
+/// for span durations). Mergeable across workers; quantile
 /// error bounded by one binary order of magnitude and always clamped to
 /// the observed maximum.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,8 +173,8 @@ impl Histogram {
 }
 
 /// One worker's private metrics: named counters and histograms, looked
-/// up by linear scan (the phase vocabulary is a handful of `&'static
-/// str`s; a hash map would cost more than it saves and pull in nothing
+/// up by linear scan (the phase and stage vocabulary is a handful of
+/// `&'static str`s; a hash map would cost more than it saves and pull in nothing
 /// we want on the hot path).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerMetrics {
@@ -312,41 +314,13 @@ pub fn install(reg: Arc<MetricsRegistry>) -> Guard {
     })))
 }
 
-/// Run `f` on this thread's armed metrics; a no-op when disarmed.
-#[inline]
-fn with_armed(f: impl FnOnce(&mut WorkerMetrics)) {
-    context::with(|cx| {
-        if let Some(m) = cx.armed.borrow_mut().as_mut() {
-            f(m);
-        }
-    });
-}
-
 /// Add `n` to the named counter. No-op when disarmed.
 pub fn add(name: &'static str, n: u64) {
-    with_armed(|m| m.add(name, n));
-}
-
-/// Record a nanosecond sample into the named histogram. No-op when
-/// disarmed.
-pub fn record_ns(name: &'static str, ns: u64) {
-    with_armed(|m| m.record_ns(name, ns));
-}
-
-/// Start a phase timer: `Some(now)` when armed, `None` (no clock read
-/// at all) when disarmed. Pair with [`stop`].
-#[inline]
-pub fn start() -> Option<Instant> {
-    context::with(|cx| cx.armed.borrow().is_some()).then(Instant::now)
-}
-
-/// Stop a phase timer started by [`start`], attributing the elapsed
-/// nanoseconds to the named histogram. No-op on a `None` start.
-#[inline]
-pub fn stop(name: &'static str, started: Option<Instant>) {
-    if let Some(t0) = started {
-        record_ns(name, t0.elapsed().as_nanos() as u64);
-    }
+    context::with(|cx| {
+        if let Some(m) = cx.armed.borrow_mut().as_mut() {
+            m.add(name, n);
+        }
+    });
 }
 
 /// Emit a metrics snapshot through the current thread's telemetry sink:

@@ -1,12 +1,25 @@
-//! Trace sinks, the zero-cost disabled path, and the deterministic
-//! span-tree context — the tracing part of the observation context
-//! ([`crate::context`]).
+//! Trace sinks, the zero-cost disabled path, the deterministic
+//! span-tree context and the one region timer — the tracing and timing
+//! part of the observation context ([`crate::context`]).
 //!
 //! A sink is installed on a thread with [`install`]; instrumented code
 //! calls [`emit`] unconditionally. With no sink installed — the default
 //! everywhere, including campaign worker threads — `emit` is one
 //! thread-local load and a branch, which is what makes instrumentation
 //! safe to leave in hot pipeline code.
+//!
+//! # Spans are the timer
+//!
+//! A [`Span`] is the only way code times a region. Traced, it emits a
+//! `span_enter`/`span_exit` pair whose timestamps carry its duration.
+//! Opened on a thread armed for metrics ([`crate::Handle::arm`]), it
+//! also reads the clock and, when it closes, records the elapsed
+//! nanoseconds into that thread's [`crate::metrics::WorkerMetrics`]
+//! histogram named after the span. So the campaign phases (spans named
+//! by `vs_fault::campaign::phase`) and every pipeline stage (spans
+//! named by [`crate::digest::Stage::name`]) are timed into an injected
+//! run's worker histograms with no timer of their own. A span on an
+//! unarmed thread reads no clock.
 //!
 //! # Span identities
 //!
@@ -175,30 +188,39 @@ pub fn emit(name: &str, fields: &[(&str, Value<'_>)]) {
 /// A structured span: emits `span_enter` on creation and `span_exit` on
 /// drop, with a per-thread nesting depth and a deterministic `span_id`/
 /// `parent_id` pair (`parent_id` 0 marks a root), so a trace
-/// reconstructs the stage tree without timestamps.
+/// reconstructs the stage tree without timestamps. On a thread armed
+/// for metrics it also records its duration into the armed histogram
+/// named `name`.
 #[derive(Debug)]
 pub struct Span {
     name: &'static str,
     depth: u32,
     /// Assigned id, if a sink was installed at creation.
     id: Option<u64>,
+    /// Opening time, if the thread was armed for metrics at creation.
+    pub(crate) start: Option<Instant>,
     _not_send: std::marker::PhantomData<*const ()>,
 }
 
 /// Open a span named `name` with extra identifying fields.
 pub fn span_with(name: &'static str, fields: &[(&str, Value<'_>)]) -> Span {
-    // The untraced path stays a depth bump and one branch: the traced
-    // half runs in a second access, so this closure inlines.
-    let (depth, traced) = context::with(|cx| {
+    // The untraced, unarmed path stays a depth bump and two branches:
+    // the traced half runs in a second access, so this closure inlines.
+    let (depth, traced, armed) = context::with(|cx| {
         let depth = cx.depth.get();
         cx.depth.set(depth + 1);
-        (depth, cx.sink.borrow().is_some())
+        (
+            depth,
+            cx.sink.borrow().is_some(),
+            cx.armed.borrow().is_some(),
+        )
     });
     let id = traced.then(|| context::with(|cx| enter(cx, name, depth, fields)));
     Span {
         name,
         depth,
         id,
+        start: armed.then(Instant::now),
         _not_send: std::marker::PhantomData,
     }
 }
@@ -240,7 +262,15 @@ pub fn span(name: &'static str) -> Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        context::with(|cx| cx.depth.set(cx.depth.get().saturating_sub(1)));
+        let elapsed = self.start.map(|t0| t0.elapsed().as_nanos() as u64);
+        context::with(|cx| {
+            cx.depth.set(cx.depth.get().saturating_sub(1));
+            if let Some(ns) = elapsed {
+                if let Some(m) = cx.armed.borrow_mut().as_mut() {
+                    m.record_ns(self.name, ns);
+                }
+            }
+        });
         let Some(id) = self.id else {
             return;
         };
@@ -270,6 +300,7 @@ impl Drop for Span {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::MetricsRegistry;
     use crate::sink::MemorySink;
 
     #[test]
@@ -293,12 +324,37 @@ mod tests {
         assert_eq!(events[3].str("span"), Some("stage_a"));
     }
 
+    /// Arm this thread as worker 0 of a fresh registry.
+    fn armed() -> (Guard, Arc<MetricsRegistry>) {
+        let registry = Arc::new(MetricsRegistry::new());
+        let handle = crate::Handle {
+            sink: None,
+            registry: Some(registry.clone()),
+        };
+        (handle.arm(0), registry)
+    }
+
+    /// Samples per histogram name, in first-touch order.
+    fn samples(registry: &MetricsRegistry) -> Vec<(&'static str, u64)> {
+        let m = registry.merged();
+        m.histograms()
+            .iter()
+            .map(|(n, h)| (*n, h.count()))
+            .collect()
+    }
+
     #[test]
     fn spans_without_sink_still_balance_depth() {
+        // A registry installed on this thread arms nothing here: the
+        // spans read no clock and record nothing.
+        let registry = Arc::new(MetricsRegistry::new());
         {
-            let _a = span("quiet");
-            let _b = span("inner");
+            let _reg = crate::metrics::install(registry.clone());
+            let a = span("quiet");
+            let b = span_with("inner", &[("frame", Value::U64(1))]);
+            assert!(a.start.is_none() && b.start.is_none());
         }
+        assert!(registry.per_worker().is_empty());
         let sink = Arc::new(MemorySink::new());
         let _g = install(sink.clone());
         let s = span("after");
@@ -315,18 +371,25 @@ mod tests {
             let _inner = span("frame");
             emit("orb", &[("keypoints", Value::U64(9))]);
         }
+        // The second trace is also armed for metrics.
         let second = Arc::new(MemorySink::new());
+        let (arming, registry) = armed();
         {
             let _g = install(second.clone());
             let _outer = span("run");
             let _inner = span("frame");
             emit("orb", &[("keypoints", Value::U64(9))]);
         }
+        drop(arming);
+        assert_eq!(samples(&registry), [("frame", 1), ("run", 1)]);
         let a = first.events();
         let b = second.events();
-        // Same seed + fresh install => identical id streams.
-        assert_eq!(a[0].u64("span_id"), b[0].u64("span_id"));
-        assert_eq!(a[1].u64("span_id"), b[1].u64("span_id"));
+        // Same seed + fresh install => identical id streams, armed or not.
+        let ids = |e: &crate::OwnedEvent| (e.name.clone(), e.u64("span_id"), e.u64("parent_id"));
+        assert_eq!(
+            a.iter().map(ids).collect::<Vec<_>>(),
+            b.iter().map(ids).collect::<Vec<_>>()
+        );
         // Tree structure: outer is a root, inner points at outer, and the
         // plain event carries the innermost enclosing span id.
         let outer_id = a[0].u64("span_id").unwrap();
@@ -340,6 +403,33 @@ mod tests {
         // Exits name the span they close.
         assert_eq!(a[3].u64("span_id"), Some(inner_id));
         assert_eq!(a[4].u64("span_id"), Some(outer_id));
+    }
+
+    #[test]
+    fn armed_spans_record_one_sample_per_close_under_their_name() {
+        let (arming, registry) = armed();
+        {
+            let _outer = span("outer");
+            for frame in 0..2u64 {
+                let _inner = span_with("inner", &[("frame", Value::U64(frame))]);
+                let leaf = span("leaf");
+                assert!(leaf.start.is_some(), "an armed span reads the clock");
+            }
+        }
+        drop(span("outer"));
+        drop(arming);
+        // Spans closed after the deposit record nothing.
+        drop(span("late"));
+        assert_eq!(registry.per_worker().len(), 1);
+        let order = [("leaf", 2), ("inner", 2), ("outer", 2)];
+        assert_eq!(samples(&registry), order, "inner spans close first");
+        let m = registry.merged();
+        let sum = |name| m.histogram(name).unwrap().sum();
+        assert!(
+            sum("leaf") <= sum("inner"),
+            "a nested span's time is its parent's"
+        );
+        assert!(m.counters().is_empty());
     }
 
     #[test]

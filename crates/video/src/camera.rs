@@ -143,34 +143,6 @@ impl MovingObject {
     }
 }
 
-/// Spawn `count` vehicle-like objects with deterministic positions and
-/// velocities, confined to the world's central region so the camera can
-/// see them.
-pub fn spawn_vehicles(
-    seed: u64,
-    count: usize,
-    world_w: usize,
-    world_h: usize,
-) -> Vec<MovingObject> {
-    let u = |salt: u64| value_noise_2d(seed ^ salt, salt as f64 * 1.7, 0.3);
-    (0..count)
-        .map(|i| {
-            let k = i as u64 * 97 + 13;
-            let x = world_w as f64 * (0.25 + 0.5 * u(k));
-            let y = world_h as f64 * (0.25 + 0.5 * u(k ^ 0xAA));
-            let speed = 0.8 + 2.2 * u(k ^ 0xBB);
-            let dir = u(k ^ 0xCC) * std::f64::consts::TAU;
-            let bright = (160.0 + 90.0 * u(k ^ 0xDD)) as u8;
-            MovingObject {
-                start: Vec2::new(x, y),
-                velocity: Vec2::new(dir.cos() * speed, dir.sin() * speed),
-                half_size: (3.0 + 2.0 * u(k ^ 0xEE), 2.0 + 1.5 * u(k ^ 0xFF)),
-                color: [bright, bright.saturating_sub(30), 40],
-            }
-        })
-        .collect()
-}
-
 /// Render one frame: inverse-warp the world through the pose transform,
 /// paint moving objects, and add deterministic sensor noise.
 #[allow(clippy::too_many_arguments)] // one call site per renderer; a config struct would obscure it

@@ -35,8 +35,7 @@ mod noise;
 mod terrain;
 
 pub use camera::{
-    render_frame, render_frame_with_objects, spawn_vehicles, CameraPose, MovingObject, Trajectory,
-    TrajectoryKind,
+    render_frame, render_frame_with_objects, CameraPose, MovingObject, Trajectory, TrajectoryKind,
 };
 pub use noise::{value_noise_2d, ValueNoise};
 pub use terrain::{generate_world, WorldConfig};
@@ -120,13 +119,6 @@ impl InputSpec {
     pub fn with_frame_size(mut self, width: usize, height: usize) -> Self {
         self.frame_width = width;
         self.frame_height = height;
-        self
-    }
-
-    /// Add deterministically spawned moving vehicles to the scene (for
-    /// event-summarization workloads).
-    pub fn with_vehicles(mut self, count: usize, seed: u64) -> Self {
-        self.objects = camera::spawn_vehicles(seed, count, self.world.size, self.world.size);
         self
     }
 

@@ -903,7 +903,7 @@ mod tests {
                     let _s = session::begin_injection(spec, FuncMask::all(), u64::MAX);
                     let (img, h) = &frames[3];
                     let got = canvas.composite_scratch(img, h, &opts, &mut warp);
-                    let fired = session::report().fired.expect("fault never fired");
+                    let fired = session::fired().expect("fault never fired");
                     assert_eq!(fired.before, (row * w) as u64);
                     got
                 };

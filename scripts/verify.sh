@@ -68,8 +68,9 @@ echo "== bench smoke: campaign_bench --smoke --threads 1,2 --trace + trace_check
 # sweep campaign classifies an injection differently from the primary
 # checkpointed run, if a warmed workspace run still allocates, if a
 # sweep row attributes less than 95% of worker wall time to the named
-# campaign phases, or if arming the phase metrics costs more than 2%
-# (plus 5 ms) on the median of its interleaved off/on pairs.
+# campaign phases, or if arming the metrics (every phase and stage span
+# then reads the clock) costs more than 2% (plus 5 ms) on the median of
+# its interleaved off/on pairs.
 ./target/release/campaign_bench --smoke --threads 1,2 --out /tmp/BENCH_smoke.json \
     --trace /tmp/BENCH_smoke.jsonl >/dev/null
 # Every line must parse as a schema-conforming JSONL event, and the
@@ -80,7 +81,8 @@ echo "== bench smoke: campaign_bench --smoke --threads 1,2 --trace + trace_check
 # sweep row per thread count. --kernels validates that every pipeline
 # stage opened a span and a traced detection fired the FAST pre-reject;
 # --metrics the snapshot schema (complete monotone quantiles on every
-# metrics_phase event and a [0, 1] attribution coverage).
+# metrics_phase event, a snapshot of every pipeline stage timed inside
+# the injected runs, and a [0, 1] attribution coverage).
 ./target/release/trace_check /tmp/BENCH_smoke.jsonl --quiet \
     --expect injection=240 \
     --expect campaign_start=10 \

@@ -18,8 +18,9 @@
 //!   event per run, and every event stamped with a thread id comes from
 //!   the calling thread, so campaign workers emit no stage events;
 //! * metrics — a registry: one `exec` sample and one resumed-or-scratch
-//!   count per run, and the top-level phases nest inside worker wall
-//!   time;
+//!   count per run, the top-level phases nest inside worker wall time,
+//!   and the injected runs are timed stage by stage: the stage spans'
+//!   time nests inside `exec`, and scratch runs time every stage;
 //! * forensics — a forensic golden run and a digest trace recording on
 //!   the calling thread: every completed run carries the attribution an
 //!   unobserved forensic scratch campaign gives it (so resumed runs fold
@@ -37,7 +38,7 @@ use vs_core::workloads::VsWorkload;
 use vs_fault::campaign::{phase, CheckpointPolicy, GoldenRun, Injection};
 use vs_fault::compose::{self, CampaignCache, ComposeConfig};
 use vs_fault::forensics::attributed_stage;
-use vs_telemetry::digest::{self, DigestTrace};
+use vs_telemetry::digest::{self, DigestTrace, Stage};
 use vs_telemetry::metrics::{self, MetricsRegistry};
 use vs_telemetry::{JsonlSink, OwnedEvent};
 
@@ -272,6 +273,18 @@ fn check_metrics(seen: &Seen, flavour: Flavour, threads: usize, cell: &str) {
     let phases = phase::TOP.iter().filter_map(|p| m.histogram(p));
     let attributed: u64 = phases.map(|h| h.sum()).sum();
     assert!(attributed > 0 && attributed <= wall.sum(), "{cell}");
+    let stages = Stage::ALL.map(|s| m.histogram(s.name()));
+    let staged: u64 = stages.iter().flatten().map(|h| h.sum()).sum();
+    assert!(
+        staged > 0 && staged <= exec.sum(),
+        "{cell}: stages timed inside exec"
+    );
+    if flavour == Flavour::Scratch {
+        for (stage, h) in Stage::ALL.iter().zip(&stages) {
+            let n = h.map_or(0, |h| h.count());
+            assert!(n > 0, "{cell}: stage {stage} never timed");
+        }
+    }
 }
 
 /// A cold composed campaign, every group injecting two pilots: its

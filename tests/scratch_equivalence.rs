@@ -12,7 +12,8 @@
 use video_summarization::prelude::*;
 use vs_core::RunScratch;
 use vs_fault::campaign::{Checkpoint, CheckpointPolicy, Injection};
-use vs_fault::session::{self, SessionReport};
+use vs_fault::session::{self, TapSnapshot};
+use vs_fault::FiredFault;
 
 fn workload() -> VsWorkload {
     experiments::vs_workload(InputId::Input2, Scale::Quick, Approximation::Baseline)
@@ -26,16 +27,24 @@ fn fingerprint(recs: &[Injection<Vec<RgbImage>>]) -> Vec<String> {
         .collect()
 }
 
+/// What a session reports at its end: its counters and the fault it
+/// fired.
+type Report = (TapSnapshot, Option<FiredFault>);
+
+fn report() -> Report {
+    (session::snapshot(), session::fired())
+}
+
 /// One profiled run — from the start, or resumed after `from` — into a
 /// freshly allocated workspace: its output and tap report.
-fn fresh_run<W: Workload>(w: &W, from: Option<&W::Checkpoint>) -> (W::Output, SessionReport) {
+fn fresh_run<W: Workload>(w: &W, from: Option<&W::Checkpoint>) -> (W::Output, Report) {
     let mut ws = W::Workspace::default();
     let _g = match from {
         Some(c) => session::begin_profile_at(c.tap_snapshot()),
         None => session::begin_profile(),
     };
     let out = w.run(&mut ws, from).unwrap().clone();
-    (out, session::report())
+    (out, report())
 }
 
 #[test]
@@ -50,7 +59,7 @@ fn workspace_runs_match_allocating_runs_tap_for_tap() {
         let _g = session::begin_profile();
         let out = w.run(&mut ws, None).unwrap();
         assert_eq!(
-            session::report(),
+            report(),
             fresh_taps,
             "tap profile diverged on reuse round {round}"
         );
@@ -72,7 +81,7 @@ fn workspace_resume_matches_allocating_resume_at_every_checkpoint() {
         let _g = session::begin_profile_at(c.tap_snapshot());
         let out = w.run(&mut ws, Some(c)).unwrap();
         assert_eq!(
-            session::report(),
+            report(),
             fresh_taps,
             "tap counters diverged resuming checkpoint {i}"
         );
