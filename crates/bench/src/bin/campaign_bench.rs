@@ -252,15 +252,6 @@ impl BenchOpts {
     }
 }
 
-/// Outcome identity: same faults drawn, same firing, same
-/// classification, in the same campaign order.
-fn same_records<O>(a: &[Injection<O>], b: &[Injection<O>]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.index == y.index && x.spec == y.spec && x.outcome == y.outcome && x.fired == y.fired
-        })
-}
-
 /// One outcome class of an estimate checked against the reference
 /// campaign's widened 95% Wilson interval.
 struct AgreementRow {
@@ -648,7 +639,7 @@ impl Overhead {
 
 /// Time one checkpointed campaign, with `registry` installed (and reset
 /// first, so it holds this campaign's metrics only) when given. Returns
-/// the wall time and whether the records equal `reference`.
+/// the wall time and whether the record identities equal `reference`'s.
 fn timed_campaign(
     w: &VsWorkload,
     golden: &CheckpointedGolden<VsWorkload>,
@@ -663,7 +654,8 @@ fn timed_campaign(
     let t0 = Instant::now();
     let records = campaign::run_campaign_checkpointed(w, golden, cfg);
     let secs = t0.elapsed().as_secs_f64();
-    (secs, same_records(&records, reference))
+    let same = records.iter().map(Injection::identity);
+    (secs, same.eq(reference.iter().map(Injection::identity)))
 }
 
 /// The thread sweep: the overhead A/B at the first count (its
@@ -801,7 +793,10 @@ fn run_throughput_bench(
     let fast = campaign::run_campaign_checkpointed(w, &ck, &o.campaign(primary_threads));
     let campaign_on_secs = t0.elapsed().as_secs_f64();
 
-    let identical = same_records(&scratch, &fast);
+    let identical = scratch
+        .iter()
+        .map(Injection::identity)
+        .eq(fast.iter().map(Injection::identity));
     let (overhead, rows) = thread_sweep(o, w, &ck, &fast, host_cores);
     let sweep_identical = rows.iter().all(|r| r.identical);
 

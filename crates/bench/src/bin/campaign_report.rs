@@ -10,9 +10,10 @@
 //! For each register class the report runs the *same* campaign twice:
 //! once from a plain golden profile (forensics off) and once
 //! fast-forwarded from a forensic checkpointed golden (forensics on).
-//! Both must classify every injection identically — digest recording
-//! lives outside the simulated machine, so any divergence is a bug and
-//! fails the run. The forensic records then feed:
+//! Both must give every injection the same identity (index, spec, fired
+//! fault and outcome, `Injection::identity`) — digest recording lives
+//! outside the simulated machine, so any divergence is a bug and fails
+//! the run. The forensic records then feed:
 //!
 //! * the stage×outcome propagation matrix (Wilson intervals per row),
 //! * the divergence-depth histogram (how many stage digests a fault
@@ -128,11 +129,10 @@ fn analyze(
         .threads(o.threads)
         .checkpoint_policy(CheckpointPolicy::EveryKFrames(o.every_k));
     let on = campaign::run_campaign_checkpointed(w, ck, &cfg_on);
-    let identical = off.len() == on.len()
-        && off
-            .iter()
-            .zip(&on)
-            .all(|(a, b)| a.spec == b.spec && a.outcome == b.outcome && a.fired == b.fired);
+    let identical = off
+        .iter()
+        .map(Injection::identity)
+        .eq(on.iter().map(Injection::identity));
 
     let matrix = PropagationMatrix::from_records(&on);
     let mut depth_hist = [0usize; NUM_STAGES + 1];

@@ -6,8 +6,10 @@
 //! ```
 //!
 //! Every bench binary appends one `run_manifest` line per run to the
-//! ledger (`out/ledger/ledger.jsonl`, see `vs_telemetry::ledger`): the
-//! top-level scalars of the artifact it wrote (`vs_bench::manifest`).
+//! ledger (`Ledger::default_location`: `$VS_LEDGER_DIR`, else
+//! `out/ledger`; see `vs_telemetry::ledger`), which this binary reads
+//! unless `--ledger DIR` names another: the top-level scalars of the
+//! artifact it wrote (`vs_bench::manifest`).
 //! This binary groups those manifests into comparable series — same
 //! tool, config digest, `VS_SIMD` level, host cores and thread count —
 //! and compares each series' latest run against the median of its
@@ -48,16 +50,14 @@ const USAGE: &str =
 const THROUGHPUT_KEYS: &[&str] = &[
     "runs_per_sec_on",
     "runs_per_sec_off",
-    "runs_per_sec",
     "fixed_runs_per_sec",
     "speedup",
-    "speedup_after",
     "kernel_speedup_min",
     "injection_reduction",
 ];
 
 struct Opts {
-    ledger_dir: PathBuf,
+    ledger: Ledger,
     out_dir: PathBuf,
     threshold_pct: f64,
     widen_pp: f64,
@@ -65,12 +65,10 @@ struct Opts {
 }
 
 fn parse(a: &mut cli::Args) -> Result<Opts, String> {
-    let ledger_dir = match std::env::var("VS_LEDGER_DIR") {
-        Ok(dir) if !dir.is_empty() => dir.into(),
-        _ => "out/ledger".into(),
-    };
     Ok(Opts {
-        ledger_dir: a.value("--ledger")?.unwrap_or(ledger_dir),
+        ledger: a
+            .value::<PathBuf>("--ledger")?
+            .map_or_else(Ledger::default_location, |dir| Ledger::in_dir(&dir)),
         out_dir: a
             .value("--out-dir")?
             .unwrap_or_else(|| "out/observatory".into()),
@@ -337,13 +335,12 @@ fn main() -> ExitCode {
         Err(code) => return code,
     };
 
-    let ledger = Ledger::in_dir(&o.ledger_dir);
-    let entries = match ledger.read() {
+    let entries = match o.ledger.read() {
         Ok(e) => e,
         Err(e) => {
             return cli::fail(format!(
                 "cannot read ledger {}: {e}",
-                ledger.path().display()
+                o.ledger.path().display()
             ))
         }
     };
@@ -355,7 +352,7 @@ fn main() -> ExitCode {
         drop(b).total_cmp(&drop(a))
     });
 
-    let md = render_markdown(&summaries, &findings, ledger.path());
+    let md = render_markdown(&summaries, &findings, o.ledger.path());
     let json = render_json(&summaries, &findings);
     if let Err(e) = std::fs::create_dir_all(&o.out_dir) {
         return cli::fail(format!("cannot create {}: {e}", o.out_dir.display()));

@@ -13,8 +13,11 @@
 //! divergence means a vector kernel leaked a bit somewhere (into the
 //! output pixels, the tap stream, or an injection outcome).
 //!
-//! `std::hash::DefaultHasher` is deterministic across processes (SipHash
-//! with fixed keys), so the digests are directly comparable.
+//! A campaign line folds the campaign's `campaign::record_digest`, the
+//! record identities the pins in `tests/campaign_records.rs` compare,
+//! then the pixels of every retained SDC output. Pixels are hashed with
+//! `std::hash::DefaultHasher`, which is deterministic across processes
+//! (SipHash with fixed keys), so the lines are directly comparable.
 //!
 //! `--trace FILE` streams the span-instrumented JSONL event trace to
 //! FILE. The trace sink is file-only — never stdout — because the
@@ -28,6 +31,7 @@ use vs_core::workloads::VsWorkload;
 use vs_core::PipelineConfig;
 use vs_fault::campaign::{self, CampaignConfig};
 use vs_fault::spec::RegClass;
+use vs_image::RgbImage;
 use vs_video::{render_input, InputSpec};
 
 const USAGE: &str = "usage: simd_check [--trace FILE]";
@@ -65,15 +69,11 @@ fn main() -> ExitCode {
         Err(e) => return cli::fail(format!("plain run failed: {e:?}")),
     };
     let mut h = DefaultHasher::new();
-    panoramas.len().hash(&mut h);
-    for img in &panoramas {
-        (img.width(), img.height()).hash(&mut h);
-        img.as_bytes().hash(&mut h);
-    }
+    hash_images(&panoramas, &mut h);
     println!("plain {:016x}", h.finish());
 
-    // Injection campaigns: every record (spec, landing site, outcome,
-    // any retained SDC output) folded into one digest per class.
+    // Injection campaigns: every record's identity, then any retained
+    // SDC output, folded into one digest per class.
     let golden = match campaign::profile_golden(&w) {
         Ok(g) => g,
         Err(e) => return cli::fail(format!("golden profile failed: {e:?}")),
@@ -88,20 +88,20 @@ fn main() -> ExitCode {
         let cfg = CampaignConfig::new(class, 32).seed(0x51D0);
         let records = campaign::run_campaign(&w, &golden, &cfg);
         let mut h = DefaultHasher::new();
-        records.len().hash(&mut h);
-        for r in &records {
-            r.index.hash(&mut h);
-            format!("{:?}", r.spec).hash(&mut h);
-            format!("{:?}", r.fired).hash(&mut h);
-            r.outcome.name().hash(&mut h);
-            if let Some(out) = &r.sdc_output {
-                for img in out {
-                    (img.width(), img.height()).hash(&mut h);
-                    img.as_bytes().hash(&mut h);
-                }
-            }
+        campaign::record_digest(&records).hash(&mut h);
+        for out in records.iter().filter_map(|r| r.sdc_output.as_ref()) {
+            hash_images(out, &mut h);
         }
         println!("{class} {:016x}", h.finish());
     }
     ExitCode::SUCCESS
+}
+
+/// Fold a list of images — count, then each one's shape and bytes.
+fn hash_images(images: &[RgbImage], h: &mut DefaultHasher) {
+    images.len().hash(h);
+    for img in images {
+        (img.width(), img.height()).hash(h);
+        img.as_bytes().hash(h);
+    }
 }

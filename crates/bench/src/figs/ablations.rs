@@ -161,10 +161,7 @@ pub fn blend_mode_masking(opts: &Opts) -> String {
         ("feather", BlendMode::Feather),
     ] {
         let config = vs_core::experiments::pipeline_config(opts.scale, Approximation::Baseline)
-            .with_compositing(CompositeOptions {
-                blend,
-                gain_compensation: false,
-            });
+            .with_compositing(CompositeOptions { blend });
         let w = VsWorkload::new(frames.clone(), config);
         let g = campaign::profile_golden_masked(&w, mask).expect("golden run");
         let cfg = CampaignConfig::new(RegClass::Gpr, opts.injections)

@@ -16,7 +16,6 @@
 //! measurement, and a failed append is reported as a warning, never an
 //! exit-code failure — a read-only checkout must not fail a bench run.
 
-use std::path::Path;
 use vs_fault::stats::{OutcomeClass, OutcomeRates};
 use vs_telemetry::jsonl::Json;
 use vs_telemetry::ledger::{self, Ledger};
@@ -24,16 +23,11 @@ use vs_telemetry::metrics::Histogram;
 use vs_telemetry::{OwnedEvent, OwnedValue};
 
 /// Append `doc`'s top-level scalars to the shared ledger every bench
-/// binary writes to: `$VS_LEDGER_DIR/ledger.jsonl` when the environment
-/// variable is set, else `out/ledger/ledger.jsonl` relative to the
-/// working directory. Failures are reported on stderr and swallowed —
-/// the ledger must never fail a bench run.
+/// binary writes to ([`Ledger::default_location`]). Failures are
+/// reported on stderr and swallowed — the ledger must never fail a
+/// bench run.
 pub fn append(tool: &str, doc: &Json) {
-    let ledger = match std::env::var("VS_LEDGER_DIR") {
-        Ok(dir) if !dir.is_empty() => Ledger::in_dir(Path::new(&dir)),
-        _ => Ledger::default_location(),
-    };
-    append_to(&ledger, tool, doc);
+    append_to(&Ledger::default_location(), tool, doc);
 }
 
 fn append_to(ledger: &Ledger, tool: &str, doc: &Json) {

@@ -93,8 +93,8 @@ pub struct PipelineConfig {
     pub max_discard_streak: usize,
     /// The active approximation.
     pub approximation: Approximation,
-    /// Compositing options (blend mode, gain compensation). The default
-    /// reproduces the paper's overwrite stitching.
+    /// Compositing options (the blend mode). The default reproduces the
+    /// paper's overwrite stitching.
     pub compositing: CompositeOptions,
     /// Seed for all pipeline randomness (RANSAC sampling, RFD drops).
     pub seed: u64,
@@ -178,7 +178,6 @@ impl PipelineConfig {
             approx.0,
             approx.1,
             blend,
-            u64::from(self.compositing.gain_compensation),
             self.seed,
         ];
         let mut k = mix64(0x0c0f_16d1_6e57_0001);

@@ -593,7 +593,6 @@ impl VideoSummarizer {
         let paint = capture.is_none()
             && !session::active()
             && opts.blend == BlendMode::Overwrite
-            && !opts.gain_compensation
             && matches!(level, SimdLevel::Sse2 | SimdLevel::Avx2);
         let render_span =
             vs_telemetry::span_with("render", &[("segments", Value::U64(seg_count as u64))]);
@@ -1092,7 +1091,6 @@ mod tests {
             .unwrap();
         let feather_cfg = PipelineConfig::default().with_compositing(CompositeOptions {
             blend: BlendMode::Feather,
-            gain_compensation: true,
         });
         let feather_out = VideoSummarizer::new(feather_cfg).run(&frames).unwrap();
         assert_eq!(

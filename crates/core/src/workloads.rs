@@ -229,7 +229,7 @@ mod tests {
 
     #[test]
     fn vs_checkpointed_campaign_matches_scratch_campaign() {
-        use vs_fault::campaign::CheckpointPolicy;
+        use vs_fault::campaign::{CheckpointPolicy, Injection};
         let w = VsWorkload::new(tiny_frames(), PipelineConfig::default());
         let ck =
             campaign::profile_golden_checkpointed(&w, CheckpointPolicy::EveryKFrames(1)).unwrap();
@@ -248,11 +248,8 @@ mod tests {
                 .threads(threads)
                 .checkpoint_policy(CheckpointPolicy::EveryKFrames(1));
             let fast = campaign::run_campaign_checkpointed(&w, &ck, &cfg);
-            let a: Vec<_> = scratch
-                .iter()
-                .map(|r| (r.spec, r.outcome, r.fired))
-                .collect();
-            let b: Vec<_> = fast.iter().map(|r| (r.spec, r.outcome, r.fired)).collect();
+            let [a, b] =
+                [&scratch, &fast].map(|r| r.iter().map(Injection::identity).collect::<Vec<_>>());
             assert_eq!(a, b, "threads {threads}");
         }
     }

@@ -439,6 +439,13 @@ impl fmt::Display for Outcome {
 }
 
 /// Record of one injected run.
+///
+/// Its [`identity`](Injection::identity) — index, spec, fired fault and
+/// outcome — is what every campaign flavour, thread count, checkpoint
+/// policy, SIMD level and observer promises to reproduce, and what every
+/// record comparison compares; [`record_digest`] folds it into the
+/// pinned stream digests. The retained SDC output and the forensic
+/// record are extras that not every campaign keeps.
 #[derive(Debug, Clone)]
 pub struct Injection<O> {
     /// Position of this run in the campaign (stable across thread counts).
@@ -457,6 +464,55 @@ pub struct Injection<O> {
     /// crashed or hung run's trace stops at an arbitrary point and is
     /// discarded.
     pub forensics: Option<ForensicsRecord>,
+}
+
+impl<O> Injection<O> {
+    /// The part of the record every campaign flavour reproduces:
+    /// `(index, spec, fired, outcome)`, with the full [`FaultSpec`]
+    /// (its site group included). Two record streams are the same
+    /// streams when their identities are equal in order.
+    pub fn identity(&self) -> (usize, FaultSpec, Option<FiredFault>, Outcome) {
+        (self.index, self.spec, self.fired, self.outcome)
+    }
+}
+
+/// Order-sensitive digest of a record stream: every record's
+/// [`Injection::identity`] folded through [`mix64`], the stream digest
+/// the record pins compare with their constants.
+///
+/// The digest reads the fields directly rather than formatting the
+/// records: `Debug` and `Display` text is free to change while the
+/// records it describes stay the same. It folds no site group, to keep
+/// the pins' format: a grouped pilot always fires inside its group, and
+/// `fired` records where it landed.
+pub fn record_digest<O>(records: &[Injection<O>]) -> u64 {
+    let mut h = mix64(records.len() as u64);
+    let mut fold = |v: u64| h = mix64(h ^ v);
+    for r in records {
+        let (index, spec, fired, outcome) = r.identity();
+        fold(index as u64);
+        fold(match spec.class {
+            RegClass::Gpr => 1,
+            RegClass::Fpr => 2,
+        });
+        fold(spec.tap_index);
+        fold(u64::from(spec.bit));
+        match fired {
+            None => fold(u64::MAX),
+            Some(f) => {
+                fold(f.func.index() as u64);
+                fold(f.op.index() as u64);
+                fold(u64::from(f.reg));
+                fold(u64::from(f.bit));
+                fold(f.before);
+                fold(f.after);
+            }
+        }
+        for b in outcome.name().bytes() {
+            fold(u64::from(b));
+        }
+    }
+    h
 }
 
 /// Campaign parameters. Construct with [`CampaignConfig::new`] and chain
@@ -995,13 +1051,12 @@ mod tests {
     #[test]
     fn campaign_is_deterministic_across_thread_counts() {
         let g = profile_golden(&Toy).unwrap();
-        let cfg1 = CampaignConfig::new(RegClass::Gpr, 64).seed(11).threads(1);
-        let cfg4 = CampaignConfig::new(RegClass::Gpr, 64).seed(11).threads(4);
-        let a = run_campaign(&Toy, &g, &cfg1);
-        let b = run_campaign(&Toy, &g, &cfg4);
-        let oa: Vec<_> = a.iter().map(|r| (r.spec, r.outcome)).collect();
-        let ob: Vec<_> = b.iter().map(|r| (r.spec, r.outcome)).collect();
-        assert_eq!(oa, ob);
+        let [a, b] = [1, 4].map(|threads| {
+            let cfg = CampaignConfig::new(RegClass::Gpr, 64).seed(11);
+            let recs = run_campaign(&Toy, &g, &cfg.threads(threads));
+            recs.iter().map(Injection::identity).collect::<Vec<_>>()
+        });
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -1095,11 +1150,8 @@ mod tests {
                     .threads(threads)
                     .checkpoint_policy(CheckpointPolicy::EveryKFrames(7));
                 let fast = run_campaign_checkpointed(&Toy, &ck, &cfg);
-                let a: Vec<_> = reference
-                    .iter()
-                    .map(|r| (r.spec, r.outcome, r.fired))
-                    .collect();
-                let b: Vec<_> = fast.iter().map(|r| (r.spec, r.outcome, r.fired)).collect();
+                let [a, b] = [&reference, &fast]
+                    .map(|recs| recs.iter().map(Injection::identity).collect::<Vec<_>>());
                 assert_eq!(a, b, "class {class} threads {threads}");
             }
         }
@@ -1125,9 +1177,6 @@ mod tests {
             workspaces: Mutex::default(),
             observers: vs_telemetry::capture(),
         };
-        let fingerprint = |recs: &[Injection<(u64, u64)>]| -> Vec<_> {
-            recs.iter().map(|r| (r.spec, r.fired, r.outcome)).collect()
-        };
         let mut resumed_somewhere = false;
         for group in &groups {
             let draw = |i: usize| group.pilot(crate::mix64(0x9e0 ^ i as u64));
@@ -1147,12 +1196,12 @@ mod tests {
                     let _g = metrics::install(reg.clone());
                     plan(&ck.checkpoints, threads).drive(0..60, draw, None)
                 };
+                let [want, got] = [&scratch, &fast]
+                    .map(|recs| recs.iter().map(Injection::identity).collect::<Vec<_>>());
                 assert_eq!(
-                    fingerprint(&scratch),
-                    fingerprint(&fast),
+                    want, got,
                     "{:?}/{:?} at {threads} threads",
-                    group.func,
-                    group.op
+                    group.func, group.op
                 );
                 let m = reg.merged();
                 assert_eq!(m.counter(phase::RUNS_RESUMED), resumable);
@@ -1191,13 +1240,13 @@ mod tests {
 
     /// Zero perturbation at the Toy layer: every subset of the
     /// observation capabilities — a trace sink, a metrics registry,
-    /// forensic digests — leaves the golden profile and the (spec,
-    /// outcome, fired) records of scratch and checkpointed campaigns
-    /// bit-identical to the unobserved campaign, while each capability
-    /// observes exactly its share: the sink one `injection` event per
-    /// run with the unobserved outcome and a final rates snapshot whose
-    /// Wilson bounds bracket the rates, the registry one `exec` sample
-    /// per run, and forensics a payload on every completed run only.
+    /// forensic digests — leaves the golden profile and the record
+    /// identities of scratch and checkpointed campaigns equal to the
+    /// unobserved campaign's, while each capability observes exactly its
+    /// share: the sink one `injection` event per run with the unobserved
+    /// outcome and a final rates snapshot whose Wilson bounds bracket the
+    /// rates, the registry one `exec` sample per run, and forensics a
+    /// payload on every completed run only.
     /// Scratch campaigns run on 2 threads, checkpointed ones on 4.
     #[test]
     fn observation_does_not_perturb_campaigns() {
@@ -1205,9 +1254,6 @@ mod tests {
         use std::sync::Arc;
         let policy = CheckpointPolicy::EveryKFrames(9);
         let plain = profile(&Toy, FuncMask::all(), policy.interval(), false).unwrap();
-        let fingerprint = |recs: &[Injection<(u64, u64)>]| -> Vec<_> {
-            recs.iter().map(|r| (r.spec, r.outcome, r.fired)).collect()
-        };
         for class in [RegClass::Gpr, RegClass::Fpr] {
             let scratch = CampaignConfig::new(class, 120).seed(17).threads(2);
             let quiet = run_campaign(&Toy, &plain.golden, &scratch);
@@ -1242,7 +1288,9 @@ mod tests {
                             run_campaign(&Toy, &ck.golden, &cfg)
                         }
                     };
-                    assert_eq!(fingerprint(&quiet), fingerprint(&recs), "{cell}");
+                    let [want, got] = [&quiet, &recs]
+                        .map(|recs| recs.iter().map(Injection::identity).collect::<Vec<_>>());
+                    assert_eq!(want, got, "{cell}");
                     for r in &recs {
                         let completed = matches!(r.outcome, Outcome::Masked | Outcome::Sdc);
                         assert_eq!(r.forensics.is_some(), forensic && completed, "{cell}");
@@ -1346,7 +1394,7 @@ mod tests {
                 let fast = run_campaign_checkpointed(&Toy, &ck, &cfg);
                 assert_eq!(scratch.len(), fast.len());
                 for (a, b) in scratch.iter().zip(&fast) {
-                    assert_eq!((a.spec, a.outcome, a.fired), (b.spec, b.outcome, b.fired));
+                    assert_eq!(a.identity(), b.identity());
                     assert_eq!(
                         a.forensics, b.forensics,
                         "digest trace not resume-exact at index {} ({class}, {threads} threads)",

@@ -777,13 +777,9 @@ mod tests {
         };
         let one = run_at(1);
         let four = run_at(4);
-        let fp = |r: &ComposedResult<(u64, u64)>| {
-            r.records
-                .iter()
-                .map(|x| format!("{} {:?} {:?}", x.spec, x.outcome, x.fired))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(fp(&one), fp(&four));
+        let [a, b] = [&one.records, &four.records]
+            .map(|recs| recs.iter().map(Injection::identity).collect::<Vec<_>>());
+        assert_eq!(a, b);
         assert_eq!(one.estimate, four.estimate);
     }
 }

@@ -23,6 +23,14 @@
 //! with an instruction budget, and SDC/Mask classification is a byte
 //! comparison of the output against the golden output.
 //!
+//! Every campaign flavour returns one [`campaign::Injection`] record per
+//! run, and every one of them promises the same thing: the same seed
+//! gives the same record identities ([`campaign::Injection::identity`]:
+//! index, fault spec, fired fault and outcome) whatever the thread
+//! count, checkpoint policy, SIMD level or installed observers. Record
+//! streams are compared through that identity and pinned through
+//! [`campaign::record_digest`], its order-sensitive fold.
+//!
 //! # Example
 //!
 //! ```

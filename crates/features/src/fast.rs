@@ -213,8 +213,7 @@ pub struct FastScratch {
 }
 
 impl FastScratch {
-    /// Total heap footprint (element counts of the owned buffers) —
-    /// feeds the scratch-reuse telemetry counter.
+    /// Total heap footprint (element counts of the owned buffers).
     pub fn footprint(&self) -> usize {
         self.scores.capacity() + self.candidates.capacity()
     }
@@ -1116,7 +1115,7 @@ mod tests {
     /// record (spec, fired fault, outcome) must match exactly.
     #[test]
     fn fault_campaign_outcomes_identical_to_scalar() {
-        use vs_fault::campaign::{profile_golden, run_campaign, CampaignConfig};
+        use vs_fault::campaign::{profile_golden, run_campaign, CampaignConfig, Injection};
         use vs_fault::RegClass;
 
         struct DetectWl<const SWAR: bool>(GrayImage);
@@ -1152,8 +1151,7 @@ mod tests {
             .threads(2);
         let a = run_campaign(&swar, &g_swar, &cfg);
         let b = run_campaign(&scalar, &g_scalar, &cfg);
-        let ka: Vec<_> = a.iter().map(|r| (r.spec, r.fired, r.outcome)).collect();
-        let kb: Vec<_> = b.iter().map(|r| (r.spec, r.fired, r.outcome)).collect();
+        let [ka, kb] = [a, b].map(|r| r.iter().map(Injection::identity).collect::<Vec<_>>());
         assert_eq!(ka, kb, "injection records diverge");
     }
 

@@ -247,8 +247,7 @@ pub struct OrbScratch {
 }
 
 impl OrbScratch {
-    /// Total heap footprint (element counts of the owned buffers) —
-    /// feeds the scratch-reuse telemetry counter.
+    /// Total heap footprint (element counts of the owned buffers).
     pub fn footprint(&self) -> usize {
         self.levels.capacity()
             + self.levels.iter().map(|l| l.capacity()).sum::<usize>()

@@ -45,14 +45,15 @@ impl Ledger {
         }
     }
 
-    /// The ledger at an explicit file path.
-    pub fn at(path: PathBuf) -> Ledger {
-        Ledger { path }
-    }
-
-    /// The ledger at the workspace default, `out/ledger/ledger.jsonl`.
+    /// The ledger every tool reads and writes by default:
+    /// `$VS_LEDGER_DIR/ledger.jsonl` when that environment variable is
+    /// set and non-empty, else [`DEFAULT_DIR`]`/ledger.jsonl` relative to
+    /// the working directory.
     pub fn default_location() -> Ledger {
-        Ledger::in_dir(Path::new(DEFAULT_DIR))
+        match std::env::var("VS_LEDGER_DIR") {
+            Ok(dir) if !dir.is_empty() => Ledger::in_dir(Path::new(&dir)),
+            _ => Ledger::in_dir(Path::new(DEFAULT_DIR)),
+        }
     }
 
     /// The backing file path.

@@ -1,14 +1,6 @@
 //! Deterministic value noise for terrain synthesis.
 
-/// splitmix64 finalizer (local copy; this crate stays independent of the
-/// fault framework).
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+use vs_rng::mix64;
 
 /// Hash a lattice point to a uniform value in `[0, 1)`.
 #[inline]

@@ -41,11 +41,6 @@ pub enum BlendMode {
 pub struct CompositeOptions {
     /// Blending policy for overlapping pixels.
     pub blend: BlendMode,
-    /// Exposure (gain) compensation: scale the incoming frame so its
-    /// mean brightness matches the canvas content it overlaps — one of
-    /// the "corrective actions" real stitchers apply (§III-A mentions
-    /// such corrections exist but omits them).
-    pub gain_compensation: bool,
 }
 
 /// The canvas pixels one composite wrote, with their values after it: a
@@ -215,7 +210,7 @@ impl Canvas {
         self.composite_with(src, h, &CompositeOptions::default())
     }
 
-    /// [`Canvas::composite`] with explicit blending/gain options.
+    /// [`Canvas::composite`] with explicit blending options.
     ///
     /// # Errors
     ///
@@ -268,15 +263,6 @@ impl Canvas {
         )?;
         let (patch, patch_mask) = (&warp.patch, &warp.mask);
 
-        // Optional exposure compensation: ratio of mean luma of already
-        // painted canvas content under the new frame's footprint to the
-        // new frame's mean luma there.
-        let gain = if opts.gain_compensation {
-            self.exposure_gain(patch, patch_mask)
-        } else {
-            1.0
-        };
-
         let _f = tap::scope(FuncId::Blend);
         let w = self.image.width();
         let len = self.mask.as_bytes().len();
@@ -303,7 +289,7 @@ impl Canvas {
             for ((&m, k), (s, d)) in covered[..fit].iter().zip(mask).zip(pixels) {
                 if m == 255 {
                     let old = (feather && *k == 255).then(|| pixel(d));
-                    d.copy_from_slice(&blend(pixel(s), gain, old));
+                    d.copy_from_slice(&blend(pixel(s), old));
                     *k = 255;
                 }
             }
@@ -315,9 +301,9 @@ impl Canvas {
     }
 
     /// Composite `items` — `(index into frames, transform)` pairs — with
-    /// [`BlendMode::Overwrite`] and no gain compensation, leaving the
-    /// canvas exactly as consecutive [`Canvas::composite_scratch`] calls
-    /// would, but painting **last frame first**: each frame samples only
+    /// [`BlendMode::Overwrite`], leaving the canvas exactly as
+    /// consecutive [`Canvas::composite_scratch`] calls would, but
+    /// painting **last frame first**: each frame samples only
     /// the pixels no later frame has painted, so every canvas pixel is
     /// sampled once, by the last frame that covers it.
     ///
@@ -434,29 +420,6 @@ impl Canvas {
         )
     }
 
-    /// Mean-luma gain matching the incoming patch to the canvas content
-    /// it overlaps; 1.0 when there is no overlap. Clamped to [0.6, 1.6].
-    fn exposure_gain(&self, patch: &RgbImage, patch_mask: &GrayImage) -> f64 {
-        let mut canvas_sum = 0.0f64;
-        let mut patch_sum = 0.0f64;
-        let mut n = 0u64;
-        for y in 0..patch.height() {
-            for x in 0..patch.width() {
-                if patch_mask.get(x, y) == Some(255) && self.mask.get(x, y) == Some(255) {
-                    let c = self.image.get(x, y).unwrap_or([0; 3]);
-                    let p = patch.get(x, y).unwrap_or([0; 3]);
-                    canvas_sum += (c[0] as f64 + c[1] as f64 + c[2] as f64) / 3.0;
-                    patch_sum += (p[0] as f64 + p[1] as f64 + p[2] as f64) / 3.0;
-                    n += 1;
-                }
-            }
-        }
-        if n < 32 || patch_sum <= 1.0 {
-            return 1.0;
-        }
-        (canvas_sum / patch_sum).clamp(0.6, 1.6)
-    }
-
     /// Crop the canvas to the bounding box of covered pixels.
     ///
     /// Returns `None` when nothing was composited.
@@ -511,15 +474,10 @@ fn pixel(b: &[u8]) -> [u8; 3] {
     [b[0], b[1], b[2]]
 }
 
-/// A patch pixel as it lands on the canvas: gain-compensated, then
-/// averaged with the covered canvas pixel `old` when feathering.
+/// A patch pixel as it lands on the canvas: averaged with the covered
+/// canvas pixel `old` when feathering.
 #[inline(always)]
-fn blend(mut p: [u8; 3], gain: f64, old: Option<[u8; 3]>) -> [u8; 3] {
-    if gain != 1.0 {
-        for c in &mut p {
-            *c = vs_image::saturate_u8(*c as f64 * gain);
-        }
-    }
+fn blend(mut p: [u8; 3], old: Option<[u8; 3]>) -> [u8; 3] {
     if let Some(old) = old {
         for (pc, oc) in p.iter_mut().zip(old) {
             *pc = ((*pc as u16 + oc as u16) / 2) as u8;
@@ -648,7 +606,6 @@ mod tests {
         let mut c = Canvas::new(&bounds(0.0, 0.0, 20.0, 20.0)).unwrap();
         let opts = CompositeOptions {
             blend: BlendMode::Feather,
-            ..CompositeOptions::default()
         };
         c.composite_with(&solid(10, 10, [100, 0, 0]), &Mat3::IDENTITY, &opts)
             .unwrap();
@@ -714,40 +671,6 @@ mod tests {
     }
 
     #[test]
-    fn gain_compensation_matches_exposures() {
-        // A dark first frame, then a 2x brighter overlapping frame: with
-        // gain compensation the second frame is pulled toward the first.
-        let mut c = Canvas::new(&bounds(0.0, 0.0, 30.0, 20.0)).unwrap();
-        let opts = CompositeOptions {
-            gain_compensation: true,
-            ..CompositeOptions::default()
-        };
-        c.composite_with(&solid(16, 16, [80, 80, 80]), &Mat3::IDENTITY, &opts)
-            .unwrap();
-        c.composite_with(
-            &solid(16, 16, [160, 160, 160]),
-            &Mat3::translation(6.0, 0.0),
-            &opts,
-        )
-        .unwrap();
-        let p = c.image().get(12, 8).unwrap();
-        assert!(
-            p[0] < 120,
-            "gain compensation should darken the bright frame: {p:?}"
-        );
-        // Without compensation the overlap is the raw bright value.
-        let mut raw = Canvas::new(&bounds(0.0, 0.0, 30.0, 20.0)).unwrap();
-        raw.composite(&solid(16, 16, [80, 80, 80]), &Mat3::IDENTITY)
-            .unwrap();
-        raw.composite(
-            &solid(16, 16, [160, 160, 160]),
-            &Mat3::translation(6.0, 0.0),
-        )
-        .unwrap();
-        assert_eq!(raw.image().get(12, 8), Some([160, 160, 160]));
-    }
-
-    #[test]
     fn patch_chain_rebuilds_every_composite() {
         let frames = tilted_frames();
         let area = bounds(-3.0, -3.0, 45.0, 32.0);
@@ -782,7 +705,7 @@ mod tests {
     }
 
     /// Overlapping frames of different brightness on a tilted path, so
-    /// every composite overwrites, blends or re-gains earlier ones.
+    /// every composite overwrites or blends earlier ones.
     fn tilted_frames() -> Vec<(RgbImage, Mat3)> {
         (0..5u8)
             .map(|k| {
@@ -796,22 +719,12 @@ mod tests {
             .collect()
     }
 
-    const ALL_OPTS: [CompositeOptions; 4] = [
+    const ALL_OPTS: [CompositeOptions; 2] = [
         CompositeOptions {
             blend: BlendMode::Overwrite,
-            gain_compensation: false,
         },
         CompositeOptions {
             blend: BlendMode::Feather,
-            gain_compensation: false,
-        },
-        CompositeOptions {
-            blend: BlendMode::Overwrite,
-            gain_compensation: true,
-        },
-        CompositeOptions {
-            blend: BlendMode::Feather,
-            gain_compensation: true,
         },
     ];
 
@@ -826,20 +739,12 @@ mod tests {
     ) -> Result<Canvas, SimError> {
         let mut out = before.clone();
         let (w, h) = (out.image.width(), out.image.height());
-        let gain = if opts.gain_compensation {
-            before.exposure_gain(&warp.patch, &warp.mask)
-        } else {
-            1.0
-        };
         for row in 0..h {
             for col in 0..w {
                 if warp.mask.get(col, row) != Some(255) {
                     continue;
                 }
                 let mut p = warp.patch.get(col, row).unwrap();
-                for c in &mut p {
-                    *c = vs_image::saturate_u8(*c as f64 * gain);
-                }
                 let idx = base(row) + col;
                 let (x, y) = (idx % w, idx / w);
                 if y >= h {
@@ -864,16 +769,13 @@ mod tests {
         for opts in ALL_OPTS {
             let mut canvas = Canvas::new(&area).unwrap();
             let mut warp = WarpScratch::default();
-            let mut gains = Vec::new();
             for (img, h) in &tilted_frames() {
                 let before = canvas.clone();
                 canvas.composite_scratch(img, h, &opts, &mut warp).unwrap();
                 let w = canvas.image.width();
                 let want = reference_blend(&before, &warp, &opts, |r| r * w).unwrap();
                 assert_eq!(canvas, want, "{opts:?}");
-                gains.push(before.exposure_gain(&warp.patch, &warp.mask));
             }
-            assert!(gains.iter().any(|&g| g != 1.0), "no composite re-gains");
         }
     }
 

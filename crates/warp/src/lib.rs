@@ -1094,7 +1094,7 @@ mod proptests {
     /// must match for both integer and float fault classes.
     #[test]
     fn fault_campaign_outcomes_identical_to_scalar() {
-        use vs_fault::campaign::{profile_golden, run_campaign, CampaignConfig};
+        use vs_fault::campaign::{profile_golden, run_campaign, CampaignConfig, Injection};
         use vs_fault::RegClass;
 
         struct WarpWl<const SCALAR: bool> {
@@ -1142,8 +1142,7 @@ mod proptests {
             let cfg = CampaignConfig::new(class, 100).seed(0x3A12).threads(2);
             let a = run_campaign(&fast, &g_fast, &cfg);
             let b = run_campaign(&scalar, &g_scalar, &cfg);
-            let ka: Vec<_> = a.iter().map(|r| (r.spec, r.fired, r.outcome)).collect();
-            let kb: Vec<_> = b.iter().map(|r| (r.spec, r.fired, r.outcome)).collect();
+            let [ka, kb] = [a, b].map(|r| r.iter().map(Injection::identity).collect::<Vec<_>>());
             assert_eq!(ka, kb, "{class:?} injection records diverge");
         }
     }

@@ -108,8 +108,10 @@ rm -f /tmp/BENCH6_smoke.json
 echo "== simd dispatch smoke: simd_check under VS_SIMD=scalar/swar/sse2/auto =="
 # The record stream of a fault campaign (and the plain panorama output)
 # must be byte-identical whichever kernel implementation the runtime
-# dispatcher picks. simd_check prints one digest per phase; the dispatch
-# levels must agree line for line. SSE2 is pinned explicitly on x86_64
+# dispatcher picks. simd_check prints one digest per phase, a campaign's
+# folding its record identities (campaign::record_digest over index,
+# spec, fired fault and outcome) and its retained SDC pixels; the
+# dispatch levels must agree line for line. SSE2 is pinned explicitly on x86_64
 # (elsewhere pinning it panics) because `auto` picks AVX2 where the CPU
 # has it, and the two tiers sample differently.
 levels="swar auto"
@@ -132,8 +134,9 @@ rm -f /tmp/simd_scalar.txt /tmp/simd_swar.txt /tmp/simd_sse2.txt /tmp/simd_auto.
 
 echo "== forensics smoke: campaign_report --smoke + trace_check --forensics =="
 # The forensics report runs each campaign twice (forensics off, then
-# on) and exits non-zero itself if any (spec, outcome, fired) record
-# differs, if a non-crash GPR injection is unattributed, or if fewer
+# on) and exits non-zero itself if any record identity
+# (Injection::identity: index, spec, fired fault and outcome) differs,
+# if a non-crash GPR injection is unattributed, or if fewer
 # than 90% of masked FPR faults attribute to the warp/summary stages.
 # trace_check --forensics then validates the digest events in the
 # emitted JSONL trace: a golden digest per pipeline stage and

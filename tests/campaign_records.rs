@@ -1,13 +1,10 @@
 //! Pinned record streams: every campaign flavour, run at a fixed seed
 //! on Input2 at `Scale::Quick`, must keep producing exactly these
-//! records. Each test folds every record's index, fault spec (class,
-//! tap, bit), fired fault and outcome into one digest and compares it
-//! with a constant, so a refactor of the campaign engine that changes
-//! any draw, landing site or classification fails here.
-//!
-//! The digest reads the fields directly rather than formatting the
-//! records: `Debug` and `Display` text is free to change while the
-//! records it describes stay the same.
+//! records. Each test folds every record's identity — index, fault spec
+//! (class, tap, bit), fired fault and outcome — into one digest
+//! (`campaign::record_digest`) and compares it with a constant, so a
+//! refactor of the campaign engine that changes any draw, landing site
+//! or classification fails here.
 
 use std::sync::Arc;
 use video_summarization::prelude::*;
@@ -15,9 +12,9 @@ use vs_core::workloads::VsWorkload;
 use vs_fault::adaptive::{self, AdaptiveConfig};
 use vs_fault::campaign::{phase, CheckpointPolicy, Injection};
 use vs_fault::compose::{self, CampaignCache, ComposeConfig};
-use vs_fault::forensics::Stage;
-use vs_fault::mix64;
+use vs_fault::forensics::{Attribution, DigestTrace, ForensicsRecord, Stage};
 use vs_fault::pruning::{self, PrunedConfig};
+use vs_fault::{mix64, FaultSpec, FiredFault, OpClass};
 use vs_telemetry::metrics::{self, MetricsRegistry};
 
 const SEED: u64 = 0x9E_C0DE;
@@ -26,44 +23,84 @@ fn workload() -> VsWorkload {
     experiments::vs_workload(InputId::Input2, Scale::Quick, Approximation::Baseline)
 }
 
-/// Order-sensitive digest of a record stream.
-fn digest<O>(records: &[Injection<O>]) -> u64 {
-    let mut h = mix64(records.len() as u64);
-    let mut fold = |v: u64| h = mix64(h ^ v);
-    for r in records {
-        fold(r.index as u64);
-        fold(match r.spec.class {
-            RegClass::Gpr => 1,
-            RegClass::Fpr => 2,
-        });
-        fold(r.spec.tap_index);
-        fold(u64::from(r.spec.bit));
-        match r.fired {
-            None => fold(u64::MAX),
-            Some(f) => {
-                fold(f.func.index() as u64);
-                fold(f.op.index() as u64);
-                fold(u64::from(f.reg));
-                fold(u64::from(f.bit));
-                fold(f.before);
-                fold(f.after);
-            }
-        }
-        for b in r.outcome.name().bytes() {
-            fold(u64::from(b));
-        }
-    }
-    h
-}
-
 fn assert_digest<O>(flavour: &str, records: &[Injection<O>], expected: u64) {
-    let got = digest(records);
+    let got = campaign::record_digest(records);
     assert_eq!(
         got,
         expected,
         "{flavour}: record stream changed ({} records, digest {got:#018x})",
         records.len()
     );
+}
+
+/// The digest reads a record's identity and nothing else: changing any
+/// field it folds moves it, and the extras a campaign may keep — a
+/// retained SDC output, a forensic record — do not. The site group is
+/// the one identity field it leaves out, keeping the pins' format: a
+/// grouped pilot fires inside its group, and `fired` records where.
+#[test]
+fn record_digest_folds_the_identity_and_nothing_else() {
+    type Rec = Injection<Vec<u8>>;
+    let base = Rec {
+        index: 4,
+        spec: FaultSpec::new(RegClass::Gpr, 77, 9),
+        fired: Some(FiredFault {
+            func: FuncId::RemapBilinear,
+            op: OpClass::Addr,
+            reg: 3,
+            bit: 9,
+            before: 0x40,
+            after: 0x240,
+        }),
+        outcome: Outcome::Sdc,
+        sdc_output: None,
+        forensics: None,
+    };
+    fn fired(r: &mut Rec) -> &mut FiredFault {
+        r.fired.as_mut().unwrap()
+    }
+    let digest = |r: &Rec| campaign::record_digest(std::slice::from_ref(r));
+    let edits: [fn(&mut Rec); 12] = [
+        |r| r.index += 1,
+        |r| r.spec.class = RegClass::Fpr,
+        |r| r.spec.tap_index += 1,
+        |r| r.spec.bit += 1,
+        |r| r.fired = None,
+        |r| fired(r).func = FuncId::WarpPerspective,
+        |r| fired(r).op = OpClass::IntAlu,
+        |r| fired(r).reg += 1,
+        |r| fired(r).bit += 1,
+        |r| fired(r).before += 1,
+        |r| fired(r).after += 1,
+        |r| r.outcome = Outcome::Masked,
+    ];
+    for (i, edit) in edits.iter().enumerate() {
+        let mut r = base.clone();
+        edit(&mut r);
+        assert_ne!(r.identity(), base.identity(), "edit {i}");
+        assert_ne!(digest(&r), digest(&base), "edit {i} left the digest");
+    }
+    let mut trace = DigestTrace::default();
+    trace.fold(Stage::Warp, 0x5eed);
+    let extras = Rec {
+        sdc_output: Some(vec![1, 2, 3]),
+        forensics: Some(ForensicsRecord {
+            trace,
+            attribution: Attribution::between(&DigestTrace::default(), &trace),
+        }),
+        ..base.clone()
+    };
+    assert_eq!(extras.identity(), base.identity());
+    assert_eq!(digest(&extras), digest(&base), "extras moved the digest");
+    let grouped = Rec {
+        spec: FaultSpec {
+            group: Some((FuncId::RemapBilinear, OpClass::Addr)),
+            ..base.spec
+        },
+        ..base.clone()
+    };
+    assert_ne!(grouped.identity(), base.identity());
+    assert_eq!(digest(&grouped), digest(&base), "the pins fold no group");
 }
 
 #[test]

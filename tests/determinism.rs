@@ -38,7 +38,7 @@ fn campaigns_are_deterministic_and_thread_count_invariant() {
             .keep_sdc_outputs(false);
         campaign::run_campaign(&w, &g, &cfg)
             .iter()
-            .map(|r| (r.spec, r.outcome))
+            .map(campaign::Injection::identity)
             .collect::<Vec<_>>()
     };
     let a = run(1);

@@ -7,9 +7,9 @@
 //!
 //! A cell profiles the golden run and drives a campaign with its
 //! capabilities installed on the calling thread, then compares the
-//! (spec, outcome, fired) records with the unobserved ("none") campaign's:
-//! a scratch campaign for the scratch and checkpointed flavours, a cold
-//! composed campaign for the composed one. A divergence means an
+//! record identities (`Injection::identity`) with the unobserved
+//! ("none") campaign's: a scratch campaign for the scratch and
+//! checkpointed flavours, a cold composed campaign for the composed one. A divergence means an
 //! observer leaked into the tap stream. Each capability must also have
 //! observed its share:
 //!
@@ -104,7 +104,8 @@ pub fn check(caps: Caps, flavour: Flavour) {
             let seen = observe(&w, caps, flavour, cfg.clone().threads(threads), threads);
             assert_eq!(seen.golden.profile, plain.profile, "{cell}: tap profile");
             assert_eq!(seen.golden.output, plain.output, "{cell}: golden output");
-            let [want, got] = [&reference, &seen.records].map(fingerprint);
+            let [want, got] = [&reference, &seen.records]
+                .map(|recs| recs.iter().map(Injection::identity).collect::<Vec<_>>());
             assert_eq!(want, got, "{cell}: records perturbed");
 
             // Only forensic scratch and checkpointed campaigns attribute,
@@ -301,14 +302,6 @@ fn composed(w: &VsWorkload, golden: &Golden, threads: usize) -> (Records, u64) {
     };
     let res = compose::run_composed_campaign(w, golden, &cfg, &mut CampaignCache::new());
     (res.records, res.injections_executed as u64)
-}
-
-/// (spec, outcome, fired) fingerprint of a campaign — everything the
-/// resiliency statistics are built from.
-pub fn fingerprint(recs: &Records) -> Vec<String> {
-    recs.iter()
-        .map(|r| format!("{} {:?} {:?}", r.spec, r.outcome, r.fired))
-        .collect()
 }
 
 /// A writer whose bytes stay reachable after the sink is uninstalled.

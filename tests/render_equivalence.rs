@@ -6,22 +6,12 @@
 
 use video_summarization::prelude::*;
 
-const ALL_OPTS: [CompositeOptions; 4] = [
+const ALL_OPTS: [CompositeOptions; 2] = [
     CompositeOptions {
         blend: BlendMode::Overwrite,
-        gain_compensation: false,
     },
     CompositeOptions {
         blend: BlendMode::Feather,
-        gain_compensation: false,
-    },
-    CompositeOptions {
-        blend: BlendMode::Overwrite,
-        gain_compensation: true,
-    },
-    CompositeOptions {
-        blend: BlendMode::Feather,
-        gain_compensation: true,
     },
 ];
 

@@ -19,14 +19,6 @@ fn workload() -> VsWorkload {
     experiments::vs_workload(InputId::Input2, Scale::Quick, Approximation::Baseline)
 }
 
-/// (spec, outcome, fired) fingerprint of a campaign — everything the
-/// resiliency statistics are built from.
-fn fingerprint(recs: &[Injection<Vec<RgbImage>>]) -> Vec<String> {
-    recs.iter()
-        .map(|r| format!("{} {:?} {:?}", r.spec, r.outcome, r.fired))
-        .collect()
-}
-
 /// What a session reports at its end: its counters and the fault it
 /// fired.
 type Report = (TapSnapshot, Option<FiredFault>);
@@ -128,9 +120,10 @@ fn campaigns_match_across_policies_and_threads() {
                     "the shared workspace must also serve faulted runs"
                 );
             }
+            let [want, got] = [reused, run(N)]
+                .map(|recs| recs.iter().map(Injection::identity).collect::<Vec<_>>());
             assert_eq!(
-                fingerprint(&reused),
-                fingerprint(&run(N)),
+                want, got,
                 "shared workspace diverged from fresh ones: {class} {policy:?}"
             );
         }

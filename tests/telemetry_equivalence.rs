@@ -12,10 +12,10 @@
 
 mod observation;
 
-use observation::{check, fingerprint, traced, workload, Caps, Flavour};
+use observation::{check, traced, workload, Caps, Flavour};
 use std::sync::Arc;
 use video_summarization::prelude::*;
-use vs_fault::campaign::CheckpointPolicy;
+use vs_fault::campaign::{CheckpointPolicy, Injection};
 use vs_telemetry::digest::Stage;
 use vs_telemetry::ledger::{self, Ledger};
 use vs_telemetry::{MemorySink, OwnedEvent, OwnedValue};
@@ -77,9 +77,10 @@ fn spans_and_ledger_do_not_perturb_campaigns() {
                 recs
             });
             appended += 1;
+            let [want, got] = [&quiet, &traced]
+                .map(|recs| recs.iter().map(Injection::identity).collect::<Vec<_>>());
             assert_eq!(
-                fingerprint(&quiet),
-                fingerprint(&traced),
+                want, got,
                 "spans+ledger perturbed campaign (threads {threads}, checkpointed {checkpointed})"
             );
 
